@@ -9,7 +9,6 @@ discrimination demo.
 from mqsp.errors import (
     FactorizationError,
     MqspError,
-    NotPeelableError,
     ReadoffError,
     VerificationError,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "LaurentPoly1",
     "LaurentPoly2",
     "MqspError",
-    "NotPeelableError",
     "ParitySignature",
     "ReadoffError",
     "VerificationError",

@@ -6,7 +6,9 @@ Exit codes are stable: 0 success; 1 a structural, positivity, or rank
 check failed; 2 unusable input (flags or JSON); 3 completion produced a
 valid unitary whose phases could not be read off; 4 the scan found a
 counterexample (dump path printed). The environment variable
-MQSP_TOLERANCE overrides the read-off tolerance (default 1e-8).
+MQSP_TOLERANCE overrides the read-off tolerance (default 1e-8); a value
+that is not a finite positive number is unusable input for the commands
+that read it (readoff, complete, scan).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from mqsp.errors import (
 from mqsp.factor1d import complete_unitary_1d
 from mqsp.factor2d import complete_unitary_2d
 from mqsp.protocol import Su2LaurentUnitary, build_unitary, verify_structure
-from mqsp.readoff import readoff, scan_leading_slices
+from mqsp.readoff import readoff, readoff_tolerance, scan_leading_slices
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -272,7 +274,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="mqsp",
         description="Multivariable quantum signal processing toolkit.",
-        epilog="Set MQSP_TOLERANCE to override the read-off tolerance.",
+        epilog="Set MQSP_TOLERANCE to a finite positive number to override the read-off tolerance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -314,6 +316,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.command in ("readoff", "complete", "scan"):
+        try:
+            readoff_tolerance()
+        except ValueError as exc:
+            return _fail(EXIT_USAGE, "invalid input: %s" % exc)
     return args.handler(args)
 
 

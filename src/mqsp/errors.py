@@ -3,7 +3,9 @@
 Messages double as interface contracts (the CLI and tests match on them),
 so raise with the exact strings documented on each operation. The class
 split exists for exit-code routing: verification-style failures map to
-exit 1, a completion that checks out but cannot be peeled maps to exit 3.
+exit 1. A completion that checks out but cannot be peeled maps to exit 3:
+complete_unitary_1d lets the ReadoffError or VerificationError of its
+read-off propagate, and complete_unitary_2d returns spec None instead.
 """
 
 from __future__ import annotations
@@ -26,8 +28,3 @@ class FactorizationError(MqspError):
 class ReadoffError(MqspError):
     """Phase read-off failed: missing/zero leading slice, slices not
     proportional, or the input is not a protocol unitary at all."""
-
-
-class NotPeelableError(MqspError):
-    """Unitary completion succeeded and verified, but the result does not
-    admit a phase read-off."""

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mqsp.errors import FactorizationError
-from mqsp.laurent import LaurentPoly1, hermitian_part_1
-from mqsp.protocol import Su2LaurentUnitary
+from mqsp.laurent import LaurentPoly1
+from mqsp.protocol import Su2LaurentUnitary, assemble_completion
 from mqsp.readoff import readoff
 
 # Root classification/pairing tolerances. A boundary zero of a nonnegative
@@ -156,10 +156,13 @@ def complete_unitary_1d(p_tilde, q_tilde, n):
 
     The missing imaginary parts are R = Hermitian part of g(z) z^{-n} and
     S from its anti-Hermitian part; R^2 + S^2 = 1 - Ptilde^2 - Qtilde^2 by
-    construction, making the assembled matrix exactly unitary up to the
-    factorization residual. Phases are then recovered by readoff.
+    construction, making the assembled matrix (assemble_completion)
+    exactly unitary up to the factorization residual. Phases are then
+    recovered by readoff, whose errors propagate.
     """
     n = int(n)
+    if n < 0:
+        raise ValueError("length must satisfy n >= 0")
     if p_tilde.var != q_tilde.var:
         raise ValueError(
             "variable mismatch: %r vs %r" % (p_tilde.var, q_tilde.var)
@@ -178,15 +181,9 @@ def complete_unitary_1d(p_tilde, q_tilde, n):
     f = one - p_tilde * p_tilde - q_tilde * q_tilde
     fac = fejer_riesz(f)
 
-    # the factor of an even-supported f is even-supported (its roots come in
-    # +- pairs); the shift then forces parity n mod 2 on R and S. Projection
-    # drops only root-finder dust, which the determinant/readoff gates bound.
-    t_shift = fac.g.shift(-n).parity_project(n % 2)
-    r = hermitian_part_1(t_shift)
-    s = (t_shift - t_shift.conj_reciprocal()) * (-0.5j)
-
-    p_full = (p_tilde + 1j * r).embed("a")
-    q_full = (q_tilde + 1j * s).embed("a")
-    unitary = Su2LaurentUnitary(p_full, q_full)
-    result = readoff(p_full, q_full)
+    # on oracle A alone the protocol has weight m = n
+    unitary = assemble_completion(
+        p_tilde.embed("a"), q_tilde.embed("a"), fac.g.embed("a"), n, n
+    )
+    result = readoff(unitary.P, unitary.Q)
     return CompletionResult1D(unitary=unitary, spec=result.spec, factorization=fac)

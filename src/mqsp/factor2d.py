@@ -19,7 +19,7 @@ import numpy as np
 
 from mqsp.errors import FactorizationError, ReadoffError, VerificationError
 from mqsp.laurent import LaurentPoly2
-from mqsp.protocol import Su2LaurentUnitary
+from mqsp.protocol import Su2LaurentUnitary, assemble_completion
 from mqsp.readoff import readoff
 
 POSITIVITY_GRID = 64
@@ -35,7 +35,6 @@ VERIFY_GRID = 128
 VERIFY_REL_TOL = 1e-6
 NET_RADII = (0.2, 0.4, 0.6, 0.8, 1.0)
 NET_ANGLES = 64
-POLISH_STEPS = 8
 
 
 def _pow2_grid(base, max_degree):
@@ -83,11 +82,15 @@ def fourier_of_reciprocal(f, window):
 
     deg = f.degrees()
     max_deg = 0 if deg.is_zero else max(deg.deg_a, deg.deg_b)
+    grid = _pow2_grid(FOURIER_START, max_deg)
+    if 2 * grid > FOURIER_MAX:
+        # convergence needs two successive grids within FOURIER_MAX; fail
+        # before sampling a positivity grid as large as the first one
+        raise FactorizationError("no convergence")
     check = f.eval_unit_grid(_pow2_grid(POSITIVITY_GRID, max_deg)).real
     if check.min() <= 0.0:
         raise FactorizationError("f not strictly positive")
 
-    grid = _pow2_grid(FOURIER_START, max_deg)
     js = np.arange(-wa, wa + 1)
     ks = np.arange(-wb, wb + 1)
     previous = None
@@ -225,62 +228,6 @@ def _min_on_bidisk_net(p):
     return float(np.abs(values).min())
 
 
-def _residual_sq(p_map, f, lattice, window):
-    """Coefficients of p * conj_reciprocal(p) - f as a dict over `window`."""
-    table = {}
-    for u in window:
-        total = -f.coeff(*u)
-        for v in lattice:
-            w = (v[0] - u[0], v[1] - u[1])
-            total += p_map.get(v, 0.0) * np.conj(p_map.get(w, 0.0))
-        table[u] = total
-    return table
-
-
-def _polish(p_map, f, n, m):
-    """Gauss-Newton refinement of the factor coefficients.
-
-    Minimizes the coefficient residual of |p|^2 - f over the real and
-    imaginary parts of p on the full lattice, with Im p_{00} frozen to keep
-    the phase normalization. Returns the best iterate seen.
-    """
-    lattice = [(j, k) for j in range(n + 1) for k in range(m + 1)]
-    window = [
-        (j, k) for j in range(-n, n + 1) for k in range(-m, m + 1)
-    ]
-    params = [("re", w) for w in lattice] + [
-        ("im", w) for w in lattice if w != (0, 0)
-    ]
-
-    current = dict(p_map)
-    best = dict(current)
-    best_norm = max(abs(e) for e in _residual_sq(current, f, lattice, window).values())
-
-    for _ in range(POLISH_STEPS):
-        residual = _residual_sq(current, f, lattice, window)
-        jacobian = np.zeros((2 * len(window), len(params)))
-        rhs = np.zeros(2 * len(window))
-        for row, u in enumerate(window):
-            rhs[row] = -residual[u].real
-            rhs[row + len(window)] = -residual[u].imag
-            for col, (part, w) in enumerate(params):
-                left = np.conj(current.get((w[0] - u[0], w[1] - u[1]), 0.0))
-                right = current.get((w[0] + u[0], w[1] + u[1]), 0.0)
-                derivative = left + right if part == "re" else 1j * (left - right)
-                jacobian[row, col] = derivative.real
-                jacobian[row + len(window), col] = derivative.imag
-        step, *_ = np.linalg.lstsq(jacobian, rhs, rcond=None)
-        for col, (part, w) in enumerate(params):
-            current[w] = current.get(w, 0.0) + (step[col] if part == "re" else 1j * step[col])
-        norm = max(abs(e) for e in _residual_sq(current, f, lattice, window).values())
-        if norm < best_norm:
-            best_norm = norm
-            best = dict(current)
-        else:
-            break
-    return best
-
-
 def extract_stable_factor(gamma, f, n, m, convergence_residual=0.0):
     """Candidate stable factor from the linear solve Gamma q = e_{(0,0)}.
 
@@ -288,8 +235,8 @@ def extract_stable_factor(gamma, f, n, m, convergence_residual=0.0):
     constant coefficient times the factor itself, so normalizing by
     sqrt(q_{00}) recovers p with p_{00} real positive (this pins the
     overall phase, making repeated extractions identical). The candidate
-    is polished by a few Gauss-Newton steps and then verified against f
-    on a torus grid and against a closed-bidisk sampling net.
+    is verified against f on a torus grid and against a closed-bidisk
+    sampling net.
     """
     matrix = gamma.matrix
     lattice = [(j, k) for j in range(n + 1) for k in range(m + 1)]
@@ -302,9 +249,7 @@ def extract_stable_factor(gamma, f, n, m, convergence_residual=0.0):
             "verification failed: constant coefficient of the solve is not positive"
         )
     scale = 1.0 / math.sqrt(q00.real)
-    p_map = {u: solved[i] * scale for i, u in enumerate(lattice)}
-    p_map = _polish(p_map, f, n, m)
-    p = LaurentPoly2(p_map)
+    p = LaurentPoly2({u: solved[i] * scale for i, u in enumerate(lattice)})
 
     deg = f.degrees()
     max_deg = 0 if deg.is_zero else max(deg.deg_a, deg.deg_b)
@@ -428,18 +373,9 @@ def complete_unitary_2d(p_tilde, q_tilde, n, m):
         gamma, f, lattice_n, lattice_m, table.convergence_residual
     )
 
-    # the factor of a per-variable even-supported f is even-supported, so
-    # the protocol shift forces negation parity (m, n-m) mod 2 on R and S;
-    # projection drops only solver dust (bounded by the readoff gate).
-    t_shift = factorization.p.shift(-m, -(n - m)).parity_project(m % 2, (n - m) % 2)
-    r = t_shift.hermitian_part()
-    s = (t_shift - t_shift.conj_reciprocal()) * (-0.5j)
-
-    p_full = p_tilde + 1j * r
-    q_full = q_tilde + 1j * s
-    unitary = Su2LaurentUnitary(p_full, q_full)
+    unitary = assemble_completion(p_tilde, q_tilde, factorization.p, n, m)
     try:
-        spec = readoff(p_full, q_full).spec
+        spec = readoff(unitary.P, unitary.Q).spec
     except (ReadoffError, VerificationError):
         spec = None
     return CompletionResult2D(

@@ -200,14 +200,7 @@ class LaurentPoly2:
 
     def is_hermitian(self, rel_tol=PARITY_REL):
         """True when p is real-valued on the torus (coeff at -e is conj of e)."""
-        if not self._c:
-            return True
-        top = self.max_abs()
-        for (j, k), c in self._c.items():
-            mirror = self._c.get((-j, -k), 0.0 + 0.0j)
-            if abs(mirror - c.conjugate()) > rel_tol * top:
-                return False
-        return True
+        return self.distance(self.conj_reciprocal()) <= rel_tol * self.max_abs()
 
     def shift(self, shift_a, shift_b):
         """Multiply by a^shift_a * b^shift_b."""
@@ -284,14 +277,7 @@ class LaurentPoly2:
 
     def has_inversion_sign(self, sign, rel_tol=PARITY_REL):
         """True when p(1/a, 1/b) == sign * p within rel_tol (zero poly: True)."""
-        if not self._c:
-            return True
-        top = self.max_abs()
-        for (j, k), c in self._c.items():
-            mirror = self._c.get((-j, -k), 0.0 + 0.0j)
-            if abs(mirror - sign * c) > rel_tol * top:
-                return False
-        return True
+        return self.inversion().distance(self * sign) <= rel_tol * self.max_abs()
 
     def negation_bits(self, rel_tol=PARITY_REL):
         """Exponent residues mod 2 per variable: (bit or None, bit or None).
@@ -375,10 +361,6 @@ class LaurentPoly1:
         return cls({0: 1.0}, var=var)
 
     @classmethod
-    def monomial(cls, k, c=1.0, var="z"):
-        return cls({k: c}, var=var)
-
-    @classmethod
     def from_coeff_array(cls, coeffs, lowest_exp=0, var="z"):
         """Dense coefficient array, index i holding the exponent lowest_exp+i."""
         return cls({lowest_exp + i: c for i, c in enumerate(coeffs)}, var=var)
@@ -388,9 +370,6 @@ class LaurentPoly1:
     def items(self):
         return self._c.items()
 
-    def support(self):
-        return sorted(self._c.keys())
-
     def coeff(self, k):
         return self._c.get(k, 0.0 + 0.0j)
 
@@ -399,9 +378,6 @@ class LaurentPoly1:
 
     def max_abs(self):
         return max((abs(c) for c in self._c.values()), default=0.0)
-
-    def min_exp(self):
-        return min(self._c) if self._c else None
 
     def max_exp(self):
         return max(self._c) if self._c else None
@@ -465,29 +441,14 @@ class LaurentPoly1:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def shift(self, exponent):
-        """Multiply by var**exponent."""
-        return LaurentPoly1(
-            {k + exponent: c for k, c in self._c.items()}, var=self.var
-        )
-
     def conj_reciprocal(self):
         return LaurentPoly1(
             {-k: c.conjugate() for k, c in self._c.items()}, var=self.var
         )
 
-    def inversion(self):
-        return LaurentPoly1({-k: c for k, c in self._c.items()}, var=self.var)
-
     def is_hermitian(self, rel_tol=PARITY_REL):
         """c_{-k} == conj(c_k), i.e. real-valued on the unit circle."""
-        if not self._c:
-            return True
-        top = self.max_abs()
-        return all(
-            abs(self._c.get(-k, 0.0 + 0.0j) - c.conjugate()) <= rel_tol * top
-            for k, c in self._c.items()
-        )
+        return self.distance(self.conj_reciprocal()) <= rel_tol * self.max_abs()
 
     def negation_bit(self, rel_tol=PARITY_REL):
         if not self._c:
@@ -496,19 +457,7 @@ class LaurentPoly1:
         bits = {k % 2 for k, c in self._c.items() if abs(c) > cut}
         return bits.pop() if len(bits) == 1 else None
 
-    def parity_project(self, bit):
-        """Keep only exponents congruent to bit mod 2."""
-        return LaurentPoly1(
-            {k: c for k, c in self._c.items() if k % 2 == bit}, var=self.var
-        )
-
     # -- evaluation ---------------------------------------------------------
-
-    def eval_circle(self, theta):
-        total = 0.0 + 0.0j
-        for k, c in self._c.items():
-            total += c * cmath.exp(1j * k * theta)
-        return total
 
     def eval_circle_grid(self, n):
         """Values at theta_r = 2*pi*r/n, via zero-padded inverse FFT."""
@@ -538,8 +487,3 @@ class LaurentPoly1:
         if var == "b":
             return LaurentPoly2({(0, k): c for k, c in self._c.items()})
         raise ValueError("var must be 'a' or 'b'")
-
-
-def hermitian_part_1(p):
-    """(p + conj_reciprocal(p))/2 for a univariate Laurent polynomial."""
-    return (p + p.conj_reciprocal()) * 0.5

@@ -6,8 +6,9 @@ with n+1 Z-phases. Its unitary is represented exactly as a 2x2 matrix
 conj_reciprocal; the bottom row is derived, never stored. This module
 builds that representation, evaluates the same circuit numerically as an
 independent route, checks the structural conditions (degree bound, parity
-under joint inversion, negation parity, determinant identity), and
-cross-checks against the x-picture component form by parity projection.
+under joint inversion, negation parity, determinant identity),
+cross-checks against the x-picture component form by parity projection,
+and assembles the completed unitary from a spectral factor.
 """
 
 from __future__ import annotations
@@ -94,14 +95,6 @@ class Su2LaurentUnitary:
     def identity(cls):
         return cls(LaurentPoly2.one(), LaurentPoly2.zero())
 
-    @property
-    def bottom_left(self):
-        return -self.Q.conj_reciprocal()
-
-    @property
-    def bottom_right(self):
-        return self.P.conj_reciprocal()
-
     def __matmul__(self, other):
         if not isinstance(other, Su2LaurentUnitary):
             return NotImplemented
@@ -143,6 +136,23 @@ def build_unitary(spec):
     for bit, phi in zip(spec.s, spec.phases[1:]):
         u = u.apply_oracle(bit).apply_phase(phi)
     return u
+
+
+def assemble_completion(p_tilde, q_tilde, factor, n, m):
+    """[[Ptilde + iR, Qtilde + iS], ...] for a protocol of length n, weight m.
+
+    `factor` is g with g * conj_reciprocal(g) = f = 1 - Ptilde^2 - Qtilde^2
+    and exponents in {0..2m} x {0..2(n-m)}. Shifted by a^{-m} b^{-(n-m)},
+    its Hermitian part R and anti-Hermitian part iS satisfy R^2 + S^2 = f,
+    so the assembled matrix is unitary up to the factorization residual.
+    The factor of a per-variable even-supported f is even-supported, so
+    the shift forces negation parity (m, n-m) mod 2 on R and S; the
+    projection drops only solver dust, which the read-off gate bounds.
+    """
+    t = factor.shift(-m, -(n - m)).parity_project(m % 2, (n - m) % 2)
+    r = t.hermitian_part()
+    s = (t - t.conj_reciprocal()) * (-0.5j)
+    return Su2LaurentUnitary(p_tilde + 1j * r, q_tilde + 1j * s)
 
 
 def eval_unitary(spec, theta_a, theta_b):

@@ -36,9 +36,22 @@ DEFAULT_TOLERANCE = 1e-8
 
 
 def readoff_tolerance():
-    """Read-off tolerance; the MQSP_TOLERANCE env var overrides the default."""
+    """Read-off tolerance; the MQSP_TOLERANCE env var overrides the default.
+
+    Raises ValueError unless the override is a finite positive number: nan
+    would pass every comparison against it, and zero or less rejects every
+    input.
+    """
     raw = os.environ.get("MQSP_TOLERANCE")
-    return float(raw) if raw else DEFAULT_TOLERANCE
+    if not raw:
+        return DEFAULT_TOLERANCE
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise ValueError("MQSP_TOLERANCE must be a finite positive number, got %r" % raw)
+    return tol
 
 
 def _joint_positive_degree(u, var):

@@ -9,7 +9,7 @@ import pytest
 from mqsp import families, serialize
 from mqsp.cli import main
 from mqsp.protocol import ProtocolSpec, build_unitary
-from mqsp.readoff import ScanSummary
+from mqsp.readoff import ScanSummary, readoff_tolerance
 
 TRIVIAL1 = {"s": [0, 1], "phases": [0.0, 0.0, 0.0]}
 IDENTITY = {"s": [], "phases": [0.0]}
@@ -133,6 +133,27 @@ def test_readoff_env_tolerance_override(tmp_path, capsys, monkeypatch):
     assert run(capsys, ["readoff", path])[0] == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-8"])
+def test_invalid_env_tolerance_exit_two(tmp_path, capsys, monkeypatch, value):
+    proto = write_json(tmp_path / "p.json", {"s": [1, 0], "phases": [0.3, -1.1, 0.7]})
+    unitary = json.loads(run(capsys, ["build", proto])[1])
+    # a corrupted unitary, which an unchecked nan tolerance would accept
+    unitary["p"][0]["re"] += 0.3
+    path = write_json(tmp_path / "u.json", unitary)
+    target = write_json(tmp_path / "t.json", {"p": []})
+    monkeypatch.setenv("MQSP_TOLERANCE", value)
+    with pytest.raises(ValueError, match="MQSP_TOLERANCE"):
+        readoff_tolerance()
+    for argv in (
+        ["readoff", path],
+        ["complete", target, "--vars", "1", "--deg", "2"],
+        ["scan", "--trials", "5"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "MQSP_TOLERANCE" in err
+
+
 # -- complete ---------------------------------------------------------------------
 
 
@@ -187,6 +208,7 @@ def test_complete_2d_rank_failure_exit_one(tmp_path, capsys):
 def test_complete_bad_inputs_exit_two(tmp_path, capsys):
     good = write_json(tmp_path / "t.json", {"p": []})
     assert run(capsys, ["complete", good, "--vars", "1", "--deg", "1,2"])[0] == 2
+    assert run(capsys, ["complete", good, "--vars", "1", "--deg", "-1"])[0] == 2
     assert run(capsys, ["complete", good, "--vars", "2", "--deg", "2"])[0] == 2
     assert run(capsys, ["complete", good, "--vars", "2", "--deg", "x,y"])[0] == 2
     missing = write_json(tmp_path / "m.json", {"q": []})

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mqsp import factor2d
 from mqsp.errors import FactorizationError
 from mqsp.factor2d import (
     CompletionResult2D,
@@ -92,6 +93,24 @@ def test_fourier_no_convergence_near_singular():
     f = _abs_square(near)
     with pytest.raises(FactorizationError, match="no convergence"):
         fourier_of_reciprocal(f, (1, 1))
+
+
+def test_fourier_no_convergence_before_any_grid(monkeypatch):
+    # convergence compares two successive grids, so when the second would
+    # exceed FOURIER_MAX the answer is known before sampling anything (at
+    # degree >= 2048 the positivity grid alone would be 8192^2)
+    monkeypatch.setattr(factor2d, "FOURIER_MAX", factor2d.FOURIER_START)
+    calls = []
+    original = LaurentPoly2.eval_unit_grid
+
+    def spy(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(LaurentPoly2, "eval_unit_grid", spy)
+    with pytest.raises(FactorizationError, match="no convergence"):
+        fourier_of_reciprocal(_abs_square(generate_stable(2, 1, seed=3)), (2, 2))
+    assert calls == []
 
 
 # ---------------------------------------------------------------- gamma
@@ -238,6 +257,25 @@ def test_extract_matches_generator():
         assert fac.p.distance(p) < 1e-6
         assert fac.residual < 1e-6 * f.max_abs()
         assert fac.stable_verified
+
+
+def test_extract_without_polish_on_near_unit_contractions():
+    # ||K|| = 0.95 puts the factor's zeros close to the closed bidisk; the
+    # single linear solve must still factor f to well inside the 1e-6 gate
+    worst = 0.0
+    for da in range(9):
+        for db in range(9 - da):
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                size = da + db
+                K = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+                if size:
+                    K *= 0.95 / np.linalg.norm(K, 2)
+                f = _abs_square(stable_from_contraction(K, ("a",) * da + ("b",) * db))
+                gamma, report, n, m = _pipeline(f)
+                assert report.satisfied
+                worst = max(worst, extract_stable_factor(gamma, f, n, m).residual)
+    assert worst < 1e-11
 
 
 def test_extract_deterministic_across_rebuild():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqsp.laurent import LaurentPoly1, LaurentPoly2, hermitian_part_1
+from mqsp.laurent import LaurentPoly1, LaurentPoly2
 
 
 # -- pinned fixtures ---------------------------------------------------------
@@ -156,7 +156,6 @@ def test_hermitian_detection():
     assert f.is_hermitian()
     g = LaurentPoly1({1: 1.0j, -1: 1.0j})  # 2i cos(theta), purely imaginary
     assert not g.is_hermitian()
-    assert hermitian_part_1(g).is_zero()
 
 
 def test_embed_and_slice_roundtrip():

@@ -12,7 +12,7 @@ from mqsp.errors import (
     ReadoffError,
     VerificationError,
 )
-from mqsp.laurent import DegreePair, LaurentPoly1, LaurentPoly2, ParitySignature
+from mqsp.laurent import DegreePair, LaurentPoly1, LaurentPoly2
 
 __all__ = [
     "DegreePair",
@@ -20,7 +20,6 @@ __all__ = [
     "LaurentPoly1",
     "LaurentPoly2",
     "MqspError",
-    "ParitySignature",
     "ReadoffError",
     "VerificationError",
 ]

@@ -84,7 +84,7 @@ def _pair_off_circle(outside, inside):
         raise FactorizationError("root pairing failed")
 
 
-def fejer_riesz(f, grid=VERIFY_GRID):
+def fejer_riesz(f):
     """Factor a circle-nonnegative Laurent polynomial as |g|^2.
 
     Raises "not nonnegative on circle" when sampled values dip below the
@@ -96,7 +96,7 @@ def fejer_riesz(f, grid=VERIFY_GRID):
     if f.is_zero():
         return Factorization1D(LaurentPoly1.zero(var=f.var), 0.0, "stable")
 
-    thetas = 2.0 * math.pi * np.arange(grid) / grid
+    thetas = 2.0 * math.pi * np.arange(VERIFY_GRID) / VERIFY_GRID
     values = f.eval_at(np.exp(1j * thetas)).real
     scale = float(np.max(np.abs(values)))
     if float(np.min(values)) < -1e-12 * max(1.0, scale):

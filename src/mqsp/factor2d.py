@@ -22,7 +22,6 @@ from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import Su2LaurentUnitary, assemble_completion
 from mqsp.readoff import readoff
 
-POSITIVITY_GRID = 64
 FOURIER_START = 128
 FOURIER_MAX = 4096
 FOURIER_TOL = 1e-10
@@ -72,7 +71,8 @@ def fourier_of_reciprocal(f, window):
     f must be Hermitian and strictly positive on the torus; coefficients
     come from an FFT of sampled 1/f, with the grid doubled from 128 until
     the windowed table changes by less than FOURIER_TOL (aliasing decays
-    exponentially for strictly positive f).
+    exponentially for strictly positive f). A sample of f at or below zero
+    on any of these grids raises "f not strictly positive".
     """
     if not f.is_hermitian():
         raise ValueError("f must be Hermitian (real on the unit torus)")
@@ -85,17 +85,16 @@ def fourier_of_reciprocal(f, window):
     grid = _pow2_grid(FOURIER_START, max_deg)
     if 2 * grid > FOURIER_MAX:
         # convergence needs two successive grids within FOURIER_MAX; fail
-        # before sampling a positivity grid as large as the first one
+        # before sampling anything
         raise FactorizationError("no convergence")
-    check = f.eval_unit_grid(_pow2_grid(POSITIVITY_GRID, max_deg)).real
-    if check.min() <= 0.0:
-        raise FactorizationError("f not strictly positive")
 
     js = np.arange(-wa, wa + 1)
     ks = np.arange(-wb, wb + 1)
     previous = None
     while grid <= FOURIER_MAX:
         values = f.eval_unit_grid(grid).real
+        if values.min() <= 0.0:
+            raise FactorizationError("f not strictly positive")
         full = np.fft.fft2(1.0 / values) / grid**2
         table = full[np.ix_(js % grid, ks % grid)]
         if previous is not None:
@@ -224,7 +223,7 @@ def _bidisk_net():
 
 def _min_on_bidisk_net(p):
     net = _bidisk_net()
-    values = p.eval_at(net[:, None], net[None, :])
+    values = p.eval_grid(net, net)
     return float(np.abs(values).min())
 
 

@@ -5,12 +5,11 @@ integers in the bivariate case). Everything downstream -- protocol
 unitaries, peeling, spectral factorization -- is built on these two
 classes, so the arithmetic here is deliberately boring: dict convolution,
 pruning of numerical dust, and structural queries (parity, degree,
-leading slices).
+exponent windows).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -59,22 +58,6 @@ class DegreePair:
     @property
     def is_zero(self):
         return self.deg_a is None
-
-
-@dataclass(frozen=True)
-class ParitySignature:
-    """Coefficient symmetries of a Laurent polynomial.
-
-    inversion: sign under the joint map (a, b) -> (1/a, 1/b); one of
-    "even", "odd", "indefinite" ("even" for the zero polynomial).
-    negation_a/negation_b: the common exponent residue mod 2 per variable
-    (0 or 1), or None when exponents of both residues appear or the
-    polynomial is zero.
-    """
-
-    inversion: str
-    negation_a: int | None
-    negation_b: int | None
 
 
 class LaurentPoly2:
@@ -198,9 +181,9 @@ class LaurentPoly2:
         """(p + conj_reciprocal(p))/2, the real part of p on the torus."""
         return (self + self.conj_reciprocal()) * 0.5
 
-    def is_hermitian(self, rel_tol=PARITY_REL):
+    def is_hermitian(self):
         """True when p is real-valued on the torus (coeff at -e is conj of e)."""
-        return self.distance(self.conj_reciprocal()) <= rel_tol * self.max_abs()
+        return self.distance(self.conj_reciprocal()) <= PARITY_REL * self.max_abs()
 
     def shift(self, shift_a, shift_b):
         """Multiply by a^shift_a * b^shift_b."""
@@ -220,32 +203,24 @@ class LaurentPoly2:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_torus(self, theta_a, theta_b):
-        """p(e^{i theta_a}, e^{i theta_b}) by direct summation."""
-        total = 0.0 + 0.0j
-        for (j, k), c in self._c.items():
-            total += c * cmath.exp(1j * (j * theta_a + k * theta_b))
-        return total
+    def eval_grid(self, za, zb):
+        """Values on a product of nonzero points: out[i, j] = p(za[i], zb[j]).
 
-    def eval_at(self, za, zb):
-        """p at general complex points (arrays broadcast); za, zb nonzero."""
-        za = np.asarray(za, dtype=complex)
-        zb = np.asarray(zb, dtype=complex)
-        total = np.zeros(np.broadcast(za, zb).shape, dtype=complex)
-        for (j, k), c in self._c.items():
-            total = total + c * za**j * zb**k
-        if total.shape == ():
-            return complex(total)
-        return total
-
-    def eval_theta_grid(self, thetas_a, thetas_b):
-        """Values on the product grid; out[i, j] = p(thetas_a[i], thetas_b[j])."""
-        ta = np.asarray(thetas_a, dtype=float)
-        tb = np.asarray(thetas_b, dtype=float)
-        out = np.zeros((ta.size, tb.size), dtype=complex)
-        for (j, k), c in self._c.items():
-            out += c * np.outer(np.exp(1j * j * ta), np.exp(1j * k * tb))
-        return out
+        Computed as V(za) C V(zb)^T, with C the coefficients on the dense
+        exponent box and V the Vandermonde matrix of those exponents.
+        """
+        za = np.atleast_1d(np.asarray(za, dtype=complex))
+        zb = np.atleast_1d(np.asarray(zb, dtype=complex))
+        if not self._c:
+            return np.zeros((za.size, zb.size), dtype=complex)
+        js = np.array([j for j, _ in self._c])
+        ks = np.array([k for _, k in self._c])
+        lo_a, lo_b = js.min(), ks.min()
+        box = np.zeros((js.max() - lo_a + 1, ks.max() - lo_b + 1), dtype=complex)
+        box[js - lo_a, ks - lo_b] = list(self._c.values())
+        va = za[:, None] ** np.arange(lo_a, lo_a + box.shape[0])
+        vb = zb[:, None] ** np.arange(lo_b, lo_b + box.shape[1])
+        return va @ box @ vb.T
 
     def eval_unit_grid(self, n):
         """Values at theta_r = 2*pi*r/n per axis, via zero-padded inverse FFT.
@@ -261,7 +236,7 @@ class LaurentPoly2:
             table[j % n, k % n] += c
         return n * n * np.fft.ifft2(table)
 
-    # -- degrees, parity, slices --------------------------------------------
+    # -- degrees, parity, exponent windows ----------------------------------
 
     def degrees(self):
         if not self._c:
@@ -275,16 +250,16 @@ class LaurentPoly2:
             pos_b=max(ks),
         )
 
-    def has_inversion_sign(self, sign, rel_tol=PARITY_REL):
-        """True when p(1/a, 1/b) == sign * p within rel_tol (zero poly: True)."""
-        return self.inversion().distance(self * sign) <= rel_tol * self.max_abs()
+    def has_inversion_sign(self, sign):
+        """True when p(1/a, 1/b) == sign * p within PARITY_REL (zero poly: True)."""
+        return self.inversion().distance(self * sign) <= PARITY_REL * self.max_abs()
 
-    def negation_bits(self, rel_tol=PARITY_REL):
+    def negation_bits(self):
         """Exponent residues mod 2 per variable: (bit or None, bit or None).
-        Coefficients below rel_tol of the largest are ignored."""
+        Coefficients below PARITY_REL of the largest are ignored."""
         if not self._c:
             return (None, None)
-        cut = rel_tol * self.max_abs()
+        cut = PARITY_REL * self.max_abs()
         live = [e for e, c in self._c.items() if abs(c) > cut]
         ja = {j % 2 for j, _ in live}
         kb = {k % 2 for _, k in live}
@@ -292,46 +267,12 @@ class LaurentPoly2:
         bit_b = kb.pop() if len(kb) == 1 else None
         return (bit_a, bit_b)
 
-    def parity_signature(self):
-        if self.has_inversion_sign(+1):
-            inv = "even"
-        elif self.has_inversion_sign(-1):
-            inv = "odd"
-        else:
-            inv = "indefinite"
-        bit_a, bit_b = self.negation_bits()
-        return ParitySignature(inversion=inv, negation_a=bit_a, negation_b=bit_b)
-
-    def leading_slice(self, var):
-        """Univariate coefficient of the maximal exponent of `var`.
-
-        For var="a" returns sum_k c_{d_a, k} b^k as a LaurentPoly1 in b.
-        """
-        if not self._c:
-            raise ValueError("no leading slice")
-        if var == "a":
-            d = max(j for j, _ in self._c)
-            return LaurentPoly1(
-                {k: c for (j, k), c in self._c.items() if j == d}, var="b"
-            )
-        if var == "b":
-            d = max(k for _, k in self._c)
-            return LaurentPoly1(
-                {j: c for (j, k), c in self._c.items() if k == d}, var="a"
-            )
-        raise ValueError("var must be 'a' or 'b'")
-
-    def slice_at(self, var, exponent):
-        """Univariate coefficient of a fixed exponent of `var` (may be zero)."""
-        if var == "a":
-            return LaurentPoly1(
-                {k: c for (j, k), c in self._c.items() if j == exponent}, var="b"
-            )
-        if var == "b":
-            return LaurentPoly1(
-                {j: c for (j, k), c in self._c.items() if k == exponent}, var="a"
-            )
-        raise ValueError("var must be 'a' or 'b'")
+    def restrict(self, var, lo, hi):
+        """Terms whose exponent of `var` lies in [lo, hi] (zero when lo > hi)."""
+        if var not in ("a", "b"):
+            raise ValueError("var must be 'a' or 'b'")
+        axis = 0 if var == "a" else 1
+        return LaurentPoly2({e: c for e, c in self._c.items() if lo <= e[axis] <= hi})
 
 
 class LaurentPoly1:
@@ -446,14 +387,14 @@ class LaurentPoly1:
             {-k: c.conjugate() for k, c in self._c.items()}, var=self.var
         )
 
-    def is_hermitian(self, rel_tol=PARITY_REL):
+    def is_hermitian(self):
         """c_{-k} == conj(c_k), i.e. real-valued on the unit circle."""
-        return self.distance(self.conj_reciprocal()) <= rel_tol * self.max_abs()
+        return self.distance(self.conj_reciprocal()) <= PARITY_REL * self.max_abs()
 
-    def negation_bit(self, rel_tol=PARITY_REL):
+    def negation_bit(self):
         if not self._c:
             return None
-        cut = rel_tol * self.max_abs()
+        cut = PARITY_REL * self.max_abs()
         bits = {k % 2 for k, c in self._c.items() if abs(c) > cut}
         return bits.pop() if len(bits) == 1 else None
 

@@ -25,6 +25,11 @@ from mqsp.laurent import DegreePair, LaurentPoly2
 # residual for a unitary to count as structurally valid.
 DET_RESIDUAL_TOL = 1e-10
 
+# x-picture cross-check: interior samples per axis, and the relative size
+# below which the mixed-parity components count as vanished.
+XPICTURE_GRID = 17
+XPICTURE_TOL = 1e-8
+
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -120,8 +125,9 @@ class Su2LaurentUnitary:
         return det.distance(LaurentPoly2.one())
 
     def matrix_at(self, theta_a, theta_b):
-        p = self.P.eval_torus(theta_a, theta_b)
-        q = self.Q.eval_torus(theta_a, theta_b)
+        a, b = np.exp(1j * theta_a), np.exp(1j * theta_b)
+        p = complex(self.P.eval_grid(a, b)[0, 0])
+        q = complex(self.Q.eval_grid(a, b)[0, 0])
         # conj_reciprocal evaluates to the plain conjugate on the torus
         return np.array([[p, q], [-q.conjugate(), p.conjugate()]])
 
@@ -211,7 +217,7 @@ def _negation_ok(poly, bit_a, bit_b):
     return got_a == bit_a and got_b == bit_b
 
 
-def verify_structure(u, length, weight, det_tol=DET_RESIDUAL_TOL):
+def verify_structure(u, length, weight):
     """Check the structural conditions for a protocol of the given length n
     and Hamming weight m. All four must hold for unitaries produced by
     build_unitary; the report records which fail for arbitrary inputs."""
@@ -223,7 +229,7 @@ def verify_structure(u, length, weight, det_tol=DET_RESIDUAL_TOL):
         u.Q, m % 2, (n - m) % 2
     )
     det_res = u.det_residual()
-    overall = degree_ok and inversion_ok and negation_ok and det_res <= det_tol
+    overall = degree_ok and inversion_ok and negation_ok and det_res <= DET_RESIDUAL_TOL
     return StructureReport(
         degree_ok=degree_ok,
         inversion_parity_ok=inversion_ok,
@@ -260,22 +266,23 @@ class XPictureReport:
     det_relation_residual: float
 
 
-def x_picture_cross_check(u, grid=17, tol=1e-8):
+def x_picture_cross_check(u):
     """Extract x-picture components by parity projection and verify the
     pointwise determinant relation.
 
     Raises VerificationError("decomposition residual exceeded") when the
     mixed-parity components (odd/even and even/odd parts of P, even/even
-    and odd/odd parts of Q) do not vanish to `tol` (relative).
+    and odd/odd parts of Q) do not vanish to XPICTURE_TOL (relative).
     """
     # interior grid avoids sin(theta) = 0 so component division is stable
-    thetas = np.pi * (np.arange(grid) + 1.0) / (grid + 1.0)
+    thetas = np.pi * (np.arange(XPICTURE_GRID) + 1.0) / (XPICTURE_GRID + 1.0)
+    z, zbar = np.exp(1j * thetas), np.exp(-1j * thetas)
 
     def quadrants(poly):
-        pp = poly.eval_theta_grid(thetas, thetas)
-        mp = poly.eval_theta_grid(-thetas, thetas)
-        pm = poly.eval_theta_grid(thetas, -thetas)
-        mm = poly.eval_theta_grid(-thetas, -thetas)
+        pp = poly.eval_grid(z, z)
+        mp = poly.eval_grid(zbar, z)
+        pm = poly.eval_grid(z, zbar)
+        mm = poly.eval_grid(zbar, zbar)
         ee = (pp + mp + pm + mm) / 4.0
         oe = (pp - mp + pm - mm) / 4.0
         eo = (pp + mp - pm - mm) / 4.0
@@ -296,7 +303,7 @@ def x_picture_cross_check(u, grid=17, tol=1e-8):
         float(np.max(np.abs(q_ee))),
         float(np.max(np.abs(q_oo))),
     )
-    if decomp > tol * scale:
+    if decomp > XPICTURE_TOL * scale:
         raise VerificationError("decomposition residual exceeded")
 
     sa = np.sin(thetas)[:, None]

@@ -78,14 +78,14 @@ def _slice_proportionality(u, var, level, tol):
     """Test P_level(other) == e^{i phase} Q_level(other) at the given
     exponent of `var`. Phase is read from the largest-magnitude coefficient
     of Q's slice; the mismatch norm is relative to P's slice."""
-    ps = u.P.slice_at(var, level)
-    qs = u.Q.slice_at(var, level)
+    ps = u.P.restrict(var, level, level)
+    qs = u.Q.restrict(var, level, level)
     if ps.is_zero() or qs.is_zero():
         # one side vanishing while the other does not cannot be fixed by a
         # unimodular scalar (both vanishing cannot happen at the joint max)
         return _SliceCheck(False, None, math.inf, "zero leading slice")
-    k_star = max(qs.items(), key=lambda item: abs(item[1]))[0]
-    ratio = ps.coeff(k_star) / qs.coeff(k_star)
+    e_star = max(qs.items(), key=lambda item: abs(item[1]))[0]
+    ratio = ps.coeff(*e_star) / qs.coeff(*e_star)
     phase = math.atan2(ratio.imag, ratio.real)
     w = complex(math.cos(phase), math.sin(phase))
     mismatch = (ps - w * qs).max_abs() / ps.max_abs()
@@ -149,19 +149,6 @@ def check_leading_slices(u, tol=None):
     )
 
 
-def _truncate_direction(poly, var, bound):
-    """Drop exponents of `var` outside [-bound, bound]; the discarded mass
-    is read-off noise and is accounted for by the final rebuild check."""
-    if bound < 0:
-        return LaurentPoly2.zero()
-    out = {}
-    for (j, k), c in poly.items():
-        e = j if var == "a" else k
-        if -bound <= e <= bound:
-            out[(j, k)] = c
-    return LaurentPoly2(out)
-
-
 def peel_once(u, direction, tol=None):
     """Remove the final oracle iterate in `direction` and its Z-phase.
 
@@ -185,8 +172,10 @@ def peel_once(u, direction, tol=None):
     # exact inverse of (apply_oracle then apply_phase); x^2 - y^2 = 1
     p_red = x * (w.conjugate() * u.P) - y * (w * u.Q)
     q_red = -y * (w.conjugate() * u.P) + x * (w * u.Q)
-    p_red = _truncate_direction(p_red, direction, level - 1)
-    q_red = _truncate_direction(q_red, direction, level - 1)
+    # drop what is left outside the lowered degree: read-off noise, which
+    # the final rebuild check accounts for
+    p_red = p_red.restrict(direction, 1 - level, level - 1)
+    q_red = q_red.restrict(direction, 1 - level, level - 1)
     return phi, Su2LaurentUnitary(p_red, q_red)
 
 

@@ -109,7 +109,8 @@ class GridExport:
 def grid_from_poly(p, n_theta):
     n_theta = int(n_theta)
     thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta) / n_theta
-    values = np.abs(p.eval_theta_grid(thetas, thetas)) ** 2
+    z = np.exp(1j * thetas)
+    values = np.abs(p.eval_grid(z, z)) ** 2
     return GridExport(n_theta=n_theta, values=values)
 
 

@@ -329,7 +329,8 @@ def test_plot_xyz_axis_negation_and_case_two(tmp_path, capsys):
     # the curve 4 cos^2 a cos^2 b = 1 is off-grid; check the same polynomial
     p = families.xyz_protocol(3).closed_form.P
     for inst in families.case_two_samples(50):
-        assert abs(p.eval_torus(inst.theta_a, inst.theta_b)) ** 2 >= 1 - 1e-9
+        value = p.eval_grid(np.exp(1j * inst.theta_a), np.exp(1j * inst.theta_b))[0, 0]
+        assert abs(value) ** 2 >= 1 - 1e-9
 
 
 def test_plot_pgm(tmp_path, capsys):
@@ -349,6 +350,7 @@ def test_plot_pgm(tmp_path, capsys):
 def test_plot_bad_flags_exit_two(tmp_path, capsys):
     proto = write_json(tmp_path / "id.json", IDENTITY)
     assert run(capsys, ["plot", "--named", "trivial:1", "--grid", "8"])[0] == 2
+    assert run(capsys, ["plot", "--named", "trivial:1", "--grid", "100000"])[0] == 2
     assert run(capsys, ["plot"])[0] == 2
     assert run(capsys, ["plot", proto, "--named", "trivial:1"])[0] == 2
     assert run(capsys, ["plot", "--named", "cubic:1"])[0] == 2

@@ -146,8 +146,9 @@ def test_completion_from_random_protocol_real_parts():
     for n in (2, 5, 8):
         phases = tuple(rng.uniform(-math.pi, math.pi, size=n + 1))
         u = build_unitary(ProtocolSpec((1,) * n, phases))
-        pt = ((u.P + u.P.conj_reciprocal()) * 0.5).slice_at("b", 0)
-        qt = ((u.Q + u.Q.conj_reciprocal()) * 0.5).slice_at("b", 0)
+        # all-A protocols carry no b: the real parts live on axis a alone
+        pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()}, var="a")
+        qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()}, var="a")
         res = complete_unitary_1d(pt, qt, n)
         assert verify_structure(res.unitary, n, n).overall
         rr = readoff(res.unitary.P, res.unitary.Q)

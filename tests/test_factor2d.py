@@ -81,6 +81,16 @@ def test_fourier_rejects_torus_zero():
         fourier_of_reciprocal(f, (1, 1))
 
 
+def test_fourier_rejects_dip_between_coarse_samples():
+    # 0.9995 - cos(31 theta_a + 2 pi/128) stays above 1e-3 on a 64-point
+    # axis but reaches -5e-4 on the 128-point one the Fourier step samples
+    w = 0.5 * np.exp(1j * np.pi / 64)
+    f = LaurentPoly2({(0, 0): 0.9995, (31, 0): -w, (-31, 0): -np.conj(w)})
+    assert f.eval_unit_grid(64).real.min() > 0.0
+    with pytest.raises(FactorizationError, match="f not strictly positive"):
+        fourier_of_reciprocal(f, (1, 1))
+
+
 def test_fourier_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         fourier_of_reciprocal(LaurentPoly2.monomial(1, 0), (1, 1))

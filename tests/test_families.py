@@ -121,7 +121,7 @@ def test_xyz_transition_prob_on_half_cosine_curve():
     named = xyz_protocol(3)
     for theta_a in (0.0, 0.4, -0.9):
         theta_b = math.acos(0.5 / math.cos(theta_a))
-        value = named.closed_form.P.eval_torus(theta_a, theta_b)
+        value = named.closed_form.P.eval_grid(np.exp(1j * theta_a), np.exp(1j * theta_b))[0, 0]
         assert abs(abs(value) ** 2 - 1.0) < 1e-12
 
 

@@ -11,6 +11,11 @@ from hypothesis import strategies as st
 from mqsp.laurent import LaurentPoly1, LaurentPoly2
 
 
+def on_torus(p, theta_a, theta_b):
+    """p(e^{i theta_a}, e^{i theta_b}) as a complex scalar."""
+    return complex(p.eval_grid(cmath.exp(1j * theta_a), cmath.exp(1j * theta_b))[0, 0])
+
+
 # -- pinned fixtures ---------------------------------------------------------
 
 
@@ -32,59 +37,54 @@ def test_inverse_monomials_cancel():
 def test_eval_torus_matches_cosine():
     # Re of a*b at angles pi/3, pi/6 is cos(pi/2) = 0.
     p = LaurentPoly2({(1, 1): 1.0})
-    v = p.eval_torus(math.pi / 3, math.pi / 6)
+    v = on_torus(p, math.pi / 3, math.pi / 6)
     assert abs(v - cmath.exp(1j * math.pi / 2)) < 1e-15
     x = (p + p.conj_reciprocal()) * 0.5
-    assert abs(x.eval_torus(math.pi / 3, math.pi / 6)) < 1e-15
+    assert abs(on_torus(x, math.pi / 3, math.pi / 6)) < 1e-15
 
 
 def test_conj_reciprocal_is_torus_conjugate():
     p = LaurentPoly2({(1, 0): 0.5 + 0.25j, (0, -2): -1.0j, (0, 0): 0.75})
     for ta, tb in [(0.3, -1.2), (2.0, 0.0), (-0.7, 2.9)]:
-        lhs = p.conj_reciprocal().eval_torus(ta, tb)
-        rhs = p.eval_torus(ta, tb).conjugate()
+        lhs = on_torus(p.conj_reciprocal(), ta, tb)
+        rhs = on_torus(p, ta, tb).conjugate()
         assert abs(lhs - rhs) < 1e-14
 
 
 def test_parity_signature_xa():
     # x_a = (a + 1/a)/2: inversion even, exponents all odd in a, even in b.
     xa = LaurentPoly2({(1, 0): 0.5, (-1, 0): 0.5})
-    sig = xa.parity_signature()
-    assert sig.inversion == "even"
-    assert sig.negation_a == 1
-    assert sig.negation_b == 0
+    assert xa.has_inversion_sign(+1)
+    assert xa.negation_bits() == (1, 0)
 
 
 def test_parity_signature_ya():
     # y_a = (a - 1/a)/2: inversion odd.
     ya = LaurentPoly2({(1, 0): 0.5, (-1, 0): -0.5})
-    sig = ya.parity_signature()
-    assert sig.inversion == "odd"
-    assert sig.negation_a == 1
-    assert sig.negation_b == 0
+    assert not ya.has_inversion_sign(+1) and ya.has_inversion_sign(-1)
+    assert ya.negation_bits() == (1, 0)
 
 
 def test_parity_signature_indefinite():
     p = LaurentPoly2({(1, 0): 1.0, (0, 0): 1.0})
-    sig = p.parity_signature()
-    assert sig.inversion == "indefinite"
-    assert sig.negation_a is None
+    assert not p.has_inversion_sign(+1) and not p.has_inversion_sign(-1)
+    assert p.negation_bits()[0] is None
 
 
 def test_leading_slice_extraction():
     # P = a*b + a*b^{-1} + a^{-1}: slice at max a-exponent 1 is b + 1/b.
     p = LaurentPoly2({(1, 1): 1.0, (1, -1): 1.0, (-1, 0): 1.0})
-    s = p.leading_slice("a")
-    assert s.var == "b"
-    assert s.distance(LaurentPoly1({1: 1.0, -1: 1.0}, var="b")) == 0.0
-    t = p.leading_slice("b")
-    assert t.var == "a"
-    assert t.distance(LaurentPoly1({1: 1.0}, var="a")) == 0.0
+    d = p.degrees()
+    s = p.restrict("a", d.pos_a, d.pos_a)
+    assert s.distance(LaurentPoly2({(1, 1): 1.0, (1, -1): 1.0})) == 0.0
+    t = p.restrict("b", d.pos_b, d.pos_b)
+    assert t.distance(LaurentPoly2({(1, 1): 1.0})) == 0.0
 
 
-def test_leading_slice_of_zero_raises():
-    with pytest.raises(ValueError, match="no leading slice"):
-        LaurentPoly2.zero().leading_slice("a")
+def test_restrict_of_zero_is_zero():
+    assert LaurentPoly2.zero().restrict("a", -3, 3).is_zero()
+    with pytest.raises(ValueError, match="var must be"):
+        LaurentPoly2.zero().restrict("z", 0, 0)
 
 
 def test_degrees_sentinel_for_zero():
@@ -124,18 +124,57 @@ def test_prune_drops_relative_dust():
     assert len(q) == 2
 
 
+def _random_poly2(rng, terms, spread):
+    return LaurentPoly2(
+        {
+            (int(j), int(k)): complex(rng.normal(), rng.normal())
+            for j, k in rng.integers(-spread, spread + 1, size=(terms, 2))
+        }
+    )
+
+
 def test_unit_grid_matches_direct_eval():
-    rng = np.random.default_rng(7)
-    coeffs = {
-        (int(j), int(k)): complex(rng.normal(), rng.normal())
-        for j, k in rng.integers(-3, 4, size=(6, 2))
-    }
-    p = LaurentPoly2(coeffs)
+    p = _random_poly2(np.random.default_rng(7), terms=6, spread=3)
     n = 16
     grid = p.eval_unit_grid(n)
     thetas = 2 * np.pi * np.arange(n) / n
-    direct = p.eval_theta_grid(thetas, thetas)
+    z = np.exp(1j * thetas)
+    direct = p.eval_grid(z, z)
     assert np.max(np.abs(grid - direct)) < 1e-12
+
+
+def test_eval_grid_matches_per_term_sum():
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        p = _random_poly2(rng, terms=1 + trial, spread=4)
+        # points on the unit circle and inside it (radius down to 1/2)
+        za = np.exp(1j * rng.uniform(-np.pi, np.pi, 7)) * rng.choice([1.0, 0.5, 0.8], 7)
+        zb = np.exp(1j * rng.uniform(-np.pi, np.pi, 5)) * rng.choice([1.0, 0.6], 5)
+        expect = np.zeros((za.size, zb.size), dtype=complex)
+        for (j, k), c in p.items():
+            expect += c * np.outer(za**j, zb**k)
+        got = p.eval_grid(za, zb)
+        assert got.shape == (7, 5)
+        scale = sum(abs(c) for _, c in p.items())
+        assert np.max(np.abs(got - expect)) <= 1e-12 * scale
+
+
+def test_eval_grid_zero_polynomial_and_single_point():
+    assert np.array_equal(LaurentPoly2.zero().eval_grid([1.0, 0.5j], [2.0]), np.zeros((2, 1)))
+    p = LaurentPoly2({(-2, 1): 3.0, (1, 0): 1.0j})
+    got = p.eval_grid([0.5], [1j])
+    assert got.shape == (1, 1)
+    assert abs(got[0, 0] - (3.0 * 4.0 * 1j + 0.5j)) <= 1e-12 * 4.0
+
+
+def test_restrict_matches_exponent_filter():
+    rng = np.random.default_rng(9)
+    p = _random_poly2(rng, terms=30, spread=5)
+    for var, axis in (("a", 0), ("b", 1)):
+        # (0, -1) and (6, 9) are empty windows
+        for lo, hi in ((-5, 5), (-2, 1), (3, 3), (0, -1), (6, 9)):
+            expect = {e: c for e, c in p.items() if lo <= e[axis] <= hi}
+            assert dict(p.restrict(var, lo, hi).items()) == expect
 
 
 def test_unit_grid_too_small_raises():
@@ -162,7 +201,8 @@ def test_embed_and_slice_roundtrip():
     p = LaurentPoly1({2: 1.5, -1: 2.0j}, var="a")
     q = p.embed("a")
     assert q.coeff(2, 0) == 1.5
-    assert q.slice_at("b", 0).distance(p) == 0.0
+    assert q.restrict("b", 0, 0) == q
+    assert dict(q.items()) == {(k, 0): c for k, c in p.items()}
 
 
 # -- ring axioms (property-based) ---------------------------------------------
@@ -206,8 +246,8 @@ def test_conj_reciprocal_multiplicative(p, q):
 @given(poly2, st.floats(-3.1, 3.1), st.floats(-3.1, 3.1))
 def test_eval_is_ring_hom(p, ta, tb):
     q = LaurentPoly2({(1, -1): 0.5j, (0, 1): 1.0})
-    lhs = (p * q).eval_torus(ta, tb)
-    rhs = p.eval_torus(ta, tb) * q.eval_torus(ta, tb)
+    lhs = on_torus(p * q, ta, tb)
+    rhs = on_torus(p, ta, tb) * on_torus(q, ta, tb)
     assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
 
 
@@ -216,4 +256,4 @@ def test_eval_is_ring_hom(p, ta, tb):
 def test_hermitian_part_is_real_on_torus(p):
     h = p.hermitian_part()
     for ta, tb in [(0.0, 0.0), (1.1, -2.2), (2.9, 0.4)]:
-        assert abs(h.eval_torus(ta, tb).imag) <= 1e-9 * max(1.0, h.max_abs())
+        assert abs(on_torus(h, ta, tb).imag) <= 1e-9 * max(1.0, h.max_abs())

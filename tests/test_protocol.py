@@ -158,8 +158,9 @@ def test_pointwise_unitarity_on_grid():
     spec = random_spec(rng, 9)
     u = build_unitary(spec)
     thetas = -math.pi + 2 * math.pi * np.arange(64) / 64
-    p = u.P.eval_theta_grid(thetas, thetas)
-    q = u.Q.eval_theta_grid(thetas, thetas)
+    z = np.exp(1j * thetas)
+    p = u.P.eval_grid(z, z)
+    q = u.Q.eval_grid(z, z)
     assert np.max(np.abs(np.abs(p) ** 2 + np.abs(q) ** 2 - 1.0)) < 1e-10
 
 

@@ -36,7 +36,7 @@ EXIT_NOT_PEELABLE = 3
 EXIT_COUNTEREXAMPLE = 4
 
 # --grid bounds. MAX_GRID is the largest Fourier grid; a CSV export at that
-# size takes ~15 s and ~0.9 GB peak memory on a 2-vCPU VM.
+# size takes ~11 s and ~0.4 GB peak memory on a 2-vCPU VM.
 MIN_GRID = 16
 MAX_GRID = 4096
 

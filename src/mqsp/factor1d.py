@@ -96,8 +96,12 @@ def fejer_riesz(f):
     if f.is_zero():
         return Factorization1D(LaurentPoly1.zero(var=f.var), 0.0, "stable")
 
-    thetas = 2.0 * math.pi * np.arange(VERIFY_GRID) / VERIFY_GRID
-    values = f.eval_at(np.exp(1j * thetas)).real
+    # the FFT grid must exceed the exponent spread 2 * deg; doubling keeps
+    # the VERIFY_GRID points in it
+    grid = VERIFY_GRID
+    while grid <= 2 * f.degree():
+        grid *= 2
+    values = f.eval_circle_grid(grid).real
     scale = float(np.max(np.abs(values)))
     if float(np.min(values)) < -1e-12 * max(1.0, scale):
         raise FactorizationError("not nonnegative on circle")
@@ -128,13 +132,13 @@ def fejer_riesz(f):
     # monic product over the selected roots, then least-squares scale
     monic = np.poly(selected) if selected else np.array([1.0 + 0.0j])
     m_poly = LaurentPoly1.from_coeff_array(monic[::-1], var=f.var)
-    m_abs2 = np.abs(m_poly.eval_at(np.exp(1j * thetas))) ** 2
+    m_abs2 = np.abs(m_poly.eval_circle_grid(grid)) ** 2
     lam = float(np.dot(values, m_abs2) / np.dot(m_abs2, m_abs2))
     if lam <= 0.0:
         raise FactorizationError("root pairing failed")
     g = math.sqrt(lam) * m_poly
 
-    g_abs2 = np.abs(g.eval_at(np.exp(1j * thetas))) ** 2
+    g_abs2 = np.abs(g.eval_circle_grid(grid)) ** 2
     residual = float(np.max(np.abs(values - g_abs2)))
     root_class = "outer" if clusters else "stable"
     return Factorization1D(g=g, residual=residual, root_class=root_class)

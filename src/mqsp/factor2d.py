@@ -238,8 +238,7 @@ def extract_stable_factor(gamma, f, n, m, convergence_residual=0.0):
     sampling net.
     """
     matrix = gamma.matrix
-    lattice = [(j, k) for j in range(n + 1) for k in range(m + 1)]
-    unit = np.zeros(len(lattice))
+    unit = np.zeros((n + 1) * (m + 1))
     unit[0] = 1.0
     solved = np.linalg.solve(matrix, unit)
     q00 = solved[0]
@@ -248,7 +247,8 @@ def extract_stable_factor(gamma, f, n, m, convergence_residual=0.0):
             "verification failed: constant coefficient of the solve is not positive"
         )
     scale = 1.0 / math.sqrt(q00.real)
-    p = LaurentPoly2({u: solved[i] * scale for i, u in enumerate(lattice)})
+    # the lattice ordinal j*(m+1) + k is row-major order on the (n+1, m+1) box
+    p = LaurentPoly2.from_array(solved.reshape(n + 1, m + 1) * scale, 0, 0)
 
     deg = f.degrees()
     max_deg = 0 if deg.is_zero else max(deg.deg_a, deg.deg_b)

@@ -1,11 +1,17 @@
-"""Sparse Laurent polynomials in one and two circle variables.
+"""Laurent polynomials in one and two circle variables.
 
-Coefficients are complex doubles keyed by integer exponents (pairs of
-integers in the bivariate case). Everything downstream -- protocol
-unitaries, peeling, spectral factorization -- is built on these two
-classes, so the arithmetic here is deliberately boring: dict convolution,
-pruning of numerical dust, and structural queries (parity, degree,
-exponent windows).
+`LaurentPoly2` stores the coefficients of sum c_{jk} a^j b^k as a dense
+complex array over the smallest exponent box holding them, plus the
+exponent (lo_a, lo_b) of its first cell; the zero polynomial is an empty
+array. Ring operations are numpy work on these arrays: sums add aligned
+boxes, a product is one direct (not FFT) 1-D convolution of the
+flattened boxes, the conjugate-reciprocal and the inversion flip the box,
+and degrees, parity and exponent windows read it directly. Every result
+is pruned once, dropping coefficients at or below PRUNE_REL times its
+largest magnitude, and a non-finite coefficient raises ValueError.
+`LaurentPoly1` keeps a dict of integer exponents. Everything downstream
+-- protocol unitaries, peeling, spectral factorization -- is built on
+these two classes.
 """
 
 from __future__ import annotations
@@ -15,12 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative prune threshold: after every arithmetic op, coefficients below
-# PRUNE_REL times the largest magnitude are numerical dust and dropped.
+# Relative prune threshold: every result drops the coefficients at or
+# below PRUNE_REL times its largest magnitude as numerical dust.
 PRUNE_REL = 1e-14
 
 # Relative tolerance for declaring a coefficient symmetry (parity) exact.
 PARITY_REL = 1e-10
+
+# Largest exponent box (cells) a LaurentPoly2 may span: 2^22 complex cells
+# are 64 MB, far above any protocol here (n = 64 spans 65 x 65). Sparse
+# input with far-apart exponents raises ValueError instead of allocating.
+MAX_CELLS = 1 << 22
 
 
 def _clean(value):
@@ -39,6 +50,17 @@ def _prune(coeffs):
         return {}
     cut = PRUNE_REL * top
     return {e: c for e, c in coeffs.items() if abs(c) > cut}
+
+
+def _zeros(rows, cols):
+    if rows * cols > MAX_CELLS:
+        raise ValueError(
+            "exponent box of %d x %d coefficients exceeds MAX_CELLS" % (rows, cols)
+        )
+    return np.zeros((rows, cols), dtype=complex)
+
+
+_EMPTY = np.zeros((0, 0), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -61,19 +83,62 @@ class DegreePair:
 
 
 class LaurentPoly2:
-    """Bivariate Laurent polynomial sum_{(j,k)} c_{jk} a^j b^k, sparse."""
+    """Bivariate Laurent polynomial sum_{(j,k)} c_{jk} a^j b^k.
 
-    __slots__ = ("_c",)
+    `_box[i, l]` is the coefficient of a^(lo_a + i) b^(lo_b + l) with
+    `_lo = (lo_a, lo_b)`; the box is trimmed (its edge rows and columns
+    hold a nonzero), every nonzero in it is above PRUNE_REL times `_top`,
+    its largest magnitude, and it is never written after construction.
+    """
+
+    __slots__ = ("_box", "_lo", "_top")
+    # numpy scalars defer to __rmul__ instead of treating p as an array
+    __array_ufunc__ = None
 
     def __init__(self, coeffs=None):
-        if coeffs is None:
-            coeffs = {}
-        cleaned = {}
-        for (j, k), v in coeffs.items():
-            c = _clean(v)
-            if c != 0:
-                cleaned[(int(j), int(k))] = cleaned.get((int(j), int(k)), 0.0) + c
-        object.__setattr__(self, "_c", _prune(cleaned))
+        """From a dict {(j, k): coefficient}; repeated exponents add up."""
+        if not coeffs:
+            self._set(_EMPTY, 0, 0, 0.0)
+            return
+        js = np.array([int(j) for j, _ in coeffs])
+        ks = np.array([int(k) for _, k in coeffs])
+        values = np.array([_clean(v) for v in coeffs.values()])
+        lo_a, lo_b = int(js.min()), int(ks.min())
+        box = _zeros(int(js.max()) - lo_a + 1, int(ks.max()) - lo_b + 1)
+        np.add.at(box, (js - lo_a, ks - lo_b), values)
+        self._prune_into(box, lo_a, lo_b)
+
+    def _set(self, box, lo_a, lo_b, top):
+        self._box = box
+        self._lo = (lo_a, lo_b)
+        self._top = top
+        return self
+
+    def _prune_into(self, box, lo_a, lo_b):
+        """Store `box` (first cell at exponent (lo_a, lo_b)) pruned and trimmed."""
+        if box.size == 0:
+            return self._set(_EMPTY, 0, 0, 0.0)
+        mag = np.abs(box)
+        top = float(mag.max())
+        if not top < math.inf:
+            raise ValueError("non-finite coefficient")
+        if top == 0.0:
+            return self._set(_EMPTY, 0, 0, 0.0)
+        keep = mag > PRUNE_REL * top
+        rows, cols = np.nonzero(keep)
+        if rows.size != np.count_nonzero(box):
+            box = np.where(keep, box, 0.0)
+        r0, r1 = int(rows[0]), int(rows[-1]) + 1
+        c0, c1 = int(cols.min()), int(cols.max()) + 1
+        return self._set(box[r0:r1, c0:c1], lo_a + r0, lo_b + c0, top)
+
+    @classmethod
+    def _from_box(cls, box, lo_a, lo_b):
+        return object.__new__(cls)._prune_into(box, lo_a, lo_b)
+
+    def _like(self, box, lo_a, lo_b):
+        # same magnitudes as self (flips, shifts, negation): no prune needed
+        return object.__new__(LaurentPoly2)._set(box, lo_a, lo_b, self._top)
 
     # -- constructors ------------------------------------------------------
 
@@ -93,77 +158,121 @@ class LaurentPoly2:
     def monomial(cls, j, k, c=1.0):
         return cls({(j, k): c})
 
+    @classmethod
+    def from_array(cls, coeffs, lo_a, lo_b):
+        """From a 2-D array whose cell [i, l] is the coefficient of
+        a^(lo_a + i) b^(lo_b + l); the array is copied."""
+        box = np.array(coeffs, dtype=complex, ndmin=2)
+        if box.ndim != 2:
+            raise ValueError("coefficients must be a 2-D array")
+        return cls._from_box(box, int(lo_a), int(lo_b))
+
     # -- basic queries -----------------------------------------------------
 
     def items(self):
-        return self._c.items()
+        """List of ((j, k), coefficient) over the nonzero terms, sorted."""
+        lo_a, lo_b = self._lo
+        rows, cols = np.nonzero(self._box)
+        values = self._box[rows, cols].tolist()
+        return [
+            ((lo_a + i, lo_b + l), c)
+            for i, l, c in zip(rows.tolist(), cols.tolist(), values)
+        ]
 
     def support(self):
-        return sorted(self._c.keys())
+        return [e for e, _ in self.items()]
 
     def coeff(self, j, k):
-        return self._c.get((j, k), 0.0 + 0.0j)
+        i, l = j - self._lo[0], k - self._lo[1]
+        rows, cols = self._box.shape
+        if 0 <= i < rows and 0 <= l < cols:
+            return complex(self._box[i, l])
+        return 0.0 + 0.0j
 
     def is_zero(self):
-        return not self._c
+        return self._box.size == 0
 
     def max_abs(self):
-        return max((abs(c) for c in self._c.values()), default=0.0)
+        return self._top
 
     def __len__(self):
-        return len(self._c)
+        return int(np.count_nonzero(self._box))
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
-        return self._c == other._c
+        return self._lo == other._lo and np.array_equal(self._box, other._box)
 
     __hash__ = None
 
     def __repr__(self):
         terms = ", ".join(
-            "(%d,%d): %.6g%+.6gj" % (j, k, c.real, c.imag)
-            for (j, k), c in sorted(self._c.items())
+            "(%d,%d): %.6g%+.6gj" % (j, k, c.real, c.imag) for (j, k), c in self.items()
         )
         return "LaurentPoly2({%s})" % terms
 
     def distance(self, other):
         """Max coefficient difference; the metric for all exactness checks."""
-        keys = set(self._c) | set(other._c)
-        return max(
-            (abs(self.coeff(*e) - other.coeff(*e)) for e in keys), default=0.0
-        )
+        x, y, _ = aligned(self, other)
+        return float(np.abs(x - y).max()) if x.size else 0.0
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
-        out = dict(self._c)
-        for e, c in other._c.items():
-            out[e] = out.get(e, 0.0) + c
-        return LaurentPoly2(out)
+        x, y, (lo_a, lo_b) = aligned(self, other)
+        return LaurentPoly2._from_box(x + y, lo_a, lo_b)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, LaurentPoly2):
+            return NotImplemented
+        x, y, (lo_a, lo_b) = aligned(self, other)
+        return LaurentPoly2._from_box(x - y, lo_a, lo_b)
 
     def __neg__(self):
-        return LaurentPoly2({e: -c for e, c in self._c.items()})
+        return self._like(-self._box, *self._lo)
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly2):
-            out = {}
-            for (j1, k1), c1 in self._c.items():
-                for (j2, k2), c2 in other._c.items():
-                    e = (j1 + j2, k1 + k2)
-                    out[e] = out.get(e, 0.0) + c1 * c2
-            return LaurentPoly2(out)
-        return LaurentPoly2({e: c * complex(other) for e, c in self._c.items()})
+        if not isinstance(other, LaurentPoly2):
+            return LaurentPoly2._from_box(self._box * complex(other), *self._lo)
+        if self.is_zero() or other.is_zero():
+            return LaurentPoly2.zero()
+        out = _zeros(
+            self._box.shape[0] + other._box.shape[0] - 1,
+            self._box.shape[1] + other._box.shape[1] - 1,
+        )
+        # when both factors' exponents keep one parity along an axis (every
+        # protocol entry does), the product lives on every other cell there
+        step_a = 1 if self._box[1::2].any() or other._box[1::2].any() else 2
+        step_b = 1 if self._box[:, 1::2].any() or other._box[:, 1::2].any() else 2
+        target = out[::step_a, ::step_b]
+        # a 2-D convolution is the 1-D one of the row-major flattened boxes
+        # once every row is zero-padded to the output width: a term's column
+        # offset stays below that width, so no term wraps into the next row.
+        # The padding costs at most 4x the direct sum for equal widths (as in
+        # P * P~). Each coefficient stays a direct sum of products, so small
+        # ones keep their relative precision; an FFT would spread the
+        # rounding of the largest over all of them
+        rows, width = target.shape
+        flat = []
+        for box in (self._box[::step_a, ::step_b], other._box[::step_a, ::step_b]):
+            padded = np.zeros((box.shape[0], width), dtype=complex)
+            padded[:, : box.shape[1]] = box
+            flat.append(padded.ravel())
+        target[...] = np.convolve(*flat)[: rows * width].reshape(rows, width)
+        return LaurentPoly2._from_box(
+            out, self._lo[0] + other._lo[0], self._lo[1] + other._lo[1]
+        )
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     # -- structural maps ---------------------------------------------------
+
+    def _flipped_lo(self):
+        rows, cols = self._box.shape
+        return -(self._lo[0] + rows - 1), -(self._lo[1] + cols - 1)
 
     def conj_reciprocal(self):
         """Coefficient at (j,k) becomes conj of the input at (-j,-k).
@@ -171,11 +280,15 @@ class LaurentPoly2:
         On the torus this is pointwise complex conjugation; it is an
         involution and multiplicative.
         """
-        return LaurentPoly2({(-j, -k): c.conjugate() for (j, k), c in self._c.items()})
+        if self.is_zero():
+            return self
+        return self._like(self._box[::-1, ::-1].conj(), *self._flipped_lo())
 
     def inversion(self):
         """p(1/a, 1/b): exponents flip, coefficients untouched."""
-        return LaurentPoly2({(-j, -k): c for (j, k), c in self._c.items()})
+        if self.is_zero():
+            return self
+        return self._like(self._box[::-1, ::-1], *self._flipped_lo())
 
     def hermitian_part(self):
         """(p + conj_reciprocal(p))/2, the real part of p on the torus."""
@@ -187,40 +300,36 @@ class LaurentPoly2:
 
     def shift(self, shift_a, shift_b):
         """Multiply by a^shift_a * b^shift_b."""
-        return LaurentPoly2(
-            {(j + shift_a, k + shift_b): c for (j, k), c in self._c.items()}
-        )
+        if self.is_zero():
+            return self
+        return self._like(self._box, self._lo[0] + shift_a, self._lo[1] + shift_b)
 
     def parity_project(self, bit_a, bit_b):
         """Keep terms with exponents congruent to (bit_a, bit_b) mod 2."""
-        return LaurentPoly2(
-            {
-                (j, k): c
-                for (j, k), c in self._c.items()
-                if j % 2 == bit_a % 2 and k % 2 == bit_b % 2
-            }
-        )
+        if self.is_zero():
+            return self
+        i0 = (bit_a - self._lo[0]) % 2
+        l0 = (bit_b - self._lo[1]) % 2
+        box = np.zeros_like(self._box)
+        box[i0::2, l0::2] = self._box[i0::2, l0::2]
+        return LaurentPoly2._from_box(box, *self._lo)
 
     # -- evaluation --------------------------------------------------------
 
     def eval_grid(self, za, zb):
         """Values on a product of nonzero points: out[i, j] = p(za[i], zb[j]).
 
-        Computed as V(za) C V(zb)^T, with C the coefficients on the dense
-        exponent box and V the Vandermonde matrix of those exponents.
+        Computed as V(za) C V(zb)^T, with C the coefficient box and V the
+        Vandermonde matrix of its exponents.
         """
         za = np.atleast_1d(np.asarray(za, dtype=complex))
         zb = np.atleast_1d(np.asarray(zb, dtype=complex))
-        if not self._c:
+        if self.is_zero():
             return np.zeros((za.size, zb.size), dtype=complex)
-        js = np.array([j for j, _ in self._c])
-        ks = np.array([k for _, k in self._c])
-        lo_a, lo_b = js.min(), ks.min()
-        box = np.zeros((js.max() - lo_a + 1, ks.max() - lo_b + 1), dtype=complex)
-        box[js - lo_a, ks - lo_b] = list(self._c.values())
-        va = za[:, None] ** np.arange(lo_a, lo_a + box.shape[0])
-        vb = zb[:, None] ** np.arange(lo_b, lo_b + box.shape[1])
-        return va @ box @ vb.T
+        (lo_a, lo_b), (rows, cols) = self._lo, self._box.shape
+        va = za[:, None] ** np.arange(lo_a, lo_a + rows)
+        vb = zb[:, None] ** np.arange(lo_b, lo_b + cols)
+        return va @ self._box @ vb.T
 
     def eval_unit_grid(self, n):
         """Values at theta_r = 2*pi*r/n per axis, via zero-padded inverse FFT.
@@ -232,22 +341,25 @@ class LaurentPoly2:
         if not deg.is_zero and (2 * deg.deg_a >= n or 2 * deg.deg_b >= n):
             raise ValueError("grid size %d too small for exponent spread" % n)
         table = np.zeros((n, n), dtype=complex)
-        for (j, k), c in self._c.items():
-            table[j % n, k % n] += c
+        (lo_a, lo_b), (rows, cols) = self._lo, self._box.shape
+        # the spread check keeps the residues mod n distinct: no collisions
+        at_a = np.arange(lo_a, lo_a + rows) % n
+        at_b = np.arange(lo_b, lo_b + cols) % n
+        table[np.ix_(at_a, at_b)] = self._box
         return n * n * np.fft.ifft2(table)
 
     # -- degrees, parity, exponent windows ----------------------------------
 
     def degrees(self):
-        if not self._c:
+        if self.is_zero():
             return DegreePair(None, None, None, None)
-        js = [j for j, _ in self._c]
-        ks = [k for _, k in self._c]
+        (lo_a, lo_b), (rows, cols) = self._lo, self._box.shape
+        hi_a, hi_b = lo_a + rows - 1, lo_b + cols - 1
         return DegreePair(
-            deg_a=max(abs(j) for j in js),
-            deg_b=max(abs(k) for k in ks),
-            pos_a=max(js),
-            pos_b=max(ks),
+            deg_a=max(-lo_a, hi_a),
+            deg_b=max(-lo_b, hi_b),
+            pos_a=hi_a,
+            pos_b=hi_b,
         )
 
     def has_inversion_sign(self, sign):
@@ -257,22 +369,53 @@ class LaurentPoly2:
     def negation_bits(self):
         """Exponent residues mod 2 per variable: (bit or None, bit or None).
         Coefficients below PARITY_REL of the largest are ignored."""
-        if not self._c:
+        if self.is_zero():
             return (None, None)
-        cut = PARITY_REL * self.max_abs()
-        live = [e for e, c in self._c.items() if abs(c) > cut]
-        ja = {j % 2 for j, _ in live}
-        kb = {k % 2 for _, k in live}
-        bit_a = ja.pop() if len(ja) == 1 else None
-        bit_b = kb.pop() if len(kb) == 1 else None
-        return (bit_a, bit_b)
+        rows, cols = np.nonzero(np.abs(self._box) > PARITY_REL * self._top)
+        bits = []
+        for lo, idx in zip(self._lo, (rows, cols)):
+            parity = (idx + lo) % 2
+            bits.append(int(parity[0]) if (parity == parity[0]).all() else None)
+        return tuple(bits)
 
     def restrict(self, var, lo, hi):
         """Terms whose exponent of `var` lies in [lo, hi] (zero when lo > hi)."""
         if var not in ("a", "b"):
             raise ValueError("var must be 'a' or 'b'")
         axis = 0 if var == "a" else 1
-        return LaurentPoly2({e: c for e, c in self._c.items() if lo <= e[axis] <= hi})
+        first, size = self._lo[axis], self._box.shape[axis]
+        start, stop = max(lo - first, 0), min(hi - first + 1, size)
+        if start == 0 and stop == size:
+            return self
+        if start >= stop:
+            return LaurentPoly2.zero()
+        if axis == 0:
+            return LaurentPoly2._from_box(
+                self._box[start:stop], first + start, self._lo[1]
+            )
+        return LaurentPoly2._from_box(
+            self._box[:, start:stop], self._lo[0], first + start
+        )
+
+
+def aligned(p, q):
+    """(x, y, (lo_a, lo_b)): the coefficients of p and q on the smallest box
+    holding both, whose first cell is the exponent (lo_a, lo_b). Read-only:
+    either array may be the polynomial's own storage."""
+    if p._lo == q._lo and p._box.shape == q._box.shape:
+        return p._box, q._box, p._lo
+    if q.is_zero():
+        return p._box, np.zeros_like(p._box), p._lo
+    if p.is_zero():
+        return np.zeros_like(q._box), q._box, q._lo
+    (pa, pb), (qa, qb) = p._lo, q._lo
+    lo_a, lo_b = min(pa, qa), min(pb, qb)
+    hi_a = max(pa + p._box.shape[0], qa + q._box.shape[0])
+    hi_b = max(pb + p._box.shape[1], qb + q._box.shape[1])
+    x, y = _zeros(hi_a - lo_a, hi_b - lo_b), _zeros(hi_a - lo_a, hi_b - lo_b)
+    for out, (a, b), box in ((x, (pa, pb), p._box), (y, (qa, qb), q._box)):
+        out[a - lo_a : a - lo_a + box.shape[0], b - lo_b : b - lo_b + box.shape[1]] = box
+    return x, y, (lo_a, lo_b)
 
 
 class LaurentPoly1:
@@ -409,15 +552,6 @@ class LaurentPoly1:
         for k, c in self._c.items():
             table[k % n] += c
         return n * np.fft.ifft(table)
-
-    def eval_at(self, z):
-        z = np.asarray(z, dtype=complex)
-        total = np.zeros(z.shape, dtype=complex)
-        for k, c in self._c.items():
-            total = total + c * z**k
-        if total.shape == ():
-            return complex(total)
-        return total
 
     # -- embedding into two variables ----------------------------------------
 

@@ -109,16 +109,6 @@ class Su2LaurentUnitary:
         q = self.P * other.Q + self.Q * other.P.conj_reciprocal()
         return Su2LaurentUnitary(p, q)
 
-    def apply_phase(self, phi):
-        """Right-multiply by diag(e^{i phi}, e^{-i phi})."""
-        w = complex(math.cos(phi), math.sin(phi))
-        return Su2LaurentUnitary(self.P * w, self.Q * w.conjugate())
-
-    def apply_oracle(self, bit):
-        """Right-multiply by A (bit=1) or B (bit=0)."""
-        x, y = (X_A, Y_A) if bit else (X_B, Y_B)
-        return Su2LaurentUnitary(self.P * x + self.Q * y, self.P * y + self.Q * x)
-
     def det_residual(self):
         """Max coefficient distance of P·P~ + Q·Q~ from the constant 1."""
         det = self.P * self.P.conj_reciprocal() + self.Q * self.Q.conj_reciprocal()
@@ -137,11 +127,38 @@ class Su2LaurentUnitary:
 
 def build_unitary(spec):
     """Exact symbolic product, left to right: Z(phi_0), then for each k the
-    oracle iterate followed by Z(phi_k)."""
-    u = Su2LaurentUnitary.identity().apply_phase(spec.phases[0])
+    oracle iterate followed by Z(phi_k).
+
+    P and Q live in one preallocated coefficient box spanning the exponents
+    [-m, m] x [-(n-m), n-m]. With z the oracle's variable, its iterate is
+    [[x, y], [y, x]] for x = (z + 1/z)/2 and y = (z - 1/z)/2, so a step
+    sets P' = (S z + D/z)/2 and Q' = (S z - D/z)/2 from S = P + Q and
+    D = P - Q: four slice shifts along that variable's axis. Each Z-phase
+    is one scalar multiply, and the result is pruned once at the end.
+    """
+    n, m = spec.n, spec.weight
+    p = np.zeros((2 * m + 1, 2 * (n - m) + 1), dtype=complex)
+    q = np.zeros_like(p)
+    p[m, n - m] = complex(math.cos(spec.phases[0]), math.sin(spec.phases[0]))
     for bit, phi in zip(spec.s, spec.phases[1:]):
-        u = u.apply_oracle(bit).apply_phase(phi)
-    return u
+        # view the oracle's variable as the first axis
+        pv, qv = (p, q) if bit else (p.T, q.T)
+        # S z moves exponent e to e + 1 and D/z to e - 1; nothing leaves the
+        # box, since after k iterates in a variable its exponents lie in [-k, k]
+        s = pv[:-1] + qv[:-1]
+        d = pv[1:] - qv[1:]
+        pv[0] = qv[0] = 0.0
+        pv[1:] = s
+        qv[1:] = s
+        pv[:-1] += d
+        qv[:-1] -= d
+        w = 0.5 * complex(math.cos(phi), math.sin(phi))
+        p *= w
+        q *= w.conjugate()
+    lo_a, lo_b = -m, -(n - m)
+    return Su2LaurentUnitary(
+        LaurentPoly2.from_array(p, lo_a, lo_b), LaurentPoly2.from_array(q, lo_a, lo_b)
+    )
 
 
 def assemble_completion(p_tilde, q_tilde, factor, n, m):

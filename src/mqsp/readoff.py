@@ -19,12 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mqsp.errors import ReadoffError, VerificationError
-from mqsp.laurent import LaurentPoly2
+from mqsp.laurent import LaurentPoly2, aligned
 from mqsp.protocol import (
-    X_A,
-    X_B,
-    Y_A,
-    Y_B,
     ProtocolSpec,
     Su2LaurentUnitary,
     build_unitary,
@@ -84,11 +80,12 @@ def _slice_proportionality(u, var, level, tol):
         # one side vanishing while the other does not cannot be fixed by a
         # unimodular scalar (both vanishing cannot happen at the joint max)
         return _SliceCheck(False, None, math.inf, "zero leading slice")
-    e_star = max(qs.items(), key=lambda item: abs(item[1]))[0]
-    ratio = ps.coeff(*e_star) / qs.coeff(*e_star)
+    p_row, q_row, _ = aligned(ps, qs)
+    star = np.unravel_index(np.argmax(np.abs(q_row)), q_row.shape)
+    ratio = complex(p_row[star] / q_row[star])
     phase = math.atan2(ratio.imag, ratio.real)
     w = complex(math.cos(phase), math.sin(phase))
-    mismatch = (ps - w * qs).max_abs() / ps.max_abs()
+    mismatch = float(np.abs(p_row - w * q_row).max()) / ps.max_abs()
     if mismatch > tol:
         return _SliceCheck(False, phase, mismatch, None)
     return _SliceCheck(True, phase, mismatch, None)
@@ -168,14 +165,35 @@ def peel_once(u, direction, tol=None):
         raise ReadoffError("cannot peel: leading slices not proportional")
     phi = principal_phase(check.phase) / 2.0
     w = complex(math.cos(phi), math.sin(phi))
-    x, y = (X_A, Y_A) if direction == "a" else (X_B, Y_B)
-    # exact inverse of (apply_oracle then apply_phase); x^2 - y^2 = 1
-    p_red = x * (w.conjugate() * u.P) - y * (w * u.Q)
-    q_red = -y * (w.conjugate() * u.P) + x * (w * u.Q)
-    # drop what is left outside the lowered degree: read-off noise, which
-    # the final rebuild check accounts for
-    p_red = p_red.restrict(direction, 1 - level, level - 1)
-    q_red = q_red.restrict(direction, 1 - level, level - 1)
+    # exact inverse of the oracle iterate then Z(phi): with x^2 - y^2 = 1,
+    # P' = x w~P - y wQ = (D z + S/z)/2 and Q' = -y w~P + x wQ = (S/z - D z)/2
+    # for S = w~P + wQ, D = w~P - wQ (w~ = conj(w), z the peeled variable)
+    p, q, (lo_a, lo_b) = aligned(u.P, u.Q)
+    if direction == "b":  # view the peeled variable as the first axis
+        p, q = p.T, q.T
+    lo = lo_a if direction == "a" else lo_b
+    pw, qw = (0.5 * w.conjugate()) * p, (0.5 * w) * q
+    s, d = pw + qw, pw - qw
+    # row t of the result holds exponent lo - 1 + t; the input's top row
+    # is exponent `level`
+    p_red = np.zeros((p.shape[0] + 2, p.shape[1]), dtype=complex)
+    q_red = np.zeros_like(p_red)
+    p_red[2:] = d
+    q_red[2:] = -d
+    p_red[:-2] += s
+    q_red[:-2] += s
+    # keep exponents [1 - level, level - 1]: what is left outside the
+    # lowered degree is read-off noise, which the final rebuild check
+    # accounts for
+    first = max(2 - level - lo, 0)
+    p_red, q_red = p_red[first : p.shape[0]], q_red[first : p.shape[0]]
+    lo += first - 1
+    if direction == "a":
+        lo_a = lo
+    else:
+        p_red, q_red, lo_b = p_red.T, q_red.T, lo
+    p_red = LaurentPoly2.from_array(p_red, lo_a, lo_b)
+    q_red = LaurentPoly2.from_array(q_red, lo_a, lo_b)
     return phi, Su2LaurentUnitary(p_red, q_red)
 
 

@@ -116,15 +116,13 @@ def grid_from_poly(p, n_theta):
 
 def write_grid_csv(grid, path):
     """Rows run over theta_b, columns over theta_a; body cell (r, c) is
-    values[c, r]."""
-    thetas = grid.thetas
-    lines = ["," + ",".join(GRID_FORMAT % t for t in thetas)]
-    for r in range(grid.n_theta):
-        row = [GRID_FORMAT % thetas[r]]
-        row += [GRID_FORMAT % grid.values[c, r] for c in range(grid.n_theta)]
-        lines.append(",".join(row))
+    values[c, r]. Written row by row, so memory stays that of the grid."""
+    labels = [GRID_FORMAT % t for t in grid.thetas]
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("," + ",".join(labels) + "\n")
+        for r, label in enumerate(labels):
+            cells = ",".join(GRID_FORMAT % v for v in grid.values[:, r].tolist())
+            handle.write(label + "," + cells + "\n")
 
 
 def read_grid_csv(path):

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mqsp
 from mqsp import families, serialize
 from mqsp.cli import main
 from mqsp.protocol import ProtocolSpec, build_unitary
@@ -360,6 +364,33 @@ def test_plot_bad_flags_exit_two(tmp_path, capsys):
 
 
 # -- parser-level behavior ----------------------------------------------------------
+
+
+def test_pipelines_import_no_scipy(tmp_path):
+    # numpy is the only declared dependency: build, readoff and a
+    # two-variable complete must run without scipy in a fresh interpreter
+    protocol = write_json(tmp_path / "p.json", {"s": [0, 1], "phases": [0.1, 2.8, -2.2]})
+    targets = write_json(tmp_path / "t.json", targets_of(ProtocolSpec((0, 1), (0.1, 2.8, -2.2))))
+    unitary = tmp_path / "u.json"
+    script = (
+        "import contextlib, io, sys\n"
+        "from mqsp.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert main(['build', %r]) == 0\n"
+        "open(%r, 'w').write(out.getvalue())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['readoff', %r]) == 0\n"
+        "    assert main(['complete', %r, '--vars', '2', '--deg', '2,1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    ) % (protocol, str(unitary), str(unitary), targets)
+    src = os.path.dirname(os.path.dirname(mqsp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_unknown_command_exit_two(capsys):

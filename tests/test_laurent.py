@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqsp.laurent import LaurentPoly1, LaurentPoly2
+from mqsp.laurent import MAX_CELLS, PRUNE_REL, LaurentPoly1, LaurentPoly2
 
 
 def on_torus(p, theta_a, theta_b):
@@ -203,6 +203,160 @@ def test_embed_and_slice_roundtrip():
     assert q.coeff(2, 0) == 1.5
     assert q.restrict("b", 0, 0) == q
     assert dict(q.items()) == {(k, 0): c for k, c in p.items()}
+
+
+# -- dense backend against dict references ------------------------------------
+
+
+def _random_terms(rng, terms, spread, parity=None):
+    """Dict of small-integer coefficients (sums of their products are exact
+    in floating point, in any order); `parity` fixes the exponent residues."""
+    out = {}
+    for _ in range(terms):
+        j, k = (int(x) for x in rng.integers(-spread, spread + 1, size=2))
+        if parity is not None:
+            j, k = 2 * (j // 2) + parity[0], 2 * (k // 2) + parity[1]
+        out[(j, k)] = complex(*(float(x) for x in rng.integers(-9, 10, size=2)))
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _dict_mul(x, y):
+    out = {}
+    for (j1, k1), c1 in x.items():
+        for (j2, k2), c2 in y.items():
+            e = (j1 + j2, k1 + k2)
+            out[e] = out.get(e, 0.0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _dict_add(x, y, sign=1.0):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0.0) + sign * c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _reference_cases():
+    rng = np.random.default_rng(11)
+    cases = [({}, {}), ({}, {(1, -2): 3.0}), ({(0, 0): 2.0}, {(-3, 1): 1j, (2, 2): -4.0})]
+    for trial in range(40):
+        # mixed parities, then one parity per axis (the protocol case)
+        parity_x = None if trial < 20 else (trial % 2, (trial // 2) % 2)
+        parity_y = None if trial < 20 else ((trial // 3) % 2, (trial // 5) % 2)
+        cases.append(
+            (
+                _random_terms(rng, 1 + trial % 9, 4, parity_x),
+                _random_terms(rng, 1 + trial % 13, 5, parity_y),
+            )
+        )
+    return cases
+
+
+def test_mul_matches_per_term_convolution():
+    for x, y in _reference_cases():
+        prod = LaurentPoly2(x) * LaurentPoly2(y)
+        assert dict(prod.items()) == _dict_mul(x, y)
+        assert dict((LaurentPoly2(y) * LaurentPoly2(x)).items()) == _dict_mul(x, y)
+
+
+def test_mul_matches_convolution_on_float_coefficients():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        x = {e: complex(rng.normal(), rng.normal()) for e in _random_terms(rng, 12, 6)}
+        y = {e: complex(rng.normal(), rng.normal()) for e in _random_terms(rng, 9, 3)}
+        prod = LaurentPoly2(x) * LaurentPoly2(y)
+        ref = _dict_mul(x, y)
+        # summation order differs: a few ulps of sum |c1 c2|, plus the prune
+        scale = sum(map(abs, x.values())) * sum(map(abs, y.values()))
+        for e in set(ref) | {e for e, _ in prod.items()}:
+            assert abs(prod.coeff(*e) - ref.get(e, 0.0)) <= 1e-14 * scale
+
+
+def test_scalar_mul_zero_and_constants():
+    p = LaurentPoly2({(-2, 1): 1.5, (3, 0): -2j})
+    assert (p * 0).is_zero() and (0.0 * p).is_zero()
+    assert dict((p * 2).items()) == {(-2, 1): 3.0, (3, 0): -4j}
+    assert dict((np.float64(2.0) * p).items()) == {(-2, 1): 3.0, (3, 0): -4j}
+    assert (p * LaurentPoly2.zero()).is_zero()
+    assert (LaurentPoly2.one() * p) == p
+    assert dict((LaurentPoly2.constant(1j) * p).items()) == {(-2, 1): 1.5j, (3, 0): 2.0}
+
+
+def test_add_sub_conj_restrict_degrees_match_dict_references():
+    for x, y in _reference_cases():
+        p, q = LaurentPoly2(x), LaurentPoly2(y)
+        assert dict((p + q).items()) == _dict_add(x, y)
+        assert dict((p - q).items()) == _dict_add(x, y, -1.0)
+        assert dict((-p).items()) == {e: -c for e, c in x.items()}
+        assert dict(p.conj_reciprocal().items()) == {
+            (-j, -k): c.conjugate() for (j, k), c in x.items()
+        }
+        assert dict(p.inversion().items()) == {(-j, -k): c for (j, k), c in x.items()}
+        for var, axis in (("a", 0), ("b", 1)):
+            for lo, hi in ((-1, 2), (0, 0), (3, 9), (5, -5)):
+                want = {e: c for e, c in x.items() if lo <= e[axis] <= hi}
+                assert dict(p.restrict(var, lo, hi).items()) == want
+        d = p.degrees()
+        if not x:
+            assert d.is_zero
+            continue
+        js, ks = [j for j, _ in x], [k for _, k in x]
+        assert (d.deg_a, d.deg_b) == (max(map(abs, js)), max(map(abs, ks)))
+        assert (d.pos_a, d.pos_b) == (max(js), max(ks))
+
+
+def test_prune_boundary_relative_to_largest():
+    # every result is pruned once: at or below PRUNE_REL * max is dust
+    p = LaurentPoly2({(0, 0): 1.0, (1, 0): 0.5 * PRUNE_REL, (0, 1): 2.0 * PRUNE_REL})
+    assert p.support() == [(0, 0), (0, 1)]
+    # dust inside the exponent box of the kept terms goes too
+    inner = LaurentPoly2({(0, 0): 1.0, (1, 1): 0.5 * PRUNE_REL, (2, 2): -1.0})
+    assert inner.support() == [(0, 0), (2, 2)] and inner.coeff(1, 1) == 0.0
+    assert (inner * LaurentPoly2.monomial(0, 1)).support() == [(0, 1), (2, 3)]
+    q = LaurentPoly2({(0, 0): 1.0}) + LaurentPoly2({(2, 2): 0.5 * PRUNE_REL, (-1, 0): 2.0 * PRUNE_REL})
+    assert q.support() == [(-1, 0), (0, 0)]
+    # a window is pruned against its own largest coefficient
+    r = LaurentPoly2({(0, 0): 1.0, (1, 0): 1e-6, (1, 1): 0.5e-6 * PRUNE_REL})
+    assert r.restrict("a", 1, 1).support() == [(1, 0)]
+    box = np.array([[1.0, 0.5 * PRUNE_REL], [2.0 * PRUNE_REL, 0.0]])
+    assert LaurentPoly2.from_array(box, -1, 3).support() == [(-1, 3), (0, 3)]
+
+
+def test_overflowing_product_raises():
+    big = LaurentPoly2({(0, 0): 1e200, (1, 0): 1e200})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            big * big
+        with pytest.raises(ValueError, match="non-finite"):
+            big * 1e200
+    with pytest.raises(ValueError, match="non-finite"):
+        LaurentPoly2.from_array([[1.0, float("nan")]], 0, 0)
+
+
+def test_far_apart_exponents_rejected_before_allocating():
+    with pytest.raises(ValueError, match="MAX_CELLS"):
+        LaurentPoly2({(0, 0): 1.0, (MAX_CELLS, 0): 1.0})
+    a, b = LaurentPoly2.monomial(0, 0), LaurentPoly2.monomial(5000, 5000)
+    with pytest.raises(ValueError, match="MAX_CELLS"):
+        a + b
+
+
+def test_equality_and_items():
+    p = LaurentPoly2({(2, -1): 1.0, (-1, 3): 2.5j, (0, 0): 0.0})
+    assert p == LaurentPoly2({(-1, 3): 2.5j, (2, -1): 1.0})
+    assert p != LaurentPoly2({(-1, 3): 2.5j, (2, -1): 1.0 + 1e-12})
+    assert p != p.shift(1, 0)
+    assert LaurentPoly2.zero() == LaurentPoly2({(4, 4): 0.0})
+    items = p.items()
+    assert len(items) == len(p) == 2
+    assert items == [((-1, 3), 2.5j), ((2, -1), 1.0 + 0j)]
+    for (j, k), c in items:
+        assert type(j) is int and type(k) is int and type(c) is complex
+    assert LaurentPoly2.zero().items() == [] and len(LaurentPoly2.zero()) == 0
+
+
+def test_unit_grid_of_zero_polynomial():
+    assert np.array_equal(LaurentPoly2.zero().eval_unit_grid(4), np.zeros((4, 4)))
 
 
 # -- ring axioms (property-based) ---------------------------------------------

@@ -1,11 +1,13 @@
 """Protocol unitaries: pinned constructions, structure checks, dual routes."""
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
+from mqsp import serialize
 from mqsp.errors import VerificationError
 from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import (
@@ -109,6 +111,25 @@ def test_composition_matches_matrix_product():
         s1.phases[:-1] + (s1.phases[-1] + s2.phases[0],) + s2.phases[1:],
     )
     assert build_unitary(merged).distance(build_unitary(s1) @ build_unitary(s2)) < 1e-12
+
+
+def test_length_sweep_build_matches_circuit_and_round_trips():
+    # every even n in 8..64 plus n = 96, and single-oracle protocols (one
+    # axis of the coefficient box has length 1)
+    rng = np.random.default_rng(64)
+    specs = [random_spec(rng, n) for n in (*range(8, 65, 2), 96)]
+    specs += [random_spec(rng, n, weight=w) for n in (8, 33) for w in (0, n)]
+    for spec in specs:
+        u = build_unitary(spec)
+        for _ in range(6):
+            ta, tb = rng.uniform(-math.pi, math.pi, size=2)
+            err = np.max(np.abs(eval_unitary(spec, ta, tb) - u.matrix_at(ta, tb)))
+            assert err < 1e-9, (spec.n, spec.weight, err)
+        if spec.n <= 64:
+            assert verify_structure(u, spec.n, spec.weight).overall, spec.n
+        for poly in (u.P, u.Q):
+            wired = json.loads(json.dumps(serialize.poly_to_records(poly)))
+            assert serialize.poly_from_records(wired) == poly
 
 
 # -- structural checks -----------------------------------------------------------

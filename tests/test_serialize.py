@@ -57,6 +57,10 @@ def test_poly_empty_and_zero():
             {"j": 1, "k": 2, "re": 1.0, "im": 0.0},
             {"j": 1, "k": 2, "re": 2.0, "im": 0.0},
         ],  # duplicate exponent
+        [
+            {"j": 0, "k": 0, "re": 1.0, "im": 0.0},
+            {"j": 10**9, "k": 10**9, "re": 1.0, "im": 0.0},
+        ],  # exponent box far above MAX_CELLS: refused, not allocated
     ],
 )
 def test_poly_from_records_rejects(records):
@@ -146,6 +150,30 @@ def test_csv_twelve_significant_digits(tmp_path):
     serialize.write_grid_csv(grid, path)
     body = path.read_text().splitlines()[1].split(",")[1]
     assert body == "0.333333333333"
+
+
+def _csv_in_one_string(grid, path):
+    """The writer as it was before streaming: every line joined in memory."""
+    thetas = grid.thetas
+    lines = ["," + ",".join(serialize.GRID_FORMAT % t for t in thetas)]
+    for r in range(grid.n_theta):
+        row = [serialize.GRID_FORMAT % thetas[r]]
+        row += [serialize.GRID_FORMAT % grid.values[c, r] for c in range(grid.n_theta)]
+        lines.append(",".join(row))
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def test_csv_streaming_is_byte_identical(tmp_path):
+    rng = np.random.default_rng(4)
+    p = LaurentPoly2({(2, -1): 0.5 + 0.25j, (0, 0): 0.75, (-1, 3): -0.3j})
+    grids = [serialize.grid_from_poly(p, n) for n in (1, 2, 16, 33)]
+    grids.append(serialize.GridExport(n_theta=9, values=rng.uniform(0, 1, (9, 9)) ** 7))
+    for grid in grids:
+        serialize.write_grid_csv(grid, tmp_path / "streamed.csv")
+        _csv_in_one_string(grid, tmp_path / "joined.csv")
+        streamed = (tmp_path / "streamed.csv").read_bytes()
+        assert streamed == (tmp_path / "joined.csv").read_bytes()
 
 
 def test_pgm_format(tmp_path):

@@ -36,7 +36,7 @@ EXIT_NOT_PEELABLE = 3
 EXIT_COUNTEREXAMPLE = 4
 
 # --grid bounds. MAX_GRID is the largest Fourier grid; a CSV export at that
-# size takes ~11 s and ~0.4 GB peak memory on a 2-vCPU VM.
+# size takes ~11 s and ~0.18 GB peak memory on a 2-vCPU VM.
 MIN_GRID = 16
 MAX_GRID = 4096
 
@@ -212,7 +212,10 @@ def _cmd_complete(args):
 def _cmd_scan(args):
     if args.n_max < 0 or args.trials < 0:
         return _fail(EXIT_USAGE, "--n-max and --trials must be nonnegative")
-    summary = scan_leading_slices(args.n_max, args.trials, args.seed)
+    try:
+        summary = scan_leading_slices(args.n_max, args.trials, args.seed)
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, "invalid input: %s" % exc)
     out = {
         "nMax": summary.n_max,
         "trials": summary.trials,
@@ -265,8 +268,16 @@ def _cmd_plot(args):
             spec = serialize.spec_from_obj(_load_json(args.protocol_file))
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             return _fail(EXIT_USAGE, "cannot read protocol: %s" % exc)
-    grid = serialize.grid_from_poly(build_unitary(spec).P, args.grid)
+    try:
+        u = build_unitary(spec)
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, "invalid input: %s" % exc)
     out = args.out or ("grid.%s" % args.format)
+    try:  # fail on an unwritable path before the grid is evaluated
+        open(out, "w").close()
+    except OSError as exc:
+        return _fail(EXIT_USAGE, "cannot write %s: %s" % (out, exc))
+    grid = serialize.grid_from_poly(u.P, args.grid)
     if args.format == "csv":
         serialize.write_grid_csv(grid, out)
     else:

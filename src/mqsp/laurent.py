@@ -6,9 +6,11 @@ exponent (lo_a, lo_b) of its first cell; the zero polynomial is an empty
 array. Ring operations are numpy work on these arrays: sums add aligned
 boxes, a product is one direct (not FFT) 1-D convolution of the
 flattened boxes, the conjugate-reciprocal and the inversion flip the box,
-and degrees, parity and exponent windows read it directly. Every result
-is pruned once, dropping coefficients at or below PRUNE_REL times its
-largest magnitude, and a non-finite coefficient raises ValueError.
+and degrees and parity read it directly. `aligned` puts the boxes of two
+polynomials on one exponent range; read-off takes its leading slices from
+there. Every result is pruned once, dropping coefficients at or below
+PRUNE_REL times its largest magnitude, and a non-finite coefficient
+raises ValueError.
 `LaurentPoly1` keeps a dict of integer exponents. Everything downstream
 -- protocol unitaries, peeling, spectral factorization -- is built on
 these two classes.
@@ -65,17 +67,12 @@ _EMPTY = np.zeros((0, 0), dtype=complex)
 
 @dataclass(frozen=True)
 class DegreePair:
-    """Degrees of a bivariate Laurent polynomial.
-
-    deg_a/deg_b are max |exponent| per variable; pos_a/pos_b are the maximal
-    (signed) exponents, which drive leading slices and peeling. All fields
-    are None for the zero polynomial (sentinel).
+    """Degrees of a bivariate Laurent polynomial: deg_a/deg_b are the max
+    |exponent| per variable, both None for the zero polynomial (sentinel).
     """
 
     deg_a: int | None
     deg_b: int | None
-    pos_a: int | None
-    pos_b: int | None
 
     @property
     def is_zero(self):
@@ -137,7 +134,7 @@ class LaurentPoly2:
         return object.__new__(cls)._prune_into(box, lo_a, lo_b)
 
     def _like(self, box, lo_a, lo_b):
-        # same magnitudes as self (flips, shifts, negation): no prune needed
+        # same magnitudes as self (flips, negation): no prune needed
         return object.__new__(LaurentPoly2)._set(box, lo_a, lo_b, self._top)
 
     # -- constructors ------------------------------------------------------
@@ -178,9 +175,6 @@ class LaurentPoly2:
             ((lo_a + i, lo_b + l), c)
             for i, l, c in zip(rows.tolist(), cols.tolist(), values)
         ]
-
-    def support(self):
-        return [e for e, _ in self.items()]
 
     def coeff(self, j, k):
         i, l = j - self._lo[0], k - self._lo[1]
@@ -298,22 +292,6 @@ class LaurentPoly2:
         """True when p is real-valued on the torus (coeff at -e is conj of e)."""
         return self.distance(self.conj_reciprocal()) <= PARITY_REL * self.max_abs()
 
-    def shift(self, shift_a, shift_b):
-        """Multiply by a^shift_a * b^shift_b."""
-        if self.is_zero():
-            return self
-        return self._like(self._box, self._lo[0] + shift_a, self._lo[1] + shift_b)
-
-    def parity_project(self, bit_a, bit_b):
-        """Keep terms with exponents congruent to (bit_a, bit_b) mod 2."""
-        if self.is_zero():
-            return self
-        i0 = (bit_a - self._lo[0]) % 2
-        l0 = (bit_b - self._lo[1]) % 2
-        box = np.zeros_like(self._box)
-        box[i0::2, l0::2] = self._box[i0::2, l0::2]
-        return LaurentPoly2._from_box(box, *self._lo)
-
     # -- evaluation --------------------------------------------------------
 
     def eval_grid(self, za, zb):
@@ -348,19 +326,13 @@ class LaurentPoly2:
         table[np.ix_(at_a, at_b)] = self._box
         return n * n * np.fft.ifft2(table)
 
-    # -- degrees, parity, exponent windows ----------------------------------
+    # -- degrees and parity ------------------------------------------------
 
     def degrees(self):
         if self.is_zero():
-            return DegreePair(None, None, None, None)
+            return DegreePair(None, None)
         (lo_a, lo_b), (rows, cols) = self._lo, self._box.shape
-        hi_a, hi_b = lo_a + rows - 1, lo_b + cols - 1
-        return DegreePair(
-            deg_a=max(-lo_a, hi_a),
-            deg_b=max(-lo_b, hi_b),
-            pos_a=hi_a,
-            pos_b=hi_b,
-        )
+        return DegreePair(max(-lo_a, lo_a + rows - 1), max(-lo_b, lo_b + cols - 1))
 
     def has_inversion_sign(self, sign):
         """True when p(1/a, 1/b) == sign * p within PARITY_REL (zero poly: True)."""
@@ -377,26 +349,6 @@ class LaurentPoly2:
             parity = (idx + lo) % 2
             bits.append(int(parity[0]) if (parity == parity[0]).all() else None)
         return tuple(bits)
-
-    def restrict(self, var, lo, hi):
-        """Terms whose exponent of `var` lies in [lo, hi] (zero when lo > hi)."""
-        if var not in ("a", "b"):
-            raise ValueError("var must be 'a' or 'b'")
-        axis = 0 if var == "a" else 1
-        first, size = self._lo[axis], self._box.shape[axis]
-        start, stop = max(lo - first, 0), min(hi - first + 1, size)
-        if start == 0 and stop == size:
-            return self
-        if start >= stop:
-            return LaurentPoly2.zero()
-        if axis == 0:
-            return LaurentPoly2._from_box(
-                self._box[start:stop], first + start, self._lo[1]
-            )
-        return LaurentPoly2._from_box(
-            self._box[:, start:stop], self._lo[0], first + start
-        )
-
 
 def aligned(p, q):
     """(x, y, (lo_a, lo_b)): the coefficients of p and q on the smallest box

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mqsp.errors import VerificationError
-from mqsp.laurent import DegreePair, LaurentPoly2
+from mqsp.laurent import DegreePair, LaurentPoly2, _zeros
 
 # Determinant identity P·P~ + Q·Q~ = 1 must hold to this max-coefficient
 # residual for a unitary to count as structurally valid.
@@ -29,9 +29,6 @@ DET_RESIDUAL_TOL = 1e-10
 # below which the mixed-parity components count as vanished.
 XPICTURE_GRID = 17
 XPICTURE_TOL = 1e-8
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 X_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): 0.5})
 Y_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): -0.5})
@@ -96,10 +93,6 @@ class Su2LaurentUnitary:
     P: LaurentPoly2
     Q: LaurentPoly2
 
-    @classmethod
-    def identity(cls):
-        return cls(LaurentPoly2.one(), LaurentPoly2.zero())
-
     def __matmul__(self, other):
         if not isinstance(other, Su2LaurentUnitary):
             return NotImplemented
@@ -134,10 +127,11 @@ def build_unitary(spec):
     [[x, y], [y, x]] for x = (z + 1/z)/2 and y = (z - 1/z)/2, so a step
     sets P' = (S z + D/z)/2 and Q' = (S z - D/z)/2 from S = P + Q and
     D = P - Q: four slice shifts along that variable's axis. Each Z-phase
-    is one scalar multiply, and the result is pruned once at the end.
+    is one scalar multiply, and the result is pruned once at the end. A box
+    above MAX_CELLS raises ValueError before anything is allocated.
     """
     n, m = spec.n, spec.weight
-    p = np.zeros((2 * m + 1, 2 * (n - m) + 1), dtype=complex)
+    p = _zeros(2 * m + 1, 2 * (n - m) + 1)
     q = np.zeros_like(p)
     p[m, n - m] = complex(math.cos(spec.phases[0]), math.sin(spec.phases[0]))
     for bit, phi in zip(spec.s, spec.phases[1:]):
@@ -172,7 +166,9 @@ def assemble_completion(p_tilde, q_tilde, factor, n, m):
     the shift forces negation parity (m, n-m) mod 2 on R and S; the
     projection drops only solver dust, which the read-off gate bounds.
     """
-    t = factor.shift(-m, -(n - m)).parity_project(m % 2, (n - m) % 2)
+    t = LaurentPoly2(
+        {(j - m, k - (n - m)): c for (j, k), c in factor.items() if j % 2 == k % 2 == 0}
+    )
     r = t.hermitian_part()
     s = (t - t.conj_reciprocal()) * (-0.5j)
     return Su2LaurentUnitary(p_tilde + 1j * r, q_tilde + 1j * s)

@@ -50,45 +50,28 @@ def readoff_tolerance():
     return tol
 
 
-def _joint_positive_degree(u, var):
-    """Max positive exponent of `var` over P and Q jointly; None if neither
-    polynomial carries the variable with positive exponent."""
-    best = None
-    for poly in (u.P, u.Q):
-        d = poly.degrees()
-        pos = d.pos_a if var == "a" else d.pos_b
-        if pos is not None and (best is None or pos > best):
-            best = pos
-    return best
+def _top_slice(p, q, lo, axis, tol):
+    """Test P == e^{i phase} Q on the top slice along `axis` of the aligned
+    boxes p, q of P and Q (first cell at exponent lo).
 
-
-@dataclass(frozen=True)
-class _SliceCheck:
-    ok: bool
-    phase: float | None
-    mismatch: float
-    reason: str | None
-
-
-def _slice_proportionality(u, var, level, tol):
-    """Test P_level(other) == e^{i phase} Q_level(other) at the given
-    exponent of `var`. Phase is read from the largest-magnitude coefficient
-    of Q's slice; the mismatch norm is relative to P's slice."""
-    ps = u.P.restrict(var, level, level)
-    qs = u.Q.restrict(var, level, level)
-    if ps.is_zero() or qs.is_zero():
+    Returns (level, ok, phase, mismatch, reason) with level the joint top
+    exponent. Phase is read from the largest-magnitude coefficient of Q's
+    slice; the mismatch norm is relative to P's slice.
+    """
+    if axis:  # view the axis as the first one
+        p, q = p.T, q.T
+    level = lo[axis] + len(p) - 1
+    ps, qs = p[-1:].ravel(), q[-1:].ravel()
+    if not (ps.any() and qs.any()):
         # one side vanishing while the other does not cannot be fixed by a
-        # unimodular scalar (both vanishing cannot happen at the joint max)
-        return _SliceCheck(False, None, math.inf, "zero leading slice")
-    p_row, q_row, _ = aligned(ps, qs)
-    star = np.unravel_index(np.argmax(np.abs(q_row)), q_row.shape)
-    ratio = complex(p_row[star] / q_row[star])
+        # unimodular scalar (both vanish only for P = Q = 0, an empty box)
+        return level, False, None, math.inf, "zero leading slice"
+    star = np.argmax(np.abs(qs))
+    ratio = complex(ps[star] / qs[star])
     phase = math.atan2(ratio.imag, ratio.real)
     w = complex(math.cos(phase), math.sin(phase))
-    mismatch = float(np.abs(p_row - w * q_row).max()) / ps.max_abs()
-    if mismatch > tol:
-        return _SliceCheck(False, phase, mismatch, None)
-    return _SliceCheck(True, phase, mismatch, None)
+    mismatch = float(np.abs(ps - w * qs).max()) / float(np.abs(ps).max())
+    return level, not mismatch > tol, phase, mismatch, None
 
 
 @dataclass(frozen=True)
@@ -127,22 +110,11 @@ def check_leading_slices(u, tol=None):
         tol = readoff_tolerance()
     if u.Q.is_zero():
         return SliceReport(True, True, 0.0, 0.0, 0.0, 0.0, None, None)
-    checks = {}
-    for var in ("a", "b"):
-        level = _joint_positive_degree(u, var)
-        if level is None:
-            level = 0  # no positive power present: the slice at 0 is all of it
-        checks[var] = _slice_proportionality(u, var, level, tol)
-    ca, cb = checks["a"], checks["b"]
+    p, q, lo = aligned(u.P, u.Q)
+    _, holds_a, phase_a, mismatch_a, reason_a = _top_slice(p, q, lo, 0, tol)
+    _, holds_b, phase_b, mismatch_b, reason_b = _top_slice(p, q, lo, 1, tol)
     return SliceReport(
-        holds_a=ca.ok,
-        holds_b=cb.ok,
-        phase_a=ca.phase,
-        phase_b=cb.phase,
-        mismatch_a=ca.mismatch,
-        mismatch_b=cb.mismatch,
-        reason_a=ca.reason,
-        reason_b=cb.reason,
+        holds_a, holds_b, phase_a, phase_b, mismatch_a, mismatch_b, reason_a, reason_b
     )
 
 
@@ -157,25 +129,24 @@ def peel_once(u, direction, tol=None):
         tol = readoff_tolerance()
     if direction not in ("a", "b"):
         raise ValueError("direction must be 'a' or 'b'")
-    level = _joint_positive_degree(u, direction)
-    if level is None or level < 1:
+    axis = "ab".index(direction)
+    p, q, lo = aligned(u.P, u.Q)
+    level, ok, phase, _, _ = _top_slice(p, q, lo, axis, tol)
+    if level < 1:
         raise ReadoffError("cannot peel: no positive degree in direction %r" % direction)
-    check = _slice_proportionality(u, direction, level, tol)
-    if not check.ok:
+    if not ok:
         raise ReadoffError("cannot peel: leading slices not proportional")
-    phi = principal_phase(check.phase) / 2.0
+    phi = principal_phase(phase) / 2.0
     w = complex(math.cos(phi), math.sin(phi))
     # exact inverse of the oracle iterate then Z(phi): with x^2 - y^2 = 1,
     # P' = x w~P - y wQ = (D z + S/z)/2 and Q' = -y w~P + x wQ = (S/z - D z)/2
     # for S = w~P + wQ, D = w~P - wQ (w~ = conj(w), z the peeled variable)
-    p, q, (lo_a, lo_b) = aligned(u.P, u.Q)
-    if direction == "b":  # view the peeled variable as the first axis
+    if axis:  # view the peeled variable as the first axis
         p, q = p.T, q.T
-    lo = lo_a if direction == "a" else lo_b
     pw, qw = (0.5 * w.conjugate()) * p, (0.5 * w) * q
     s, d = pw + qw, pw - qw
-    # row t of the result holds exponent lo - 1 + t; the input's top row
-    # is exponent `level`
+    # row t of the result holds exponent lo[axis] - 1 + t; the input's top
+    # row is exponent `level`
     p_red = np.zeros((p.shape[0] + 2, p.shape[1]), dtype=complex)
     q_red = np.zeros_like(p_red)
     p_red[2:] = d
@@ -185,15 +156,14 @@ def peel_once(u, direction, tol=None):
     # keep exponents [1 - level, level - 1]: what is left outside the
     # lowered degree is read-off noise, which the final rebuild check
     # accounts for
-    first = max(2 - level - lo, 0)
+    first = max(2 - level - lo[axis], 0)
     p_red, q_red = p_red[first : p.shape[0]], q_red[first : p.shape[0]]
-    lo += first - 1
-    if direction == "a":
-        lo_a = lo
-    else:
-        p_red, q_red, lo_b = p_red.T, q_red.T, lo
-    p_red = LaurentPoly2.from_array(p_red, lo_a, lo_b)
-    q_red = LaurentPoly2.from_array(q_red, lo_a, lo_b)
+    lo = list(lo)
+    lo[axis] += first - 1
+    if axis:
+        p_red, q_red = p_red.T, q_red.T
+    p_red = LaurentPoly2.from_array(p_red, *lo)
+    q_red = LaurentPoly2.from_array(q_red, *lo)
     return phi, Su2LaurentUnitary(p_red, q_red)
 
 
@@ -240,17 +210,15 @@ def readoff(P, Q, tol=None):
         for d in ((deg.deg_a, deg.deg_b) if not deg.is_zero else ())
     )
     for step in range(1, max_steps + 2):
-        avail = {}
-        for var in ("a", "b"):
-            level = _joint_positive_degree(u, var)
-            if level is None or level < 1:
-                continue
-            check = _slice_proportionality(u, var, level, tol)
-            if check.ok:
-                avail[var] = check
+        p, q, lo = aligned(u.P, u.Q)
+        avail = []
+        for axis in (0, 1):
+            level, ok, _, _, _ = _top_slice(p, q, lo, axis, tol)
+            if level >= 1 and ok:
+                avail.append("ab"[axis])
         if not avail:
             break
-        direction = "a" if "a" in avail else "b"
+        direction = avail[0]
         phi, u = peel_once(u, direction, tol=tol)
         bits_reversed.append(1 if direction == "a" else 0)
         phases_reversed.append(phi)

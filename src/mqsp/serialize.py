@@ -21,6 +21,9 @@ from mqsp.protocol import ProtocolSpec
 
 GRID_FORMAT = "%.12g"
 PGM_MAX_GRAY = 255
+# grid_from_poly evaluates this many theta_a rows at a time, so only one
+# block of complex samples is alive beside the float grid.
+GRID_BLOCK_ROWS = 256
 
 
 def _as_exponent(value, where):
@@ -39,7 +42,7 @@ def poly_to_records(p):
     """Sorted list of {j, k, re, im} records (deterministic order)."""
     return [
         {"j": int(j), "k": int(k), "re": float(c.real), "im": float(c.imag)}
-        for (j, k), c in sorted(p.items())
+        for (j, k), c in p.items()
     ]
 
 
@@ -110,7 +113,10 @@ def grid_from_poly(p, n_theta):
     n_theta = int(n_theta)
     thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta) / n_theta
     z = np.exp(1j * thetas)
-    values = np.abs(p.eval_grid(z, z)) ** 2
+    values = np.empty((n_theta, n_theta))
+    for start in range(0, n_theta, GRID_BLOCK_ROWS):
+        rows = slice(start, start + GRID_BLOCK_ROWS)
+        values[rows] = np.abs(p.eval_grid(z[rows], z)) ** 2
     return GridExport(n_theta=n_theta, values=values)
 
 

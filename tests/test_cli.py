@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mqsp
-from mqsp import families, serialize
+from mqsp import families, laurent, serialize
 from mqsp.cli import main
 from mqsp.protocol import ProtocolSpec, build_unitary
 from mqsp.readoff import ScanSummary, readoff_tolerance
@@ -63,6 +63,23 @@ def test_build_unparsable_file_exit_two(tmp_path, capsys):
     path.write_text("{not json")
     assert run(capsys, ["build", str(path)])[0] == 2
     assert run(capsys, ["build", str(tmp_path / "missing.json")])[0] == 2
+
+
+def test_protocol_box_over_max_cells_exits_two(tmp_path, capsys, monkeypatch):
+    # n = 10, m = 5 spans an 11 x 11 coefficient box
+    monkeypatch.setattr(laurent, "MAX_CELLS", 100)
+    spec = ProtocolSpec((1, 0) * 5, (0.1,) * 11)
+    with pytest.raises(ValueError, match="MAX_CELLS"):
+        build_unitary(spec)
+    proto = write_json(tmp_path / "p.json", serialize.spec_to_obj(spec))
+    for argv in (
+        ["build", proto],
+        ["plot", proto, "--out", str(tmp_path / "grid.csv")],
+        ["scan", "--n-max", "12", "--trials", "20"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "MAX_CELLS" in err, argv
 
 
 def test_build_reverifies_serialized_unitary(tmp_path, capsys):
@@ -361,6 +378,9 @@ def test_plot_bad_flags_exit_two(tmp_path, capsys):
     assert run(capsys, ["plot", "--named", "xyz:0"])[0] == 2
     assert run(capsys, ["plot", "--named", "xyz:nine"])[0] == 2
     assert run(capsys, ["plot", str(tmp_path / "missing.json")])[0] == 2
+    out = str(tmp_path / "no-such-dir" / "grid.csv")
+    code, _, err = run(capsys, ["plot", "--named", "trivial:1", "--out", out])
+    assert code == 2 and err.startswith("cannot write %s" % out)
 
 
 # -- parser-level behavior ----------------------------------------------------------

@@ -354,7 +354,7 @@ def test_generate_stable_properties():
     p = generate_stable(2, 2, seed=17)
     assert abs(p.coeff(0, 0) - 1.0) < 1e-12
     deg = p.degrees()
-    assert deg.pos_a <= 2 and deg.pos_b <= 2
+    assert deg.deg_a <= 2 and deg.deg_b <= 2
     assert min(e for e, _ in p.items()) >= (0, 0)
     assert p == generate_stable(2, 2, seed=17)
     assert generate_stable(0, 0, seed=1) == LaurentPoly2.one()

@@ -13,6 +13,7 @@ from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import (
     ProtocolSpec,
     Su2LaurentUnitary,
+    assemble_completion,
     build_unitary,
     eval_unitary,
     principal_phase,
@@ -135,6 +136,17 @@ def test_length_sweep_build_matches_circuit_and_round_trips():
 # -- structural checks -----------------------------------------------------------
 
 
+def test_assemble_completion_shifts_factor_and_drops_odd_cells():
+    # n = 3, m = 1: factor cell (j, k) moves to (j - 1, k - 2), and only
+    # cells with both exponents even are kept (the odd ones are solver dust)
+    factor = LaurentPoly2({(0, 0): 0.5, (2, 4): 0.25j, (1, 0): 1e-9, (2, 3): -1e-9})
+    t = LaurentPoly2({(-1, -2): 0.5, (1, 2): 0.25j})
+    p_tilde, q_tilde = LaurentPoly2.constant(0.1), LaurentPoly2.monomial(1, 0, 0.2)
+    u = assemble_completion(p_tilde, q_tilde, factor, 3, 1)
+    assert u.P == p_tilde + 1j * t.hermitian_part()
+    assert u.Q == q_tilde + 1j * ((t - t.conj_reciprocal()) * (-0.5j))
+
+
 def test_structure_report_passes_for_built_unitaries():
     rng = np.random.default_rng(5)
     for n in (0, 1, 2, 5, 9, 12):
@@ -189,7 +201,7 @@ def test_pointwise_unitarity_on_grid():
 
 
 def test_x_picture_identity():
-    rep = x_picture_cross_check(Su2LaurentUnitary.identity())
+    rep = x_picture_cross_check(Su2LaurentUnitary(LaurentPoly2.one(), LaurentPoly2.zero()))
     assert np.max(np.abs(rep.p_hat - 1.0)) < 1e-12
     assert np.max(np.abs(rep.q_hat)) < 1e-10
     assert np.max(np.abs(rep.r_hat)) < 1e-10

@@ -37,7 +37,7 @@ def test_slices_of_diagonal_ab_protocol():
 
 
 def test_slices_of_identity_hold_by_convention():
-    rep = check_leading_slices(Su2LaurentUnitary.identity())
+    rep = check_leading_slices(Su2LaurentUnitary(LaurentPoly2.one(), LaurentPoly2.zero()))
     assert rep.holds_a and rep.holds_b
     assert rep.phase_a == 0.0 and rep.phase_b == 0.0
 
@@ -51,6 +51,13 @@ def test_zero_slice_reported_not_raised():
     assert not rep.holds_a
     assert rep.reason_a == "zero leading slice"
     assert rep.mismatch_a == math.inf
+    # P = 0 under a nonzero Q: both leading slices of P vanish
+    u = Su2LaurentUnitary(LaurentPoly2.zero(), LaurentPoly2({(1, 0): 0.5, (-1, 2): -0.5}))
+    rep = check_leading_slices(u)
+    assert not rep.holds
+    assert rep.reason_a == rep.reason_b == "zero leading slice"
+    assert rep.mismatch_a == rep.mismatch_b == math.inf
+    assert rep.phase_a is None and rep.phase_b is None
 
 
 def test_all_b_protocol_holds_in_b_only():
@@ -95,8 +102,11 @@ def test_peel_lowers_degree_and_keeps_structure():
 
 
 def test_peel_identity_fails():
-    with pytest.raises(ReadoffError, match="cannot peel"):
-        peel_once(Su2LaurentUnitary.identity(), "a")
+    # the identity, and P = Q = 0 (an empty coefficient box)
+    for p in (LaurentPoly2.one(), LaurentPoly2.zero()):
+        for direction in ("a", "b"):
+            with pytest.raises(ReadoffError, match="cannot peel: no positive degree"):
+                peel_once(Su2LaurentUnitary(p, LaurentPoly2.zero()), direction)
 
 
 def test_peel_wrong_direction_fails():
@@ -193,6 +203,8 @@ def test_readoff_rejects_garbage():
 def test_readoff_rejects_nonunimodular_constant():
     with pytest.raises(ReadoffError, match="not an M-QSP unitary"):
         readoff(LaurentPoly2.constant(0.5), LaurentPoly2.zero())
+    with pytest.raises(ReadoffError, match="not an M-QSP unitary"):
+        readoff(LaurentPoly2.zero(), LaurentPoly2.zero())
 
 
 def test_readoff_roundtrip_many():

@@ -117,12 +117,14 @@ def test_grid_theta_axis():
 
 
 def test_grid_orientation():
-    # |e^{i theta_a} + 2|^2 depends on the first index only
+    # |e^{i theta_a} + 2|^2 depends on the first index only; the larger
+    # grid spans three row blocks, the last one partial
     p = LaurentPoly2.monomial(1, 0) + LaurentPoly2.constant(2.0)
-    grid = serialize.grid_from_poly(p, 16)
-    expect = np.abs(np.exp(1j * grid.thetas) + 2.0) ** 2
-    assert np.allclose(grid.values, expect[:, None])
-    assert np.ptp(grid.values, axis=1).max() < 1e-12
+    for n_theta in (16, 2 * serialize.GRID_BLOCK_ROWS + 3):
+        grid = serialize.grid_from_poly(p, n_theta)
+        expect = np.abs(np.exp(1j * grid.thetas) + 2.0) ** 2
+        assert np.allclose(grid.values, expect[:, None])
+        assert np.ptp(grid.values, axis=1).max() < 1e-12
 
 
 def test_csv_layout_and_round_trip(tmp_path):

@@ -25,6 +25,8 @@ from mqsp.readoff import readoff
 FOURIER_START = 128
 FOURIER_MAX = 4096
 FOURIER_TOL = 1e-10
+# fourier_of_reciprocal samples f this many theta_a rows at a time.
+FOURIER_BLOCK_ROWS = 256
 RANK_REL_TOL = 1e-8
 # Relative size of the inverse-block entries below which the second route
 # counts as satisfied. Observed ~1e-12 on exact-rank fixtures (set by the
@@ -68,11 +70,17 @@ class FourierTable:
 def fourier_of_reciprocal(f, window):
     """Fourier coefficients of 1/f over `window` = (wa, wb).
 
-    f must be Hermitian and strictly positive on the torus; coefficients
-    come from an FFT of sampled 1/f, with the grid doubled from 128 until
-    the windowed table changes by less than FOURIER_TOL (aliasing decays
-    exponentially for strictly positive f). A sample of f at or below zero
-    on any of these grids raises "f not strictly positive".
+    f must be Hermitian and strictly positive on the torus. On an N x N
+    grid the table is the windowed fft2 of sampled 1/f, with N doubled from
+    128 until the table changes by less than FOURIER_TOL (aliasing decays
+    exponentially for strictly positive f). f is sampled FOURIER_BLOCK_ROWS
+    theta_a rows at a time (`unit_grid_blocks`); each block is transformed
+    along b and only the window's 2*wb + 1 columns are kept, then that
+    N x (2*wb + 1) strip is transformed along a. No N x N array is held:
+    memory is O(FOURIER_BLOCK_ROWS * N) for one block plus O(N * box width)
+    for f's box transformed along a, and time O(N^2 log N) per grid
+    whatever f's degree. A sample of f at or below zero on any of these
+    grids raises "f not strictly positive".
     """
     if not f.is_hermitian():
         raise ValueError("f must be Hermitian (real on the unit torus)")
@@ -92,11 +100,14 @@ def fourier_of_reciprocal(f, window):
     ks = np.arange(-wb, wb + 1)
     previous = None
     while grid <= FOURIER_MAX:
-        values = f.eval_unit_grid(grid).real
-        if values.min() <= 0.0:
-            raise FactorizationError("f not strictly positive")
-        full = np.fft.fft2(1.0 / values) / grid**2
-        table = full[np.ix_(js % grid, ks % grid)]
+        # fft2 of 1/f with the window's columns kept after the pass along b
+        strip = np.empty((grid, ks.size), dtype=complex)
+        for start, block in f.unit_grid_blocks(grid, FOURIER_BLOCK_ROWS):
+            values = block.real
+            if values.min() <= 0.0:
+                raise FactorizationError("f not strictly positive")
+            strip[start : start + len(values)] = np.fft.fft(1.0 / values, axis=1)[:, ks % grid]
+        table = np.fft.fft(strip, axis=0)[js % grid] / grid**2
         if previous is not None:
             residual = float(np.abs(table - previous).max())
             if residual < FOURIER_TOL:
@@ -125,12 +136,9 @@ def build_gamma(table, n, m):
     wa, wb = table.window
     if wa < n or wb < m:
         raise FactorizationError("window insufficient")
-    lattice = [(j, k) for j in range(n + 1) for k in range(m + 1)]
-    size = len(lattice)
-    matrix = np.zeros((size, size), dtype=complex)
-    for row, u in enumerate(lattice):
-        for col, v in enumerate(lattice):
-            matrix[row, col] = table.coeff(u[0] - v[0], u[1] - v[1])
+    # lattice coordinates of each ordinal j*(m+1) + k
+    j, k = np.divmod(np.arange((n + 1) * (m + 1)), m + 1)
+    matrix = table.coeffs[wa + j[:, None] - j, wb + k[:, None] - k]
     return GammaMatrix(matrix=matrix, n=n, m=m)
 
 

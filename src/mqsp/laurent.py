@@ -310,21 +310,37 @@ class LaurentPoly2:
         return va @ self._box @ vb.T
 
     def eval_unit_grid(self, n):
-        """Values at theta_r = 2*pi*r/n per axis, via zero-padded inverse FFT.
+        """Values at theta_r = 2*pi*r/n per axis: out[r, s] = p(2*pi*r/n,
+        2*pi*s/n), the whole grid as one block of `unit_grid_blocks`."""
+        ((_, values),) = self.unit_grid_blocks(n, n)
+        return values
 
-        out[r, s] = p(2*pi*r/n, 2*pi*s/n). Exact (up to rounding) provided n
+    def unit_grid_blocks(self, n, block_rows):
+        """Yield (start, values) over the n x n grid of `eval_unit_grid`,
+        block_rows theta_a rows at a time: values[i, s] = p(2*pi*(start +
+        i)/n, 2*pi*s/n).
+
+        One zero-padded inverse FFT along a of the coefficient box (n x box
+        width) serves every block; each block then takes one inverse FFT
+        along b, so it costs O(block_rows * n log n) and holds block_rows x
+        n samples whatever the box width. Exact (up to rounding) provided n
         exceeds the exponent spread in both variables.
         """
         deg = self.degrees()
         if not deg.is_zero and (2 * deg.deg_a >= n or 2 * deg.deg_b >= n):
             raise ValueError("grid size %d too small for exponent spread" % n)
-        table = np.zeros((n, n), dtype=complex)
         (lo_a, lo_b), (rows, cols) = self._lo, self._box.shape
         # the spread check keeps the residues mod n distinct: no collisions
-        at_a = np.arange(lo_a, lo_a + rows) % n
         at_b = np.arange(lo_b, lo_b + cols) % n
-        table[np.ix_(at_a, at_b)] = self._box
-        return n * n * np.fft.ifft2(table)
+        along_a = np.zeros((n, cols), dtype=complex)
+        along_a[np.arange(lo_a, lo_a + rows) % n] = self._box
+        np.fft.ifft(along_a, axis=0, out=along_a)
+        for start in range(0, n, block_rows):
+            block = np.zeros((min(block_rows, n - start), n), dtype=complex)
+            block[:, at_b] = along_a[start : start + block_rows]
+            np.fft.ifft(block, axis=1, out=block)
+            block *= n * n
+            yield start, block
 
     # -- degrees and parity ------------------------------------------------
 

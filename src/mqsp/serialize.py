@@ -21,8 +21,9 @@ from mqsp.protocol import ProtocolSpec
 
 GRID_FORMAT = "%.12g"
 PGM_MAX_GRAY = 255
-# grid_from_poly evaluates this many theta_a rows at a time, so only one
-# block of complex samples is alive beside the float grid.
+# grid_from_poly evaluates this many theta_a rows at a time, and
+# write_grid_pgm quantizes this many image rows at a time, so only one block
+# of samples or gray levels is alive beside the float grid.
 GRID_BLOCK_ROWS = 256
 
 
@@ -144,10 +145,12 @@ def read_grid_csv(path):
 
 def write_grid_pgm(grid, path):
     """Plain PGM (P2), one image row per theta_b, clipped to [0, 1] and
-    quantized to 8 bits."""
-    quantized = np.rint(np.clip(grid.values, 0.0, 1.0) * PGM_MAX_GRAY).astype(int)
-    lines = ["P2", "%d %d" % (grid.n_theta, grid.n_theta), "%d" % PGM_MAX_GRAY]
-    for r in range(grid.n_theta):
-        lines.append(" ".join(str(quantized[c, r]) for c in range(grid.n_theta)))
+    quantized to 8 bits. Quantized and written GRID_BLOCK_ROWS image rows
+    at a time, so memory stays that of the grid."""
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("P2\n%d %d\n%d\n" % (grid.n_theta, grid.n_theta, PGM_MAX_GRAY))
+        for start in range(0, grid.n_theta, GRID_BLOCK_ROWS):
+            # image row r is the column values[:, r]
+            columns = grid.values[:, start : start + GRID_BLOCK_ROWS]
+            quantized = np.rint(np.clip(columns, 0.0, 1.0) * PGM_MAX_GRAY).astype(int)
+            handle.writelines(" ".join(map(str, row)) + "\n" for row in quantized.T.tolist())

@@ -1,6 +1,7 @@
 """Tests for the two-variable factorization pipeline and completion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,11 +99,19 @@ def test_fourier_rejects_non_hermitian():
 
 def test_fourier_no_convergence_near_singular():
     # roots at distance 1e-3 from the torus: aliasing decays like
-    # (1 - 1e-3)^N, still order 0.1 at the largest admissible grid
+    # (1 - 1e-3)^N, still order 0.1 at the largest admissible grid; every
+    # grid up to FOURIER_MAX is sampled, one block of rows at a time, so the
+    # peak stays far below one 4096^2 complex grid (256 MB)
     near = LaurentPoly2({(0, 0): 1.0, (1, 1): 1.0 - 1e-3})
     f = _abs_square(near)
-    with pytest.raises(FactorizationError, match="no convergence"):
-        fourier_of_reciprocal(f, (1, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FactorizationError, match="no convergence"):
+            fourier_of_reciprocal(f, (1, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 def test_fourier_no_convergence_before_any_grid(monkeypatch):
@@ -111,16 +120,83 @@ def test_fourier_no_convergence_before_any_grid(monkeypatch):
     # degree >= 2048 the positivity grid alone would be 8192^2)
     monkeypatch.setattr(factor2d, "FOURIER_MAX", factor2d.FOURIER_START)
     calls = []
-    original = LaurentPoly2.eval_unit_grid
+    original = LaurentPoly2.unit_grid_blocks
 
-    def spy(self, n):
+    def spy(self, n, block_rows):
         calls.append(n)
-        return original(self, n)
+        return original(self, n, block_rows)
 
-    monkeypatch.setattr(LaurentPoly2, "eval_unit_grid", spy)
+    monkeypatch.setattr(LaurentPoly2, "unit_grid_blocks", spy)
     with pytest.raises(FactorizationError, match="no convergence"):
         fourier_of_reciprocal(_abs_square(generate_stable(2, 1, seed=3)), (2, 2))
     assert calls == []
+
+
+def _reciprocal_fft2(f, grid):
+    """Reference: fft2 of 1/f on the whole N x N grid, f summed term by
+    term at the N-th roots of unity (exponents reduced mod N)."""
+    roots = np.exp(2j * np.pi * np.arange(grid) / grid)
+    r = np.arange(grid)
+    values = np.zeros((grid, grid))
+    for (j, k), c in f.items():
+        values += (c * np.outer(roots[j * r % grid], roots[k * r % grid])).real
+    return np.fft.fft2(1.0 / values) / grid**2
+
+
+def _reference_table(f, window, full):
+    """The doubling rule of fourier_of_reciprocal on full-grid fft2 tables
+    (cached per grid in `full`): (table, grid_size)."""
+    wa, wb = window
+    deg = f.degrees()
+    grid = factor2d._pow2_grid(factor2d.FOURIER_START, max(deg.deg_a, deg.deg_b))
+    previous = None
+    while True:
+        if grid not in full:
+            full[grid] = _reciprocal_fft2(f, grid)
+        table = full[grid][np.ix_(np.arange(-wa, wa + 1) % grid, np.arange(-wb, wb + 1) % grid)]
+        if previous is not None and np.abs(table - previous).max() < factor2d.FOURIER_TOL:
+            return table, grid
+        previous = table
+        grid *= 2
+
+
+FFT2_CASES = {
+    # (f, FOURIER_START): converged grid 128 (grids of one partial block),
+    # 256 (one block), 512 (two blocks), and degree 120 in a and in b (1024,
+    # four blocks)
+    "low degree, start 64": (_abs_square(generate_stable(2, 1, seed=3)), 64),
+    "low degree": (_abs_square(generate_stable(2, 1, seed=3)), 128),
+    "slow decay": (_abs_square(LaurentPoly2({(0, 0): 1.0, (1, 1): 0.9})), 128),
+    "degree 120 in a": (_abs_square(LaurentPoly2({(0, 0): 1.0, (120, 0): 0.5, (1, 1): 0.2})), 128),
+    "degree 120 in b": (_abs_square(LaurentPoly2({(0, 0): 1.0, (0, 120): 0.5, (1, 1): 0.2})), 128),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FFT2_CASES))
+def test_fourier_matches_full_grid_fft2(case, monkeypatch):
+    f, start = FFT2_CASES[case]
+    monkeypatch.setattr(factor2d, "FOURIER_START", start)
+    full = {}
+    for window in [(0, 0)] + [(w, 8 - w) for w in range(9)] + [(8, 8)]:
+        want, grid = _reference_table(f, window, full)
+        table = fourier_of_reciprocal(f, window)
+        assert table.grid_size == grid, window
+        assert np.abs(table.coeffs - want).max() <= 1e-14 * np.abs(want).max(), window
+
+
+def test_fourier_rejects_dip_in_a_later_row_block():
+    # 0.999 - cos(theta_a - 3 pi/2) + 1e-4 cos(130 theta_b): degree 130 makes
+    # the first grid 512, two blocks of rows; the first block (theta_a in
+    # [0, pi)) stays above 0.998, the dip below zero lies in the second
+    f = LaurentPoly2(
+        {(0, 0): 0.999, (1, 0): -0.5j, (-1, 0): 0.5j, (0, 130): 5e-5, (0, -130): 5e-5}
+    )
+    grid = factor2d._pow2_grid(factor2d.FOURIER_START, 130)
+    assert grid == 2 * factor2d.FOURIER_BLOCK_ROWS
+    values = f.eval_unit_grid(grid).real
+    assert values[: factor2d.FOURIER_BLOCK_ROWS].min() > 0.998 and values.min() < 0.0
+    with pytest.raises(FactorizationError, match="f not strictly positive"):
+        fourier_of_reciprocal(f, (1, 1))
 
 
 # ---------------------------------------------------------------- gamma

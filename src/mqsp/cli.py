@@ -147,8 +147,8 @@ def _parse_degrees(text, nvars):
 
 
 def _complete_1d(obj, n):
-    p_tilde = serialize.poly1_from_records(obj.get("p", []), var="a")
-    q_tilde = serialize.poly1_from_records(obj.get("q", []), var="a")
+    p_tilde = serialize.poly1_from_records(obj.get("p", []))
+    q_tilde = serialize.poly1_from_records(obj.get("q", []))
     try:
         result = complete_unitary_1d(p_tilde, q_tilde, n)
     except FactorizationError as exc:
@@ -158,7 +158,7 @@ def _complete_1d(obj, n):
     fac = result.factorization
     _emit(
         {
-            "p": serialize.poly_to_records(fac.g.embed("a")),
+            "p": serialize.poly_to_records(fac.g.embed()),
             "residual": float(fac.residual),
             "singularValues": None,
             "satisfied": True,
@@ -185,7 +185,7 @@ def _complete_2d(obj, n, m):
             "residual": float(fac.residual),
             "singularValues": [float(s) for s in rank.singular_values],
             "satisfied": rank.satisfied,
-            "convergenceResidual": float(fac.convergence_residual),
+            "convergenceResidual": float(result.convergence_residual),
             "unitary": _unitary_obj(result.unitary, n, m),
             "protocol": serialize.spec_to_obj(result.spec) if result.spec else None,
         }

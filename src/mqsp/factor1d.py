@@ -94,7 +94,7 @@ def fejer_riesz(f):
     if not f.is_hermitian():
         raise ValueError("f must be Hermitian (real on the unit circle)")
     if f.is_zero():
-        return Factorization1D(LaurentPoly1.zero(var=f.var), 0.0, "stable")
+        return Factorization1D(LaurentPoly1.zero(), 0.0, "stable")
 
     # the FFT grid must exceed the exponent spread 2 * deg; doubling keeps
     # the VERIFY_GRID points in it
@@ -109,7 +109,7 @@ def fejer_riesz(f):
     d = f.max_exp()
     if d == 0:
         c = f.coeff(0).real
-        g = LaurentPoly1({0: math.sqrt(max(c, 0.0))}, var=f.var)
+        g = LaurentPoly1({0: math.sqrt(max(c, 0.0))})
         return Factorization1D(g, abs(c - max(c, 0.0)), "stable")
 
     # roots of z^d f(z), an ordinary polynomial of degree 2d with h(0) != 0
@@ -131,7 +131,7 @@ def fejer_riesz(f):
 
     # monic product over the selected roots, then least-squares scale
     monic = np.poly(selected) if selected else np.array([1.0 + 0.0j])
-    m_poly = LaurentPoly1.from_coeff_array(monic[::-1], var=f.var)
+    m_poly = LaurentPoly1(dict(enumerate(monic[::-1])))
     m_abs2 = np.abs(m_poly.eval_circle_grid(grid)) ** 2
     lam = float(np.dot(values, m_abs2) / np.dot(m_abs2, m_abs2))
     if lam <= 0.0:
@@ -167,10 +167,6 @@ def complete_unitary_1d(p_tilde, q_tilde, n):
     n = int(n)
     if n < 0:
         raise ValueError("length must satisfy n >= 0")
-    if p_tilde.var != q_tilde.var:
-        raise ValueError(
-            "variable mismatch: %r vs %r" % (p_tilde.var, q_tilde.var)
-        )
     for poly in (p_tilde, q_tilde):
         if not poly.is_hermitian():
             raise ValueError("inputs must be real on the unit circle")
@@ -181,13 +177,10 @@ def complete_unitary_1d(p_tilde, q_tilde, n):
         if bit is not None and bit != n % 2:
             raise FactorizationError("parity mismatch")
 
-    one = LaurentPoly1.one(var=p_tilde.var)
-    f = one - p_tilde * p_tilde - q_tilde * q_tilde
+    f = LaurentPoly1.one() - p_tilde * p_tilde - q_tilde * q_tilde
     fac = fejer_riesz(f)
 
     # on oracle A alone the protocol has weight m = n
-    unitary = assemble_completion(
-        p_tilde.embed("a"), q_tilde.embed("a"), fac.g.embed("a"), n, n
-    )
+    unitary = assemble_completion(p_tilde.embed(), q_tilde.embed(), fac.g.embed(), n, n)
     result = readoff(unitary.P, unitary.Q)
     return CompletionResult1D(unitary=unitary, spec=result.spec, factorization=fac)

@@ -221,7 +221,6 @@ class Factorization2D:
     residual: float
     stable_verified: bool
     min_on_net: float
-    convergence_residual: float = 0.0
 
 
 def _bidisk_net():
@@ -235,7 +234,7 @@ def _min_on_bidisk_net(p):
     return float(np.abs(values).min())
 
 
-def extract_stable_factor(gamma, f, n, m, convergence_residual=0.0):
+def extract_stable_factor(gamma, f, n, m):
     """Candidate stable factor from the linear solve Gamma q = e_{(0,0)}.
 
     When the rank condition holds, q is the conjugate of the factor's
@@ -273,7 +272,6 @@ def extract_stable_factor(gamma, f, n, m, convergence_residual=0.0):
         residual=residual,
         stable_verified=min_on_net > 0.0,
         min_on_net=min_on_net,
-        convergence_residual=convergence_residual,
     )
 
 
@@ -327,13 +325,15 @@ def generate_stable(deg_a, deg_b, seed):
 @dataclass(frozen=True)
 class CompletionResult2D:
     """Completed unitary, recovered protocol (None when the completion is a
-    valid unitary but peeling fails), the stable factorization, and the
-    rank-condition report."""
+    valid unitary but peeling fails), the stable factorization, the
+    rank-condition report, and the convergence residual of the Fourier
+    table of 1/f."""
 
     unitary: Su2LaurentUnitary
     spec: object
     factorization: Factorization2D
     rank_report: RankConditionReport
+    convergence_residual: float
 
 
 def complete_unitary_2d(p_tilde, q_tilde, n, m):
@@ -376,9 +376,7 @@ def complete_unitary_2d(p_tilde, q_tilde, n, m):
     report = rank_condition(gamma, lattice_n, lattice_m)
     if not report.satisfied:
         raise FactorizationError("rank condition not satisfied")
-    factorization = extract_stable_factor(
-        gamma, f, lattice_n, lattice_m, table.convergence_residual
-    )
+    factorization = extract_stable_factor(gamma, f, lattice_n, lattice_m)
 
     unitary = assemble_completion(p_tilde, q_tilde, factorization.p, n, m)
     try:
@@ -390,4 +388,5 @@ def complete_unitary_2d(p_tilde, q_tilde, n, m):
         spec=spec,
         factorization=factorization,
         rank_report=report,
+        convergence_residual=table.convergence_residual,
     )

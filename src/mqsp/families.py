@@ -40,34 +40,28 @@ CASE_ONE_POINTS = (
 )
 
 
-def _one_like(x):
-    return LaurentPoly2.one() if isinstance(x, LaurentPoly2) else 1.0
+def _chebyshev(degree, x, first):
+    """Iterate c_{k+1} = 2 x c_k - c_{k-1} from c_0 = 1 and c_1 = `first`."""
+    degree = int(degree)
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    previous = LaurentPoly2.one() if isinstance(x, LaurentPoly2) else 1.0
+    if degree == 0:
+        return previous
+    current = first
+    for _ in range(degree - 1):
+        previous, current = current, 2 * x * current - previous
+    return current
 
 
 def chebyshev_t(degree, x):
     """First-kind Chebyshev polynomial of `x` (scalar or LaurentPoly2)."""
-    degree = int(degree)
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    previous, current = _one_like(x), x
-    if degree == 0:
-        return previous
-    for _ in range(degree - 1):
-        previous, current = current, 2 * x * current - previous
-    return current
+    return _chebyshev(degree, x, x)
 
 
 def chebyshev_u(degree, x):
     """Second-kind Chebyshev polynomial of `x` (scalar or LaurentPoly2)."""
-    degree = int(degree)
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    previous, current = _one_like(x), 2 * x
-    if degree == 0:
-        return previous
-    for _ in range(degree - 1):
-        previous, current = current, 2 * x * current - previous
-    return current
+    return _chebyshev(degree, x, 2 * x)
 
 
 @dataclass(frozen=True)
@@ -134,15 +128,15 @@ class DiscriminationInstance:
     theta_a: float
     theta_b: float
 
-    def in_promise(self, tol=PROMISE_TOL):
+    def in_promise(self):
         if self.case == "one":
             return any(
-                abs(self.theta_a - a) <= tol and abs(self.theta_b - b) <= tol
+                abs(self.theta_a - a) <= PROMISE_TOL and abs(self.theta_b - b) <= PROMISE_TOL
                 for a, b in CASE_ONE_POINTS
             )
         if self.case == "two":
             value = 4 * math.cos(self.theta_a) ** 2 * math.cos(self.theta_b) ** 2
-            return abs(value - 1.0) <= tol
+            return abs(value - 1.0) <= PROMISE_TOL
         return False
 
 

@@ -11,7 +11,9 @@ polynomials on one exponent range; read-off takes its leading slices from
 there. Every result is pruned once, dropping coefficients at or below
 PRUNE_REL times its largest magnitude, and a non-finite coefficient
 raises ValueError.
-`LaurentPoly1` keeps a dict of integer exponents. Everything downstream
+`LaurentPoly1` is the single-variable polynomial in oracle A's variable
+(a single-oracle protocol has weight m = n), kept as a dict of integer
+exponents; `embed` lifts it onto axis a. Everything downstream
 -- protocol unitaries, peeling, spectral factorization -- is built on
 these two classes.
 """
@@ -387,13 +389,12 @@ def aligned(p, q):
 
 
 class LaurentPoly1:
-    """Univariate Laurent polynomial with a variable tag ('a', 'b' or 'z')."""
+    """Single-variable Laurent polynomial sum_k c_k a^k in oracle A's
+    variable, kept as a dict {k: c_k}."""
 
-    __slots__ = ("_c", "var")
+    __slots__ = ("_c",)
 
-    def __init__(self, coeffs=None, var="z"):
-        if var not in ("a", "b", "z"):
-            raise ValueError("var must be one of 'a', 'b', 'z'")
+    def __init__(self, coeffs=None):
         if coeffs is None:
             coeffs = {}
         cleaned = {}
@@ -401,21 +402,15 @@ class LaurentPoly1:
             c = _clean(v)
             if c != 0:
                 cleaned[int(k)] = cleaned.get(int(k), 0.0) + c
-        object.__setattr__(self, "_c", _prune(cleaned))
-        object.__setattr__(self, "var", var)
+        self._c = _prune(cleaned)
 
     @classmethod
-    def zero(cls, var="z"):
-        return cls({}, var=var)
+    def zero(cls):
+        return cls({})
 
     @classmethod
-    def one(cls, var="z"):
-        return cls({0: 1.0}, var=var)
-
-    @classmethod
-    def from_coeff_array(cls, coeffs, lowest_exp=0, var="z"):
-        """Dense coefficient array, index i holding the exponent lowest_exp+i."""
-        return cls({lowest_exp + i: c for i, c in enumerate(coeffs)}, var=var)
+    def one(cls):
+        return cls({0: 1.0})
 
     # -- queries -----------------------------------------------------------
 
@@ -441,7 +436,7 @@ class LaurentPoly1:
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly1):
             return NotImplemented
-        return self.var == other.var and self._c == other._c
+        return self._c == other._c
 
     __hash__ = None
 
@@ -449,7 +444,7 @@ class LaurentPoly1:
         terms = ", ".join(
             "%d: %.6g%+.6gj" % (k, c.real, c.imag) for k, c in sorted(self._c.items())
         )
-        return "LaurentPoly1({%s}, var=%r)" % (terms, self.var)
+        return "LaurentPoly1({%s})" % terms
 
     def distance(self, other):
         keys = set(self._c) | set(other._c)
@@ -457,46 +452,34 @@ class LaurentPoly1:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_var(self, other):
-        if self.var != other.var:
-            raise ValueError(
-                "variable mismatch: %r vs %r" % (self.var, other.var)
-            )
-
     def __add__(self, other):
         if not isinstance(other, LaurentPoly1):
             return NotImplemented
-        self._check_var(other)
         out = dict(self._c)
         for k, c in other._c.items():
             out[k] = out.get(k, 0.0) + c
-        return LaurentPoly1(out, var=self.var)
+        return LaurentPoly1(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly1({k: -c for k, c in self._c.items()}, var=self.var)
+        return LaurentPoly1({k: -c for k, c in self._c.items()})
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly1):
-            self._check_var(other)
             out = {}
             for k1, c1 in self._c.items():
                 for k2, c2 in other._c.items():
                     out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
-            return LaurentPoly1(out, var=self.var)
-        return LaurentPoly1(
-            {k: c * complex(other) for k, c in self._c.items()}, var=self.var
-        )
+            return LaurentPoly1(out)
+        return LaurentPoly1({k: c * complex(other) for k, c in self._c.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def conj_reciprocal(self):
-        return LaurentPoly1(
-            {-k: c.conjugate() for k, c in self._c.items()}, var=self.var
-        )
+        return LaurentPoly1({-k: c.conjugate() for k, c in self._c.items()})
 
     def is_hermitian(self):
         """c_{-k} == conj(c_k), i.e. real-valued on the unit circle."""
@@ -523,10 +506,6 @@ class LaurentPoly1:
 
     # -- embedding into two variables ----------------------------------------
 
-    def embed(self, var):
-        """Lift into LaurentPoly2 with the exponent living on `var`."""
-        if var == "a":
-            return LaurentPoly2({(k, 0): c for k, c in self._c.items()})
-        if var == "b":
-            return LaurentPoly2({(0, k): c for k, c in self._c.items()})
-        raise ValueError("var must be 'a' or 'b'")
+    def embed(self):
+        """Lift into LaurentPoly2 on axis a: c_k a^k b^0."""
+        return LaurentPoly2({(k, 0): c for k, c in self._c.items()})

@@ -100,14 +100,14 @@ class SliceReport:
         return self.holds_a or self.holds_b
 
 
-def check_leading_slices(u, tol=None):
-    """Proportionality report for both directions.
+def check_leading_slices(u):
+    """Proportionality report for both directions, within
+    readoff_tolerance().
 
     Q identically zero is the degenerate base case: both directions hold
     with phase 0 by convention (there is nothing to constrain).
     """
-    if tol is None:
-        tol = readoff_tolerance()
+    tol = readoff_tolerance()
     if u.Q.is_zero():
         return SliceReport(True, True, 0.0, 0.0, 0.0, 0.0, None, None)
     p, q, lo = aligned(u.P, u.Q)
@@ -118,15 +118,15 @@ def check_leading_slices(u, tol=None):
     )
 
 
-def peel_once(u, direction, tol=None):
+def peel_once(u, direction):
     """Remove the final oracle iterate in `direction` and its Z-phase.
 
     Returns (phase, reduced). The phase is fixed deterministically to
     phi_X/2 in (-pi/2, pi/2]; the other branch phi_X/2 + pi differs by a
-    sign that later phases absorb, so rebuilds agree either way.
+    sign that later phases absorb, so rebuilds agree either way. The
+    leading slices must agree within readoff_tolerance().
     """
-    if tol is None:
-        tol = readoff_tolerance()
+    tol = readoff_tolerance()
     if direction not in ("a", "b"):
         raise ValueError("direction must be 'a' or 'b'")
     axis = "ab".index(direction)
@@ -187,17 +187,16 @@ class ReadoffResult:
     branch_log: tuple
 
 
-def readoff(P, Q, tol=None):
+def readoff(P, Q):
     """Recover (s, phases) from the two stored entries of a protocol unitary.
 
     Peels one iterate per step, preferring direction a when both are
     possible (the iterates commute in that case, so either choice rebuilds
     the same unitary). Raises "not an M-QSP unitary" when no direction
     peels before the constant level, and "rebuild mismatch" when the
-    reconstruction misses the input by more than the tolerance.
+    reconstruction misses the input by more than readoff_tolerance().
     """
-    if tol is None:
-        tol = readoff_tolerance()
+    tol = readoff_tolerance()
     original = Su2LaurentUnitary(P, Q)
     u = original
     bits_reversed = []
@@ -219,7 +218,7 @@ def readoff(P, Q, tol=None):
         if not avail:
             break
         direction = avail[0]
-        phi, u = peel_once(u, direction, tol=tol)
+        phi, u = peel_once(u, direction)
         bits_reversed.append(1 if direction == "a" else 0)
         phases_reversed.append(phi)
         log.append(
@@ -268,11 +267,10 @@ class ScanSummary:
         return self.passes == self.trials
 
 
-def scan_leading_slices(n_max, trials, seed, tol=None):
+def scan_leading_slices(n_max, trials, seed):
     """Sample protocols with n uniform in {0..n_max}, bits and phases
     uniform; check the leading-slice proportionality on each."""
-    if tol is None:
-        tol = readoff_tolerance()
+    readoff_tolerance()  # an invalid MQSP_TOLERANCE fails before any trial
     rng = np.random.default_rng(seed)
     passes = 0
     worst = 0.0
@@ -280,7 +278,7 @@ def scan_leading_slices(n_max, trials, seed, tol=None):
     for _ in range(int(trials)):
         n = int(rng.integers(0, n_max + 1))
         spec = random_spec(rng, n)
-        report = check_leading_slices(build_unitary(spec), tol=tol)
+        report = check_leading_slices(build_unitary(spec))
         if report.holds:
             passes += 1
             worst = max(worst, min(report.mismatch_a, report.mismatch_b))

@@ -62,16 +62,16 @@ def poly_from_records(records):
     return LaurentPoly2(coeffs)
 
 
-def poly1_from_records(records, var="a"):
-    """Single-variable read of the shared record format; the unused
-    exponent must be zero throughout."""
+def poly1_from_records(records):
+    """Single-variable (oracle A) read of the shared record format; the
+    exponent k of b must be zero throughout."""
     p = poly_from_records(records)
     coeffs = {}
     for (j, k), c in p.items():
         if k != 0:
             raise ValueError("record with k=%d: single-variable polynomial" % k)
         coeffs[j] = c
-    return LaurentPoly1(coeffs, var=var)
+    return LaurentPoly1(coeffs)
 
 
 def spec_to_obj(spec):

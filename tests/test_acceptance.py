@@ -162,8 +162,8 @@ def test_04_fejer_riesz_1d():
 def test_05_chebyshev_completion():
     worst = 0.0
     for n in range(1, 9):
-        p_tilde = LaurentPoly1({n: 0.5, -n: 0.5}, var="a")
-        result = complete_unitary_1d(p_tilde, LaurentPoly1.zero(var="a"), n)
+        p_tilde = LaurentPoly1({n: 0.5, -n: 0.5})
+        result = complete_unitary_1d(p_tilde, LaurentPoly1.zero(), n)
         report = verify_structure(result.unitary, n, n)
         assert report.overall, "structure check failed at n=%d" % n
         worst = max(worst, build_unitary(result.spec).distance(result.unitary))

@@ -147,8 +147,8 @@ def test_completion_from_random_protocol_real_parts():
         phases = tuple(rng.uniform(-math.pi, math.pi, size=n + 1))
         u = build_unitary(ProtocolSpec((1,) * n, phases))
         # all-A protocols carry no b: the real parts live on axis a alone
-        pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()}, var="a")
-        qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()}, var="a")
+        pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()})
+        qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()})
         res = complete_unitary_1d(pt, qt, n)
         assert verify_structure(res.unitary, n, n).overall
         rr = readoff(res.unitary.P, res.unitary.Q)

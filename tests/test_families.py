@@ -2,10 +2,14 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mqsp
 from mqsp.families import (
     CASE_ONE_POINTS,
     DiscriminationInstance,
@@ -194,6 +198,20 @@ def test_promise_violations_rejected():
         discriminate(
             DiscriminationInstance(case="three", theta_a=0.0, theta_b=math.pi / 2)
         )
+
+
+def test_discrimination_demo_script_runs():
+    src = os.path.dirname(os.path.dirname(mqsp.__file__))
+    script = os.path.join(os.path.dirname(src), "scripts", "discrimination_demo.py")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, script, "--samples", "3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.strip().splitlines()
+    assert len(lines) == 1 + 4 + 3 + 1  # header, case-one points, case-two draws, verdict
+    assert lines[-1] == "all decisions correct with 6 queries each"
 
 
 def test_case_one_point_set():

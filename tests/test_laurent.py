@@ -103,15 +103,6 @@ def test_nonfinite_coefficient_rejected():
         LaurentPoly1({0: complex(float("inf"), 0)})
 
 
-def test_variable_mismatch_rejected():
-    p = LaurentPoly1({0: 1.0}, var="a")
-    q = LaurentPoly1({0: 1.0}, var="b")
-    with pytest.raises(ValueError, match="variable mismatch"):
-        p * q
-    with pytest.raises(ValueError, match="variable mismatch"):
-        p + q
-
-
 def test_prune_drops_relative_dust():
     p = LaurentPoly2({(0, 0): 1.0, (5, 5): 1e-16})
     assert [e for e, _ in p.items()] == [(0, 0)]
@@ -184,8 +175,8 @@ def test_hermitian_detection():
 
 
 def test_embed_and_slice_roundtrip():
-    p = LaurentPoly1({2: 1.5, -1: 2.0j}, var="a")
-    q = p.embed("a")
+    p = LaurentPoly1({2: 1.5, -1: 2.0j})
+    q = p.embed()
     assert q.coeff(2, 0) == 1.5
     assert dict(q.items()) == {(k, 0): c for k, c in p.items()}
 

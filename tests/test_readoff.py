@@ -126,6 +126,29 @@ def test_peel_non_proportional_fails():
         peel_once(u, "a")
 
 
+def test_slice_test_and_peel_follow_env_tolerance(monkeypatch):
+    # scale the largest top-a coefficient of Q by 1 + 1e-6: the phase is
+    # read from that coefficient, so the a-slice mismatch is ~1e-6
+    u = build_unitary(ProtocolSpec((0, 1, 1), (0.4, -1.1, 0.7, 2.0)))
+    q = dict(u.Q.items())
+    top = max(j for j, _ in q)
+    key = max((e for e in q if e[0] == top), key=lambda e: abs(q[e]))
+    q[key] *= 1 + 1e-6
+    bent = Su2LaurentUnitary(u.P, LaurentPoly2(q))
+
+    monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
+    rep = check_leading_slices(bent)
+    assert not rep.holds_a
+    assert 1e-7 < rep.mismatch_a < 1e-5
+    with pytest.raises(ReadoffError, match="leading slices not proportional"):
+        peel_once(bent, "a")
+
+    monkeypatch.setenv("MQSP_TOLERANCE", "1e-4")
+    assert check_leading_slices(bent).holds_a
+    _, reduced = peel_once(bent, "a")
+    assert reduced.P.degrees().deg_a == u.P.degrees().deg_a - 1
+
+
 # -- full read-off ----------------------------------------------------------------
 
 

@@ -73,9 +73,8 @@ def test_poly1_reads_shared_format():
         {"j": 2, "k": 0, "re": 0.5, "im": 0.0},
         {"j": -2, "k": 0, "re": 0.5, "im": 0.0},
     ]
-    p = serialize.poly1_from_records(records, var="a")
-    assert p.var == "a"
-    assert p.distance(LaurentPoly1({2: 0.5, -2: 0.5}, var="a")) == 0.0
+    p = serialize.poly1_from_records(records)
+    assert p.distance(LaurentPoly1({2: 0.5, -2: 0.5})) == 0.0
     with pytest.raises(ValueError, match="single-variable"):
         serialize.poly1_from_records([{"j": 0, "k": 1, "re": 1.0, "im": 0.0}])
 

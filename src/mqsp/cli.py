@@ -5,10 +5,13 @@ property, and export torus grids of |P|^2.
 Exit codes are stable: 0 success; 1 a structural, positivity, or rank
 check failed; 2 unusable input (flags or JSON); 3 completion produced a
 valid unitary whose phases could not be read off; 4 the scan found a
-counterexample (dump path printed). The environment variable
-MQSP_TOLERANCE overrides the read-off tolerance (default 1e-8); a value
-that is not a finite positive number is unusable input for the commands
-that read it (readoff, complete, scan).
+counterexample (dump path printed). They are decided in `main` alone:
+handlers raise, and `main` turns a handler's `_Exit` or any ValueError
+(exit 2, "invalid input: ...") into the exit code and one stderr line.
+
+The environment variable MQSP_TOLERANCE overrides the read-off tolerance
+(default 1e-8); a value that is not a finite positive number is unusable
+input for the commands that read it (readoff, complete, scan).
 """
 
 from __future__ import annotations
@@ -41,14 +44,16 @@ MIN_GRID = 16
 MAX_GRID = 4096
 
 
-def _fail(code, message):
-    print(message, file=sys.stderr)
-    return code
+class _Exit(Exception):
+    """A command's outcome as (exit code, stderr line); `main` reports it."""
 
 
 def _load_json(path):
-    with open(path) as handle:
-        return json.load(handle)
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise _Exit(EXIT_USAGE, "cannot read %s: %s" % (path, exc))
 
 
 def _emit(obj):
@@ -83,25 +88,19 @@ def _length_and_weight(obj):
 
 
 def _cmd_build(args):
-    try:
-        obj = _load_json(args.protocol_file)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_USAGE, "cannot read %s: %s" % (args.protocol_file, exc))
-    try:
-        if isinstance(obj, dict) and "p" in obj and "q" in obj:
-            # verify path: a serialized unitary (possibly hand-edited) is
-            # checked as-is instead of being rebuilt from phases
-            u = Su2LaurentUnitary(
-                serialize.poly_from_records(obj["p"]),
-                serialize.poly_from_records(obj["q"]),
-            )
-            n, m = _length_and_weight(obj)
-        else:
-            spec = serialize.spec_from_obj(obj)
-            u = build_unitary(spec)
-            n, m = spec.n, spec.weight
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, "invalid input: %s" % exc)
+    obj = _load_json(args.protocol_file)
+    if isinstance(obj, dict) and "p" in obj and "q" in obj:
+        # verify path: a serialized unitary (possibly hand-edited) is
+        # checked as-is instead of being rebuilt from phases
+        u = Su2LaurentUnitary(
+            serialize.poly_from_records(obj["p"]),
+            serialize.poly_from_records(obj["q"]),
+        )
+        n, m = _length_and_weight(obj)
+    else:
+        spec = serialize.spec_from_obj(obj)
+        u = build_unitary(spec)
+        n, m = spec.n, spec.weight
     report = verify_structure(u, n, m)
     out = _unitary_obj(u, n, m)
     out["report"] = _report_obj(report)
@@ -110,21 +109,15 @@ def _cmd_build(args):
 
 
 def _cmd_readoff(args):
-    try:
-        obj = _load_json(args.poly_file)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_USAGE, "cannot read %s: %s" % (args.poly_file, exc))
-    try:
-        if not isinstance(obj, dict) or "p" not in obj or "q" not in obj:
-            raise ValueError("unitary file needs keys p and q")
-        p = serialize.poly_from_records(obj["p"])
-        q = serialize.poly_from_records(obj["q"])
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, "invalid input: %s" % exc)
+    obj = _load_json(args.poly_file)
+    if not isinstance(obj, dict) or "p" not in obj or "q" not in obj:
+        raise ValueError("unitary file needs keys p and q")
+    p = serialize.poly_from_records(obj["p"])
+    q = serialize.poly_from_records(obj["q"])
     try:
         result = readoff(p, q)
     except MqspError as exc:
-        return _fail(EXIT_FAIL, "read-off failed: %s" % exc)
+        raise _Exit(EXIT_FAIL, "read-off failed: %s" % exc)
     out = serialize.spec_to_obj(result.spec)
     out["residual"] = float(result.residual)
     _emit(out)
@@ -152,9 +145,9 @@ def _complete_1d(obj, n):
     try:
         result = complete_unitary_1d(p_tilde, q_tilde, n)
     except FactorizationError as exc:
-        return _fail(EXIT_FAIL, "completion failed: %s" % exc)
+        raise _Exit(EXIT_FAIL, "completion failed: %s" % exc)
     except (ReadoffError, VerificationError) as exc:
-        return _fail(EXIT_NOT_PEELABLE, "completion valid but not peelable: %s" % exc)
+        raise _Exit(EXIT_NOT_PEELABLE, "completion valid but not peelable: %s" % exc)
     fac = result.factorization
     _emit(
         {
@@ -177,7 +170,7 @@ def _complete_2d(obj, n, m):
     try:
         result = complete_unitary_2d(p_tilde, q_tilde, n, m)
     except FactorizationError as exc:
-        return _fail(EXIT_FAIL, "completion failed: %s" % exc)
+        raise _Exit(EXIT_FAIL, "completion failed: %s" % exc)
     fac, rank = result.factorization, result.rank_report
     _emit(
         {
@@ -194,28 +187,19 @@ def _complete_2d(obj, n, m):
 
 
 def _cmd_complete(args):
-    try:
-        obj = _load_json(args.poly_file)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_USAGE, "cannot read %s: %s" % (args.poly_file, exc))
-    try:
-        n, m = _parse_degrees(args.deg, args.vars)
-        if not isinstance(obj, dict) or "p" not in obj:
-            raise ValueError("completion file needs key p (and optionally q)")
-        if args.vars == 1:
-            return _complete_1d(obj, n)
-        return _complete_2d(obj, n, m)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, "invalid input: %s" % exc)
+    obj = _load_json(args.poly_file)
+    n, m = _parse_degrees(args.deg, args.vars)
+    if not isinstance(obj, dict) or "p" not in obj:
+        raise ValueError("completion file needs key p (and optionally q)")
+    if args.vars == 1:
+        return _complete_1d(obj, n)
+    return _complete_2d(obj, n, m)
 
 
 def _cmd_scan(args):
     if args.n_max < 0 or args.trials < 0:
-        return _fail(EXIT_USAGE, "--n-max and --trials must be nonnegative")
-    try:
-        summary = scan_leading_slices(args.n_max, args.trials, args.seed)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, "invalid input: %s" % exc)
+        raise _Exit(EXIT_USAGE, "--n-max and --trials must be nonnegative")
+    summary = scan_leading_slices(args.n_max, args.trials, args.seed)
     out = {
         "nMax": summary.n_max,
         "trials": summary.trials,
@@ -253,30 +237,21 @@ def _parse_named(text):
 
 def _cmd_plot(args):
     if (args.protocol_file is None) == (args.named is None):
-        return _fail(EXIT_USAGE, "provide exactly one of a protocol file or --named")
+        raise _Exit(EXIT_USAGE, "provide exactly one of a protocol file or --named")
     if args.grid < MIN_GRID:
-        return _fail(EXIT_USAGE, "grid size must be at least %d" % MIN_GRID)
+        raise _Exit(EXIT_USAGE, "grid size must be at least %d" % MIN_GRID)
     if args.grid > MAX_GRID:
-        return _fail(EXIT_USAGE, "grid size must be at most %d" % MAX_GRID)
+        raise _Exit(EXIT_USAGE, "grid size must be at most %d" % MAX_GRID)
     if args.named is not None:
-        try:
-            spec = _parse_named(args.named).spec
-        except ValueError as exc:
-            return _fail(EXIT_USAGE, "invalid input: %s" % exc)
+        spec = _parse_named(args.named).spec
     else:
-        try:
-            spec = serialize.spec_from_obj(_load_json(args.protocol_file))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            return _fail(EXIT_USAGE, "cannot read protocol: %s" % exc)
-    try:
-        u = build_unitary(spec)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, "invalid input: %s" % exc)
+        spec = serialize.spec_from_obj(_load_json(args.protocol_file))
+    u = build_unitary(spec)
     out = args.out or ("grid.%s" % args.format)
     try:  # fail on an unwritable path before the grid is evaluated
         open(out, "w").close()
     except OSError as exc:
-        return _fail(EXIT_USAGE, "cannot write %s: %s" % (out, exc))
+        raise _Exit(EXIT_USAGE, "cannot write %s: %s" % (out, exc))
     grid = serialize.grid_from_poly(u.P, args.grid)
     if args.format == "csv":
         serialize.write_grid_csv(grid, out)
@@ -327,17 +302,22 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; the only place an exception becomes an exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command in ("readoff", "complete", "scan"):
-        try:
+    try:
+        if args.command in ("readoff", "complete", "scan"):
             readoff_tolerance()
-        except ValueError as exc:
-            return _fail(EXIT_USAGE, "invalid input: %s" % exc)
-    return args.handler(args)
+        return args.handler(args)
+    except _Exit as exc:
+        code, message = exc.args
+    except ValueError as exc:
+        code, message = EXIT_USAGE, "invalid input: %s" % exc
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -122,24 +122,19 @@ def fourier_of_reciprocal(f, window):
     raise FactorizationError("no convergence")
 
 
-@dataclass(frozen=True)
-class GammaMatrix:
-    """Difference-indexed matrix Gamma[(j,k),(j',k')] = c_{j-j', k-k'} over
-    the lattice {0..n}x{0..m}, ordinal (j,k) -> j*(m+1) + k."""
-
-    matrix: np.ndarray
-    n: int
-    m: int
+def _lattice(n, m):
+    """Lattice coordinates (j, k) of each ordinal j*(m+1) + k on {0..n}x{0..m}."""
+    return np.divmod(np.arange((n + 1) * (m + 1)), m + 1)
 
 
 def build_gamma(table, n, m):
+    """Difference-indexed matrix Gamma[(j,k),(j',k')] = c_{j-j', k-k'} over
+    the lattice {0..n}x{0..m}, rows and columns in ordinal order."""
     wa, wb = table.window
     if wa < n or wb < m:
         raise FactorizationError("window insufficient")
-    # lattice coordinates of each ordinal j*(m+1) + k
-    j, k = np.divmod(np.arange((n + 1) * (m + 1)), m + 1)
-    matrix = table.coeffs[wa + j[:, None] - j, wb + k[:, None] - k]
-    return GammaMatrix(matrix=matrix, n=n, m=m)
+    j, k = _lattice(n, m)
+    return table.coeffs[wa + j[:, None] - j, wb + k[:, None] - k]
 
 
 @dataclass(frozen=True)
@@ -163,13 +158,10 @@ class RankConditionReport:
 
 
 def rank_condition(gamma, n, m):
-    matrix = gamma.matrix
-    lattice = [(j, k) for j in range(n + 1) for k in range(m + 1)]
+    j, k = _lattice(n, m)
     target = n * m
 
-    rows = [i for i, (j, k) in enumerate(lattice) if k >= 1]
-    cols = [i for i, (j, k) in enumerate(lattice) if j >= 1]
-    sub = matrix[np.ix_(rows, cols)]
+    sub = gamma[np.ix_(np.flatnonzero(k >= 1), np.flatnonzero(j >= 1))]
     if sub.size == 0:
         singular_values = np.zeros(0)
         rank = 0
@@ -180,7 +172,7 @@ def rank_condition(gamma, n, m):
     route_one = rank == target
 
     # ordinal of (0,0) is 0, so dropping the origin is dropping index 0
-    reduced = matrix[1:, 1:]
+    reduced = gamma[1:, 1:]
     if reduced.size == 0:
         block_max = 0.0
         block_rel = 0.0
@@ -188,8 +180,9 @@ def rank_condition(gamma, n, m):
     else:
         condition = float(np.linalg.cond(reduced))
         inverse = np.linalg.inv(reduced)
-        block_rows = [(i * (m + 1)) - 1 for i in range(1, n + 1)]
-        block_cols = [l - 1 for l in range(1, m + 1)]
+        # rows (i,0), i>=1 and columns (0,l), l>=1, shifted past the origin
+        block_rows = np.flatnonzero((k == 0) & (j >= 1)) - 1
+        block_cols = np.flatnonzero((j == 0) & (k >= 1)) - 1
         block = inverse[np.ix_(block_rows, block_cols)]
         block_max = float(np.abs(block).max()) if block.size else 0.0
         block_rel = block_max / float(np.abs(inverse).max())
@@ -244,10 +237,9 @@ def extract_stable_factor(gamma, f, n, m):
     is verified against f on a torus grid and against a closed-bidisk
     sampling net.
     """
-    matrix = gamma.matrix
     unit = np.zeros((n + 1) * (m + 1))
     unit[0] = 1.0
-    solved = np.linalg.solve(matrix, unit)
+    solved = np.linalg.solve(gamma, unit)
     q00 = solved[0]
     if not (q00.real > 0 and abs(q00.imag) <= 1e-8 * abs(q00)):
         raise FactorizationError(

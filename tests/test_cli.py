@@ -72,14 +72,27 @@ def test_protocol_box_over_max_cells_exits_two(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match="MAX_CELLS"):
         build_unitary(spec)
     proto = write_json(tmp_path / "p.json", serialize.spec_to_obj(spec))
+    half = {"re": 0.5, "im": 0.0}
+    # a serialized unitary whose 19 x 19 box is met by the inversion check
+    unitary = write_json(
+        tmp_path / "u.json",
+        {"n": 18, "weight": 9, "p": [dict(j=0, k=0, **half), dict(j=9, k=9, **half)], "q": []},
+    )
+    # P and Q boxes that align into 11 x 11 only when read off
+    far = write_json(
+        tmp_path / "far.json",
+        {"p": [dict(j=0, k=0, **half), dict(j=10, k=0, **half)], "q": [dict(j=0, k=10, **half)]},
+    )
     for argv in (
         ["build", proto],
+        ["build", unitary],
+        ["readoff", far],
         ["plot", proto, "--out", str(tmp_path / "grid.csv")],
         ["scan", "--n-max", "12", "--trials", "20"],
     ):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, ""), argv
-        assert "MAX_CELLS" in err, argv
+        assert err.startswith("invalid input: ") and "MAX_CELLS" in err, argv
 
 
 def test_build_reverifies_serialized_unitary(tmp_path, capsys):
@@ -190,6 +203,25 @@ def test_complete_1d_chebyshev(tmp_path, capsys):
     assert obj["residual"] < 1e-10
     assert obj["protocol"]["s"] == [1, 1]
     assert max(abs(p) for p in obj["protocol"]["phases"]) < 1e-9
+
+
+def test_complete_valid_but_not_peelable_exit_three(tmp_path, capsys, monkeypatch):
+    # both completions factor, but no read-off passes at tolerance 1e-30
+    monkeypatch.setenv("MQSP_TOLERANCE", "1e-30")
+    path = write_json(
+        tmp_path / "t.json",
+        {"p": [{"j": 2, "k": 0, "re": 0.5, "im": 0.0}, {"j": -2, "k": 0, "re": 0.5, "im": 0.0}]},
+    )
+    code, out, err = run(capsys, ["complete", path, "--vars", "1", "--deg", "2"])
+    assert (code, out) == (3, "")
+    assert err.startswith("completion valid but not peelable: ")
+    path = write_json(tmp_path / "t2.json", targets_of(ProtocolSpec((0, 1), (0.1, 2.8, -2.2))))
+    code, out, err = run(capsys, ["complete", path, "--vars", "2", "--deg", "2,1"])
+    assert (code, err) == (3, "")
+    obj = json.loads(out)
+    assert obj["protocol"] is None
+    assert (obj["unitary"]["n"], obj["unitary"]["weight"]) == (2, 1)
+    assert obj["unitary"]["p"] and obj["unitary"]["q"]
 
 
 def test_complete_2d_determinantal(tmp_path, capsys):
@@ -377,7 +409,13 @@ def test_plot_bad_flags_exit_two(tmp_path, capsys):
     assert run(capsys, ["plot", "--named", "cubic:1"])[0] == 2
     assert run(capsys, ["plot", "--named", "xyz:0"])[0] == 2
     assert run(capsys, ["plot", "--named", "xyz:nine"])[0] == 2
-    assert run(capsys, ["plot", str(tmp_path / "missing.json")])[0] == 2
+    # protocol-file errors read as in build
+    missing = str(tmp_path / "missing.json")
+    code, _, err = run(capsys, ["plot", missing])
+    assert code == 2 and err.startswith("cannot read %s: " % missing)
+    short = write_json(tmp_path / "short.json", {"s": [0, 1], "phases": [0.1]})
+    code, _, err = run(capsys, ["plot", short])
+    assert code == 2 and err.startswith("invalid input: ")
     out = str(tmp_path / "no-such-dir" / "grid.csv")
     code, _, err = run(capsys, ["plot", "--named", "trivial:1", "--out", out])
     assert code == 2 and err.startswith("cannot write %s" % out)

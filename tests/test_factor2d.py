@@ -205,13 +205,13 @@ def test_fourier_rejects_dip_in_a_later_row_block():
 def test_gamma_identity_for_constant():
     table = fourier_of_reciprocal(LaurentPoly2.one(), (1, 1))
     gamma = build_gamma(table, 1, 1)
-    assert np.abs(gamma.matrix - np.eye(4)).max() < 1e-12
+    assert np.abs(gamma - np.eye(4)).max() < 1e-12
 
 
 def test_gamma_hand_indexed_layout():
     f = _abs_square(GEOMETRIC)
     table = fourier_of_reciprocal(f, (1, 1))
-    gamma = build_gamma(table, 1, 1).matrix
+    gamma = build_gamma(table, 1, 1)
     # ordinals: 0=(0,0), 1=(0,1), 2=(1,0), 3=(1,1)
     assert gamma[0, 0] == table.coeff(0, 0)
     assert gamma[0, 1] == table.coeff(0, -1)
@@ -224,7 +224,7 @@ def test_gamma_hand_indexed_layout():
 def test_gamma_difference_structure():
     f = _abs_square(generate_stable(1, 1, seed=5))
     table = fourier_of_reciprocal(f, (2, 2))
-    gamma = build_gamma(table, 2, 2).matrix
+    gamma = build_gamma(table, 2, 2)
     lattice = [(j, k) for j in range(3) for k in range(3)]
     for row, u in enumerate(lattice):
         for col, v in enumerate(lattice):

@@ -17,7 +17,9 @@ input for the commands that read it (readoff, complete, scan).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from mqsp import families, serialize
@@ -56,8 +58,27 @@ def _load_json(path):
         raise _Exit(EXIT_USAGE, "cannot read %s: %s" % (path, exc))
 
 
+def _dumps(obj):
+    # compact separators keep json on its C encoder; indent would not
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def _emit(obj):
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))
+
+
+def _check_writable(path):
+    """Exit 2 unless `path` can be opened for writing; creates nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise _Exit(EXIT_USAGE, "cannot write %s: %s" % (path, os.strerror(code)))
 
 
 def _report_obj(report):
@@ -199,6 +220,7 @@ def _cmd_complete(args):
 def _cmd_scan(args):
     if args.n_max < 0 or args.trials < 0:
         raise _Exit(EXIT_USAGE, "--n-max and --trials must be nonnegative")
+    _check_writable(args.dump)  # before the scan, not after it
     summary = scan_leading_slices(args.n_max, args.trials, args.seed)
     out = {
         "nMax": summary.n_max,
@@ -215,7 +237,7 @@ def _cmd_scan(args):
         dump["p"] = serialize.poly_to_records(u.P)
         dump["q"] = serialize.poly_to_records(u.Q)
         with open(args.dump, "w") as handle:
-            json.dump(dump, handle, indent=2)
+            handle.write(_dumps(dump))
         out["dumpPath"] = args.dump
         _emit(out)
         return EXIT_COUNTEREXAMPLE
@@ -248,10 +270,7 @@ def _cmd_plot(args):
         spec = serialize.spec_from_obj(_load_json(args.protocol_file))
     u = build_unitary(spec)
     out = args.out or ("grid.%s" % args.format)
-    try:  # fail on an unwritable path before the grid is evaluated
-        open(out, "w").close()
-    except OSError as exc:
-        raise _Exit(EXIT_USAGE, "cannot write %s: %s" % (out, exc))
+    _check_writable(out)  # before the grid is evaluated
     grid = serialize.grid_from_poly(u.P, args.grid)
     if args.format == "csv":
         serialize.write_grid_csv(grid, out)

@@ -1,8 +1,13 @@
 """Shared file formats: polynomial and protocol JSON, torus grids as CSV/PGM.
 
 A polynomial is a list of records {"j": int, "k": int, "re": float,
-"im": float}; json emits the shortest round-tripping repr for floats, so a
-dump/load cycle is bit-exact. A protocol is {"s": [bits], "phases":
+"im": float}, sorted by (j, k); json emits the shortest round-tripping
+repr for floats, so a dump/load cycle is bit-exact (a -0.0 part reads back
+as 0.0). Both directions work on whole arrays: `poly_to_records` reads the
+nonzero cells of the coefficient box in one pass, and `poly_from_records`
+checks and converts every record at once, scattering them into one box;
+only when that check fails does it go through the records one at a time,
+to name the first bad one. A protocol is {"s": [bits], "phases":
 [radians]}. Grids hold |P|^2 on the per-axis angles theta_k = -pi +
 2*pi*k/N (so -pi is included, +pi is not): the CSV first row lists the
 theta_a column coordinates, the first column the theta_b row coordinates
@@ -13,11 +18,16 @@ variant is plain (P2) 8-bit grayscale in the same row layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from mqsp.laurent import LaurentPoly1, LaurentPoly2
+from mqsp.laurent import LaurentPoly1, LaurentPoly2, _zeros, aligned
 from mqsp.protocol import ProtocolSpec
+
+RECORD_KEYS = ("j", "k", "re", "im")
+# Exponents are read into int64 arrays.
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 GRID_FORMAT = "%.12g"
 PGM_MAX_GRAY = 255
@@ -30,36 +40,102 @@ GRID_BLOCK_ROWS = 256
 def _as_exponent(value, where):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError("%s: exponent must be an integer" % where)
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise ValueError("%s: exponent out of int64 range" % where)
     return value
 
 
 def _as_real(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError("%s: coefficient part must be a real number" % where)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("%s: coefficient part out of float range" % where)
+
+
+def _all_of(values, kinds):
+    """isinstance(v, kinds) and not a bool, for every v, by type."""
+    types = set(map(type, values))
+    return bool not in types and all(issubclass(t, kinds) for t in types)
 
 
 def poly_to_records(p):
     """Sorted list of {j, k, re, im} records (deterministic order)."""
+    box, _, (lo_a, lo_b) = aligned(p, p)  # p's own coefficient box
+    rows, cols = np.nonzero(box)
+    values = box[rows, cols]
     return [
-        {"j": int(j), "k": int(k), "re": float(c.real), "im": float(c.imag)}
-        for (j, k), c in p.items()
+        {"j": lo_a + i, "k": lo_b + l, "re": re, "im": im}
+        for i, l, re, im in zip(
+            rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist()
+        )
     ]
 
 
-def poly_from_records(records):
-    if not isinstance(records, list):
-        raise ValueError("polynomial must be a list of records")
-    coeffs = {}
+def _columns(records):
+    """The (j, k, re, im) arrays of a nonempty record list, or None when a
+    record is malformed or an exponent repeats."""
+    if not all(map(isinstance, records, repeat(dict))) or set(map(len, records)) != {4}:
+        return None
+    try:
+        js, ks, res, ims = ([rec[key] for rec in records] for key in RECORD_KEYS)
+    except KeyError:
+        return None
+    if not (_all_of(js + ks, int) and _all_of(res + ims, (int, float))):
+        return None
+    try:
+        js, ks = np.array(js, dtype=np.int64), np.array(ks, dtype=np.int64)
+        # float() per value, as the record-by-record check converts
+        res, ims = np.array(list(map(float, res))), np.array(list(map(float, ims)))
+    except OverflowError:
+        return None
+    order = np.lexsort((ks, js))
+    if ((np.diff(js[order]) == 0) & (np.diff(ks[order]) == 0)).any():
+        return None
+    return js, ks, res, ims
+
+
+def _reject(records):
+    """Raise the ValueError naming the first record that `_columns` refuses,
+    checking one record at a time."""
+    seen = set()
     for i, rec in enumerate(records):
         where = "record %d" % i
-        if not isinstance(rec, dict) or set(rec) != {"j", "k", "re", "im"}:
+        if not isinstance(rec, dict) or set(rec) != set(RECORD_KEYS):
             raise ValueError("%s: expected keys j, k, re, im" % where)
         key = (_as_exponent(rec["j"], where), _as_exponent(rec["k"], where))
-        if key in coeffs:
+        if key in seen:
             raise ValueError("%s: duplicate exponent %r" % (where, key))
-        coeffs[key] = complex(_as_real(rec["re"], where), _as_real(rec["im"], where))
-    return LaurentPoly2(coeffs)
+        seen.add(key)
+        _as_real(rec["re"], where)
+        _as_real(rec["im"], where)
+    raise AssertionError("every record passed")
+
+
+def poly_from_records(records):
+    """Inverse of poly_to_records. Refuses (ValueError) a malformed record,
+    a repeated exponent, a non-finite coefficient, and an exponent box
+    above MAX_CELLS before allocating it."""
+    if not isinstance(records, list):
+        raise ValueError("polynomial must be a list of records")
+    if not records:
+        return LaurentPoly2.zero()
+    columns = _columns(records)
+    if columns is None:
+        _reject(records)
+    js, ks, res, ims = columns
+    bad = ~(np.isfinite(res) & np.isfinite(ims))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError("non-finite coefficient %r" % (complex(res[i], ims[i]),))
+    lo_a, lo_b = int(js.min()), int(ks.min())
+    box = _zeros(int(js.max()) - lo_a + 1, int(ks.max()) - lo_b + 1)
+    cells = (js - lo_a, ks - lo_b)
+    # + 0.0 turns a -0.0 part into 0.0, as adding terms onto zeros does
+    box.real[cells] = res + 0.0
+    box.imag[cells] = ims + 0.0
+    return LaurentPoly2.from_array(box, lo_a, lo_b)
 
 
 def poly1_from_records(records):
@@ -90,7 +166,11 @@ def spec_from_obj(obj):
     for phi in phases:
         if isinstance(phi, bool) or not isinstance(phi, (int, float)):
             raise ValueError("phases must be real numbers")
-    return ProtocolSpec(tuple(s), tuple(float(p) for p in phases))
+    try:
+        phases = tuple(map(float, phases))
+    except OverflowError:
+        raise ValueError("phase out of float range")
+    return ProtocolSpec(tuple(s), phases)
 
 
 # -- torus grids ------------------------------------------------------------------

@@ -114,6 +114,52 @@ def test_build_hand_edited_violation_exit_one(tmp_path, capsys):
     assert report["overall"] is False and report["degreeOk"] is False
 
 
+def compact(text):
+    return json.dumps(json.loads(text), separators=(",", ":"))
+
+
+def test_build_prints_one_compact_line(tmp_path, capsys):
+    # n = 64 with small phases, so read-off also succeeds at this length
+    rng = np.random.default_rng(0)
+    spec = ProtocolSpec(
+        tuple(int(b) for b in rng.integers(0, 2, 64)),
+        tuple(float(x) for x in rng.uniform(-0.3, 0.3, 65)),
+    )
+    code, out, _ = run(capsys, ["build", write_json(tmp_path / "p.json", serialize.spec_to_obj(spec))])
+    assert code == 0
+    assert out.count("\n") == 1 and out == compact(out) + "\n"
+    unitary = tmp_path / "u.json"
+    unitary.write_text(out)
+    obj = json.loads(out)
+    u = build_unitary(spec)
+    for key, poly in (("p", u.P), ("q", u.Q)):
+        assert dict(serialize.poly_from_records(obj[key]).items()) == dict(poly.items())
+    # read-off answers the same whatever the input layout
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(obj, indent=2))
+    answers = [run(capsys, ["readoff", str(path)]) for path in (unitary, indented)]
+    assert answers[0] == answers[1]
+    code, out, _ = answers[0]
+    assert code == 0 and out == compact(out) + "\n"
+    assert tuple(json.loads(out)["s"]) == spec.s
+
+
+def test_out_of_range_record_numbers_exit_two(tmp_path, capsys):
+    good = {"j": 0, "k": 0, "re": 0.5, "im": 0.0}
+    for bad, message in (
+        ({"j": 10**30, "k": 0, "re": 0.5, "im": 0.0}, "record 1: exponent out of int64 range"),
+        ({"j": 2, "k": 0, "re": 10**400, "im": 0.0}, "record 1: coefficient part out of float range"),
+    ):
+        path = write_json(tmp_path / "u.json", {"p": [good, bad], "q": []})
+        for argv in (["readoff", path], ["complete", path, "--vars", "1", "--deg", "2"]):
+            code, out, err = run(capsys, argv)
+            assert (code, out, err) == (2, "", "invalid input: %s\n" % message), argv
+    protocol = write_json(tmp_path / "p.json", {"s": [0, 1], "phases": [0.0, 10**400, 0.0]})
+    for argv in (["build", protocol], ["plot", protocol, "--out", str(tmp_path / "g.csv")]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", "invalid input: phase out of float range\n"), argv
+
+
 # -- readoff ----------------------------------------------------------------------
 
 
@@ -317,11 +363,29 @@ def test_scan_counterexample_dump(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["scan", "--dump", str(dump)])
     assert code == 4
     assert json.loads(out)["dumpPath"] == str(dump)
-    dumped = json.loads(dump.read_text())
+    text = dump.read_text()
+    assert text == compact(text)
+    dumped = json.loads(text)
     assert dumped["s"] == [1]
     u = build_unitary(spec)
     assert serialize.poly_from_records(dumped["p"]).distance(u.P) == 0.0
     assert serialize.poly_from_records(dumped["q"]).distance(u.Q) == 0.0
+
+
+def test_scan_unwritable_dump_exit_two_before_scanning(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before checking --dump")
+
+    monkeypatch.setattr("mqsp.cli.scan_leading_slices", no_scan)
+    for dump in (tmp_path / "no-such-dir" / "ce.json", tmp_path):
+        code, out, err = run(capsys, ["scan", "--trials", "5", "--dump", str(dump)])
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot write %s: " % dump)
+    monkeypatch.undo()
+    # a writable path is not created unless a counterexample turns up
+    dump = tmp_path / "ce.json"
+    assert run(capsys, ["scan", "--trials", "5", "--dump", str(dump)])[0] == 0
+    assert not dump.exists()
 
 
 # -- plot -------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,28 +45,106 @@ def test_poly_empty_and_zero():
     assert serialize.poly_from_records([]).is_zero()
 
 
-@pytest.mark.parametrize(
-    "records",
-    [
-        {"j": 0},  # not a list
-        [{"j": 0, "k": 0, "re": 1.0}],  # missing im
-        [{"j": 0, "k": 0, "re": 1.0, "im": 0.0, "x": 1}],  # extra key
-        [{"j": 0.5, "k": 0, "re": 1.0, "im": 0.0}],  # fractional exponent
-        [{"j": True, "k": 0, "re": 1.0, "im": 0.0}],  # bool exponent
-        [{"j": 0, "k": 0, "re": "1", "im": 0.0}],  # string coefficient
+GOOD = {"j": 0, "k": 0, "re": 1.0, "im": 0.0}
+
+REJECTED_RECORDS = [
+    ({"j": 0}, "polynomial must be a list of records"),
+    ([{"j": 0, "k": 0, "re": 1.0}], "record 0: expected keys j, k, re, im"),
+    ([{"j": 0, "k": 0, "re": 1.0, "im": 0.0, "x": 1}], "record 0: expected keys j, k, re, im"),
+    ([{"j": 0.5, "k": 0, "re": 1.0, "im": 0.0}], "record 0: exponent must be an integer"),
+    ([{"j": True, "k": 0, "re": 1.0, "im": 0.0}], "record 0: exponent must be an integer"),
+    ([{"j": 0, "k": 0, "re": "1", "im": 0.0}], "record 0: coefficient part must be a real number"),
+    (
         [
             {"j": 1, "k": 2, "re": 1.0, "im": 0.0},
             {"j": 1, "k": 2, "re": 2.0, "im": 0.0},
-        ],  # duplicate exponent
+        ],
+        "record 1: duplicate exponent (1, 2)",
+    ),
+    (
         [
             {"j": 0, "k": 0, "re": 1.0, "im": 0.0},
             {"j": 10**9, "k": 10**9, "re": 1.0, "im": 0.0},
         ],  # exponent box far above MAX_CELLS: refused, not allocated
-    ],
+        "exponent box of 1000000001 x 1000000001 coefficients exceeds MAX_CELLS",
+    ),
+    ([GOOD, [0, 1, 1.0, 0.0]], "record 1: expected keys j, k, re, im"),
+    ([{"j": 0, "k": 0, "re": 1.0, "im": False}], "record 0: coefficient part must be a real number"),
+    # exponents outside int64 and integers too large for a float
+    ([{"j": 10**30, "k": 0, "re": 1.0, "im": 0.0}], "record 0: exponent out of int64 range"),
+    ([GOOD, {"j": 0, "k": -(2**63) - 1, "re": 1.0, "im": 0.0}], "record 1: exponent out of int64 range"),
+    ([GOOD, {"j": 1, "k": 0, "re": 10**400, "im": 0.0}], "record 1: coefficient part out of float range"),
+    # the first bad record in record order, whatever the kind of fault
+    (
+        [GOOD, {"j": 0, "k": 0, "re": 2.0, "im": 0.0}, {"j": 1, "k": 0, "re": "x", "im": 0.0}],
+        "record 1: duplicate exponent (0, 0)",
+    ),
+    (
+        [GOOD, {"j": 1, "k": 0, "re": "x", "im": 0.0}, {"j": 0, "k": 0, "re": 2.0, "im": 0.0}],
+        "record 1: coefficient part must be a real number",
+    ),
+    # NaN and Infinity tokens parse; a non-finite coefficient is refused
+    # after every record passed its own checks
+    (
+        json.loads('[{"j": 0, "k": 0, "re": 1.0, "im": 0.0}, {"j": 1, "k": 0, "re": NaN, "im": 0.0}]'),
+        "non-finite coefficient (nan+0j)",
+    ),
+    (
+        json.loads('[{"j": 0, "k": 0, "re": 1.0, "im": -Infinity}, {"j": 1, "k": 0, "re": 0, "im": 0}]'),
+        "non-finite coefficient (1-infj)",
+    ),
+    (
+        json.loads('[{"j": 0, "k": 0, "re": NaN, "im": 0.0}, {"j": 1, "k": 0, "re": "x", "im": 0}]'),
+        "record 1: coefficient part must be a real number",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    REJECTED_RECORDS,
+    ids=["records%d" % i for i in range(len(REJECTED_RECORDS))],
 )
-def test_poly_from_records_rejects(records):
-    with pytest.raises(ValueError):
+def test_poly_from_records_rejects(records, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         serialize.poly_from_records(records)
+
+
+def bits(p):
+    return [(e, c.real.hex(), c.imag.hex()) for e, c in p.items()]
+
+
+def test_poly_from_records_matches_dict_constructor():
+    # the records' scatter gives the polynomial, and the float bits, of
+    # LaurentPoly2({...}): the same prune, and a -0.0 part reads as 0.0
+    rng = np.random.default_rng(5)
+    for size in (1, 3, 40):
+        keys = {(int(j), int(k)) for j, k in rng.integers(-6, 7, size=(size, 2))}
+        parts = rng.standard_normal((len(keys), 2)) * 10.0 ** rng.integers(-20, 3, (len(keys), 2))
+        parts[rng.random(parts.shape) < 0.2] = -0.0
+        coeffs = {key: complex(re, im) for key, (re, im) in zip(keys, parts.tolist())}
+        records = [
+            {"j": j, "k": k, "re": c.real, "im": c.imag} for (j, k), c in coeffs.items()
+        ]
+        back = serialize.poly_from_records(records)
+        assert bits(back) == bits(LaurentPoly2(coeffs))
+        assert all(math.copysign(1.0, c.imag) > 0 for e, c in back.items() if c.imag == 0.0)
+
+
+def test_poly_to_records_keeps_box_bits():
+    # negation leaves -0.0 parts in the box; the records carry them as they
+    # are, subnormal parts too, and read back equal
+    p = -LaurentPoly2(
+        {(0, 0): 0.1 + 0.2, (3, -2): complex(1.0 / 3.0, -2.0 / 7.0), (1, 1): complex(1.0, 5e-324)}
+    )
+    records = serialize.poly_to_records(p)
+    assert [(r["j"], r["k"], r["re"].hex(), r["im"].hex()) for r in records] == [
+        (j, k, re, im) for (j, k), re, im in bits(p)
+    ]
+    assert records[0] == {"j": 0, "k": 0, "re": -0.30000000000000004, "im": -0.0}
+    assert records[1]["im"] == -5e-324
+    compact = json.dumps(records, separators=(",", ":"))
+    assert serialize.poly_from_records(json.loads(compact)) == p
 
 
 def test_poly1_reads_shared_format():
@@ -98,6 +177,7 @@ def test_spec_round_trip():
         {"s": [0, 1.0], "phases": [0.0, 0.0, 0.0]},  # non-integer bit
         {"s": [0, 1], "phases": [0.0, "x", 0.0]},  # non-numeric phase
         {"s": [0, 1], "phases": [0.0, True, 0.0]},  # bool phase
+        {"s": [0, 1], "phases": [0.0, 10**400, 0.0]},  # too large for a float
     ],
 )
 def test_spec_from_obj_rejects(obj):

@@ -4,7 +4,8 @@ property, and export torus grids of |P|^2.
 
 Exit codes are stable: 0 success; 1 a structural, positivity, or rank
 check failed; 2 unusable input (flags or JSON); 3 completion produced a
-valid unitary whose phases could not be read off; 4 the scan found a
+valid unitary whose phases could not be read off (printed with protocol
+null, for one variable as for two); 4 the scan found a
 counterexample (dump path printed). They are decided in `main` alone:
 handlers raise, and `main` turns a handler's `_Exit` or any ValueError
 (exit 2, "invalid input: ...") into the exit code and one stderr line.
@@ -23,12 +24,7 @@ import os
 import sys
 
 from mqsp import families, serialize
-from mqsp.errors import (
-    FactorizationError,
-    MqspError,
-    ReadoffError,
-    VerificationError,
-)
+from mqsp.errors import FactorizationError, MqspError
 from mqsp.factor1d import complete_unitary_1d
 from mqsp.factor2d import complete_unitary_2d
 from mqsp.protocol import Su2LaurentUnitary, build_unitary, verify_structure
@@ -146,13 +142,14 @@ def _cmd_readoff(args):
 
 
 def _parse_degrees(text, nvars):
+    """(n, m) from --deg; one variable is weight m = n."""
     parts = text.split(",")
     try:
         values = [int(part) for part in parts]
     except ValueError:
         raise ValueError("--deg expects integers, got %r" % text)
     if nvars == 1 and len(values) == 1:
-        return values[0], None
+        return values[0], values[0]
     if nvars == 2 and len(values) == 2:
         return values[0], values[1]
     raise ValueError(
@@ -160,61 +157,36 @@ def _parse_degrees(text, nvars):
     )
 
 
-def _complete_1d(obj, n):
-    p_tilde = serialize.poly1_from_records(obj.get("p", []))
-    q_tilde = serialize.poly1_from_records(obj.get("q", []))
-    try:
-        result = complete_unitary_1d(p_tilde, q_tilde, n)
-    except FactorizationError as exc:
-        raise _Exit(EXIT_FAIL, "completion failed: %s" % exc)
-    except (ReadoffError, VerificationError) as exc:
-        raise _Exit(EXIT_NOT_PEELABLE, "completion valid but not peelable: %s" % exc)
-    fac = result.factorization
-    _emit(
-        {
-            "p": serialize.poly_to_records(fac.g.embed()),
-            "residual": float(fac.residual),
-            "singularValues": None,
-            "satisfied": True,
-            "convergenceResidual": None,
-            "rootClass": fac.root_class,
-            "unitary": _unitary_obj(result.unitary, n, n),
-            "protocol": serialize.spec_to_obj(result.spec),
-        }
-    )
-    return EXIT_OK
-
-
-def _complete_2d(obj, n, m):
-    p_tilde = serialize.poly_from_records(obj.get("p", []))
-    q_tilde = serialize.poly_from_records(obj.get("q", []))
-    try:
-        result = complete_unitary_2d(p_tilde, q_tilde, n, m)
-    except FactorizationError as exc:
-        raise _Exit(EXIT_FAIL, "completion failed: %s" % exc)
-    fac, rank = result.factorization, result.rank_report
-    _emit(
-        {
-            "p": serialize.poly_to_records(fac.p),
-            "residual": float(fac.residual),
-            "singularValues": [float(s) for s in rank.singular_values],
-            "satisfied": rank.satisfied,
-            "convergenceResidual": float(result.convergence_residual),
-            "unitary": _unitary_obj(result.unitary, n, m),
-            "protocol": serialize.spec_to_obj(result.spec) if result.spec else None,
-        }
-    )
-    return EXIT_OK if result.spec is not None else EXIT_NOT_PEELABLE
-
-
 def _cmd_complete(args):
     obj = _load_json(args.poly_file)
     n, m = _parse_degrees(args.deg, args.vars)
     if not isinstance(obj, dict) or "p" not in obj:
         raise ValueError("completion file needs key p (and optionally q)")
-    if args.vars == 1:
-        return _complete_1d(obj, n)
-    return _complete_2d(obj, n, m)
+    one_var = args.vars == 1
+    read = serialize.poly1_from_records if one_var else serialize.poly_from_records
+    p_tilde, q_tilde = read(obj["p"]), read(obj.get("q", []))
+    try:
+        if one_var:
+            result = complete_unitary_1d(p_tilde, q_tilde, n)
+        else:
+            result = complete_unitary_2d(p_tilde, q_tilde, n, m)
+    except FactorizationError as exc:
+        raise _Exit(EXIT_FAIL, "completion failed: %s" % exc)
+    fac, rank = result.factorization, result.rank_report
+    # one variable has no Gamma route to report, and names its root class
+    out = {
+        "p": serialize.poly_to_records(fac.g.embed() if one_var else fac.p),
+        "residual": float(fac.residual),
+        "singularValues": None if one_var else [float(s) for s in rank.singular_values],
+        "satisfied": True if one_var else rank.satisfied,
+        "convergenceResidual": None if one_var else float(result.convergence_residual),
+    }
+    if one_var:
+        out["rootClass"] = fac.root_class
+    out["unitary"] = _unitary_obj(result.unitary, n, m)
+    out["protocol"] = None if result.spec is None else serialize.spec_to_obj(result.spec)
+    _emit(out)
+    return EXIT_OK if result.spec is not None else EXIT_NOT_PEELABLE
 
 
 def _cmd_scan(args):

@@ -1,11 +1,12 @@
-"""Single-variable spectral factorization and unitary completion.
+"""Single-variable spectral factorization, and completion as its m = n case.
 
 Given a Laurent polynomial f that is real and nonnegative on the unit
 circle, fejer_riesz computes g with exponents 0..D such that
 f = g * conj_reciprocal(g), choosing the root from each (r, 1/conj(r))
-pair with magnitude >= 1. complete_unitary_1d uses this to extend a pair
-of real-on-circle target polynomials (Ptilde, Qtilde) to a full protocol
-unitary [[Ptilde + iR, Qtilde + iS], [...]] and reads the phases back off.
+pair with magnitude >= 1, and refuses a g whose residual fails the
+factor gate of factor2d (VERIFY_REL_TOL). complete_unitary_1d is the
+two-variable completion of factor2d with weight m = n: the same target
+checks, assembly and read-off, with g in place of the stable factor.
 """
 
 from __future__ import annotations
@@ -16,9 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from mqsp.errors import FactorizationError
+from mqsp.factor2d import (
+    VERIFY_REL_TOL,
+    CompletionResult,
+    assemble_and_read_off,
+    check_targets,
+)
 from mqsp.laurent import LaurentPoly1
-from mqsp.protocol import Su2LaurentUnitary, assemble_completion
-from mqsp.readoff import readoff
 
 # Root classification/pairing tolerances. A boundary zero of a nonnegative
 # polynomial has even multiplicity; the companion-matrix noise splits such
@@ -84,12 +89,21 @@ def _pair_off_circle(outside, inside):
         raise FactorizationError("root pairing failed")
 
 
+def _verified(g, residual, root_class, scale):
+    # the factor gate of extract_stable_factor, relative to max f
+    if residual >= VERIFY_REL_TOL * scale:
+        raise FactorizationError("verification failed")
+    return Factorization1D(g=g, residual=residual, root_class=root_class)
+
+
 def fejer_riesz(f):
     """Factor a circle-nonnegative Laurent polynomial as |g|^2.
 
     Raises "not nonnegative on circle" when sampled values dip below the
-    tolerance floor, and "root pairing failed" when the computed roots do
-    not organize into (r, 1/conj(r)) pairs and even boundary clusters.
+    tolerance floor, "root pairing failed" when the computed roots do not
+    organize into (r, 1/conj(r)) pairs and even boundary clusters, and
+    "verification failed" when the residual of |g|^2 against f on the
+    grid is at least VERIFY_REL_TOL times max f.
     """
     if not f.is_hermitian():
         raise ValueError("f must be Hermitian (real on the unit circle)")
@@ -110,7 +124,7 @@ def fejer_riesz(f):
     if d == 0:
         c = f.coeff(0).real
         g = LaurentPoly1({0: math.sqrt(max(c, 0.0))})
-        return Factorization1D(g, abs(c - max(c, 0.0)), "stable")
+        return _verified(g, abs(c - max(c, 0.0)), "stable", scale)
 
     # roots of z^d f(z), an ordinary polynomial of degree 2d with h(0) != 0
     h = np.array([f.coeff(k - d) for k in range(2 * d + 1)])
@@ -140,47 +154,22 @@ def fejer_riesz(f):
 
     g_abs2 = np.abs(g.eval_circle_grid(grid)) ** 2
     residual = float(np.max(np.abs(values - g_abs2)))
-    root_class = "outer" if clusters else "stable"
-    return Factorization1D(g=g, residual=residual, root_class=root_class)
-
-
-@dataclass(frozen=True)
-class CompletionResult1D:
-    """Completed protocol unitary (single variable, embedded on oracle A),
-    the recovered protocol, and the factorization used."""
-
-    unitary: Su2LaurentUnitary
-    spec: object
-    factorization: Factorization1D
+    return _verified(g, residual, "outer" if clusters else "stable", scale)
 
 
 def complete_unitary_1d(p_tilde, q_tilde, n):
-    """Complete real-on-circle targets (Ptilde, Qtilde) of degree <= n and
-    negation parity n mod 2 into a protocol unitary of length n.
+    """Complete real-on-circle targets (Ptilde, Qtilde) into a single-oracle
+    protocol unitary of length n: complete_unitary_2d with weight m = n.
 
-    The missing imaginary parts are R = Hermitian part of g(z) z^{-n} and
-    S from its anti-Hermitian part; R^2 + S^2 = 1 - Ptilde^2 - Qtilde^2 by
-    construction, making the assembled matrix (assemble_completion)
-    exactly unitary up to the factorization residual. Phases are then
-    recovered by readoff, whose errors propagate.
+    The targets, embedded on axis a, pass the same check_targets, and the
+    unitary is assembled and read off the same way; the factor is
+    fejer_riesz's g of f = 1 - Ptilde^2 - Qtilde^2, computed in one
+    variable. The result has no rank report or convergence residual.
     """
     n = int(n)
-    if n < 0:
-        raise ValueError("length must satisfy n >= 0")
-    for poly in (p_tilde, q_tilde):
-        if not poly.is_hermitian():
-            raise ValueError("inputs must be real on the unit circle")
-        deg = poly.degree()
-        if deg is not None and deg > n:
-            raise FactorizationError("degree exceeds bound")
-        bit = poly.negation_bit()
-        if bit is not None and bit != n % 2:
-            raise FactorizationError("parity mismatch")
-
+    p_a, q_a = p_tilde.embed(), q_tilde.embed()
+    check_targets(p_a, q_a, n, n)
+    # in LaurentPoly1 arithmetic: root pairing can flip on the last bits of f
     f = LaurentPoly1.one() - p_tilde * p_tilde - q_tilde * q_tilde
     fac = fejer_riesz(f)
-
-    # on oracle A alone the protocol has weight m = n
-    unitary = assemble_completion(p_tilde.embed(), q_tilde.embed(), fac.g.embed(), n, n)
-    result = readoff(unitary.P, unitary.Q)
-    return CompletionResult1D(unitary=unitary, spec=result.spec, factorization=fac)
+    return CompletionResult(*assemble_and_read_off(p_a, q_a, fac.g.embed(), n, n), fac)

@@ -7,6 +7,11 @@ the Fourier coefficients of 1/f holds. This module computes those Fourier
 coefficients, tests the rank condition by two independent routes, extracts
 the stable factor from a linear solve, and uses it to complete a pair of
 real-on-torus targets (Ptilde, Qtilde) to a full protocol unitary.
+
+The completion contract is shared with one variable (factor1d, the case
+m = n): check_targets on the inputs, assemble_and_read_off after the
+factor, and one CompletionResult. Only the factor differs by route; both
+factors must pass the same residual gate, VERIFY_REL_TOL times max f.
 """
 
 from __future__ import annotations
@@ -314,35 +319,14 @@ def generate_stable(deg_a, deg_b, seed):
     return p
 
 
-@dataclass(frozen=True)
-class CompletionResult2D:
-    """Completed unitary, recovered protocol (None when the completion is a
-    valid unitary but peeling fails), the stable factorization, the
-    rank-condition report, and the convergence residual of the Fourier
-    table of 1/f."""
+def check_targets(p_tilde, q_tilde, n, m):
+    """The completion's contract on real targets for length n, weight m.
 
-    unitary: Su2LaurentUnitary
-    spec: object
-    factorization: Factorization2D
-    rank_report: RankConditionReport
-    convergence_residual: float
-
-
-def complete_unitary_2d(p_tilde, q_tilde, n, m):
-    """Extend real-on-torus targets to a protocol unitary of length n and
-    weight m.
-
-    Ptilde must be inversion-even and Qtilde inversion-odd, both with
-    negation parity (m mod 2, (n-m) mod 2) and degrees within (m, n-m);
-    f = 1 - Ptilde^2 - Qtilde^2 must be strictly positive. The stable
-    factor of f, shifted by a^{-m} b^{-(n-m)}, splits into a Hermitian
-    part R and anti-Hermitian part iS with R^2 + S^2 = f, so the matrix
-    [[Ptilde + iR, Qtilde + iS], [...]] is exactly unitary up to the
-    factorization residual. Phase read-off is attempted; failure leaves
-    spec None rather than raising, since a valid completion need not be
-    protocol-realizable.
+    Both must be real on the torus, with negation parity (m mod 2,
+    (n-m) mod 2) and degrees within (m, n-m); Ptilde must be
+    inversion-even and Qtilde inversion-odd. One variable is the case
+    m = n with the targets embedded on axis a.
     """
-    n, m = int(n), int(m)
     if not 0 <= m <= n:
         raise ValueError("weight must satisfy 0 <= m <= n")
     for poly in (p_tilde, q_tilde):
@@ -358,6 +342,48 @@ def complete_unitary_2d(p_tilde, q_tilde, n, m):
     if not p_tilde.has_inversion_sign(+1) or not q_tilde.has_inversion_sign(-1):
         raise FactorizationError("parity mismatch")
 
+
+@dataclass(frozen=True)
+class CompletionResult:
+    """Completed unitary, recovered protocol (None when the completion is a
+    valid unitary but peeling fails), and the factorization used. The
+    Gamma route also reports its rank condition and the convergence
+    residual of the Fourier table of 1/f; both are None for one variable."""
+
+    unitary: Su2LaurentUnitary
+    spec: object
+    factorization: object
+    rank_report: RankConditionReport | None = None
+    convergence_residual: float | None = None
+
+
+def assemble_and_read_off(p_tilde, q_tilde, factor, n, m):
+    """(unitary, spec): [[Ptilde + iR, Qtilde + iS], ...] assembled from the
+    spectral factor (assemble_completion), and the protocol read off it.
+    A read-off failure leaves spec None rather than raising, since a valid
+    completion need not be protocol-realizable."""
+    unitary = assemble_completion(p_tilde, q_tilde, factor, n, m)
+    try:
+        spec = readoff(unitary.P, unitary.Q).spec
+    except (ReadoffError, VerificationError):
+        spec = None
+    return unitary, spec
+
+
+def complete_unitary_2d(p_tilde, q_tilde, n, m):
+    """Extend real-on-torus targets to a protocol unitary of length n and
+    weight m.
+
+    The targets must pass check_targets, and f = 1 - Ptilde^2 - Qtilde^2
+    must be strictly positive. The stable factor of f, shifted by
+    a^{-m} b^{-(n-m)}, splits into a Hermitian part R and anti-Hermitian
+    part iS with R^2 + S^2 = f, so the matrix [[Ptilde + iR, Qtilde + iS],
+    [...]] is exactly unitary up to the factorization residual
+    (assemble_and_read_off).
+    """
+    n, m = int(n), int(m)
+    check_targets(p_tilde, q_tilde, n, m)
+
     f = LaurentPoly2.one() - p_tilde * p_tilde - q_tilde * q_tilde
     deg_f = f.degrees()
     lattice_n = 0 if deg_f.is_zero else deg_f.deg_a
@@ -369,16 +395,5 @@ def complete_unitary_2d(p_tilde, q_tilde, n, m):
     if not report.satisfied:
         raise FactorizationError("rank condition not satisfied")
     factorization = extract_stable_factor(gamma, f, lattice_n, lattice_m)
-
-    unitary = assemble_completion(p_tilde, q_tilde, factorization.p, n, m)
-    try:
-        spec = readoff(unitary.P, unitary.Q).spec
-    except (ReadoffError, VerificationError):
-        spec = None
-    return CompletionResult2D(
-        unitary=unitary,
-        spec=spec,
-        factorization=factorization,
-        rank_report=report,
-        convergence_residual=table.convergence_residual,
-    )
+    unitary, spec = assemble_and_read_off(p_tilde, q_tilde, factorization.p, n, m)
+    return CompletionResult(unitary, spec, factorization, report, table.convergence_residual)

@@ -99,8 +99,11 @@ class LaurentPoly2:
         if not coeffs:
             self._set(_EMPTY, 0, 0, 0.0)
             return
-        js = np.array([int(j) for j, _ in coeffs])
-        ks = np.array([int(k) for _, k in coeffs])
+        try:
+            js = np.array([int(j) for j, _ in coeffs], dtype=np.int64)
+            ks = np.array([int(k) for _, k in coeffs], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("exponent out of int64 range") from None
         values = np.array([_clean(v) for v in coeffs.values()])
         lo_a, lo_b = int(js.min()), int(ks.min())
         box = _zeros(int(js.max()) - lo_a + 1, int(ks.max()) - lo_b + 1)
@@ -484,13 +487,6 @@ class LaurentPoly1:
     def is_hermitian(self):
         """c_{-k} == conj(c_k), i.e. real-valued on the unit circle."""
         return self.distance(self.conj_reciprocal()) <= PARITY_REL * self.max_abs()
-
-    def negation_bit(self):
-        if not self._c:
-            return None
-        cut = PARITY_REL * self.max_abs()
-        bits = {k % 2 for k, c in self._c.items() if abs(c) > cut}
-        return bits.pop() if len(bits) == 1 else None
 
     # -- evaluation ---------------------------------------------------------
 

@@ -252,15 +252,19 @@ def test_complete_1d_chebyshev(tmp_path, capsys):
 
 
 def test_complete_valid_but_not_peelable_exit_three(tmp_path, capsys, monkeypatch):
-    # both completions factor, but no read-off passes at tolerance 1e-30
+    # both completions factor, but no read-off passes at tolerance 1e-30;
+    # either prints its unitary with protocol null
     monkeypatch.setenv("MQSP_TOLERANCE", "1e-30")
     path = write_json(
         tmp_path / "t.json",
         {"p": [{"j": 2, "k": 0, "re": 0.5, "im": 0.0}, {"j": -2, "k": 0, "re": 0.5, "im": 0.0}]},
     )
     code, out, err = run(capsys, ["complete", path, "--vars", "1", "--deg", "2"])
-    assert (code, out) == (3, "")
-    assert err.startswith("completion valid but not peelable: ")
+    assert (code, err) == (3, "")
+    obj = json.loads(out)
+    assert obj["protocol"] is None
+    assert (obj["unitary"]["n"], obj["unitary"]["weight"]) == (2, 2)
+    assert obj["unitary"]["p"] and obj["unitary"]["q"]
     path = write_json(tmp_path / "t2.json", targets_of(ProtocolSpec((0, 1), (0.1, 2.8, -2.2))))
     code, out, err = run(capsys, ["complete", path, "--vars", "2", "--deg", "2,1"])
     assert (code, err) == (3, "")
@@ -302,6 +306,39 @@ def test_complete_2d_rank_failure_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, ["complete", path, "--vars", "2", "--deg", "2,1"])
     assert code == 1
     assert "rank condition not satisfied" in err
+
+
+def eval_records(records, theta):
+    """Value of a record list at the torus points theta = [(theta_a, theta_b)]."""
+    if not records:
+        return np.zeros(len(theta), dtype=complex)
+    jk = np.array([(r["j"], r["k"]) for r in records], dtype=float)
+    c = np.array([complex(r["re"], r["im"]) for r in records])
+    return np.exp(1j * theta @ jk.T) @ c
+
+
+def test_complete_1d_long_targets_printed_unitary_or_refused(tmp_path, capsys):
+    # single-oracle targets at n = 256, past the sampled lengths: an exit 0
+    # or 3 answer prints a unitary whose real parts are the targets, and a
+    # factor that misses f is refused (exit 1) rather than assembled
+    theta = np.column_stack([np.linspace(-3.0, 3.0, 16), np.zeros(16)])
+    rng = np.random.default_rng(8)
+    for _ in range(2):
+        spec = ProtocolSpec((1,) * 256, tuple(rng.uniform(-math.pi, math.pi, 257)))
+        targets = targets_of(spec)
+        path = write_json(tmp_path / "t.json", targets)
+        code, out, err = run(capsys, ["complete", path, "--vars", "1", "--deg", "256"])
+        if code == 1:
+            assert (out, err) == ("", "completion failed: verification failed\n")
+            continue
+        assert code in (0, 3) and err == ""
+        obj = json.loads(out)
+        assert (obj["protocol"] is None) == (code == 3)
+        p = eval_records(obj["unitary"]["p"], theta)
+        q = eval_records(obj["unitary"]["q"], theta)
+        assert np.abs(np.abs(p) ** 2 + np.abs(q) ** 2 - 1.0).max() < 1e-5
+        assert np.abs(p.real - eval_records(targets["p"], theta).real).max() < 1e-8
+        assert np.abs(q.real - eval_records(targets["q"], theta).real).max() < 1e-8
 
 
 def test_complete_bad_inputs_exit_two(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mqsp import factor1d
 from mqsp.errors import FactorizationError
 from mqsp.laurent import LaurentPoly1
 from mqsp.factor1d import complete_unitary_1d, fejer_riesz
@@ -143,7 +144,7 @@ def test_completion_chebyshev_family():
 def test_completion_from_random_protocol_real_parts():
     # real parts of actual all-A protocols are always completable
     rng = np.random.default_rng(23)
-    for n in (2, 5, 8):
+    for n in (2, 5, 8, 64, 128):
         phases = tuple(rng.uniform(-math.pi, math.pi, size=n + 1))
         u = build_unitary(ProtocolSpec((1,) * n, phases))
         # all-A protocols carry no b: the real parts live on axis a alone
@@ -156,9 +157,24 @@ def test_completion_from_random_protocol_real_parts():
 
 
 def test_completion_parity_mismatch():
-    x = LaurentPoly1({1: 0.5, -1: 0.5})
-    with pytest.raises(FactorizationError, match="parity mismatch"):
-        complete_unitary_1d(x, LaurentPoly1.zero(), 2)
+    for p_tilde, n in (
+        (LaurentPoly1({1: 0.5, -1: 0.5}), 2),  # odd cos t at even n
+        (LaurentPoly1({0: 0.3, 1: 0.15, -1: 0.15}), 1),  # 0.3 + 0.3 cos t: mixed
+        (LaurentPoly1({1: -0.3j, -1: 0.3j}), 1),  # 0.6 sin t: inversion-odd
+    ):
+        with pytest.raises(FactorizationError, match="parity mismatch"):
+            complete_unitary_1d(p_tilde, LaurentPoly1.zero(), n)
+
+
+def test_factor_gate_refuses_residual(monkeypatch):
+    # the gate complete_unitary_2d applies: residual >= VERIFY_REL_TOL * max f
+    monkeypatch.setattr(factor1d, "VERIFY_REL_TOL", 0.0)
+    with pytest.raises(FactorizationError, match="^verification failed$"):
+        fejer_riesz(LaurentPoly1({0: 5.0, 1: 2.0, -1: 2.0}))
+    with pytest.raises(FactorizationError, match="^verification failed$"):
+        complete_unitary_1d(chebyshev_t_laurent(2), LaurentPoly1.zero(), 2)
+    # the zero polynomial is its own exact factor
+    assert fejer_riesz(LaurentPoly1.zero()).residual == 0.0
 
 
 def test_completion_degree_overflow():
@@ -168,7 +184,7 @@ def test_completion_degree_overflow():
 
 
 def test_completion_rejects_complex_valued_target():
-    with pytest.raises(ValueError, match="real on the unit circle"):
+    with pytest.raises(ValueError, match="real on the unit torus"):
         complete_unitary_1d(LaurentPoly1({1: 1.0}), LaurentPoly1.zero(), 1)
 
 

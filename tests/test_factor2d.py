@@ -9,7 +9,7 @@ import pytest
 from mqsp import factor2d
 from mqsp.errors import FactorizationError
 from mqsp.factor2d import (
-    CompletionResult2D,
+    CompletionResult,
     build_gamma,
     complete_unitary_2d,
     extract_stable_factor,
@@ -455,7 +455,7 @@ def test_complete_protocol_targets_pinned():
     # is itself protocol-realizable
     p_tilde, q_tilde = _real_targets((0, 1), (0.1, 2.8, -2.2))
     result = complete_unitary_2d(p_tilde, q_tilde, 2, 1)
-    assert isinstance(result, CompletionResult2D)
+    assert isinstance(result, CompletionResult)
     report = verify_structure(result.unitary, 2, 1)
     assert report.overall
     assert report.determinant_residual < 1e-9

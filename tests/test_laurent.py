@@ -309,6 +309,15 @@ def test_far_apart_exponents_rejected_before_allocating():
         a + b
 
 
+def test_exponent_outside_int64_rejected():
+    with pytest.raises(ValueError, match="int64"):
+        LaurentPoly2({(10**30, 0): 1.0})
+    with pytest.raises(ValueError, match="int64"):
+        LaurentPoly2({(0, 0): 1.0, (0, -(10**30)): 1.0})
+    with pytest.raises(ValueError, match="int64"):
+        LaurentPoly1({10**30: 1.0}).embed()
+
+
 def test_equality_and_items():
     p = LaurentPoly2({(2, -1): 1.0, (-1, 3): 2.5j, (0, 0): 0.0})
     assert p == LaurentPoly2({(-1, 3): 2.5j, (2, -1): 1.0})

@@ -6,9 +6,10 @@ them (same seed, same --seconds), and each runs in-process through the
 workload's own `run_op`, so a call sees the same files and flags as in the
 benchmark. Every CLI call prints one JSON line
 
-    [command, exit code, sha1 of stdout, stderr]
+    [argv, exit code, sha1 of stdout, stderr]
 
-so two source trees can be compared byte for byte with `diff`:
+so two source trees can be compared byte for byte with `diff`, which then
+also shows which calls (`--vars 1` or `--vars 2`, say) changed:
 
     python3 scripts/cli_replay.py --workload complete --seed 1 > new.txt
     python3 scripts/cli_replay.py --workload complete --seed 1 --src OLD/src > old.txt
@@ -76,7 +77,7 @@ class Recorder:
                 code = -1
                 err.write("uncaught: %s\n" % traceback.format_exc().splitlines()[-1])
         sha = hashlib.sha1(out.getvalue().encode()).hexdigest()
-        print(json.dumps([argv[0], code, sha, err.getvalue()]), flush=True)
+        print(json.dumps([argv, code, sha, err.getvalue()]), flush=True)
         return Call(code, out.getvalue(), err.getvalue(), 0.0)
 
 

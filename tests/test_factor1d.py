@@ -8,7 +8,13 @@ import pytest
 from mqsp import factor1d
 from mqsp.errors import FactorizationError
 from mqsp.laurent import LaurentPoly1
-from mqsp.factor1d import complete_unitary_1d, fejer_riesz
+from mqsp.factor1d import (
+    complete_unitary_1d,
+    fejer_riesz,
+    spectral_factor,
+    toeplitz_factor,
+)
+from mqsp.factor2d import assemble_and_read_off
 from mqsp.protocol import ProtocolSpec, build_unitary, verify_structure
 from mqsp.readoff import readoff
 
@@ -108,6 +114,83 @@ def test_factor_deterministic_normalization():
     assert g1.distance(g2) < 1e-8 * g1.max_abs()
 
 
+def _coeffs(g, deg):
+    return np.array([g.coeff(k) for k in range(deg + 1)])
+
+
+def test_toeplitz_factor_matches_root_pairing():
+    # the same factor up to a global phase, pinned by g_0 > 0 instead of
+    # fejer_riesz's top coefficient, so refactoring g g* reproduces g
+    rng = np.random.default_rng(8)
+    for deg in (1, 3, 7, 12, 16):
+        f = _random_positive(rng, deg)
+        fac = toeplitz_factor(f)
+        assert fac.root_class == "stable"
+        assert fac.residual < 1e-12 * f.max_abs()
+        g = _coeffs(fac.g, deg)
+        ref = _coeffs(fejer_riesz(f).g, deg)
+        assert np.abs(np.abs(g) - np.abs(ref)).max() < 1e-12 * np.abs(g).max()
+        assert g[0].real > 0 and abs(g[0].imag) <= 1e-12 * g[0].real
+        again = toeplitz_factor(fac.g * fac.g.conj_reciprocal()).g
+        assert again.distance(fac.g) < 1e-12 * fac.g.max_abs()
+
+
+def test_boundary_zeros_fall_back_to_root_pairing():
+    # zeros on the circle ("outer"): the Toeplitz solve refuses f, and
+    # spectral_factor returns fejer_riesz's factor itself
+    for f in (
+        LaurentPoly1({0: 2.0, 1: 1.0, -1: 1.0}),  # |1 + z|^2
+        *(LaurentPoly1.one() - t * t for t in map(chebyshev_t_laurent, (1, 2, 4))),
+    ):
+        with pytest.raises(FactorizationError):
+            toeplitz_factor(f)
+        fac = spectral_factor(f)
+        assert fac.root_class == "outer"
+        assert fac == fejer_riesz(f)
+    # and the completions of cos t = T_1 and T_n are the root-pairing ones
+    for n in (1, 2, 5):
+        t = chebyshev_t_laurent(n)
+        res = complete_unitary_1d(t, LaurentPoly1.zero(), n)
+        fac = fejer_riesz(LaurentPoly1.one() - t * t)
+        assert res.factorization == fac and fac.root_class == "outer"
+        zero = LaurentPoly1.zero().embed()
+        unitary, spec = assemble_and_read_off(t.embed(), zero, fac.g.embed(), n, n)
+        assert res.unitary.distance(unitary) == 0.0 and res.spec == spec
+
+
+# phases of a single-oracle protocol at n = 8 whose real parts leave
+# f = 1 - Ptilde^2 - Qtilde^2 a relative margin of 9.4e-7 on the circle
+NEAR_CIRCLE_PHASES = (
+    -1.8604047989335761, -0.9214242360588618, 0.27214618940453184,
+    -0.4545818519992624, -2.3717412849253936, 2.926884404046045,
+    1.2019444600348876, 2.092521107551984, -0.8956005446123783,
+)
+
+
+def test_strictly_positive_past_the_grid_cap_falls_back():
+    # 1/f of |1 - 0.996 z|^2 converges at 2^17 samples, past TOEPLITZ_MAX:
+    # root pairing factors it instead
+    h = LaurentPoly1({0: 1.0, 1: -0.996})
+    f = h * h.conj_reciprocal()
+    with pytest.raises(FactorizationError, match="^no convergence$"):
+        toeplitz_factor(f)
+    fac = spectral_factor(f)
+    assert fac == fejer_riesz(f) and fac.root_class == "stable"
+    # 1/f of this protocol-derived f does not converge within 2^20 samples:
+    # the target still completes, through root pairing, and reads off
+    spec = ProtocolSpec((1,) * 8, NEAR_CIRCLE_PHASES)
+    u = build_unitary(spec)
+    pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()})
+    qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()})
+    f = LaurentPoly1.one() - pt * pt - qt * qt
+    with pytest.raises(FactorizationError, match="^no convergence$"):
+        toeplitz_factor(f)
+    res = complete_unitary_1d(pt, qt, 8)
+    assert res.factorization == fejer_riesz(f)
+    assert verify_structure(res.unitary, 8, 8).overall
+    assert readoff(res.unitary.P, res.unitary.Q).residual < 1e-9
+
+
 # -- completion -------------------------------------------------------------------
 
 
@@ -144,7 +227,7 @@ def test_completion_chebyshev_family():
 def test_completion_from_random_protocol_real_parts():
     # real parts of actual all-A protocols are always completable
     rng = np.random.default_rng(23)
-    for n in (2, 5, 8, 64, 128):
+    for n in (2, 5, 8, 64, 128, 256):
         phases = tuple(rng.uniform(-math.pi, math.pi, size=n + 1))
         u = build_unitary(ProtocolSpec((1,) * n, phases))
         # all-A protocols carry no b: the real parts live on axis a alone
@@ -169,8 +252,9 @@ def test_completion_parity_mismatch():
 def test_factor_gate_refuses_residual(monkeypatch):
     # the gate complete_unitary_2d applies: residual >= VERIFY_REL_TOL * max f
     monkeypatch.setattr(factor1d, "VERIFY_REL_TOL", 0.0)
-    with pytest.raises(FactorizationError, match="^verification failed$"):
-        fejer_riesz(LaurentPoly1({0: 5.0, 1: 2.0, -1: 2.0}))
+    for factor in (fejer_riesz, toeplitz_factor):
+        with pytest.raises(FactorizationError, match="^verification failed$"):
+            factor(LaurentPoly1({0: 5.0, 1: 2.0, -1: 2.0}))
     with pytest.raises(FactorizationError, match="^verification failed$"):
         complete_unitary_1d(chebyshev_t_laurent(2), LaurentPoly1.zero(), 2)
     # the zero polynomial is its own exact factor

@@ -15,6 +15,10 @@ also shows which calls (`--vars 1` or `--vars 2`, say) changed:
     python3 scripts/cli_replay.py --workload complete --seed 1 --src OLD/src > old.txt
     diff old.txt new.txt
 
+After the call lines, stderr gets one count per (command, --vars, exit
+code), as `complete --vars 1 exit 0: 371`, so the exit codes of two trees
+compare without reading the lines.
+
 Files are written to a temporary directory that is also the working
 directory, with relative paths, so no output depends on where it lies.
 The exit code is 1 when a workload check finds a wrong answer (reported
@@ -66,6 +70,7 @@ class Recorder:
 
     def __init__(self, main):
         self.main = main
+        self.counts = collections.Counter()
 
     def __call__(self, argv):
         out, err = io.StringIO(), io.StringIO()
@@ -78,6 +83,8 @@ class Recorder:
                 err.write("uncaught: %s\n" % traceback.format_exc().splitlines()[-1])
         sha = hashlib.sha1(out.getvalue().encode()).hexdigest()
         print(json.dumps([argv, code, sha, err.getvalue()]), flush=True)
+        nvars = argv[argv.index("--vars") + 1] if "--vars" in argv else "-"
+        self.counts[argv[0], nvars, code] += 1
         return Call(code, out.getvalue(), err.getvalue(), 0.0)
 
 
@@ -109,6 +116,8 @@ def main(argv=None):
                     print("wrong answer: %s" % exc, file=sys.stderr)
         finally:
             os.chdir(start)
+    for (command, nvars, code), count in sorted(program.counts.items()):
+        print("%s --vars %s exit %d: %d" % (command, nvars, code, count), file=sys.stderr)
     return 1 if wrong else 0
 
 

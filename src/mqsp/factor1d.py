@@ -1,23 +1,23 @@
 """Single-variable spectral factorization, and completion as its m = n case.
 
-Both factorizations take a Laurent polynomial f that is real and
-nonnegative on the unit circle and return g with exponents 0..D such that
-f = g * conj_reciprocal(g), and both refuse a g whose residual fails the
-factor gate of factor2d (VERIFY_REL_TOL).
+Both factorizations return g (a LaurentPoly1 with exponents 0..D) with
+f = g * conj_reciprocal(g) for f real and nonnegative on the unit circle,
+and both refuse a g whose residual fails the factor gate of factor2d
+(VERIFY_REL_TOL).
 
-- toeplitz_factor is factor2d's route in one variable: the Fourier
-  coefficients of 1/f, the Toeplitz Gamma and one linear solve. It needs f
-  strictly positive, and fails when 1/f needs more than TOEPLITZ_MAX
-  samples. Its g is stable (no zeros in the closed disk), with g_0 > 0.
-- fejer_riesz pairs the roots of z^D f(z), choosing the root from each
-  (r, 1/conj(r)) pair with magnitude >= 1 and clustering the roots on the
-  circle to even multiplicity. It is the only one that factors f with
+- toeplitz_factor is factor2d's Gamma route with the b axis of extent 0,
+  for f a LaurentPoly2 on axis a: fourier_of_reciprocal, build_gamma and
+  the solve of extract_stable_factor. It needs f strictly positive and
+  1/f within FOURIER_AXIS_MAX samples. Its g is stable (no zeros in the
+  closed disk), with g_0 > 0.
+- fejer_riesz pairs the roots of z^D f(z), f a LaurentPoly1, choosing the
+  root from each (r, 1/conj(r)) pair with magnitude >= 1 and clustering
+  the roots on the circle to even multiplicity. It alone factors f with
   zeros on the circle (root class "outer"). Its g is monic times a
   positive scale.
 
 spectral_factor tries toeplitz_factor and falls back to fejer_riesz.
-complete_unitary_1d is the two-variable completion of factor2d with
-weight m = n: the same target checks, assembly and read-off, with
+complete_unitary_1d is complete_unitary_2d with weight m = n, with
 spectral_factor's g in place of the stable factor.
 """
 
@@ -30,16 +30,17 @@ import numpy as np
 
 from mqsp.errors import FactorizationError
 from mqsp.factor2d import (
-    FOURIER_TOL,
+    VERIFY_GRID,
     VERIFY_REL_TOL,
     CompletionResult,
-    FourierTable,
     _pow2_grid,
+    _solve_for_factor,
     assemble_and_read_off,
     build_gamma,
     check_targets,
+    fourier_of_reciprocal,
 )
-from mqsp.laurent import LaurentPoly1
+from mqsp.laurent import LaurentPoly1, LaurentPoly2
 
 # Root classification/pairing tolerances. A boundary zero of a nonnegative
 # polynomial has even multiplicity; the companion-matrix noise splits such
@@ -47,12 +48,8 @@ from mqsp.laurent import LaurentPoly1
 BOUNDARY_TOL = 1e-6
 PAIRING_TOL = 1e-6
 CLUSTER_TOL = 1e-5
-VERIFY_GRID = 1024
-# toeplitz_factor doubles its FFT grid from TOEPLITZ_START up to
-# TOEPLITZ_MAX samples (1 MB of complex values) before it gives up; the
-# few targets that would need more go to root pairing instead.
-TOEPLITZ_START = 1024
-TOEPLITZ_MAX = 2**16
+# smallest circle grid on which fejer_riesz samples f and checks its factor
+PAIRING_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -132,10 +129,8 @@ def fejer_riesz(f):
         return Factorization1D(LaurentPoly1.zero(), 0.0, "stable")
 
     # the FFT grid must exceed the exponent spread 2 * deg; doubling keeps
-    # the VERIFY_GRID points in it
-    grid = VERIFY_GRID
-    while grid <= 2 * f.degree():
-        grid *= 2
+    # the PAIRING_GRID points in it
+    grid = _pow2_grid(PAIRING_GRID, f.degree())
     values = f.eval_circle_grid(grid).real
     scale = float(np.max(np.abs(values)))
     if float(np.min(values)) < -1e-12 * max(1.0, scale):
@@ -179,74 +174,52 @@ def fejer_riesz(f):
 
 
 def toeplitz_factor(f):
-    """Stable factor g of a strictly positive f from the Fourier
-    coefficients of 1/f: factor2d's Gamma route in one variable.
+    """Stable factor g of a strictly positive f (a LaurentPoly2 on axis a)
+    by factor2d's Gamma route with window (d, 0), d = deg f.
 
-    The coefficients c_k, |k| <= d = deg f, come from the FFT of sampled
-    1/f, with the grid doubled from TOEPLITZ_START until they move by less
-    than FOURIER_TOL. The Toeplitz Gamma[i, j] = c_{i-j} then gives
+    fourier_of_reciprocal gives the coefficients c_k, |k| <= d, of 1/f;
+    the Toeplitz Gamma[i, j] = c_{i-j} (build_gamma) then gives
     Gamma q = e_0 with q = conj(g_0) g, so g = q / sqrt(q_0) has g_0 real
-    positive. Raises "f not strictly positive" for a sample of f at or
-    below zero, "no convergence" past TOEPLITZ_MAX samples, and
-    "verification failed" as fejer_riesz does, on the converged grid.
+    positive. Raises as fourier_of_reciprocal and the solve do, and
+    "verification failed" as fejer_riesz does, on the grid along a that
+    extract_stable_factor uses.
     """
-    if not f.is_hermitian():
-        raise ValueError("f must be Hermitian (real on the unit circle)")
-    d = f.degree() or 0
-    grid = _pow2_grid(TOEPLITZ_START, d)
-    ks = np.arange(-d, d + 1)
-    previous = None
-    while grid <= TOEPLITZ_MAX:
-        values = f.eval_circle_grid(grid).real
-        if values.min() <= 0.0:
-            raise FactorizationError("f not strictly positive")
-        window = np.fft.fft(1.0 / values)[ks % grid] / grid
-        if previous is not None:
-            moved = float(np.abs(window - previous).max())
-            if moved < FOURIER_TOL:
-                break
-        previous = window
-        grid *= 2
-    else:
-        raise FactorizationError("no convergence")
-
-    table = FourierTable((d, 0), window[:, None], grid, moved)
-    unit = np.zeros(d + 1)
-    unit[0] = 1.0
-    solved = np.linalg.solve(build_gamma(table, d, 0), unit)
-    q0 = solved[0].real
-    if not q0 > 0.0:
-        raise FactorizationError("verification failed")
-    g = LaurentPoly1(dict(enumerate(solved / math.sqrt(q0))))
+    deg = f.degrees()
+    d = 0 if deg.is_zero else deg.deg_a
+    table = fourier_of_reciprocal(f, (d, 0))
+    g = LaurentPoly1(dict(enumerate(_solve_for_factor(build_gamma(table, d, 0)))))
+    grid = _pow2_grid(VERIFY_GRID, 2 * d)
+    ((_, f_values),) = f.unit_grid_blocks((grid, 1), grid)
+    values = f_values[:, 0].real
     residual = float(np.max(np.abs(values - np.abs(g.eval_circle_grid(grid)) ** 2)))
     return _verified(g, residual, "stable", float(values.max()))
 
 
 def spectral_factor(f):
-    """toeplitz_factor's factor of f, or fejer_riesz's when that raises."""
+    """toeplitz_factor's factor of f (a LaurentPoly2 on axis a) or, when
+    that raises, fejer_riesz's factor of f's coefficients as a
+    LaurentPoly1."""
     try:
         return toeplitz_factor(f)
     except FactorizationError:
-        return fejer_riesz(f)
+        return fejer_riesz(LaurentPoly1({j: c for (j, _), c in f.items()}))
 
 
 def complete_unitary_1d(p_tilde, q_tilde, n):
     """Complete real-on-circle targets (Ptilde, Qtilde) into a single-oracle
     protocol unitary of length n: complete_unitary_2d with weight m = n.
 
-    The targets, embedded on axis a, pass the same check_targets, and the
-    unitary is assembled and read off the same way. The factor of
-    f = 1 - Ptilde^2 - Qtilde^2, computed in one variable, is
-    spectral_factor's: toeplitz_factor's g or, when that raises (f with
-    zeros on or too near the circle), fejer_riesz's, whose outcome and
-    message are then final. The result has no rank report or convergence
-    residual.
+    The targets, embedded on axis a, pass the same check_targets and give
+    f = 1 - Ptilde^2 - Qtilde^2 by the same arithmetic; the unitary is
+    assembled and read off the same way. The factor is spectral_factor's:
+    toeplitz_factor's g, complete_unitary_2d's stable factor bit for bit,
+    or, when that raises (f with zeros on or too near the circle),
+    fejer_riesz's, whose outcome and message are then final. The result
+    has no rank report or convergence residual.
     """
     n = int(n)
     p_a, q_a = p_tilde.embed(), q_tilde.embed()
     check_targets(p_a, q_a, n, n)
-    # in LaurentPoly1 arithmetic: the root-pairing fallback can flip on the
-    # last bits of f
-    f = LaurentPoly1.one() - p_tilde * p_tilde - q_tilde * q_tilde
+    f = LaurentPoly2.one() - p_a * p_a - q_a * q_a
     fac = spectral_factor(f)
     return CompletionResult(*assemble_and_read_off(p_a, q_a, fac.g.embed(), n, n), fac)

@@ -27,11 +27,12 @@ from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import Su2LaurentUnitary, assemble_completion
 from mqsp.readoff import readoff
 
+# fourier_of_reciprocal's grid bounds (one axis, in all) and sampling block
 FOURIER_START = 128
-FOURIER_MAX = 4096
+FOURIER_AXIS_MAX = 2**16
+FOURIER_CELLS_MAX = 4096**2
+FOURIER_BLOCK_CELLS = 2**18
 FOURIER_TOL = 1e-10
-# fourier_of_reciprocal samples f this many theta_a rows at a time.
-FOURIER_BLOCK_ROWS = 256
 RANK_REL_TOL = 1e-8
 # Relative size of the inverse-block entries below which the second route
 # counts as satisfied. Observed ~1e-12 on exact-rank fixtures (set by the
@@ -55,14 +56,14 @@ def _pow2_grid(base, max_degree):
 class FourierTable:
     """Fourier coefficients of 1/f on the window |j| <= wa, |k| <= wb.
 
-    coeffs[wa + j, wb + k] = c_{jk}; grid_size is the FFT size at which the
-    doubling iteration converged, convergence_residual the last sweep's
-    max coefficient change.
+    coeffs[wa + j, wb + k] = c_{jk}; grid_size is the pair (na, nb) of FFT
+    sizes at which the doubling iteration converged, convergence_residual
+    the last sweep's max coefficient change.
     """
 
     window: tuple
     coeffs: np.ndarray
-    grid_size: int
+    grid_size: tuple
     convergence_residual: float
 
     def coeff(self, j, k):
@@ -72,20 +73,30 @@ class FourierTable:
         return complex(self.coeffs[wa + j, wb + k])
 
 
+def _exceeds_bounds(na, nb):
+    return max(na, nb) > FOURIER_AXIS_MAX or na * nb > FOURIER_CELLS_MAX
+
+
 def fourier_of_reciprocal(f, window):
     """Fourier coefficients of 1/f over `window` = (wa, wb).
 
-    f must be Hermitian and strictly positive on the torus. On an N x N
-    grid the table is the windowed fft2 of sampled 1/f, with N doubled from
-    128 until the table changes by less than FOURIER_TOL (aliasing decays
-    exponentially for strictly positive f). f is sampled FOURIER_BLOCK_ROWS
-    theta_a rows at a time (`unit_grid_blocks`); each block is transformed
-    along b and only the window's 2*wb + 1 columns are kept, then that
-    N x (2*wb + 1) strip is transformed along a. No N x N array is held:
-    memory is O(FOURIER_BLOCK_ROWS * N) for one block plus O(N * box width)
-    for f's box transformed along a, and time O(N^2 log N) per grid
-    whatever f's degree. A sample of f at or below zero on any of these
-    grids raises "f not strictly positive".
+    f must be Hermitian and strictly positive on the torus. The table is
+    the windowed fft2 of 1/f sampled on an na x nb grid sized per axis:
+    one sample, which is exact, along an axis where f has degree 0 and the
+    window is 0; else _pow2_grid(FOURIER_START, f's degree in that
+    variable) samples, doubled with the other axis until the table changes
+    by less than FOURIER_TOL (aliasing decays exponentially for strictly
+    positive f). Past FOURIER_AXIS_MAX samples on an axis or
+    FOURIER_CELLS_MAX in all it raises "no convergence", before sampling
+    anything when the first doubling is already past them.
+
+    f is sampled in whole theta_a rows, at most FOURIER_BLOCK_CELLS samples
+    at a time (`unit_grid_blocks`); each block is transformed along b and
+    only the window's 2*wb + 1 columns are kept, then that na x (2*wb + 1)
+    strip is transformed along a. Memory is O(max(FOURIER_BLOCK_CELLS, nb))
+    samples for one block plus O(na * box width) for f's box transformed
+    along a, and time O(na nb log(na nb)) per grid whatever f's degree. A
+    sample of f at or below zero raises "f not strictly positive".
     """
     if not f.is_hermitian():
         raise ValueError("f must be Hermitian (real on the unit torus)")
@@ -94,36 +105,40 @@ def fourier_of_reciprocal(f, window):
         raise ValueError("window must be nonnegative")
 
     deg = f.degrees()
-    max_deg = 0 if deg.is_zero else max(deg.deg_a, deg.deg_b)
-    grid = _pow2_grid(FOURIER_START, max_deg)
-    if 2 * grid > FOURIER_MAX:
-        # convergence needs two successive grids within FOURIER_MAX; fail
+    degrees = (0, 0) if deg.is_zero else (deg.deg_a, deg.deg_b)
+    na, nb = (1 if d == w == 0 else _pow2_grid(FOURIER_START, d) for d, w in zip(degrees, (wa, wb)))
+    step_a, step_b = (2 if na > 1 else 1), (2 if nb > 1 else 1)
+    exact = na == nb == 1
+    if not exact and _exceeds_bounds(step_a * na, step_b * nb):
+        # convergence needs two successive grids within the bounds; fail
         # before sampling anything
         raise FactorizationError("no convergence")
 
     js = np.arange(-wa, wa + 1)
     ks = np.arange(-wb, wb + 1)
     previous = None
-    while grid <= FOURIER_MAX:
-        # fft2 of 1/f with the window's columns kept after the pass along b
-        strip = np.empty((grid, ks.size), dtype=complex)
-        for start, block in f.unit_grid_blocks(grid, FOURIER_BLOCK_ROWS):
+    while not _exceeds_bounds(na, nb):
+        # fft2 of 1/f with the window's columns kept after the pass along b;
+        # an axis of one sample takes no FFT
+        strip = np.empty((na, ks.size), dtype=complex)
+        for start, block in f.unit_grid_blocks((na, nb), FOURIER_BLOCK_CELLS):
             values = block.real
             if values.min() <= 0.0:
                 raise FactorizationError("f not strictly positive")
-            strip[start : start + len(values)] = np.fft.fft(1.0 / values, axis=1)[:, ks % grid]
-        table = np.fft.fft(strip, axis=0)[js % grid] / grid**2
-        if previous is not None:
-            residual = float(np.abs(table - previous).max())
+            recip = np.fft.fft(1.0 / values, axis=1) if nb > 1 else 1.0 / values
+            strip[start : start + len(values)] = recip[:, ks % nb]
+        table = (np.fft.fft(strip, axis=0) if na > 1 else strip)[js % na] / (na * nb)
+        if exact or previous is not None:
+            residual = 0.0 if exact else float(np.abs(table - previous).max())
             if residual < FOURIER_TOL:
                 return FourierTable(
                     window=(wa, wb),
                     coeffs=table,
-                    grid_size=grid,
+                    grid_size=(na, nb),
                     convergence_residual=residual,
                 )
         previous = table
-        grid *= 2
+        na, nb = step_a * na, step_b * nb
     raise FactorizationError("no convergence")
 
 
@@ -232,6 +247,20 @@ def _min_on_bidisk_net(p):
     return float(np.abs(values).min())
 
 
+def _solve_for_factor(gamma):
+    """Solution q of Gamma q = e_0 scaled by 1/sqrt(q_0): the candidate
+    factor's coefficients in lattice order, the first one real positive."""
+    unit = np.zeros(len(gamma))
+    unit[0] = 1.0
+    solved = np.linalg.solve(gamma, unit)
+    q0 = solved[0]
+    if not (q0.real > 0 and abs(q0.imag) <= 1e-8 * abs(q0)):
+        raise FactorizationError(
+            "verification failed: constant coefficient of the solve is not positive"
+        )
+    return solved * (1.0 / math.sqrt(q0.real))
+
+
 def extract_stable_factor(gamma, f, n, m):
     """Candidate stable factor from the linear solve Gamma q = e_{(0,0)}.
 
@@ -242,17 +271,8 @@ def extract_stable_factor(gamma, f, n, m):
     is verified against f on a torus grid and against a closed-bidisk
     sampling net.
     """
-    unit = np.zeros((n + 1) * (m + 1))
-    unit[0] = 1.0
-    solved = np.linalg.solve(gamma, unit)
-    q00 = solved[0]
-    if not (q00.real > 0 and abs(q00.imag) <= 1e-8 * abs(q00)):
-        raise FactorizationError(
-            "verification failed: constant coefficient of the solve is not positive"
-        )
-    scale = 1.0 / math.sqrt(q00.real)
     # the lattice ordinal j*(m+1) + k is row-major order on the (n+1, m+1) box
-    p = LaurentPoly2.from_array(solved.reshape(n + 1, m + 1) * scale, 0, 0)
+    p = LaurentPoly2.from_array(_solve_for_factor(gamma).reshape(n + 1, m + 1), 0, 0)
 
     deg = f.degrees()
     max_deg = 0 if deg.is_zero else max(deg.deg_a, deg.deg_b)

@@ -317,34 +317,39 @@ class LaurentPoly2:
     def eval_unit_grid(self, n):
         """Values at theta_r = 2*pi*r/n per axis: out[r, s] = p(2*pi*r/n,
         2*pi*s/n), the whole grid as one block of `unit_grid_blocks`."""
-        ((_, values),) = self.unit_grid_blocks(n, n)
+        ((_, values),) = self.unit_grid_blocks((n, n), n * n)
         return values
 
-    def unit_grid_blocks(self, n, block_rows):
-        """Yield (start, values) over the n x n grid of `eval_unit_grid`,
-        block_rows theta_a rows at a time: values[i, s] = p(2*pi*(start +
-        i)/n, 2*pi*s/n).
+    def unit_grid_blocks(self, shape, block_cells):
+        """Yield (start, values) over the na x nb grid of `shape`, in whole
+        theta_a rows of at most block_cells samples (at least one row):
+        values[i, s] = p(2*pi*(start + i)/na, 2*pi*s/nb).
 
-        One zero-padded inverse FFT along a of the coefficient box (n x box
+        One zero-padded inverse FFT along a of the coefficient box (na x box
         width) serves every block; each block then takes one inverse FFT
-        along b, so it costs O(block_rows * n log n) and holds block_rows x
-        n samples whatever the box width. Exact (up to rounding) provided n
-        exceeds the exponent spread in both variables.
+        along b, so it costs O(block_cells log nb) and holds at most
+        max(block_cells, nb) samples whatever the box width. An axis of
+        length 1 (p constant along it) takes no FFT. Exact (up to rounding)
+        provided each axis exceeds the exponent spread in its variable.
         """
+        na, nb = shape
         deg = self.degrees()
-        if not deg.is_zero and (2 * deg.deg_a >= n or 2 * deg.deg_b >= n):
-            raise ValueError("grid size %d too small for exponent spread" % n)
+        if not deg.is_zero and (2 * deg.deg_a >= na or 2 * deg.deg_b >= nb):
+            raise ValueError("grid %d x %d too small for exponent spread" % (na, nb))
         (lo_a, lo_b), (rows, cols) = self._lo, self._box.shape
-        # the spread check keeps the residues mod n distinct: no collisions
-        at_b = np.arange(lo_b, lo_b + cols) % n
-        along_a = np.zeros((n, cols), dtype=complex)
-        along_a[np.arange(lo_a, lo_a + rows) % n] = self._box
-        np.fft.ifft(along_a, axis=0, out=along_a)
-        for start in range(0, n, block_rows):
-            block = np.zeros((min(block_rows, n - start), n), dtype=complex)
+        # the spread check keeps the residues mod na, nb distinct: no collisions
+        at_b = np.arange(lo_b, lo_b + cols) % nb
+        along_a = np.zeros((na, cols), dtype=complex)
+        along_a[np.arange(lo_a, lo_a + rows) % na] = self._box
+        if na > 1:
+            np.fft.ifft(along_a, axis=0, out=along_a)
+        block_rows = max(1, block_cells // nb)
+        for start in range(0, na, block_rows):
+            block = np.zeros((min(block_rows, na - start), nb), dtype=complex)
             block[:, at_b] = along_a[start : start + block_rows]
-            np.fft.ifft(block, axis=1, out=block)
-            block *= n * n
+            if nb > 1:
+                np.fft.ifft(block, axis=1, out=block)
+            block *= na * nb
             yield start, block
 
     # -- degrees and parity ------------------------------------------------

@@ -7,14 +7,14 @@ import pytest
 
 from mqsp import factor1d
 from mqsp.errors import FactorizationError
-from mqsp.laurent import LaurentPoly1
+from mqsp.laurent import LaurentPoly1, LaurentPoly2
 from mqsp.factor1d import (
     complete_unitary_1d,
     fejer_riesz,
     spectral_factor,
     toeplitz_factor,
 )
-from mqsp.factor2d import assemble_and_read_off
+from mqsp.factor2d import assemble_and_read_off, complete_unitary_2d
 from mqsp.protocol import ProtocolSpec, build_unitary, verify_structure
 from mqsp.readoff import readoff
 
@@ -124,14 +124,14 @@ def test_toeplitz_factor_matches_root_pairing():
     rng = np.random.default_rng(8)
     for deg in (1, 3, 7, 12, 16):
         f = _random_positive(rng, deg)
-        fac = toeplitz_factor(f)
+        fac = toeplitz_factor(f.embed())
         assert fac.root_class == "stable"
         assert fac.residual < 1e-12 * f.max_abs()
         g = _coeffs(fac.g, deg)
         ref = _coeffs(fejer_riesz(f).g, deg)
         assert np.abs(np.abs(g) - np.abs(ref)).max() < 1e-12 * np.abs(g).max()
         assert g[0].real > 0 and abs(g[0].imag) <= 1e-12 * g[0].real
-        again = toeplitz_factor(fac.g * fac.g.conj_reciprocal()).g
+        again = toeplitz_factor((fac.g * fac.g.conj_reciprocal()).embed()).g
         assert again.distance(fac.g) < 1e-12 * fac.g.max_abs()
 
 
@@ -143,8 +143,8 @@ def test_boundary_zeros_fall_back_to_root_pairing():
         *(LaurentPoly1.one() - t * t for t in map(chebyshev_t_laurent, (1, 2, 4))),
     ):
         with pytest.raises(FactorizationError):
-            toeplitz_factor(f)
-        fac = spectral_factor(f)
+            toeplitz_factor(f.embed())
+        fac = spectral_factor(f.embed())
         assert fac.root_class == "outer"
         assert fac == fejer_riesz(f)
     # and the completions of cos t = T_1 and T_n are the root-pairing ones
@@ -168,13 +168,13 @@ NEAR_CIRCLE_PHASES = (
 
 
 def test_strictly_positive_past_the_grid_cap_falls_back():
-    # 1/f of |1 - 0.996 z|^2 converges at 2^17 samples, past TOEPLITZ_MAX:
-    # root pairing factors it instead
+    # 1/f of |1 - 0.996 z|^2 converges at 2^17 samples, past
+    # FOURIER_AXIS_MAX: root pairing factors it instead
     h = LaurentPoly1({0: 1.0, 1: -0.996})
     f = h * h.conj_reciprocal()
     with pytest.raises(FactorizationError, match="^no convergence$"):
-        toeplitz_factor(f)
-    fac = spectral_factor(f)
+        toeplitz_factor(f.embed())
+    fac = spectral_factor(f.embed())
     assert fac == fejer_riesz(f) and fac.root_class == "stable"
     # 1/f of this protocol-derived f does not converge within 2^20 samples:
     # the target still completes, through root pairing, and reads off
@@ -182,11 +182,13 @@ def test_strictly_positive_past_the_grid_cap_falls_back():
     u = build_unitary(spec)
     pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()})
     qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()})
-    f = LaurentPoly1.one() - pt * pt - qt * qt
+    # f as complete_unitary_1d builds it, on axis a
+    p_a, q_a = pt.embed(), qt.embed()
+    f = LaurentPoly2.one() - p_a * p_a - q_a * q_a
     with pytest.raises(FactorizationError, match="^no convergence$"):
         toeplitz_factor(f)
     res = complete_unitary_1d(pt, qt, 8)
-    assert res.factorization == fejer_riesz(f)
+    assert res.factorization == fejer_riesz(LaurentPoly1({j: c for (j, _), c in f.items()}))
     assert verify_structure(res.unitary, 8, 8).overall
     assert readoff(res.unitary.P, res.unitary.Q).residual < 1e-9
 
@@ -239,6 +241,22 @@ def test_completion_from_random_protocol_real_parts():
         assert rr.residual < 1e-9
 
 
+def test_two_variable_route_with_one_axis_is_the_one_variable_route():
+    # all-A targets embedded on axis a: complete_unitary_2d with m = n takes
+    # the same f, the same Fourier table of 1/f and the same Gamma solve,
+    # so its completion is complete_unitary_1d's bit for bit
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4, 5, 8, 16, 32):
+        phases = tuple(rng.uniform(-math.pi, math.pi, size=n + 1))
+        u = build_unitary(ProtocolSpec((1,) * n, phases))
+        pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()})
+        qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()})
+        one = complete_unitary_1d(pt, qt, n)
+        two = complete_unitary_2d(pt.embed(), qt.embed(), n, n)
+        assert two.unitary.distance(one.unitary) == 0.0, n
+        assert two.spec == one.spec and one.spec is not None, n
+
+
 def test_completion_parity_mismatch():
     for p_tilde, n in (
         (LaurentPoly1({1: 0.5, -1: 0.5}), 2),  # odd cos t at even n
@@ -252,9 +270,10 @@ def test_completion_parity_mismatch():
 def test_factor_gate_refuses_residual(monkeypatch):
     # the gate complete_unitary_2d applies: residual >= VERIFY_REL_TOL * max f
     monkeypatch.setattr(factor1d, "VERIFY_REL_TOL", 0.0)
-    for factor in (fejer_riesz, toeplitz_factor):
+    f = LaurentPoly1({0: 5.0, 1: 2.0, -1: 2.0})
+    for factor, arg in ((fejer_riesz, f), (toeplitz_factor, f.embed())):
         with pytest.raises(FactorizationError, match="^verification failed$"):
-            factor(LaurentPoly1({0: 5.0, 1: 2.0, -1: 2.0}))
+            factor(arg)
     with pytest.raises(FactorizationError, match="^verification failed$"):
         complete_unitary_1d(chebyshev_t_laurent(2), LaurentPoly1.zero(), 2)
     # the zero polynomial is its own exact factor

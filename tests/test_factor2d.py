@@ -100,8 +100,8 @@ def test_fourier_rejects_non_hermitian():
 def test_fourier_no_convergence_near_singular():
     # roots at distance 1e-3 from the torus: aliasing decays like
     # (1 - 1e-3)^N, still order 0.1 at the largest admissible grid; every
-    # grid up to FOURIER_MAX is sampled, one block of rows at a time, so the
-    # peak stays far below one 4096^2 complex grid (256 MB)
+    # grid up to FOURIER_CELLS_MAX is sampled, one block of rows at a time,
+    # so the peak stays far below one 4096^2 complex grid (256 MB)
     near = LaurentPoly2({(0, 0): 1.0, (1, 1): 1.0 - 1e-3})
     f = _abs_square(near)
     tracemalloc.start()
@@ -111,64 +111,101 @@ def test_fourier_no_convergence_near_singular():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 2**20
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_fourier_sizes_each_axis_by_its_degree(swap):
+    # |1 + 0.3a + 0.5b^900|^2 and its a <-> b swap: the degree-900 axis
+    # needs 2048 samples and more, the degree-1 axis 128, so the grid that
+    # converges is 4096 x 256, not 4096^2 (a square grid peaks at 169 MB
+    # with degree 900 in b, its box transformed along a held whole)
+    terms = {(0, 0): 1.0, (1, 0): 0.3, (0, 900): 0.5}
+    if swap:
+        terms = {(k, j): c for (j, k), c in terms.items()}
+    f = _abs_square(LaurentPoly2(terms))
+    tracemalloc.start()
+    try:
+        table = fourier_of_reciprocal(f, (1, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.grid_size == ((4096, 256) if swap else (256, 4096))
+    assert table.convergence_residual < factor2d.FOURIER_TOL
+    assert peak < 32 * 2**20
 
 
 def test_fourier_no_convergence_before_any_grid(monkeypatch):
     # convergence compares two successive grids, so when the second would
-    # exceed FOURIER_MAX the answer is known before sampling anything (at
-    # degree >= 2048 the positivity grid alone would be 8192^2)
-    monkeypatch.setattr(factor2d, "FOURIER_MAX", factor2d.FOURIER_START)
+    # exceed FOURIER_CELLS_MAX or FOURIER_AXIS_MAX the answer is known
+    # before sampling anything (at degree >= 2048 the positivity grid alone
+    # would be 8192^2)
     calls = []
     original = LaurentPoly2.unit_grid_blocks
 
-    def spy(self, n, block_rows):
-        calls.append(n)
-        return original(self, n, block_rows)
+    def spy(self, shape, block_cells):
+        calls.append(shape)
+        return original(self, shape, block_cells)
 
     monkeypatch.setattr(LaurentPoly2, "unit_grid_blocks", spy)
+    monkeypatch.setattr(factor2d, "FOURIER_CELLS_MAX", factor2d.FOURIER_START**2)
     with pytest.raises(FactorizationError, match="no convergence"):
         fourier_of_reciprocal(_abs_square(generate_stable(2, 1, seed=3)), (2, 2))
     assert calls == []
+    # f in a alone: with one sample along b it stays within that cells
+    # bound, but not within an axis bound its first doubling exceeds
+    one_var = _abs_square(LaurentPoly2({(0, 0): 1.0, (2, 0): 0.5}))
+    assert fourier_of_reciprocal(one_var, (2, 0)).grid_size[1] == 1
+    monkeypatch.setattr(factor2d, "FOURIER_AXIS_MAX", factor2d.FOURIER_START)
+    del calls[:]
+    with pytest.raises(FactorizationError, match="no convergence"):
+        fourier_of_reciprocal(one_var, (2, 0))
+    assert calls == []
 
 
-def _reciprocal_fft2(f, grid):
-    """Reference: fft2 of 1/f on the whole N x N grid, f summed term by
-    term at the N-th roots of unity (exponents reduced mod N)."""
-    roots = np.exp(2j * np.pi * np.arange(grid) / grid)
-    r = np.arange(grid)
-    values = np.zeros((grid, grid))
+def _reciprocal_fft2(f, na, nb):
+    """Reference: fft2 of 1/f on the whole na x nb grid, f summed term by
+    term at the roots of unity (exponents reduced mod each axis)."""
+    ra, rb = np.arange(na), np.arange(nb)
+    roots_a, roots_b = np.exp(2j * np.pi * ra / na), np.exp(2j * np.pi * rb / nb)
+    values = np.zeros((na, nb))
     for (j, k), c in f.items():
-        values += (c * np.outer(roots[j * r % grid], roots[k * r % grid])).real
-    return np.fft.fft2(1.0 / values) / grid**2
+        values += (c * np.outer(roots_a[j * ra % na], roots_b[k * rb % nb])).real
+    return np.fft.fft2(1.0 / values) / (na * nb)
 
 
 def _reference_table(f, window, full):
-    """The doubling rule of fourier_of_reciprocal on full-grid fft2 tables
-    (cached per grid in `full`): (table, grid_size)."""
+    """The grid rule of fourier_of_reciprocal on full-grid fft2 tables
+    (cached per grid in `full`): (table, (na, nb)). An axis of one sample
+    makes the table the 1-D FFT of sampled 1/f along the other."""
     wa, wb = window
     deg = f.degrees()
-    grid = factor2d._pow2_grid(factor2d.FOURIER_START, max(deg.deg_a, deg.deg_b))
+    na, nb = (
+        1 if d == w == 0 else factor2d._pow2_grid(factor2d.FOURIER_START, d)
+        for d, w in ((deg.deg_a, wa), (deg.deg_b, wb))
+    )
     previous = None
     while True:
-        if grid not in full:
-            full[grid] = _reciprocal_fft2(f, grid)
-        table = full[grid][np.ix_(np.arange(-wa, wa + 1) % grid, np.arange(-wb, wb + 1) % grid)]
+        if (na, nb) not in full:
+            full[na, nb] = _reciprocal_fft2(f, na, nb)
+        table = full[na, nb][np.ix_(np.arange(-wa, wa + 1) % na, np.arange(-wb, wb + 1) % nb)]
         if previous is not None and np.abs(table - previous).max() < factor2d.FOURIER_TOL:
-            return table, grid
+            return table, (na, nb)
         previous = table
-        grid *= 2
+        na, nb = (2 * na if na > 1 else 1), (2 * nb if nb > 1 else 1)
 
 
 FFT2_CASES = {
-    # (f, FOURIER_START): converged grid 128 (grids of one partial block),
-    # 256 (one block), 512 (two blocks), and degree 120 in a and in b (1024,
-    # four blocks)
+    # (f, FOURIER_START): converged grid 256^2 (grids of one partial
+    # block, from 64^2 or 128^2), 512^2 (one whole block), degree 120 in
+    # one variable (1024 x 512 and 512 x 1024, two blocks of rows), and f in
+    # a alone (one sample along b for the windows (0, 0) and (8, 0))
     "low degree, start 64": (_abs_square(generate_stable(2, 1, seed=3)), 64),
     "low degree": (_abs_square(generate_stable(2, 1, seed=3)), 128),
     "slow decay": (_abs_square(LaurentPoly2({(0, 0): 1.0, (1, 1): 0.9})), 128),
     "degree 120 in a": (_abs_square(LaurentPoly2({(0, 0): 1.0, (120, 0): 0.5, (1, 1): 0.2})), 128),
     "degree 120 in b": (_abs_square(LaurentPoly2({(0, 0): 1.0, (0, 120): 0.5, (1, 1): 0.2})), 128),
+    "a alone": (_abs_square(LaurentPoly2({(0, 0): 1.0, (1, 0): 0.7, (3, 0): 0.2j})), 128),
 }
 
 
@@ -178,23 +215,26 @@ def test_fourier_matches_full_grid_fft2(case, monkeypatch):
     monkeypatch.setattr(factor2d, "FOURIER_START", start)
     full = {}
     for window in [(0, 0)] + [(w, 8 - w) for w in range(9)] + [(8, 8)]:
-        want, grid = _reference_table(f, window, full)
+        want, shape = _reference_table(f, window, full)
         table = fourier_of_reciprocal(f, window)
-        assert table.grid_size == grid, window
+        assert table.grid_size == shape, window
         assert np.abs(table.coeffs - want).max() <= 1e-14 * np.abs(want).max(), window
 
 
 def test_fourier_rejects_dip_in_a_later_row_block():
-    # 0.999 - cos(theta_a - 3 pi/2) + 1e-4 cos(130 theta_b): degree 130 makes
-    # the first grid 512, two blocks of rows; the first block (theta_a in
-    # [0, pi)) stays above 0.998, the dip below zero lies in the second
+    # 0.999 - cos(theta_a - 3 pi/2) + 1e-4 cos(1100 theta_b): degree 1100
+    # makes the first grid 128 x 4096, two blocks of FOURIER_BLOCK_CELLS
+    # samples; the first block (theta_a in [0, pi)) stays above 0.998, the
+    # dip below zero lies in the second
     f = LaurentPoly2(
-        {(0, 0): 0.999, (1, 0): -0.5j, (-1, 0): 0.5j, (0, 130): 5e-5, (0, -130): 5e-5}
+        {(0, 0): 0.999, (1, 0): -0.5j, (-1, 0): 0.5j, (0, 1100): 5e-5, (0, -1100): 5e-5}
     )
-    grid = factor2d._pow2_grid(factor2d.FOURIER_START, 130)
-    assert grid == 2 * factor2d.FOURIER_BLOCK_ROWS
-    values = f.eval_unit_grid(grid).real
-    assert values[: factor2d.FOURIER_BLOCK_ROWS].min() > 0.998 and values.min() < 0.0
+    na = factor2d._pow2_grid(factor2d.FOURIER_START, 1)
+    nb = factor2d._pow2_grid(factor2d.FOURIER_START, 1100)
+    assert na * nb == 2 * factor2d.FOURIER_BLOCK_CELLS
+    ((_, values),) = f.unit_grid_blocks((na, nb), na * nb)
+    rows = factor2d.FOURIER_BLOCK_CELLS // nb
+    assert values[:rows].real.min() > 0.998 and values.real.min() < 0.0
     with pytest.raises(FactorizationError, match="f not strictly positive"):
         fourier_of_reciprocal(f, (1, 1))
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -192,6 +193,8 @@ def _cmd_complete(args):
 def _cmd_scan(args):
     if args.n_max < 0 or args.trials < 0:
         raise _Exit(EXIT_USAGE, "--n-max and --trials must be nonnegative")
+    if args.seed < 0:
+        raise _Exit(EXIT_USAGE, "--seed must be nonnegative")
     _check_writable(args.dump)  # before the scan, not after it
     summary = scan_leading_slices(args.n_max, args.trials, args.seed)
     out = {
@@ -252,7 +255,11 @@ def _cmd_plot(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: each add_argument makes a
+    help formatter, which asks for the terminal size, so a fresh tree per
+    call would cost more than a small command."""
     parser = argparse.ArgumentParser(
         prog="mqsp",
         description="Multivariable quantum signal processing toolkit.",

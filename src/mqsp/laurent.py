@@ -56,12 +56,29 @@ def _prune(coeffs):
     return {e: c for e, c in coeffs.items() if abs(c) > cut}
 
 
-def _zeros(rows, cols):
+def check_box(rows, cols):
+    """Raise ValueError when a rows x cols exponent box exceeds MAX_CELLS."""
     if rows * cols > MAX_CELLS:
         raise ValueError(
             "exponent box of %d x %d coefficients exceeds MAX_CELLS" % (rows, cols)
         )
+
+
+def _zeros(rows, cols):
+    check_box(rows, cols)
     return np.zeros((rows, cols), dtype=complex)
+
+
+def kept(boxes):
+    """(keep, top) for a coefficient box, or a stack of them along a leading
+    axis: top is each box's largest magnitude (a scalar for one box, shape
+    (T, 1, 1) for a stack), and keep marks the entries a pruned result
+    keeps, those above PRUNE_REL * top."""
+    mag = np.abs(boxes)
+    # for one box a reduction over all axes is the cheapest numpy call
+    axis = (-2, -1) if mag.ndim > 2 else None
+    top = np.maximum.reduce(mag, axis=axis, keepdims=axis is not None)
+    return mag > PRUNE_REL * top, top
 
 
 _EMPTY = np.zeros((0, 0), dtype=complex)
@@ -120,18 +137,17 @@ class LaurentPoly2:
         """Store `box` (first cell at exponent (lo_a, lo_b)) pruned and trimmed."""
         if box.size == 0:
             return self._set(_EMPTY, 0, 0, 0.0)
-        mag = np.abs(box)
-        top = float(mag.max())
+        keep, top = kept(box)
+        top = float(top)
         if not top < math.inf:
             raise ValueError("non-finite coefficient")
         if top == 0.0:
             return self._set(_EMPTY, 0, 0, 0.0)
-        keep = mag > PRUNE_REL * top
         rows, cols = np.nonzero(keep)
         if rows.size != np.count_nonzero(box):
             box = np.where(keep, box, 0.0)
         r0, r1 = int(rows[0]), int(rows[-1]) + 1
-        c0, c1 = int(cols.min()), int(cols.max()) + 1
+        c0, c1 = int(np.minimum.reduce(cols)), int(np.maximum.reduce(cols)) + 1
         return self._set(box[r0:r1, c0:c1], lo_a + r0, lo_b + c0, top)
 
     @classmethod

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mqsp.errors import VerificationError
-from mqsp.laurent import DegreePair, LaurentPoly2, _zeros
+from mqsp.laurent import DegreePair, LaurentPoly2, check_box
 
 # Determinant identity P·P~ + Q·Q~ = 1 must hold to this max-coefficient
 # residual for a unitary to count as structurally valid.
@@ -74,15 +74,21 @@ class ProtocolSpec:
         return sum(self.s)
 
 
-def random_spec(rng, n, weight=None):
-    """Uniform random protocol: bits i.i.d. (or fixed Hamming weight) and
-    phases uniform on (-pi, pi]."""
+def random_draw(rng, n, weight=None):
+    """The draws behind random_spec, as lists (s, phases): bits i.i.d. (or
+    fixed Hamming weight), then phases uniform on [-pi, pi), unnormalized."""
     if weight is None:
         s = rng.integers(0, 2, size=n).tolist()
     else:
         s = [1] * weight + [0] * (n - weight)
         rng.shuffle(s)
-    phases = rng.uniform(-math.pi, math.pi, size=n + 1).tolist()
+    return s, rng.uniform(-math.pi, math.pi, size=n + 1).tolist()
+
+
+def random_spec(rng, n, weight=None):
+    """Uniform random protocol: bits i.i.d. (or fixed Hamming weight) and
+    phases uniform on (-pi, pi]."""
+    s, phases = random_draw(rng, n, weight)
     return ProtocolSpec(tuple(s), tuple(phases))
 
 
@@ -122,37 +128,93 @@ def build_unitary(spec):
     """Exact symbolic product, left to right: Z(phi_0), then for each k the
     oracle iterate followed by Z(phi_k).
 
-    P and Q live in one preallocated coefficient box spanning the exponents
-    [-m, m] x [-(n-m), n-m]. With z the oracle's variable, its iterate is
-    [[x, y], [y, x]] for x = (z + 1/z)/2 and y = (z - 1/z)/2, so a step
-    sets P' = (S z + D/z)/2 and Q' = (S z - D/z)/2 from S = P + Q and
-    D = P - Q: four slice shifts along that variable's axis. Each Z-phase
-    is one scalar multiply, and the result is pruned once at the end. A box
+    A stack of one for build_stack, on the tight box spanning the exponents
+    [-m, m] x [-(n-m), n-m]; the result is pruned once at the end. A box
     above MAX_CELLS raises ValueError before anything is allocated.
     """
     n, m = spec.n, spec.weight
-    p = _zeros(2 * m + 1, 2 * (n - m) + 1)
-    q = np.zeros_like(p)
-    p[m, n - m] = complex(math.cos(spec.phases[0]), math.sin(spec.phases[0]))
-    for bit, phi in zip(spec.s, spec.phases[1:]):
-        # view the oracle's variable as the first axis
-        pv, qv = (p, q) if bit else (p.T, q.T)
-        # S z moves exponent e to e + 1 and D/z to e - 1; nothing leaves the
-        # box, since after k iterates in a variable its exponents lie in [-k, k]
-        s = pv[:-1] + qv[:-1]
-        d = pv[1:] - qv[1:]
-        pv[0] = qv[0] = 0.0
-        pv[1:] = s
-        qv[1:] = s
-        pv[:-1] += d
-        qv[:-1] -= d
-        w = 0.5 * complex(math.cos(phi), math.sin(phi))
-        p *= w
-        q *= w.conjugate()
+    check_box(2 * m + 1, 2 * (n - m) + 1)
+    p, q = build_stack([spec.s], [spec.phases])
     lo_a, lo_b = -m, -(n - m)
     return Su2LaurentUnitary(
-        LaurentPoly2.from_array(p, lo_a, lo_b), LaurentPoly2.from_array(q, lo_a, lo_b)
+        LaurentPoly2.from_array(p[0], lo_a, lo_b), LaurentPoly2.from_array(q[0], lo_a, lo_b)
     )
+
+
+def build_stack(bits, phases):
+    """Coefficient boxes (p, q) of P and Q for a stack of T protocols.
+
+    `bits` holds T rows of N entries: trial t's bit string, then -1 past
+    its length n_t. `phases` holds T rows of N + 1 entries that start with
+    trial t's phi_0..phi_{n_t} (later entries are not used). Rows are lists
+    or tuples. p and q have shape (T, 2M + 1, 2R + 1) for M and R the
+    largest weight and co-weight in the stack; trial t's a^j b^k sits at
+    [t, M + j, R + k].
+
+    With z the oracle's variable, its iterate is [[x, y], [y, x]] for
+    x = (z + 1/z)/2 and y = (z - 1/z)/2, so a step sets P' = (S z + D/z)/2
+    and Q' = (S z - D/z)/2 from S = P + Q and D = P - Q: four slice shifts
+    along that variable's axis, then one scalar multiply per Z-phase. A step
+    whose bits agree over the whole stack works on views of it; otherwise
+    each bit's trials are gathered by mask and scattered back, and trials
+    already past their length sit the step out. The phase factors are
+    computed one scalar at a time with `math`, as for a single protocol, so
+    each trial's box holds the same numbers as its own build.
+    """
+    count = len(bits)
+    weight = max(row.count(1) for row in bits)
+    coweight = max(row.count(0) for row in bits)
+    p = np.zeros((count, 2 * weight + 1, 2 * coweight + 1), dtype=complex)
+    q = np.zeros(p.shape, dtype=complex)
+    # math, one scalar at a time, as a single build: numpy's vectorized cos
+    # and sin need not round as math's do
+    p[:, weight, coweight] = [complex(math.cos(row[0]), math.sin(row[0])) for row in phases]
+    factors = [[0.5 * complex(math.cos(x), math.sin(x)) for x in row[1:]] for row in phases]
+    if count == 1:
+        # every step takes the whole stack: run it on the 2-D box, which
+        # numpy iterates faster than a transposed 3-D view
+        box_p, box_q = p[0], q[0]
+        for bit, w in zip(bits[0], factors[0]):
+            if bit < 0:
+                break
+            _step(box_p, box_q, bit, w)
+        return p, q
+    factors = np.array(factors).T.reshape(len(bits[0]), count, 1, 1)
+    table = np.array(bits, dtype=np.int8)
+    for k, column in enumerate(zip(*bits)):
+        a_all = column.count(1) == count
+        if a_all or column.count(0) == count:
+            _step(p, q, a_all, factors[k])
+            continue
+        for bit in (1, 0):
+            mask = table[:, k] == bit
+            if mask.any():
+                pm, qm = p[mask], q[mask]
+                _step(pm, qm, bit, factors[k][mask])
+                p[mask], q[mask] = pm, qm
+    return p, q
+
+
+def _step(p, q, bit, w):
+    """One oracle iterate, then the Z-phase factor(s) w, in place on one box
+    or a stack of them (w then of shape (T, 1, 1))."""
+    # view the oracle's variable as the first axis
+    if p.ndim == 2:
+        pv, qv = (p, q) if bit else (p.T, q.T)
+    else:
+        axes = (1, 0, 2) if bit else (2, 0, 1)
+        pv, qv = p.transpose(axes), q.transpose(axes)
+    # S z moves exponent e to e + 1 and D/z to e - 1; nothing leaves the
+    # box, since after k iterates in a variable its exponents lie in [-k, k]
+    s = pv[:-1] + qv[:-1]
+    d = pv[1:] - qv[1:]
+    pv[0] = qv[0] = 0.0
+    pv[1:] = s
+    qv[1:] = s
+    pv[:-1] += d
+    qv[:-1] -= d
+    p *= w
+    q *= w.conjugate()
 
 
 def assemble_completion(p_tilde, q_tilde, factor, n, m):

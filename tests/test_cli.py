@@ -11,7 +11,7 @@ import pytest
 
 import mqsp
 from mqsp import families, laurent, serialize
-from mqsp.cli import main
+from mqsp.cli import build_parser, main
 from mqsp.protocol import ProtocolSpec, build_unitary
 from mqsp.readoff import ScanSummary, readoff_tolerance
 
@@ -379,6 +379,30 @@ def test_scan_zero_trials(capsys):
 
 def test_scan_negative_exit_two(capsys):
     assert run(capsys, ["scan", "--trials", "-5"])[0] == 2
+
+
+def test_scan_negative_seed_names_its_flag_before_the_dump_check(tmp_path, capsys):
+    dump = tmp_path / "no-such-dir" / "ce.json"
+    code, out, err = run(capsys, ["scan", "--seed", "-1", "--dump", str(dump)])
+    assert (code, out, err) == (2, "", "--seed must be nonnegative\n")
+
+
+def test_scan_refuses_a_huge_box_by_its_own_size(capsys):
+    code, out, err = run(capsys, ["scan", "--n-max", "6000", "--trials", "3", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == "invalid input: exponent box of 2871 x 2809 coefficients exceeds MAX_CELLS\n"
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    assert run(capsys, ["scan", "--no-such-flag"])[0] == 2
+    code, out, _ = run(capsys, ["scan", "--trials", "0", "--seed", "7"])
+    assert code == 0 and json.loads(out)["seed"] == 7
+    code, out, _ = run(capsys, ["scan", "--trials", "0"])
+    assert code == 0 and json.loads(out)["seed"] == 0
+    code, out, _ = run(capsys, ["scan", "--n-max", "2", "--trials", "3"])
+    assert code == 0 and json.loads(out)["nMax"] == 2
+    assert json.loads(run(capsys, ["scan", "--trials", "0"])[1])["nMax"] == 6
 
 
 def test_scan_counterexample_dump(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from mqsp.protocol import (
     ProtocolSpec,
     Su2LaurentUnitary,
     assemble_completion,
+    build_stack,
     build_unitary,
     eval_unitary,
     principal_phase,
@@ -134,6 +135,28 @@ def test_length_sweep_build_matches_circuit_and_round_trips():
 
 
 # -- structural checks -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("weight", [None, "all a", "all b"])
+def test_build_stack_matches_single_builds(weight):
+    # mixed lengths and bits take the masked steps; a stack of all-a or
+    # all-b protocols of one length works on views throughout
+    rng = np.random.default_rng(17)
+    lengths = [6] * 5 if weight else [int(n) for n in rng.integers(0, 9, size=12)]
+    specs = [
+        random_spec(rng, n, None if weight is None else (n if weight == "all a" else 0))
+        for n in lengths
+    ]
+    steps = max(lengths)
+    bits = [sp.s + (-1,) * (steps - sp.n) for sp in specs]
+    phases = [sp.phases + (9.0,) * (steps - sp.n) for sp in specs]
+    p, q = build_stack(bits, phases)
+    top_a, top_b = max(sp.weight for sp in specs), max(sp.n - sp.weight for sp in specs)
+    assert p.shape == q.shape == (len(specs), 2 * top_a + 1, 2 * top_b + 1)
+    for spec, p_box, q_box in zip(specs, p, q):
+        u = build_unitary(spec)
+        assert LaurentPoly2.from_array(p_box, -top_a, -top_b) == u.P
+        assert LaurentPoly2.from_array(q_box, -top_a, -top_b) == u.Q
 
 
 def test_assemble_completion_shifts_factor_and_drops_odd_cells():

@@ -2,14 +2,19 @@
 
 import cmath
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mqsp import laurent, readoff as readoff_module
 from mqsp.errors import ReadoffError
 from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import ProtocolSpec, Su2LaurentUnitary, build_unitary, random_spec
 from mqsp.readoff import (
+    ScanSummary,
+    SliceReport,
     check_leading_slices,
     peel_once,
     readoff,
@@ -254,3 +259,126 @@ def test_scan_deterministic_and_clean():
 def test_scan_vacuous_at_zero_length():
     s = scan_leading_slices(n_max=0, trials=10, seed=1)
     assert s.all_passed and s.worst_mismatch == 0.0
+
+
+def reference_scan(n_max, trials, seed):
+    """The scan as a loop over single trials, in draw order."""
+    rng = np.random.default_rng(seed)
+    passes, worst, bad = 0, 0.0, []
+    for _ in range(trials):
+        n = int(rng.integers(0, n_max + 1))
+        spec = random_spec(rng, n)
+        report = check_leading_slices(build_unitary(spec))
+        if report.holds:
+            passes += 1
+            worst = max(worst, min(report.mismatch_a, report.mismatch_b))
+        else:
+            bad.append((spec, report))
+    return ScanSummary(trials, passes, worst, tuple(bad), n_max, seed)
+
+
+@pytest.mark.parametrize("tolerance", [None, "1e-300"])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 6, 9])
+def test_scan_equals_per_trial_loop(monkeypatch, n_max, tolerance):
+    if tolerance is None:
+        monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
+    else:
+        monkeypatch.setenv("MQSP_TOLERANCE", tolerance)
+    sizes = []
+    scan_stack = readoff_module._scan_stack
+
+    def spy(stack, tol):
+        sizes.append(len(stack))
+        return scan_stack(stack, tol)
+
+    monkeypatch.setattr(readoff_module, "_scan_stack", spy)
+    # (fewest, most) trials per stack but the last: the default budget
+    # holds all 60, a one-cell budget is below every box (stacks of one),
+    # and the last holds at least three trials of the largest box
+    budgets = {
+        readoff_module.SCAN_STACK_CELLS: (60, 60),
+        1: (1, 1),
+        3 * (2 * n_max + 1) ** 2: (3, 60),
+    }
+    for seed in (0, 1, 5):
+        expected = reference_scan(n_max, 60, seed)
+        for budget, (fewest, most) in budgets.items():
+            monkeypatch.setattr(readoff_module, "SCAN_STACK_CELLS", budget)
+            sizes.clear()
+            assert scan_leading_slices(n_max, 60, seed) == expected
+            assert sum(sizes) == 60
+            assert fewest <= min(sizes[:-1] or [fewest]) and max(sizes) <= most
+
+
+def test_scan_stack_prunes_as_laurent_does():
+    # phase pi/2 leaves rounding dust on levels that cancel; LaurentPoly2
+    # prunes it, so the leading slices sit lower than the stacked box's top
+    half = math.pi / 2
+    draws = [
+        ((1, 1), (0.3, half, -0.4)),
+        ((0, 1, 1), (0.1, 0.7, half, 1.0)),
+        ((1, 0, 0), (0.2, 1.1, half, 0.0)),
+        ((1, 1, 0, 1), (0.5, half, 0.2, half, 0.3)),
+        ((), (0.9,)),
+        ((0, 1, 0, 1, 1), (0.1, -0.2, 0.3, -0.4, 0.5, -0.6)),
+    ]
+    stack = [(list(s), list(phases)) for s, phases in draws]
+    for (s, phases), fields in zip(draws, readoff_module._scan_stack(stack, 1e-8)):
+        expected = check_leading_slices(build_unitary(ProtocolSpec(s, phases)))
+        assert SliceReport(*fields) == expected
+
+
+def test_scan_counterexamples_at_tiny_tolerance_in_draw_order(monkeypatch):
+    monkeypatch.setenv("MQSP_TOLERANCE", "1e-300")
+    summary = scan_leading_slices(6, 100, 1)
+    assert len(summary.counterexamples) == 78
+    assert summary == reference_scan(6, 100, 1)
+
+
+@pytest.mark.parametrize(
+    "seed, worst",
+    [(1, "0x1.4c10c39eb4085p-52"), (2, "0x1.70d5e32087a3fp-52"), (424242, "0x1.2f447ac604e85p-52")],
+)
+def test_scan_pinned_at_bench_size(monkeypatch, seed, worst):
+    # recorded from the per-trial scan before trials were stacked
+    monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
+    summary = scan_leading_slices(6, 100, seed)
+    assert summary.passes == 100 and not summary.counterexamples
+    assert summary.worst_mismatch.hex() == worst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_scan_refuses_max_cells_per_trial_in_draw_order(monkeypatch, seed):
+    # a 3 x 5 box fits and a 5 x 5 one does not; a stack holding a 9 x 1 and
+    # a 1 x 9 trial spans 9 x 9 but is not refused
+    monkeypatch.setattr(laurent, "MAX_CELLS", 15)
+    with pytest.raises(ValueError, match="exceeds MAX_CELLS") as expected:
+        reference_scan(4, 200, seed)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        scan_leading_slices(4, 200, seed)
+
+
+def test_scan_refuses_a_huge_box_without_allocating_it():
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError, match="exponent box of 2871 x 2809 coefficients exceeds MAX_CELLS"
+        ):
+            scan_leading_slices(6000, 3, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 20)
+
+
+def test_scan_memory_does_not_grow_with_trials():
+    peaks = []
+    for trials in (500, 5000):
+        tracemalloc.start()
+        try:
+            assert scan_leading_slices(6, trials, 3).all_passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 1.5 * peaks[0]

@@ -8,6 +8,13 @@ itself is the load-bearing property (it is what makes read-off possible at
 all), so this module also exposes a direct checker and a randomized scan
 for it; a counterexample from the scan would be a genuine finding, not a
 bug.
+
+`readoff` aligns P and Q once and then works on their coefficient boxes as
+one stacked box: per step one slice test (_slice_test, the module's only
+one) of the top slices in the directions of positive degree, the peel, one
+prune (laurent.kept) and a trim to the joint box. `peel_once` is the single
+public step: the same private step on aligned LaurentPoly2 input, equal to
+one step of `readoff`.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ def _slice_test(ps, qs, tol):
     ps, qs = np.ascontiguousarray(ps), np.ascontiguousarray(qs)
     star = np.abs(qs).argmax(axis=1)
     star += np.arange(0, count * width, width)
-    p_star, q_star = ps.ravel()[star], qs.ravel()[star]
+    p_star, q_star = ps.take(star), qs.take(star)
     p_max = np.maximum.reduce(np.abs(ps), axis=1)
     zero = [
         t for t, (x, y) in enumerate(zip(p_max.tolist(), q_star.tolist())) if not (x and y)
@@ -82,7 +89,7 @@ def _slice_test(ps, qs, tol):
     # one scalar at a time with `math`: numpy's arctan2 can differ from
     # math.atan2 in the last bit
     phase = [math.atan2(r.imag, r.real) for r in (p_star / q_star).tolist()]
-    w = np.array([[complex(math.cos(x), math.sin(x))] for x in phase])
+    w = np.array([complex(math.cos(x), math.sin(x)) for x in phase])[:, None]
     mismatch = (np.maximum.reduce(np.abs(ps - w * qs), axis=1) / p_max).tolist()
     reason = [None] * count
     for t in zero:
@@ -90,20 +97,23 @@ def _slice_test(ps, qs, tol):
     return [not x > tol for x in mismatch], phase, mismatch, reason
 
 
-def _top_slices(p, q, lo, tol):
-    """Test P == e^{i phase} Q on the top slices along a and along b of the
-    aligned boxes p, q of P and Q (first cell at exponent lo), as one stack
-    of two slice pairs; zero-padding the shorter pair changes no result.
+def _top_slices(p, q, tol, axes=(0, 1)):
+    """Test P == e^{i phase} Q on the top slices along `axes` (0 for a, 1
+    for b) of the aligned boxes p, q of P and Q, as one stack of slice
+    pairs; zero-padding the shorter pair changes no result.
 
-    Returns (levels, ok, phase, mismatch, reason): the joint top exponents
-    (a, b), then _slice_test's lists, direction a first.
+    Returns _slice_test's lists (ok, phase, mismatch, reason), one entry
+    per axis in `axes`.
     """
+    if len(axes) == 1:  # the top slice pair as a stack of one, unpadded
+        ps, qs = (p[-1:], q[-1:]) if axes[0] == 0 else (p[:, -1:].T, q[:, -1:].T)
+        return _slice_test(ps, qs, tol)
     rows, cols = p.shape
     pairs = np.zeros((2, 2, max(rows, cols, 1)), dtype=complex)
     if p.size:
         pairs[0, 0, :cols], pairs[0, 1, :rows] = p[-1], p[:, -1]
         pairs[1, 0, :cols], pairs[1, 1, :rows] = q[-1], q[:, -1]
-    return ((lo[0] + rows - 1, lo[1] + cols - 1),) + _slice_test(*pairs, tol)
+    return _slice_test(*pairs, tol)
 
 
 @dataclass(frozen=True)
@@ -146,59 +156,149 @@ def check_leading_slices(u):
     tol = readoff_tolerance()
     if u.Q.is_zero():
         return SliceReport(*_Q_ZERO)
-    _, ok, phase, mismatch, reason = _top_slices(*aligned(u.P, u.Q), tol)
+    p, q, _ = aligned(u.P, u.Q)
+    ok, phase, mismatch, reason = _top_slices(p, q, tol)
     return SliceReport(*ok, *phase, *mismatch, *reason)
 
 
 def peel_once(u, direction):
-    """Remove the final oracle iterate in `direction` and its Z-phase.
+    """Remove the final oracle iterate in `direction` ("a" or "b") and its
+    Z-phase: one step of readoff, whose result it equals.
 
-    Returns (phase, reduced). The phase is fixed deterministically to
-    phi_X/2 in (-pi/2, pi/2]; the other branch phi_X/2 + pi differs by a
-    sign that later phases absorb, so rebuilds agree either way. The
-    leading slices must agree within readoff_tolerance().
+    Returns (phase, reduced). With phi_X the phase by which the leading
+    slice of P in `direction` equals that of Q (read as _slice_test reads
+    it), the phase is fixed deterministically to principal_phase(phi_X)/2,
+    in (-pi/2, pi/2]; the other branch phi_X/2 + pi differs by a sign that
+    later phases absorb, so rebuilds agree either way. `reduced` has degree
+    one lower in `direction`; P and Q are pruned as every LaurentPoly2 is.
+
+    Raises ValueError for a direction other than "a" or "b", for an
+    invalid MQSP_TOLERANCE and, as LaurentPoly2 does, for a reduced
+    coefficient that overflows; ReadoffError "cannot peel: no positive
+    degree in direction ..." when P and Q have no positive exponent there,
+    or "cannot peel: leading slices not proportional" when the slices
+    differ by more than readoff_tolerance().
     """
     tol = readoff_tolerance()
     if direction not in ("a", "b"):
         raise ValueError("direction must be 'a' or 'b'")
     axis = "ab".index(direction)
     p, q, lo = aligned(u.P, u.Q)
-    if axis:  # view the peeled variable as the first axis
-        p, q = p.T, q.T
-    level = lo[axis] + len(p) - 1
-    if level < 1:
+    if lo[axis] + p.shape[axis] - 1 < 1:
         raise ReadoffError("cannot peel: no positive degree in direction %r" % direction)
-    # the top slice pair, as a stack of one
-    (ok,), (phase,), _, _ = _slice_test(p[-1:], q[-1:], tol)
+    (ok,), (phase,), _, _ = _top_slices(p, q, tol, (axis,))
     if not ok:
         raise ReadoffError("cannot peel: leading slices not proportional")
+    phi, box, lo = _peel(p, q, lo, axis, phase)
+    return phi, Su2LaurentUnitary(*_polys(box, lo))
+
+
+def _peel(p, q, lo, axis, phase):
+    """One peel of the aligned boxes p, q (first cell at exponent lo) along
+    `axis`, whose top slice pair is proportional with `phase`.
+
+    Returns (phi, box, lo): phi = principal_phase(phase)/2, and the reduced
+    P and Q as one (2, rows, cols) stack whose first cell is at exponent
+    lo. The stack holds what aligned() gives for the reduced polynomials,
+    signed zeros included (_pruned).
+    """
     phi = principal_phase(phase) / 2.0
     w = complex(math.cos(phi), math.sin(phi))
+    if axis:  # view the peeled variable as the first axis
+        p, q = p.T, q.T
+    rows = len(p)
+    level = lo[axis] + rows - 1
     # exact inverse of the oracle iterate then Z(phi): with x^2 - y^2 = 1,
     # P' = x w~P - y wQ = (D z + S/z)/2 and Q' = -y w~P + x wQ = (S/z - D z)/2
     # for S = w~P + wQ, D = w~P - wQ (w~ = conj(w), z the peeled variable)
     pw, qw = (0.5 * w.conjugate()) * p, (0.5 * w) * q
     s, d = pw + qw, pw - qw
-    # row t of the result holds exponent lo[axis] - 1 + t; the input's top
-    # row is exponent `level`
-    p_red = np.zeros((p.shape[0] + 2, p.shape[1]), dtype=complex)
-    q_red = np.zeros(p_red.shape, dtype=complex)
-    p_red[2:] = d
-    np.negative(d, out=q_red[2:])
-    p_red[:-2] += s
-    q_red[:-2] += s
-    # keep exponents [1 - level, level - 1]: what is left outside the
-    # lowered degree is read-off noise, which the final rebuild check
-    # accounts for
+    # row t of the result holds exponent lo[axis] - 1 + t: row t of S plus,
+    # from t = 2 on, row t - 2 of D (minus it for Q'); the input's top row
+    # is exponent `level`. Keep exponents [1 - level, level - 1]: what is
+    # left outside the lowered degree is read-off noise, which the final
+    # rebuild check accounts for
     first = max(2 - level - lo[axis], 0)
-    p_red, q_red = p_red[first : p.shape[0]], q_red[first : p.shape[0]]
+    box = np.empty((2, rows - first, p.shape[1]), dtype=complex)
+    low = max(first, 2)
+    np.add(d[low - 2 : rows - 2], s[low:], out=box[0, low - first :])
+    np.subtract(s[low:], d[low - 2 : rows - 2], out=box[1, low - first :])
+    if first < 2:  # 0 + S, as the zero-padded sum has it: -0 turns +0
+        np.add(s[first:2], 0j, out=box[:, : 2 - first])
     lo = list(lo)
     lo[axis] += first - 1
     if axis:
-        p_red, q_red = p_red.T, q_red.T
-    p_red = LaurentPoly2.from_array(p_red, *lo)
-    q_red = LaurentPoly2.from_array(q_red, *lo)
-    return phi, Su2LaurentUnitary(p_red, q_red)
+        box = box.transpose(0, 2, 1)
+    return (phi,) + _pruned(box, lo)
+
+
+def _span(flags):
+    """(first, last + 1) of the True entries of a list, None when none."""
+    if True not in flags:
+        return None
+    return flags.index(True), len(flags) - flags[::-1].index(True)
+
+
+def _pruned(box, lo):
+    """(box, lo) for a (2, rows, cols) stack of P and Q whose first cell is
+    at exponent lo: each layer pruned by LaurentPoly2's rule (laurent.kept)
+    and set to +0 outside its own trimmed box, the stack trimmed to the
+    joint box.
+
+    That is the pair aligned() gives for LaurentPoly2.from_array of each
+    layer, signed zeros included: a layer that drops a nonzero coefficient
+    has all its dropped cells set to +0, one that drops none keeps its
+    zeros as they are inside its box. Raises ValueError for a non-finite
+    coefficient, as from_array does.
+    """
+    keep, top = kept(box)
+    top_p, top_q = top.ravel().tolist()
+    if not (top_p < math.inf and top_q < math.inf):
+        raise ValueError("non-finite coefficient")
+    dust = [False, False]
+    if np.count_nonzero(box) != np.count_nonzero(keep):
+        dust = [np.count_nonzero(box[k]) != np.count_nonzero(keep[k]) for k in (0, 1)]
+        if dust[0] and dust[1]:
+            box = np.where(keep, box, 0.0)
+        else:
+            k = dust.index(True)
+            box[k] = np.where(keep[k], box[k], 0.0)
+    # the edge rows and columns: when each layer keeps a cell on every one,
+    # each layer's own box is the whole box, and nothing is trimmed
+    height, width = box.shape[1:]
+    edges = keep[:, :: max(height - 1, 1)].tolist()
+    edges += keep[:, :, :: max(width - 1, 1)].transpose(0, 2, 1).tolist()
+    if all(any(edge) for layer in edges for edge in layer):
+        return box, tuple(lo)
+    # else each layer's own box (None for a zero layer) and their union
+    spans = [
+        (_span(rows), _span(cols))
+        for rows, cols in zip(keep.any(axis=2).tolist(), keep.any(axis=1).tolist())
+    ]
+    held = [span for span in spans if span[0]]
+    if not held:
+        return np.zeros((2, 0, 0), dtype=complex), (0, 0)
+    joint = tuple(
+        (min(span[i][0] for span in held), max(span[i][1] for span in held)) for i in (0, 1)
+    )
+    for layer, dropped, span in zip(box, dust, spans):
+        if dropped or span == joint:
+            continue
+        # a layer that dropped nothing may hold -0 outside its own box,
+        # where aligned() pads with +0
+        if span[0] is None:
+            layer[...] = 0.0
+        else:
+            (r0, r1), (c0, c1) = span
+            layer[:r0], layer[r1:] = 0.0, 0.0
+            layer[:, :c0], layer[:, c1:] = 0.0, 0.0
+    (r0, r1), (c0, c1) = joint
+    return box[:, r0:r1, c0:c1], (lo[0] + r0, lo[1] + c0)
+
+
+def _polys(box, lo):
+    """LaurentPoly2 P and Q from a stack that _pruned returned."""
+    return [LaurentPoly2.from_array(layer, *lo) for layer in box]
 
 
 @dataclass(frozen=True)
@@ -229,38 +329,46 @@ def readoff(P, Q):
     the same unitary). Raises "not an M-QSP unitary" when no direction
     peels before the constant level, and "rebuild mismatch" when the
     reconstruction misses the input by more than readoff_tolerance().
+
+    P and Q are aligned once; every step then works on their coefficient
+    boxes as one stack: one slice test of the top slices in the directions
+    of positive degree, the peel, one prune and a trim to the joint box.
+    Each step equals peel_once on the pair as LaurentPoly2 objects; those
+    are made only at the end, for the base case.
     """
     tol = readoff_tolerance()
     original = Su2LaurentUnitary(P, Q)
-    u = original
     bits_reversed = []
     phases_reversed = []
     log = []
-    deg_p, deg_q = P.degrees(), Q.degrees()
     max_steps = sum(
-        d or 0
-        for deg in (deg_p, deg_q)
-        for d in ((deg.deg_a, deg.deg_b) if not deg.is_zero else ())
+        deg.deg_a + deg.deg_b for deg in (P.degrees(), Q.degrees()) if not deg.is_zero
     )
+    p, q, lo = aligned(P, Q)
     for step in range(1, max_steps + 2):
-        levels, ok, _, _, _ = _top_slices(*aligned(u.P, u.Q), tol)
-        avail = ["ab"[axis] for axis in (0, 1) if levels[axis] >= 1 and ok[axis]]
+        live = [axis for axis in (0, 1) if lo[axis] + p.shape[axis] - 1 >= 1]
+        if not live:
+            break
+        ok, phase, _, _ = _top_slices(p, q, tol, live)
+        avail = [(axis, x) for axis, held, x in zip(live, ok, phase) if held]
         if not avail:
             break
-        direction = avail[0]
-        phi, u = peel_once(u, direction)
-        bits_reversed.append(1 if direction == "a" else 0)
+        axis, phase = avail[0]
+        phi, box, lo = _peel(p, q, lo, axis, phase)
+        p, q = box
+        bits_reversed.append(1 - axis)
         phases_reversed.append(phi)
         log.append(
             PeelStep(
                 step=step,
-                direction=direction,
+                direction="ab"[axis],
                 phase=phi,
                 both_directions_possible=len(avail) == 2,
             )
         )
 
     # base case: Q gone and P a unimodular constant, giving phi_0
+    u = Su2LaurentUnitary(*_polys((p, q), lo)) if log else original
     c = u.P.coeff(0, 0)
     nonconstant = (u.P - LaurentPoly2.constant(c)).max_abs()
     if u.Q.max_abs() > tol or nonconstant > tol or abs(abs(c) - 1.0) > tol:

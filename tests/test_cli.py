@@ -585,3 +585,35 @@ def test_no_command_exit_two(capsys):
 def test_help_exit_zero(capsys):
     assert main(["--help"]) == 0
     assert "MQSP_TOLERANCE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workload, calls", [("scan", 10), ("roundtrip", 58)])
+def test_cli_replay_script_one_line_per_call_and_repeatable(workload, calls):
+    # one pass: 10 scan ops of one call each, or one build and one readoff
+    # call for each of the 29 roundtrip lengths 8, 10, ..., 64
+    src = os.path.dirname(os.path.dirname(mqsp.__file__))
+    script = os.path.join(os.path.dirname(src), "scripts", "cli_replay.py")
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        subprocess.run(
+            [sys.executable, script, "--workload", workload, "--seed", "1"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        for _ in range(2)
+    ]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    assert len(lines) == calls
+    tally = {}
+    for argv, code, sha, err in lines:
+        assert all(isinstance(arg, str) for arg in argv)
+        assert isinstance(code, int) and isinstance(err, str)
+        assert len(sha) == 40 and int(sha, 16) >= 0
+        nvars = argv[argv.index("--vars") + 1] if "--vars" in argv else "-"
+        key = "%s --vars %s exit %d" % (argv[0], nvars, code)
+        tally[key] = tally.get(key, 0) + 1
+    counts = dict(line.rsplit(": ", 1) for line in runs[0].stderr.splitlines())
+    assert {key: int(count) for key, count in counts.items()} == tally
+    assert runs[0].stderr == runs[1].stderr

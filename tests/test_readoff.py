@@ -1,18 +1,29 @@
 """Phase read-off: slice proportionality, peeling, full round trips."""
 
 import cmath
+import functools
 import math
 import re
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from mqsp import laurent, readoff as readoff_module
-from mqsp.errors import ReadoffError
-from mqsp.laurent import LaurentPoly2
-from mqsp.protocol import ProtocolSpec, Su2LaurentUnitary, build_unitary, random_spec
+from mqsp.errors import ReadoffError, VerificationError
+from mqsp.factor1d import complete_unitary_1d
+from mqsp.laurent import LaurentPoly1, LaurentPoly2, aligned
+from mqsp.protocol import (
+    ProtocolSpec,
+    Su2LaurentUnitary,
+    build_unitary,
+    principal_phase,
+    random_spec,
+)
 from mqsp.readoff import (
+    PeelStep,
+    ReadoffResult,
     ScanSummary,
     SliceReport,
     check_leading_slices,
@@ -243,6 +254,249 @@ def test_readoff_roundtrip_many():
         res = readoff(u.P, u.Q)
         assert res.residual < 1e-9
         assert len(res.branch_log) == spec.n
+
+
+# -- read-off against a loop of public single steps --------------------------------
+
+
+def reference_readoff(P, Q):
+    """readoff as a loop of public single steps: check_leading_slices picks
+    the direction (a first) among those of positive degree, peel_once
+    peels, then readoff's base case and rebuild check follow."""
+    tol = readoff_tolerance()
+    original = u = Su2LaurentUnitary(P, Q)
+    degrees = [d for poly in (P, Q) if not poly.is_zero() for d in astuple(poly.degrees())]
+    log = []
+    for step in range(1, sum(degrees) + 2):
+        # Q = 0 holds by convention in check_leading_slices, but its zero
+        # leading slices leave readoff nothing to peel
+        if u.Q.is_zero():
+            break
+        report = check_leading_slices(u)
+        tops = [max(e[axis] for poly in (u.P, u.Q) for e, _ in poly.items()) for axis in (0, 1)]
+        holds = (report.holds_a, report.holds_b)
+        avail = ["ab"[axis] for axis in (0, 1) if tops[axis] >= 1 and holds[axis]]
+        if not avail:
+            break
+        phase, u = peel_once(u, avail[0])
+        log.append(PeelStep(step, avail[0], phase, len(avail) == 2))
+    c = u.P.coeff(0, 0)
+    nonconstant = (u.P - LaurentPoly2.constant(c)).max_abs()
+    if u.Q.max_abs() > tol or nonconstant > tol or abs(abs(c) - 1.0) > tol:
+        raise ReadoffError("not an M-QSP unitary")
+    spec = ProtocolSpec(
+        tuple(1 if entry.direction == "a" else 0 for entry in reversed(log)),
+        (math.atan2(c.imag, c.real),) + tuple(entry.phase for entry in reversed(log)),
+    )
+    residual = build_unitary(spec).distance(original)
+    if residual > tol:
+        raise VerificationError("rebuild mismatch")
+    return ReadoffResult(spec, residual, tuple(log))
+
+
+def outcome(fn, *args):
+    """The result's repr (which tells -0.0 from 0.0), or the exception's type
+    and message."""
+    try:
+        return repr(fn(*args))
+    except (ReadoffError, VerificationError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def readoff_inputs():
+    """(name, P, Q): random-bit protocols n = 0..48 (those from n ~ 24 on
+    mostly fail part-way), all-a and all-b protocols, and single-oracle
+    completions n = 4..64."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in range(49):
+        u = build_unitary(random_spec(rng, n))
+        cases.append(("bits n=%d" % n, u.P, u.Q))
+    for n in (1, 2, 5, 9, 16):
+        for weight, name in ((0, "all-b"), (n, "all-a")):
+            u = build_unitary(random_spec(rng, n, weight=weight))
+            cases.append(("%s n=%d" % (name, n), u.P, u.Q))
+    for n in (4, 5, 6, 8, 11, 16, 23, 32, 48, 64):
+        u = build_unitary(random_spec(rng, n, weight=n))
+        pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()})
+        qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()})
+        unitary = complete_unitary_1d(pt, qt, n).unitary
+        cases.append(("completion n=%d" % n, unitary.P, unitary.Q))
+    return tuple(cases)
+
+
+@pytest.mark.parametrize("tolerance", [None, "1e-300"])
+def test_readoff_equals_loop_of_public_steps(monkeypatch, tolerance):
+    if tolerance is None:
+        monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
+    else:
+        monkeypatch.setenv("MQSP_TOLERANCE", tolerance)
+    exits = set()
+    for name, P, Q in readoff_inputs():
+        expected = outcome(reference_readoff, P, Q)
+        assert outcome(readoff, P, Q) == expected, name
+        exits.add(expected[0] if isinstance(expected, tuple) else "ok")
+    # at 1e-300 only n = 0 reads off; VerificationError is in the edge paths
+    assert exits == {"ok", "ReadoffError"}
+
+
+def noisy_protocol(noise):
+    """A protocol unitary, with Q given one extra coefficient at (0, 2), one
+    b level above its b-degree, of `noise` times Q's largest."""
+    u = build_unitary(ProtocolSpec((0, 1, 1), (0.4, -1.1, 0.7, 2.0)))
+    q = dict(u.Q.items())
+    q[(0, 2)] = noise * u.Q.max_abs()
+    return u.P, LaurentPoly2(q)
+
+
+def edge_cases():
+    """{name: ((P, Q), expected outcome, or "ok" for a ReadoffResult)}."""
+    cases = {
+        # an empty coefficient box: nothing to peel, and no unimodular constant
+        "P = Q = 0": (
+            (LaurentPoly2.zero(), LaurentPoly2.zero()),
+            ("ReadoffError", "not an M-QSP unitary"),
+        ),
+        # the peel along a leaves Q = 0 exactly and P = 1: the base case
+        # holds but the rebuild misses the input
+        "Q zero after the last peel": (
+            (LaurentPoly2({(1, 0): 0.5, (-1, 0): 1.0}), LaurentPoly2({(1, 0): 0.5})),
+            ("VerificationError", "rebuild mismatch"),
+        ),
+        # the same times b: Q = 0 while P = b has degree left
+        "Q zero part-way": (
+            (LaurentPoly2({(1, 1): 0.5, (-1, 1): 1.0}), LaurentPoly2({(1, 1): 0.5})),
+            ("ReadoffError", "not an M-QSP unitary"),
+        ),
+        # the peel along a halves the noise to dust, which is pruned: the b
+        # axis is trimmed and the protocol reads off
+        "dust trims the other axis": (noisy_protocol(1.5e-14), "ok"),
+        # twice that noise survives the prune and blocks the base case
+        "noise kept": (noisy_protocol(3e-14), ("ReadoffError", "not an M-QSP unitary")),
+        # the peel overflows, which LaurentPoly2 refuses
+        "overflow": (
+            (
+                LaurentPoly2({(1, 0): 1.7e308, (-1, 0): 1.7e308}),
+                LaurentPoly2({(1, 0): 1.7e308, (-1, 0): -1.7e308}),
+            ),
+            ("ValueError", "non-finite coefficient"),
+        ),
+    }
+    # the phase-pi/2 draws of test_scan_stack_prunes_as_laurent_does
+    half = math.pi / 2
+    draws = [
+        ((1, 1), (0.3, half, -0.4)),
+        ((0, 1, 1), (0.1, 0.7, half, 1.0)),
+        ((1, 0, 0), (0.2, 1.1, half, 0.0)),
+        ((1, 1, 0, 1), (0.5, half, 0.2, half, 0.3)),
+        ((0, 1, 0, 1, 1), (0.1, -0.2, 0.3, -0.4, 0.5, -0.6)),
+    ]
+    for i, (s, phases) in enumerate(draws):
+        u = build_unitary(ProtocolSpec(s, phases))
+        cases["phase pi/2 draw %d" % i] = ((u.P, u.Q), "ok")
+    return cases
+
+
+EDGE_CASES = edge_cases()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_readoff_edge_paths(monkeypatch, name):
+    monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
+    (P, Q), expected = EDGE_CASES[name]
+    got = outcome(readoff, P, Q)
+    assert got == outcome(reference_readoff, P, Q)
+    if expected == "ok":
+        assert got.startswith("ReadoffResult(")
+    else:
+        assert got == expected
+
+
+def test_peel_trims_the_axis_not_peeled():
+    P, Q = noisy_protocol(1.5e-14)
+    assert Q.degrees().deg_b == 2
+    _, reduced = peel_once(Su2LaurentUnitary(P, Q), "a")
+    assert reduced.P.degrees().deg_b == reduced.Q.degrees().deg_b == 1
+    # while Q zero part-way is pruned to the zero polynomial
+    _, reduced = peel_once(Su2LaurentUnitary(*EDGE_CASES["Q zero part-way"][0]), "a")
+    assert reduced.Q.is_zero() and reduced.P == LaurentPoly2.monomial(0, 1)
+
+
+def test_pruned_stack_is_aligned_from_array_bit_for_bit():
+    # signed zeros, dust below PRUNE_REL and zero layers: each stack must
+    # come out as aligned() of the two LaurentPoly2.from_array layers,
+    # byte for byte
+    rng = np.random.default_rng(8)
+    values = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -0.5, 3e-15, -2e-16])
+    for _ in range(400):
+        shape = (2, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+        box = np.empty(shape, dtype=complex)
+        box.real = values[rng.integers(0, len(values), shape)]
+        box.imag = values[rng.integers(0, len(values), shape)]
+        lo = (int(rng.integers(-3, 3)), int(rng.integers(-3, 3)))
+        polys = [LaurentPoly2.from_array(layer, *lo) for layer in box]
+        x, y, want_lo = aligned(*polys)
+        got, got_lo = readoff_module._pruned(box.copy(), lo)
+        assert got_lo == want_lo and got.shape == (2,) + x.shape
+        assert got[0].tobytes() == x.tobytes() and got[1].tobytes() == y.tobytes()
+
+
+def reference_peel(u, direction):
+    """peel_once's arithmetic as first written: zero-padded sums of the
+    aligned boxes, cut to the lowered degree, then one
+    LaurentPoly2.from_array per polynomial."""
+    axis = "ab".index(direction)
+    report = check_leading_slices(u)
+    phi = principal_phase((report.phase_a, report.phase_b)[axis]) / 2.0
+    w = complex(math.cos(phi), math.sin(phi))
+    p, q, lo = aligned(u.P, u.Q)
+    if axis:
+        p, q = p.T, q.T
+    rows = len(p)
+    level = lo[axis] + rows - 1
+    pw, qw = (0.5 * w.conjugate()) * p, (0.5 * w) * q
+    s, d = pw + qw, pw - qw
+    p_red, q_red = np.zeros((2, rows + 2, p.shape[1]), dtype=complex)
+    p_red[2:] = d
+    np.negative(d, out=q_red[2:])
+    p_red[:-2] += s
+    q_red[:-2] += s
+    first = max(2 - level - lo[axis], 0)
+    p_red, q_red = p_red[first:rows], q_red[first:rows]
+    lo = list(lo)
+    lo[axis] += first - 1
+    if axis:
+        p_red, q_red = p_red.T, q_red.T
+    return phi, [LaurentPoly2.from_array(x, *lo) for x in (p_red, q_red)]
+
+
+def test_peel_equals_reference_arithmetic_bit_for_bit(monkeypatch):
+    # lopsided boxes (rows below exponent lo + 1 take S alone), signed zeros
+    # and exact cancellations; a loose tolerance lets most pairs peel
+    monkeypatch.setenv("MQSP_TOLERANCE", "10")
+    rng = np.random.default_rng(12)
+    values = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
+    peeled = 0
+    for _ in range(300):
+        shape = (2, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        box = np.empty(shape, dtype=complex)
+        box.real = values[rng.integers(0, len(values), shape)]
+        box.imag = values[rng.integers(0, len(values), shape)] * (rng.random() < 0.5)
+        lo = (int(rng.integers(-2, 2)), int(rng.integers(-1, 2)))
+        u = Su2LaurentUnitary(*(LaurentPoly2.from_array(layer, *lo) for layer in box))
+        for direction in "ab":
+            try:
+                phi, reduced = peel_once(u, direction)
+            except ReadoffError:
+                continue
+            want_phi, want = reference_peel(u, direction)
+            assert repr(phi) == repr(want_phi)
+            for got, poly in zip((reduced.P, reduced.Q), want):
+                assert got._lo == poly._lo and got._box.tobytes() == poly._box.tobytes()
+            peeled += 1
+    assert peeled > 200
 
 
 # -- scan -------------------------------------------------------------------------

@@ -21,8 +21,8 @@ class VerificationError(MqspError):
 
 
 class FactorizationError(MqspError):
-    """Spectral factorization could not proceed: nonnegativity, root
-    pairing, positivity, Fourier convergence, or rank trouble."""
+    """Spectral factorization could not proceed: nonnegativity, positivity,
+    Fourier convergence, factor verification, or rank trouble."""
 
 
 class ReadoffError(MqspError):

@@ -10,11 +10,11 @@ and both refuse a g whose residual fails the factor gate of factor2d
   the solve of extract_stable_factor. It needs f strictly positive and
   1/f within FOURIER_AXIS_MAX samples. Its g is stable (no zeros in the
   closed disk), with g_0 > 0.
-- fejer_riesz pairs the roots of z^D f(z), f a LaurentPoly1, choosing the
-  root from each (r, 1/conj(r)) pair with magnitude >= 1 and clustering
-  the roots on the circle to even multiplicity. It alone factors f with
-  zeros on the circle (root class "outer"). Its g is monic times a
-  positive scale.
+- fejer_riesz runs Wilson's Newton iteration on g * conj_reciprocal(g) = f,
+  f a LaurentPoly1, from the constant sqrt(c_0): one dense real solve per
+  step, at most NEWTON_STEPS steps. It alone factors f with zeros on the
+  circle (root class "outer"); its g has no zeros in the open disk, and
+  its top coefficient is real positive.
 
 spectral_factor tries toeplitz_factor and falls back to fejer_riesz.
 complete_unitary_1d is complete_unitary_2d with weight m = n, with
@@ -42,69 +42,26 @@ from mqsp.factor2d import (
 )
 from mqsp.laurent import LaurentPoly1, LaurentPoly2
 
-# Root classification/pairing tolerances. A boundary zero of a nonnegative
-# polynomial has even multiplicity; the companion-matrix noise splits such
-# a double root by about sqrt(machine eps) ~ 1e-8, well inside the band.
-BOUNDARY_TOL = 1e-6
-PAIRING_TOL = 1e-6
-CLUSTER_TOL = 1e-5
-# smallest circle grid on which fejer_riesz samples f and checks its factor
-PAIRING_GRID = 1024
+# most Newton steps of fejer_riesz: strictly positive f converges
+# quadratically in 6-16 steps, double zeros on the circle linearly in ~30
+NEWTON_STEPS = 64
+# smallest circle grid on which fejer_riesz checks f's sign and its factor
+CHECK_GRID = 1024
 
 
 @dataclass(frozen=True)
 class Factorization1D:
     """Spectral factor g (exponents 0..D), sup-norm residual of
-    f - g*conj_reciprocal(g) on the verification grid, and the root class:
-    "stable" when every root is strictly outside the closed unit disk,
-    "outer" when boundary roots were used."""
+    f - g*conj_reciprocal(g) on the verification grid, and the root class.
+    A Toeplitz factor is "stable" (no zeros in the closed unit disk).
+    fejer_riesz's is "outer" when f's smallest sample on its check grid is
+    at most the sign check's floor (a zero of f on the circle, so of g) and
+    "stable" otherwise; a zero on the circle between grid samples reads
+    "stable"."""
 
     g: LaurentPoly1
     residual: float
     root_class: str
-
-
-def _cluster_boundary(roots):
-    """Group near-coincident boundary roots; each cluster must have even
-    size (even multiplicity). Returns (representative, multiplicity) pairs
-    with the representative projected onto the unit circle: the split of an
-    even-order zero is symmetric to first order, so the cluster mean
-    restores most of the lost accuracy."""
-    remaining = list(roots)
-    clusters = []
-    while remaining:
-        seed = remaining.pop()
-        members = [seed]
-        rest = []
-        for r in remaining:
-            if abs(r - seed) < CLUSTER_TOL:
-                members.append(r)
-            else:
-                rest.append(r)
-        remaining = rest
-        if len(members) % 2 != 0:
-            raise FactorizationError("root pairing failed")
-        mean = sum(members) / len(members)
-        if mean == 0:
-            raise FactorizationError("root pairing failed")
-        clusters.append((mean / abs(mean), len(members) // 2))
-    return clusters
-
-
-def _pair_off_circle(outside, inside):
-    """Match each root outside the circle with its reflection 1/conj(r)
-    inside; leftovers mean the root set is inconsistent with |g|^2."""
-    pool = list(inside)
-    for r in outside:
-        mirror = 1.0 / r.conjugate()
-        if not pool:
-            raise FactorizationError("root pairing failed")
-        j = min(range(len(pool)), key=lambda i: abs(pool[i] - mirror))
-        if abs(pool[j] - mirror) > PAIRING_TOL * max(1.0, abs(mirror)):
-            raise FactorizationError("root pairing failed")
-        pool.pop(j)
-    if pool:
-        raise FactorizationError("root pairing failed")
 
 
 def _verified(g, residual, root_class, scale):
@@ -114,14 +71,44 @@ def _verified(g, residual, root_class, scale):
     return Factorization1D(g=g, residual=residual, root_class=root_class)
 
 
+def _newton_step(g, f_top):
+    """Wilson's step: h (exponents 0..d, Im h_0 = 0) with
+    g*conj_reciprocal(h) + h*conj_reciprocal(g) = f + g*conj_reciprocal(g).
+
+    Both sides are Hermitian, so their coefficients 0..d (f_top) fix them;
+    the rows are the real parts of those and the imaginary parts of 1..d,
+    the unknowns Re h_0..h_d and Im h_1..h_d. Raises LinAlgError when the
+    system is singular."""
+    d = len(g) - 1
+    k = np.arange(d + 1)
+    # coefficient k of g*conj_reciprocal(h) is sum_j g_{j+k} conj(h_j), of
+    # h*conj_reciprocal(g) sum_m conj(g_{m-k}) h_m
+    hankel = np.concatenate([g, np.zeros(d)])[k[:, None] + k]
+    toeplitz = np.triu(g.conj()[np.abs(k - k[:, None])])
+    by_re, by_im = hankel + toeplitz, 1j * (toeplitz - hankel)
+    system = np.block(
+        [[by_re.real, by_im.real[:, 1:]], [by_re.imag[1:], by_im.imag[1:, 1:]]]
+    )
+    target = f_top + toeplitz @ g
+    x = np.linalg.solve(system, np.concatenate([target.real, target.imag[1:]]))
+    return x[: d + 1] + 1j * np.concatenate([[0.0], x[d + 1 :]])
+
+
 def fejer_riesz(f):
-    """Factor a circle-nonnegative Laurent polynomial as |g|^2.
+    """Factor a circle-nonnegative Laurent polynomial as |g|^2 by Wilson's
+    Newton iteration (G. T. Wilson, SIAM J. Numer. Anal. 6 (1969) 1-7).
+
+    From g = sqrt(c_0), each step solves _newton_step's linear system. It
+    stops when that system is singular (the exact factor of an f with
+    zeros on the circle makes it so), when a step is no shorter than the
+    one before, or after NEWTON_STEPS steps, and keeps whichever of the
+    last two iterates fits f's coefficients better. Wilson's iterates keep
+    their zeros outside the open unit disk. g is scaled so that its top
+    coefficient is real positive.
 
     Raises "not nonnegative on circle" when sampled values dip below the
-    tolerance floor, "root pairing failed" when the computed roots do not
-    organize into (r, 1/conj(r)) pairs and even boundary clusters, and
-    "verification failed" when the residual of |g|^2 against f on the
-    grid is at least VERIFY_REL_TOL times max f.
+    tolerance floor and "verification failed" when the residual of |g|^2
+    against f on the grid is at least VERIFY_REL_TOL times max f.
     """
     if not f.is_hermitian():
         raise ValueError("f must be Hermitian (real on the unit circle)")
@@ -129,48 +116,48 @@ def fejer_riesz(f):
         return Factorization1D(LaurentPoly1.zero(), 0.0, "stable")
 
     # the FFT grid must exceed the exponent spread 2 * deg; doubling keeps
-    # the PAIRING_GRID points in it
-    grid = _pow2_grid(PAIRING_GRID, f.degree())
+    # the CHECK_GRID points in it
+    grid = _pow2_grid(CHECK_GRID, f.degree())
     values = f.eval_circle_grid(grid).real
     scale = float(np.max(np.abs(values)))
-    if float(np.min(values)) < -1e-12 * max(1.0, scale):
+    floor = 1e-12 * max(1.0, scale)
+    lowest = float(np.min(values))
+    if lowest < -floor:
         raise FactorizationError("not nonnegative on circle")
+    root_class = "outer" if lowest <= floor else "stable"
 
     d = f.max_exp()
     if d == 0:
         c = f.coeff(0).real
         g = LaurentPoly1({0: math.sqrt(max(c, 0.0))})
-        return _verified(g, abs(c - max(c, 0.0)), "stable", scale)
+        return _verified(g, abs(c - max(c, 0.0)), root_class, scale)
 
-    # roots of z^d f(z), an ordinary polynomial of degree 2d with h(0) != 0
-    h = np.array([f.coeff(k - d) for k in range(2 * d + 1)])
-    roots = np.roots(h[::-1])
+    full = np.array([f.coeff(k) for k in range(-d, d + 1)])
+    f_top = full[d:]
 
-    outside = [r for r in roots if abs(r) > 1.0 + BOUNDARY_TOL]
-    inside = [r for r in roots if abs(r) < 1.0 - BOUNDARY_TOL]
-    boundary = [r for r in roots if abs(abs(r) - 1.0) <= BOUNDARY_TOL]
+    def misfit(coeffs):
+        # max |g*conj_reciprocal(g) - f| over the coefficients
+        return float(np.max(np.abs(np.convolve(coeffs, coeffs[::-1].conj()) - full)))
 
-    _pair_off_circle(outside, inside)
-    clusters = _cluster_boundary(boundary)
-
-    selected = list(outside)
-    for rep, mult in clusters:
-        selected.extend([rep] * mult)
-    if len(selected) != d:
-        raise FactorizationError("root pairing failed")
-
-    # monic product over the selected roots, then least-squares scale
-    monic = np.poly(selected) if selected else np.array([1.0 + 0.0j])
-    m_poly = LaurentPoly1(dict(enumerate(monic[::-1])))
-    m_abs2 = np.abs(m_poly.eval_circle_grid(grid)) ** 2
-    lam = float(np.dot(values, m_abs2) / np.dot(m_abs2, m_abs2))
-    if lam <= 0.0:
-        raise FactorizationError("root pairing failed")
-    g = math.sqrt(lam) * m_poly
-
-    g_abs2 = np.abs(g.eval_circle_grid(grid)) ** 2
-    residual = float(np.max(np.abs(values - g_abs2)))
-    return _verified(g, residual, "outer" if clusters else "stable", scale)
+    g = np.zeros(d + 1, dtype=complex)
+    g[0] = math.sqrt(max(f_top[0].real, 0.0))
+    previous, last_step = g, math.inf
+    for _ in range(NEWTON_STEPS):
+        try:
+            h = _newton_step(g, f_top)
+        except np.linalg.LinAlgError:
+            break
+        step = float(np.max(np.abs(h - g)))
+        previous, g = g, h
+        if not step < last_step:
+            break
+        last_step = step
+    if not misfit(g) < misfit(previous):
+        g = previous
+    top = g[-1]
+    g = LaurentPoly1(dict(enumerate(g * (abs(top) / top if top else 1.0))))
+    residual = float(np.max(np.abs(values - np.abs(g.eval_circle_grid(grid)) ** 2)))
+    return _verified(g, residual, root_class, scale)
 
 
 def toeplitz_factor(f):

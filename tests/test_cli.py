@@ -255,10 +255,7 @@ def test_complete_valid_but_not_peelable_exit_three(tmp_path, capsys, monkeypatc
     # both completions factor, but no read-off passes at tolerance 1e-30;
     # either prints its unitary with protocol null
     monkeypatch.setenv("MQSP_TOLERANCE", "1e-30")
-    path = write_json(
-        tmp_path / "t.json",
-        {"p": [{"j": 2, "k": 0, "re": 0.5, "im": 0.0}, {"j": -2, "k": 0, "re": 0.5, "im": 0.0}]},
-    )
+    path = write_json(tmp_path / "t.json", targets_of(ProtocolSpec((1, 1), (0.1, 2.8, -2.2))))
     code, out, err = run(capsys, ["complete", path, "--vars", "1", "--deg", "2"])
     assert (code, err) == (3, "")
     obj = json.loads(out)
@@ -335,6 +332,19 @@ def test_complete_1d_long_targets_exit_zero_with_protocol(tmp_path, capsys):
         assert np.abs(np.abs(p) ** 2 + np.abs(q) ** 2 - 1.0).max() < 1e-5
         assert np.abs(p.real - eval_records(targets["p"], theta).real).max() < 1e-8
         assert np.abs(q.real - eval_records(targets["q"], theta).real).max() < 1e-8
+
+
+@pytest.mark.parametrize("seed", [9, 16])
+def test_complete_1d_targets_near_the_circle_exit_zero_with_protocol(tmp_path, capsys, seed):
+    # n = 256 single-oracle targets whose f = 1 - Ptilde^2 - Qtilde^2 comes
+    # too close to zero for the Toeplitz route: the Newton factor completes
+    # them, and the completion reads off
+    rng = np.random.default_rng(seed)
+    spec = ProtocolSpec((1,) * 256, tuple(rng.uniform(-math.pi, math.pi, 257)))
+    path = write_json(tmp_path / "t.json", targets_of(spec))
+    code, out, err = run(capsys, ["complete", path, "--vars", "1", "--deg", "256"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["protocol"]["s"] == [1] * 256
 
 
 def test_complete_bad_inputs_exit_two(tmp_path, capsys):
@@ -546,10 +556,15 @@ def test_plot_bad_flags_exit_two(tmp_path, capsys):
 
 
 def test_pipelines_import_no_scipy(tmp_path):
-    # numpy is the only declared dependency: build, readoff and a
-    # two-variable complete must run without scipy in a fresh interpreter
+    # numpy is the only declared dependency: build, readoff, a two-variable
+    # complete and a one-variable one on cos 2t (zeros on the circle, so
+    # the Newton factor) must run without scipy in a fresh interpreter
     protocol = write_json(tmp_path / "p.json", {"s": [0, 1], "phases": [0.1, 2.8, -2.2]})
     targets = write_json(tmp_path / "t.json", targets_of(ProtocolSpec((0, 1), (0.1, 2.8, -2.2))))
+    cosine = write_json(
+        tmp_path / "c.json",
+        {"p": [{"j": 2, "k": 0, "re": 0.5, "im": 0.0}, {"j": -2, "k": 0, "re": 0.5, "im": 0.0}]},
+    )
     unitary = tmp_path / "u.json"
     script = (
         "import contextlib, io, sys\n"
@@ -561,8 +576,9 @@ def test_pipelines_import_no_scipy(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['readoff', %r]) == 0\n"
         "    assert main(['complete', %r, '--vars', '2', '--deg', '2,1']) == 0\n"
+        "    assert main(['complete', %r, '--vars', '1', '--deg', '2']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    ) % (protocol, str(unitary), str(unitary), targets)
+    ) % (protocol, str(unitary), str(unitary), targets, cosine)
     src = os.path.dirname(os.path.dirname(mqsp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(

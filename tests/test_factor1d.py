@@ -118,7 +118,7 @@ def _coeffs(g, deg):
     return np.array([g.coeff(k) for k in range(deg + 1)])
 
 
-def test_toeplitz_factor_matches_root_pairing():
+def test_toeplitz_factor_matches_newton():
     # the same factor up to a global phase, pinned by g_0 > 0 instead of
     # fejer_riesz's top coefficient, so refactoring g g* reproduces g
     rng = np.random.default_rng(8)
@@ -135,7 +135,7 @@ def test_toeplitz_factor_matches_root_pairing():
         assert again.distance(fac.g) < 1e-12 * fac.g.max_abs()
 
 
-def test_boundary_zeros_fall_back_to_root_pairing():
+def test_boundary_zeros_fall_back_to_newton():
     # zeros on the circle ("outer"): the Toeplitz solve refuses f, and
     # spectral_factor returns fejer_riesz's factor itself
     for f in (
@@ -147,7 +147,7 @@ def test_boundary_zeros_fall_back_to_root_pairing():
         fac = spectral_factor(f.embed())
         assert fac.root_class == "outer"
         assert fac == fejer_riesz(f)
-    # and the completions of cos t = T_1 and T_n are the root-pairing ones
+    # and the completions of cos t = T_1 and T_n are the Newton ones
     for n in (1, 2, 5):
         t = chebyshev_t_laurent(n)
         res = complete_unitary_1d(t, LaurentPoly1.zero(), n)
@@ -169,7 +169,7 @@ NEAR_CIRCLE_PHASES = (
 
 def test_strictly_positive_past_the_grid_cap_falls_back():
     # 1/f of |1 - 0.996 z|^2 converges at 2^17 samples, past
-    # FOURIER_AXIS_MAX: root pairing factors it instead
+    # FOURIER_AXIS_MAX: Newton factors it instead
     h = LaurentPoly1({0: 1.0, 1: -0.996})
     f = h * h.conj_reciprocal()
     with pytest.raises(FactorizationError, match="^no convergence$"):
@@ -177,7 +177,7 @@ def test_strictly_positive_past_the_grid_cap_falls_back():
     fac = spectral_factor(f.embed())
     assert fac == fejer_riesz(f) and fac.root_class == "stable"
     # 1/f of this protocol-derived f does not converge within 2^20 samples:
-    # the target still completes, through root pairing, and reads off
+    # the target still completes, through Newton, and reads off
     spec = ProtocolSpec((1,) * 8, NEAR_CIRCLE_PHASES)
     u = build_unitary(spec)
     pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()})
@@ -191,6 +191,33 @@ def test_strictly_positive_past_the_grid_cap_falls_back():
     assert res.factorization == fejer_riesz(LaurentPoly1({j: c for (j, _), c in f.items()}))
     assert verify_structure(res.unitary, 8, 8).overall
     assert readoff(res.unitary.P, res.unitary.Q).residual < 1e-9
+
+
+def test_factor_stable_under_one_ulp_changes_of_f():
+    # moving one coefficient of f (and its mirror) by one ulp either way
+    # keeps the outcome and the root class, and moves g by at most 1e-10
+    # (f strictly positive) or 1e-7 (double zeros on the circle) of max |g|
+    u = build_unitary(ProtocolSpec((1,) * 8, NEAR_CIRCLE_PHASES))
+    p_a, q_a = u.P.hermitian_part(), u.Q.hermitian_part()
+    near = LaurentPoly2.one() - p_a * p_a - q_a * q_a
+    cases = [(LaurentPoly1({j: c for (j, _), c in near.items()}), 1e-10)]
+    for n in (4, 16, 32):
+        t = chebyshev_t_laurent(n)
+        cases.append((LaurentPoly1.one() - t * t, 1e-7))
+    for f, bound in cases:
+        base = fejer_riesz(f)
+        for k, c in f.items():
+            if k < 0:
+                continue
+            for toward in (math.inf, -math.inf):
+                moved = complex(
+                    np.nextafter(c.real, toward), np.nextafter(c.imag, toward) if c.imag else 0.0
+                )
+                coeffs = dict(f.items())
+                coeffs[k], coeffs[-k] = moved, moved.conjugate()
+                fac = fejer_riesz(LaurentPoly1(coeffs))
+                assert fac.root_class == base.root_class, (k, toward)
+                assert fac.g.distance(base.g) <= bound * base.g.max_abs(), (k, toward)
 
 
 # -- completion -------------------------------------------------------------------
@@ -213,7 +240,7 @@ def test_completion_of_cosine():
 
 
 def test_completion_chebyshev_family():
-    for n in range(1, 9):
+    for n in (*range(1, 9), 16, 32, 64, 128):
         t = chebyshev_t_laurent(n)
         res = complete_unitary_1d(t, LaurentPoly1.zero(), n)
         rep = verify_structure(res.unitary, n, n)

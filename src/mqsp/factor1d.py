@@ -1,22 +1,22 @@
 """Single-variable spectral factorization, and completion as its m = n case.
 
-Both factorizations return g (a LaurentPoly1 with exponents 0..D) with
+spectral_factor returns g (a LaurentPoly1 with exponents 0..D) with
 f = g * conj_reciprocal(g) for f real and nonnegative on the unit circle,
-and both refuse a g whose residual fails the factor gate of factor2d
-(VERIFY_REL_TOL).
+from one of two routes, each refused when its residual fails the factor
+gate factor2d.VERIFY_REL_TOL:
 
-- toeplitz_factor is factor2d's Gamma route with the b axis of extent 0,
-  for f a LaurentPoly2 on axis a: fourier_of_reciprocal, build_gamma and
-  the solve of extract_stable_factor. It needs f strictly positive and
-  1/f within FOURIER_AXIS_MAX samples. Its g is stable (no zeros in the
-  closed disk), with g_0 > 0.
-- fejer_riesz runs Wilson's Newton iteration on g * conj_reciprocal(g) = f,
-  f a LaurentPoly1, from the constant sqrt(c_0): one dense real solve per
-  step, at most NEWTON_STEPS steps. It alone factors f with zeros on the
-  circle (root class "outer"); its g has no zeros in the open disk, and
-  its top coefficient is real positive.
+- factor2d.gamma_factor, the two-variable Gamma route, on f as a
+  LaurentPoly2 on axis a: with the b axis of extent 0 the rank condition
+  is vacuous and every grid has one sample along b. It needs f strictly
+  positive and 1/f within FOURIER_AXIS_MAX samples. Its g, read off the
+  factor's p, is stable (no zeros in the closed disk), with g_0 > 0.
+- fejer_riesz, when the Gamma route raises, runs Wilson's Newton iteration
+  on g * conj_reciprocal(g) = f, f a LaurentPoly1, from the constant
+  sqrt(c_0): one dense real solve per step, at most NEWTON_STEPS steps.
+  It alone factors f with zeros on the circle (root class "outer"); its
+  g has no zeros in the open disk, and its top coefficient is real
+  positive.
 
-spectral_factor tries toeplitz_factor and falls back to fejer_riesz.
 complete_unitary_1d is complete_unitary_2d with weight m = n, with
 spectral_factor's g in place of the stable factor.
 """
@@ -28,17 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mqsp import factor2d
 from mqsp.errors import FactorizationError
 from mqsp.factor2d import (
-    VERIFY_GRID,
-    VERIFY_REL_TOL,
     CompletionResult,
     _pow2_grid,
-    _solve_for_factor,
     assemble_and_read_off,
-    build_gamma,
     check_targets,
-    fourier_of_reciprocal,
+    gamma_factor,
 )
 from mqsp.laurent import LaurentPoly1, LaurentPoly2
 
@@ -53,7 +50,7 @@ CHECK_GRID = 1024
 class Factorization1D:
     """Spectral factor g (exponents 0..D), sup-norm residual of
     f - g*conj_reciprocal(g) on the verification grid, and the root class.
-    A Toeplitz factor is "stable" (no zeros in the closed unit disk).
+    A Gamma-route factor is "stable" (no zeros in the closed unit disk).
     fejer_riesz's is "outer" when f's smallest sample on its check grid is
     at most the sign check's floor (a zero of f on the circle, so of g) and
     "stable" otherwise; a zero on the circle between grid samples reads
@@ -66,7 +63,7 @@ class Factorization1D:
 
 def _verified(g, residual, root_class, scale):
     # the factor gate of extract_stable_factor, relative to max f
-    if residual >= VERIFY_REL_TOL * scale:
+    if residual >= factor2d.VERIFY_REL_TOL * scale:
         raise FactorizationError("verification failed")
     return Factorization1D(g=g, residual=residual, root_class=root_class)
 
@@ -160,36 +157,16 @@ def fejer_riesz(f):
     return _verified(g, residual, root_class, scale)
 
 
-def toeplitz_factor(f):
-    """Stable factor g of a strictly positive f (a LaurentPoly2 on axis a)
-    by factor2d's Gamma route with window (d, 0), d = deg f.
-
-    fourier_of_reciprocal gives the coefficients c_k, |k| <= d, of 1/f;
-    the Toeplitz Gamma[i, j] = c_{i-j} (build_gamma) then gives
-    Gamma q = e_0 with q = conj(g_0) g, so g = q / sqrt(q_0) has g_0 real
-    positive. Raises as fourier_of_reciprocal and the solve do, and
-    "verification failed" as fejer_riesz does, on the grid along a that
-    extract_stable_factor uses.
-    """
-    deg = f.degrees()
-    d = 0 if deg.is_zero else deg.deg_a
-    table = fourier_of_reciprocal(f, (d, 0))
-    g = LaurentPoly1(dict(enumerate(_solve_for_factor(build_gamma(table, d, 0)))))
-    grid = _pow2_grid(VERIFY_GRID, 2 * d)
-    ((_, f_values),) = f.unit_grid_blocks((grid, 1), grid)
-    values = f_values[:, 0].real
-    residual = float(np.max(np.abs(values - np.abs(g.eval_circle_grid(grid)) ** 2)))
-    return _verified(g, residual, "stable", float(values.max()))
-
-
 def spectral_factor(f):
-    """toeplitz_factor's factor of f (a LaurentPoly2 on axis a) or, when
-    that raises, fejer_riesz's factor of f's coefficients as a
-    LaurentPoly1."""
+    """gamma_factor's factor of f (a LaurentPoly2 on axis a), with g read
+    off its p, or, when that raises, fejer_riesz's factor of f's
+    coefficients as a LaurentPoly1."""
     try:
-        return toeplitz_factor(f)
+        fac, _, _ = gamma_factor(f)
     except FactorizationError:
         return fejer_riesz(LaurentPoly1({j: c for (j, _), c in f.items()}))
+    g = LaurentPoly1({j: c for (j, _), c in fac.p.items()})
+    return Factorization1D(g, fac.residual, "stable")
 
 
 def complete_unitary_1d(p_tilde, q_tilde, n):
@@ -199,7 +176,7 @@ def complete_unitary_1d(p_tilde, q_tilde, n):
     The targets, embedded on axis a, pass the same check_targets and give
     f = 1 - Ptilde^2 - Qtilde^2 by the same arithmetic; the unitary is
     assembled and read off the same way. The factor is spectral_factor's:
-    toeplitz_factor's g, complete_unitary_2d's stable factor bit for bit,
+    gamma_factor's, complete_unitary_2d's stable factor bit for bit,
     or, when that raises (f with zeros on or too near the circle),
     fejer_riesz's, whose outcome and message are then final. The result
     has no rank report or convergence residual.

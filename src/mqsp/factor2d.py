@@ -3,15 +3,18 @@
 A strictly positive Hermitian Laurent polynomial f on the torus admits
 f = p * conj_reciprocal(p) with p a *stable* polynomial (no zeros on the
 closed bidisk, support in {0..n}x{0..m}) exactly when a rank condition on
-the Fourier coefficients of 1/f holds. This module computes those Fourier
-coefficients, tests the rank condition by two independent routes, extracts
-the stable factor from a linear solve, and uses it to complete a pair of
-real-on-torus targets (Ptilde, Qtilde) to a full protocol unitary.
+the Fourier coefficients of 1/f holds. gamma_factor, the Gamma route,
+computes those Fourier coefficients, tests the rank condition by two
+independent routes and extracts the stable factor from a linear solve;
+complete_unitary_2d uses it to complete a pair of real-on-torus targets
+(Ptilde, Qtilde) to a full protocol unitary.
 
-The completion contract is shared with one variable (factor1d, the case
-m = n): check_targets on the inputs, assemble_and_read_off after the
-factor, and one CompletionResult. Only the factor differs by route; both
-factors must pass the same residual gate, VERIFY_REL_TOL times max f.
+The route sizes its work per axis, so f in one variable (factor1d, the
+case m = n) costs one-variable work and meets a vacuous rank condition.
+The completion contract is shared with one variable: check_targets on the
+inputs, assemble_and_read_off after the factor, and one CompletionResult;
+factor1d's fallback factor must pass the same residual gate,
+VERIFY_REL_TOL times max f.
 """
 
 from __future__ import annotations
@@ -42,6 +45,12 @@ VERIFY_GRID = 128
 VERIFY_REL_TOL = 1e-6
 NET_RADII = (0.2, 0.4, 0.6, 0.8, 1.0)
 NET_ANGLES = 64
+
+
+def _degrees(poly):
+    """(deg_a, deg_b) of poly, (0, 0) for the zero polynomial."""
+    deg = poly.degrees()
+    return (0, 0) if deg.is_zero else (deg.deg_a, deg.deg_b)
 
 
 def _pow2_grid(base, max_degree):
@@ -104,9 +113,7 @@ def fourier_of_reciprocal(f, window):
     if wa < 0 or wb < 0:
         raise ValueError("window must be nonnegative")
 
-    deg = f.degrees()
-    degrees = (0, 0) if deg.is_zero else (deg.deg_a, deg.deg_b)
-    na, nb = (1 if d == w == 0 else _pow2_grid(FOURIER_START, d) for d, w in zip(degrees, (wa, wb)))
+    na, nb = (1 if d == w == 0 else _pow2_grid(FOURIER_START, d) for d, w in zip(_degrees(f), (wa, wb)))
     step_a, step_b = (2 if na > 1 else 1), (2 if nb > 1 else 1)
     exact = na == nb == 1
     if not exact and _exceeds_bounds(step_a * na, step_b * nb):
@@ -164,48 +171,39 @@ class RankConditionReport:
     Route one: the submatrix of Gamma with rows (j,0) and columns (0,l)
     removed must have rank exactly n*m. Route two: the inverse of Gamma
     restricted to the lattice minus the origin must vanish on the block
-    with rows (i,0), i>=1 and columns (0,l), l>=1. The two must agree;
-    `satisfied` reports their common verdict.
+    with rows (i,0), i>=1 and columns (0,l), l>=1 (inverse_block_rel,
+    relative to the inverse's largest entry). The two must agree;
+    `satisfied` reports their common verdict. With n*m = 0 both hold
+    vacuously: rank 0, inverse_block_rel 0.0, and nothing is decomposed.
     """
 
     satisfied: bool
     submatrix_rank: int
     target_rank: int
     singular_values: np.ndarray
-    inverse_block_max: float
     inverse_block_rel: float
-    gamma_condition: float
 
 
 def rank_condition(gamma, n, m):
-    j, k = _lattice(n, m)
     target = n * m
+    if not target:
+        # the submatrix and the inverse block are empty: both routes hold
+        return RankConditionReport(True, 0, 0, np.zeros(0), 0.0)
+    j, k = _lattice(n, m)
 
     sub = gamma[np.ix_(np.flatnonzero(k >= 1), np.flatnonzero(j >= 1))]
-    if sub.size == 0:
-        singular_values = np.zeros(0)
-        rank = 0
-    else:
-        singular_values = np.linalg.svd(sub, compute_uv=False)
-        top = singular_values[0]
-        rank = 0 if top == 0 else int((singular_values > RANK_REL_TOL * top).sum())
+    singular_values = np.linalg.svd(sub, compute_uv=False)
+    top = singular_values[0]
+    rank = 0 if top == 0 else int((singular_values > RANK_REL_TOL * top).sum())
     route_one = rank == target
 
     # ordinal of (0,0) is 0, so dropping the origin is dropping index 0
-    reduced = gamma[1:, 1:]
-    if reduced.size == 0:
-        block_max = 0.0
-        block_rel = 0.0
-        condition = 1.0
-    else:
-        condition = float(np.linalg.cond(reduced))
-        inverse = np.linalg.inv(reduced)
-        # rows (i,0), i>=1 and columns (0,l), l>=1, shifted past the origin
-        block_rows = np.flatnonzero((k == 0) & (j >= 1)) - 1
-        block_cols = np.flatnonzero((j == 0) & (k >= 1)) - 1
-        block = inverse[np.ix_(block_rows, block_cols)]
-        block_max = float(np.abs(block).max()) if block.size else 0.0
-        block_rel = block_max / float(np.abs(inverse).max())
+    inverse = np.linalg.inv(gamma[1:, 1:])
+    # rows (i,0), i>=1 and columns (0,l), l>=1, shifted past the origin
+    block_rows = np.flatnonzero((k == 0) & (j >= 1)) - 1
+    block_cols = np.flatnonzero((j == 0) & (k >= 1)) - 1
+    block = inverse[np.ix_(block_rows, block_cols)]
+    block_rel = float(np.abs(block).max()) / float(np.abs(inverse).max())
     route_two = block_rel <= INVERSE_BLOCK_REL_TOL
 
     if route_one != route_two:
@@ -218,22 +216,30 @@ def rank_condition(gamma, n, m):
         submatrix_rank=rank,
         target_rank=target,
         singular_values=singular_values,
-        inverse_block_max=block_max,
         inverse_block_rel=block_rel,
-        gamma_condition=condition,
     )
 
 
 @dataclass(frozen=True)
 class Factorization2D:
     """Stable factor p (support in {0..n}x{0..m}, constant coefficient real
-    positive), sup residual of f - |p|^2 on the verification grid, and the
-    outcome of sampling |p| on a radial-angular net of the closed bidisk."""
+    positive) and sup residual of f - |p|^2 on the verification grid.
+
+    min_on_net (smallest |p| on a radial-angular net of the closed bidisk)
+    and stable_verified (that minimum is positive) are report values, not
+    a gate: each is computed when read, so a completion that never reads
+    them never evaluates the net."""
 
     p: LaurentPoly2
     residual: float
-    stable_verified: bool
-    min_on_net: float
+
+    @property
+    def min_on_net(self):
+        return _min_on_bidisk_net(self.p)
+
+    @property
+    def stable_verified(self):
+        return self.min_on_net > 0.0
 
 
 def _bidisk_net():
@@ -242,9 +248,11 @@ def _bidisk_net():
 
 
 def _min_on_bidisk_net(p):
+    """min |p| on the net in both variables; along an axis where p has
+    degree 0 (p constant along it) one net point gives the same minimum."""
     net = _bidisk_net()
-    values = p.eval_grid(net, net)
-    return float(np.abs(values).min())
+    za, zb = (net if d else net[:1] for d in _degrees(p))
+    return float(np.abs(p.eval_grid(za, zb)).min())
 
 
 def _solve_for_factor(gamma):
@@ -268,28 +276,40 @@ def extract_stable_factor(gamma, f, n, m):
     constant coefficient times the factor itself, so normalizing by
     sqrt(q_{00}) recovers p with p_{00} real positive (this pins the
     overall phase, making repeated extractions identical). The candidate
-    is verified against f on a torus grid and against a closed-bidisk
-    sampling net.
+    must fit f to within VERIFY_REL_TOL times max f ("verification
+    failed") on a torus grid of _pow2_grid(VERIFY_GRID, max(deg f, 2n, 2m))
+    samples per axis, or one sample along an axis where f and the lattice
+    both have extent 0. The closed-bidisk net is left to Factorization2D.
     """
     # the lattice ordinal j*(m+1) + k is row-major order on the (n+1, m+1) box
     p = LaurentPoly2.from_array(_solve_for_factor(gamma).reshape(n + 1, m + 1), 0, 0)
 
-    deg = f.degrees()
-    max_deg = 0 if deg.is_zero else max(deg.deg_a, deg.deg_b)
-    grid = _pow2_grid(VERIFY_GRID, max(max_deg, 2 * n, 2 * m))
-    f_values = f.eval_unit_grid(grid).real
-    p_values = p.eval_unit_grid(grid)
+    degrees = _degrees(f)
+    grid = _pow2_grid(VERIFY_GRID, max(*degrees, 2 * n, 2 * m))
+    shape = tuple(grid if d or w else 1 for d, w in zip(degrees, (n, m)))
+    ((_, f_values),) = f.unit_grid_blocks(shape, grid * grid)
+    ((_, p_values),) = p.unit_grid_blocks(shape, grid * grid)
+    f_values = f_values.real
     residual = float(np.abs(f_values - np.abs(p_values) ** 2).max())
     if residual >= VERIFY_REL_TOL * float(np.abs(f_values).max()):
         raise FactorizationError("verification failed")
+    return Factorization2D(p=p, residual=residual)
 
-    min_on_net = _min_on_bidisk_net(p)
-    return Factorization2D(
-        p=p,
-        residual=residual,
-        stable_verified=min_on_net > 0.0,
-        min_on_net=min_on_net,
-    )
+
+def gamma_factor(f):
+    """(Factorization2D, RankConditionReport, convergence residual): the
+    stable factor of a strictly positive f on the lattice of its degree box
+    by fourier_of_reciprocal, build_gamma, rank_condition and
+    extract_stable_factor. Raises as they do, and "rank condition not
+    satisfied" when the rank condition fails.
+    """
+    n, m = _degrees(f)
+    table = fourier_of_reciprocal(f, (n, m))
+    gamma = build_gamma(table, n, m)
+    report = rank_condition(gamma, n, m)
+    if not report.satisfied:
+        raise FactorizationError("rank condition not satisfied")
+    return extract_stable_factor(gamma, f, n, m), report, table.convergence_residual
 
 
 def stable_from_contraction(K, slots):
@@ -366,9 +386,11 @@ def check_targets(p_tilde, q_tilde, n, m):
 @dataclass(frozen=True)
 class CompletionResult:
     """Completed unitary, recovered protocol (None when the completion is a
-    valid unitary but peeling fails), and the factorization used. The
-    Gamma route also reports its rank condition and the convergence
-    residual of the Fourier table of 1/f; both are None for one variable."""
+    valid unitary but peeling fails), and the factorization used: a
+    Factorization2D for two variables, a factor1d.Factorization1D for one.
+    complete_unitary_2d also reports gamma_factor's rank condition and the
+    convergence residual of the Fourier table of 1/f; both are None for
+    one variable, whichever route its factor took."""
 
     unitary: Su2LaurentUnitary
     spec: object
@@ -395,7 +417,7 @@ def complete_unitary_2d(p_tilde, q_tilde, n, m):
     weight m.
 
     The targets must pass check_targets, and f = 1 - Ptilde^2 - Qtilde^2
-    must be strictly positive. The stable factor of f, shifted by
+    must be strictly positive. gamma_factor's stable factor of f, shifted by
     a^{-m} b^{-(n-m)}, splits into a Hermitian part R and anti-Hermitian
     part iS with R^2 + S^2 = f, so the matrix [[Ptilde + iR, Qtilde + iS],
     [...]] is exactly unitary up to the factorization residual
@@ -403,17 +425,7 @@ def complete_unitary_2d(p_tilde, q_tilde, n, m):
     """
     n, m = int(n), int(m)
     check_targets(p_tilde, q_tilde, n, m)
-
     f = LaurentPoly2.one() - p_tilde * p_tilde - q_tilde * q_tilde
-    deg_f = f.degrees()
-    lattice_n = 0 if deg_f.is_zero else deg_f.deg_a
-    lattice_m = 0 if deg_f.is_zero else deg_f.deg_b
-
-    table = fourier_of_reciprocal(f, (lattice_n, lattice_m))
-    gamma = build_gamma(table, lattice_n, lattice_m)
-    report = rank_condition(gamma, lattice_n, lattice_m)
-    if not report.satisfied:
-        raise FactorizationError("rank condition not satisfied")
-    factorization = extract_stable_factor(gamma, f, lattice_n, lattice_m)
+    factorization, report, residual = gamma_factor(f)
     unitary, spec = assemble_and_read_off(p_tilde, q_tilde, factorization.p, n, m)
-    return CompletionResult(unitary, spec, factorization, report, table.convergence_residual)
+    return CompletionResult(unitary, spec, factorization, report, residual)

@@ -5,16 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from mqsp import factor1d
+from mqsp import factor2d
 from mqsp.errors import FactorizationError
 from mqsp.laurent import LaurentPoly1, LaurentPoly2
 from mqsp.factor1d import (
     complete_unitary_1d,
     fejer_riesz,
     spectral_factor,
-    toeplitz_factor,
 )
-from mqsp.factor2d import assemble_and_read_off, complete_unitary_2d
+from mqsp.factor2d import assemble_and_read_off, complete_unitary_2d, gamma_factor
 from mqsp.protocol import ProtocolSpec, build_unitary, verify_structure
 from mqsp.readoff import readoff
 
@@ -114,25 +113,25 @@ def test_factor_deterministic_normalization():
     assert g1.distance(g2) < 1e-8 * g1.max_abs()
 
 
-def _coeffs(g, deg):
-    return np.array([g.coeff(k) for k in range(deg + 1)])
+def _coeffs(p, deg):
+    return np.array([p.coeff(k, 0) for k in range(deg + 1)])
 
 
-def test_toeplitz_factor_matches_newton():
-    # the same factor up to a global phase, pinned by g_0 > 0 instead of
-    # fejer_riesz's top coefficient, so refactoring g g* reproduces g
+def test_gamma_factor_matches_newton():
+    # the same factor up to a global phase, pinned by p_0 > 0 instead of
+    # fejer_riesz's top coefficient, so refactoring p p* reproduces p
     rng = np.random.default_rng(8)
     for deg in (1, 3, 7, 12, 16):
         f = _random_positive(rng, deg)
-        fac = toeplitz_factor(f.embed())
-        assert fac.root_class == "stable"
+        fac, _, _ = gamma_factor(f.embed())
+        assert spectral_factor(f.embed()).root_class == "stable"
         assert fac.residual < 1e-12 * f.max_abs()
-        g = _coeffs(fac.g, deg)
-        ref = _coeffs(fejer_riesz(f).g, deg)
+        g = _coeffs(fac.p, deg)
+        ref = _coeffs(fejer_riesz(f).g.embed(), deg)
         assert np.abs(np.abs(g) - np.abs(ref)).max() < 1e-12 * np.abs(g).max()
         assert g[0].real > 0 and abs(g[0].imag) <= 1e-12 * g[0].real
-        again = toeplitz_factor((fac.g * fac.g.conj_reciprocal()).embed()).g
-        assert again.distance(fac.g) < 1e-12 * fac.g.max_abs()
+        again = gamma_factor(fac.p * fac.p.conj_reciprocal())[0].p
+        assert again.distance(fac.p) < 1e-12 * fac.p.max_abs()
 
 
 def test_boundary_zeros_fall_back_to_newton():
@@ -143,7 +142,7 @@ def test_boundary_zeros_fall_back_to_newton():
         *(LaurentPoly1.one() - t * t for t in map(chebyshev_t_laurent, (1, 2, 4))),
     ):
         with pytest.raises(FactorizationError):
-            toeplitz_factor(f.embed())
+            gamma_factor(f.embed())
         fac = spectral_factor(f.embed())
         assert fac.root_class == "outer"
         assert fac == fejer_riesz(f)
@@ -173,7 +172,7 @@ def test_strictly_positive_past_the_grid_cap_falls_back():
     h = LaurentPoly1({0: 1.0, 1: -0.996})
     f = h * h.conj_reciprocal()
     with pytest.raises(FactorizationError, match="^no convergence$"):
-        toeplitz_factor(f.embed())
+        gamma_factor(f.embed())
     fac = spectral_factor(f.embed())
     assert fac == fejer_riesz(f) and fac.root_class == "stable"
     # 1/f of this protocol-derived f does not converge within 2^20 samples:
@@ -186,7 +185,7 @@ def test_strictly_positive_past_the_grid_cap_falls_back():
     p_a, q_a = pt.embed(), qt.embed()
     f = LaurentPoly2.one() - p_a * p_a - q_a * q_a
     with pytest.raises(FactorizationError, match="^no convergence$"):
-        toeplitz_factor(f)
+        gamma_factor(f)
     res = complete_unitary_1d(pt, qt, 8)
     assert res.factorization == fejer_riesz(LaurentPoly1({j: c for (j, _), c in f.items()}))
     assert verify_structure(res.unitary, 8, 8).overall
@@ -282,6 +281,42 @@ def test_two_variable_route_with_one_axis_is_the_one_variable_route():
         two = complete_unitary_2d(pt.embed(), qt.embed(), n, n)
         assert two.unitary.distance(one.unitary) == 0.0, n
         assert two.spec == one.spec and one.spec is not None, n
+        assert two.factorization.p == one.factorization.g.embed(), n
+        assert two.factorization.residual == one.factorization.residual, n
+        assert one.factorization.root_class == "stable", n
+
+
+def test_gamma_route_sizes_its_work_per_axis(monkeypatch):
+    # a single-oracle target takes the Gamma route in one variable and in
+    # two; every grid it samples has one point along b, and the closed-bidisk
+    # net waits until min_on_net is read
+    phases = tuple(np.random.default_rng(31).uniform(-math.pi, math.pi, size=9))
+    u = build_unitary(ProtocolSpec((1,) * 8, phases))
+    pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()})
+    qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()})
+    shapes, nets = [], []
+    sample, net_min = LaurentPoly2.unit_grid_blocks, factor2d._min_on_bidisk_net
+
+    def sample_spy(self, shape, block_cells):
+        shapes.append(shape)
+        return sample(self, shape, block_cells)
+
+    def net_spy(p):
+        nets.append(p)
+        return net_min(p)
+
+    monkeypatch.setattr(LaurentPoly2, "unit_grid_blocks", sample_spy)
+    monkeypatch.setattr(factor2d, "_min_on_bidisk_net", net_spy)
+    one = complete_unitary_1d(pt, qt, 8)
+    two = complete_unitary_2d(pt.embed(), qt.embed(), 8, 8)
+    assert one.factorization.g.embed() == two.factorization.p
+    assert shapes and all(nb == 1 for _, nb in shapes), shapes
+    assert nets == []
+    net = factor2d._bidisk_net()
+    assert net.size == 320
+    p = two.factorization.p
+    assert two.factorization.min_on_net == np.abs(p.eval_grid(net, net)).min() > 0.0
+    assert len(nets) == 1
 
 
 def test_completion_parity_mismatch():
@@ -295,10 +330,11 @@ def test_completion_parity_mismatch():
 
 
 def test_factor_gate_refuses_residual(monkeypatch):
-    # the gate complete_unitary_2d applies: residual >= VERIFY_REL_TOL * max f
-    monkeypatch.setattr(factor1d, "VERIFY_REL_TOL", 0.0)
+    # the gate complete_unitary_2d applies: residual >= VERIFY_REL_TOL * max f,
+    # one binding for both routes
+    monkeypatch.setattr(factor2d, "VERIFY_REL_TOL", 0.0)
     f = LaurentPoly1({0: 5.0, 1: 2.0, -1: 2.0})
-    for factor, arg in ((fejer_riesz, f), (toeplitz_factor, f.embed())):
+    for factor, arg in ((fejer_riesz, f), (gamma_factor, f.embed())):
         with pytest.raises(FactorizationError, match="^verification failed$"):
             factor(arg)
     with pytest.raises(FactorizationError, match="^verification failed$"):

@@ -11,9 +11,14 @@ benchmark. Every CLI call prints one JSON line
 so two source trees can be compared byte for byte with `diff`, which then
 also shows which calls (`--vars 1` or `--vars 2`, say) changed:
 
-    python3 scripts/cli_replay.py --workload complete --seed 1 > new.txt
-    python3 scripts/cli_replay.py --workload complete --seed 1 --src OLD/src > old.txt
+    python3 scripts/cli_replay.py --workload complete --seed 1 --seconds 30 > new.txt
+    python3 scripts/cli_replay.py --workload complete --seed 1 --seconds 30 --src OLD/src > old.txt
     diff old.txt new.txt
+
+The benchmark makes its op lists with `--seconds 30`: 390 `complete`
+calls, 174 `roundtrip` calls and 150 `scan` calls, where the default
+single pass gives 78, 58 and 10. A claim that a change leaves the CLI
+byte-identical quotes the `--seconds 30` list.
 
 After the call lines, stderr gets one count per (command, --vars, exit
 code), as `complete --vars 1 exit 0: 371`, so the exit codes of two trees
@@ -92,7 +97,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, help="op-list size as in bench/run.py (default: one pass)")
+    parser.add_argument("--seconds", type=float, help="op-list size as bench/run.py --seconds; the benchmark uses 30 (default: one pass)")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="source tree to import mqsp from")
     args = parser.parse_args(argv)
 

@@ -8,10 +8,11 @@ gate factor2d.VERIFY_REL_TOL:
 - factor2d.gamma_factor, the two-variable Gamma route, on f as a
   LaurentPoly2 on axis a: with the b axis of extent 0 the rank condition
   is vacuous and every grid has one sample along b. It needs f strictly
-  positive and 1/f within FOURIER_AXIS_MAX samples. Its g, read off the
-  factor's p, is stable (no zeros in the closed disk), with g_0 > 0.
+  positive and 1/f within FOURIER_AXIS_MAX samples. Its g, the factor's p
+  held as a LaurentPoly1, is stable (no zeros in the closed disk), with
+  g_0 > 0.
 - fejer_riesz, when the Gamma route raises, runs Wilson's Newton iteration
-  on g * conj_reciprocal(g) = f, f a LaurentPoly1, from the constant
+  on g * conj_reciprocal(g) = f, f held as a LaurentPoly1, from the constant
   sqrt(c_0): one dense real solve per step, at most NEWTON_STEPS steps.
   It alone factors f with zeros on the circle (root class "outer"); its
   g has no zeros in the open disk, and its top coefficient is real
@@ -158,22 +159,22 @@ def fejer_riesz(f):
 
 
 def spectral_factor(f):
-    """gamma_factor's factor of f (a LaurentPoly2 on axis a), with g read
-    off its p, or, when that raises, fejer_riesz's factor of f's
-    coefficients as a LaurentPoly1."""
+    """gamma_factor's factor of f (a LaurentPoly2 on axis a), with g its p
+    held as a LaurentPoly1, or, when that raises, fejer_riesz's factor of f
+    held as a LaurentPoly1; neither is copied."""
     try:
         fac, _, _ = gamma_factor(f)
     except FactorizationError:
-        return fejer_riesz(LaurentPoly1({j: c for (j, _), c in f.items()}))
-    g = LaurentPoly1({j: c for (j, _), c in fac.p.items()})
-    return Factorization1D(g, fac.residual, "stable")
+        return fejer_riesz(LaurentPoly1.from_poly2(f))
+    return Factorization1D(LaurentPoly1.from_poly2(fac.p), fac.residual, "stable")
 
 
 def complete_unitary_1d(p_tilde, q_tilde, n):
     """Complete real-on-circle targets (Ptilde, Qtilde) into a single-oracle
     protocol unitary of length n: complete_unitary_2d with weight m = n.
 
-    The targets, embedded on axis a, pass the same check_targets and give
+    The targets, as the LaurentPoly2 on axis a each holds (embed, no
+    copy), pass the same check_targets and give
     f = 1 - Ptilde^2 - Qtilde^2 by the same arithmetic; the unitary is
     assembled and read off the same way. The factor is spectral_factor's:
     gamma_factor's, complete_unitary_2d's stable factor bit for bit,

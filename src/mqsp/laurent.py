@@ -12,10 +12,10 @@ there. Every result is pruned once, dropping coefficients at or below
 PRUNE_REL times its largest magnitude, and a non-finite coefficient
 raises ValueError.
 `LaurentPoly1` is the single-variable polynomial in oracle A's variable
-(a single-oracle protocol has weight m = n), kept as a dict of integer
-exponents; `embed` lifts it onto axis a. Everything downstream
--- protocol unitaries, peeling, spectral factorization -- is built on
-these two classes.
+(a single-oracle protocol has weight m = n): a LaurentPoly2 whose b
+exponents are all 0, to which every method delegates; `embed` returns
+that polynomial. Everything downstream -- protocol unitaries, peeling,
+spectral factorization -- is built on these two classes.
 """
 
 from __future__ import annotations
@@ -43,17 +43,6 @@ def _clean(value):
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError("non-finite coefficient %r" % (value,))
     return c
-
-
-def _prune(coeffs):
-    # Drops entries below the relative threshold; empty dict is the zero poly.
-    if not coeffs:
-        return {}
-    top = max(abs(c) for c in coeffs.values())
-    if top == 0.0:
-        return {}
-    cut = PRUNE_REL * top
-    return {e: c for e, c in coeffs.items() if abs(c) > cut}
 
 
 def check_box(rows, cols):
@@ -162,19 +151,30 @@ class LaurentPoly2:
 
     @classmethod
     def zero(cls):
-        return cls({})
+        return object.__new__(cls)._set(_EMPTY, 0, 0, 0.0)
 
     @classmethod
     def one(cls):
-        return cls({(0, 0): 1.0})
+        return cls.monomial(0, 0)
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0): c})
+        return cls.monomial(0, 0, c)
 
     @classmethod
     def monomial(cls, j, k, c=1.0):
-        return cls({(j, k): c})
+        """c a^j b^k on a 1 x 1 box, equal to cls({(j, k): c}): its checks,
+        and a -0.0 part of c stored as +0.0, as adding onto zeros does."""
+        try:
+            j, k = np.array([int(j), int(k)], dtype=np.int64).tolist()
+        except OverflowError:
+            raise ValueError("exponent out of int64 range") from None
+        box = np.zeros((1, 1), dtype=complex)
+        box += _clean(c)
+        top = float(np.abs(box[0, 0]))
+        if top == 0.0:
+            return cls.zero()
+        return object.__new__(cls)._set(box, j, k, top)
 
     @classmethod
     def from_array(cls, coeffs, lo_a, lo_b):
@@ -414,115 +414,95 @@ def aligned(p, q):
 
 class LaurentPoly1:
     """Single-variable Laurent polynomial sum_k c_k a^k in oracle A's
-    variable, kept as a dict {k: c_k}."""
+    variable: a LaurentPoly2 whose b exponents are all 0, to which every
+    method delegates."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_p",)
 
     def __init__(self, coeffs=None):
-        if coeffs is None:
-            coeffs = {}
-        cleaned = {}
-        for k, v in coeffs.items():
-            c = _clean(v)
-            if c != 0:
-                cleaned[int(k)] = cleaned.get(int(k), 0.0) + c
-        self._c = _prune(cleaned)
+        self._p = LaurentPoly2({(k, 0): c for k, c in (coeffs or {}).items()})
+
+    @classmethod
+    def from_poly2(cls, p):
+        """The LaurentPoly1 holding p, a LaurentPoly2 whose b exponents are
+        all 0 (not checked); no copy is made."""
+        out = object.__new__(cls)
+        out._p = p
+        return out
 
     @classmethod
     def zero(cls):
-        return cls({})
+        return cls.from_poly2(LaurentPoly2.zero())
 
     @classmethod
     def one(cls):
-        return cls({0: 1.0})
-
-    # -- queries -----------------------------------------------------------
+        return cls.from_poly2(LaurentPoly2.one())
 
     def items(self):
-        return self._c.items()
+        """List of (k, coefficient) over the nonzero terms, sorted."""
+        return [(j, c) for (j, _), c in self._p.items()]
 
     def coeff(self, k):
-        return self._c.get(k, 0.0 + 0.0j)
+        return self._p.coeff(k, 0)
 
     def is_zero(self):
-        return not self._c
+        return self._p.is_zero()
 
     def max_abs(self):
-        return max((abs(c) for c in self._c.values()), default=0.0)
+        return self._p.max_abs()
 
     def max_exp(self):
-        return max(self._c) if self._c else None
+        return None if self.is_zero() else self._p._lo[0] + len(self._p._box) - 1
 
     def degree(self):
         """Max |exponent|; None for the zero polynomial."""
-        return max((abs(k) for k in self._c), default=None) if self._c else None
+        return self._p.degrees().deg_a
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly1):
             return NotImplemented
-        return self._c == other._c
+        return self._p == other._p
 
     __hash__ = None
 
     def __repr__(self):
-        terms = ", ".join(
-            "%d: %.6g%+.6gj" % (k, c.real, c.imag) for k, c in sorted(self._c.items())
-        )
+        terms = ", ".join("%d: %.6g%+.6gj" % (k, c.real, c.imag) for k, c in self.items())
         return "LaurentPoly1({%s})" % terms
 
     def distance(self, other):
-        keys = set(self._c) | set(other._c)
-        return max((abs(self.coeff(k) - other.coeff(k)) for k in keys), default=0.0)
-
-    # -- arithmetic ---------------------------------------------------------
+        return self._p.distance(other._p)
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly1):
             return NotImplemented
-        out = dict(self._c)
-        for k, c in other._c.items():
-            out[k] = out.get(k, 0.0) + c
-        return LaurentPoly1(out)
+        return LaurentPoly1.from_poly2(self._p + other._p)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly1({k: -c for k, c in self._c.items()})
+        return LaurentPoly1.from_poly2(-self._p)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly1):
-            out = {}
-            for k1, c1 in self._c.items():
-                for k2, c2 in other._c.items():
-                    out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
-            return LaurentPoly1(out)
-        return LaurentPoly1({k: c * complex(other) for k, c in self._c.items()})
+            return LaurentPoly1.from_poly2(self._p * other._p)
+        return LaurentPoly1.from_poly2(self._p * complex(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def conj_reciprocal(self):
-        return LaurentPoly1({-k: c.conjugate() for k, c in self._c.items()})
+        return LaurentPoly1.from_poly2(self._p.conj_reciprocal())
 
     def is_hermitian(self):
         """c_{-k} == conj(c_k), i.e. real-valued on the unit circle."""
-        return self.distance(self.conj_reciprocal()) <= PARITY_REL * self.max_abs()
-
-    # -- evaluation ---------------------------------------------------------
+        return self._p.is_hermitian()
 
     def eval_circle_grid(self, n):
         """Values at theta_r = 2*pi*r/n, via zero-padded inverse FFT."""
-        deg = self.degree()
-        if deg is not None and 2 * deg >= n:
-            raise ValueError("grid size %d too small for exponent spread" % n)
-        table = np.zeros(n, dtype=complex)
-        for k, c in self._c.items():
-            table[k % n] += c
-        return n * np.fft.ifft(table)
-
-    # -- embedding into two variables ----------------------------------------
+        ((_, values),) = self._p.unit_grid_blocks((n, 1), n)
+        return values[:, 0]
 
     def embed(self):
-        """Lift into LaurentPoly2 on axis a: c_k a^k b^0."""
-        return LaurentPoly2({(k, 0): c for k, c in self._c.items()})
+        """The LaurentPoly2 on axis a, c_k a^k b^0, held (not copied)."""
+        return self._p

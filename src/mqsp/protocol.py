@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mqsp.errors import VerificationError
-from mqsp.laurent import DegreePair, LaurentPoly2, check_box
+from mqsp.laurent import DegreePair, LaurentPoly2, aligned, check_box
 
 # Determinant identity P·P~ + Q·Q~ = 1 must hold to this max-coefficient
 # residual for a unitary to count as structurally valid.
@@ -228,9 +228,10 @@ def assemble_completion(p_tilde, q_tilde, factor, n, m):
     the shift forces negation parity (m, n-m) mod 2 on R and S; the
     projection drops only solver dust, which the read-off gate bounds.
     """
-    t = LaurentPoly2(
-        {(j - m, k - (n - m)): c for (j, k), c in factor.items() if j % 2 == k % 2 == 0}
-    )
+    box, _, (lo_a, lo_b) = aligned(factor, factor)  # factor's own box
+    even, shifted = np.s_[lo_a % 2 :: 2, lo_b % 2 :: 2], np.zeros_like(box)
+    shifted[even] = box[even] + 0.0  # a -0.0 part turns 0.0, as adding onto zeros does
+    t = LaurentPoly2.from_array(shifted, lo_a - m, lo_b - (n - m))
     r = t.hermitian_part()
     s = (t - t.conj_reciprocal()) * (-0.5j)
     return Su2LaurentUnitary(p_tilde + 1j * r, q_tilde + 1j * s)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -73,8 +73,22 @@ def _slice_test(ps, qs, tol):
     other does not cannot be fixed by a unimodular scalar (both vanish only
     for P = Q = 0, an empty box): such a pair fails as "zero leading slice"
     with phase None and mismatch inf.
+
+    A single pair (count 1) skips the stack bookkeeping; its results equal
+    those of the same pair as a row of a larger stack, bit for bit.
     """
     count, width = ps.shape
+    if count == 1:
+        p, q = ps[0], qs[0]
+        star = np.abs(q).argmax()
+        p_max, q_star = np.abs(p).max(), q[star]
+        if not (p_max and q_star):
+            return [False], [None], [math.inf], ["zero leading slice"]
+        r = p[star] / q_star
+        phase = math.atan2(r.imag, r.real)
+        w = complex(math.cos(phase), math.sin(phase))
+        mismatch = float(np.abs(p - w * q).max() / p_max)
+        return [not mismatch > tol], [phase], [mismatch], [None]
     # small strided views cost numpy more per call than one copy
     ps, qs = np.ascontiguousarray(ps), np.ascontiguousarray(qs)
     star = np.abs(qs).argmax(axis=1)
@@ -142,7 +156,7 @@ class SliceReport:
         return self.holds_a or self.holds_b
 
 
-# SliceReport fields for Q identically zero
+# SliceReport fields for Q identically zero and P constant
 _Q_ZERO = (True, True, 0.0, 0.0, 0.0, 0.0, None, None)
 
 
@@ -150,11 +164,12 @@ def check_leading_slices(u):
     """Proportionality report for both directions, within
     readoff_tolerance().
 
-    Q identically zero is the degenerate base case: both directions hold
-    with phase 0 by convention (there is nothing to constrain).
+    Q identically zero under a constant P (P = 0 included) is the base
+    case: both directions hold with phase 0 by convention (there is nothing
+    to constrain). Under a non-constant P, Q = 0 gives zero leading slices.
     """
     tol = readoff_tolerance()
-    if u.Q.is_zero():
+    if u.Q.is_zero() and not any(astuple(u.P.degrees())):
         return SliceReport(*_Q_ZERO)
     p, q, _ = aligned(u.P, u.Q)
     ok, phase, mismatch, reason = _top_slices(p, q, tol)
@@ -190,7 +205,7 @@ def peel_once(u, direction):
     if not ok:
         raise ReadoffError("cannot peel: leading slices not proportional")
     phi, box, lo = _peel(p, q, lo, axis, phase)
-    return phi, Su2LaurentUnitary(*_polys(box, lo))
+    return phi, Su2LaurentUnitary(*(LaurentPoly2.from_array(layer, *lo) for layer in box))
 
 
 def _peel(p, q, lo, axis, phase):
@@ -296,11 +311,6 @@ def _pruned(box, lo):
     return box[:, r0:r1, c0:c1], (lo[0] + r0, lo[1] + c0)
 
 
-def _polys(box, lo):
-    """LaurentPoly2 P and Q from a stack that _pruned returned."""
-    return [LaurentPoly2.from_array(layer, *lo) for layer in box]
-
-
 @dataclass(frozen=True)
 class PeelStep:
     step: int
@@ -333,8 +343,8 @@ def readoff(P, Q):
     P and Q are aligned once; every step then works on their coefficient
     boxes as one stack: one slice test of the top slices in the directions
     of positive degree, the peel, one prune and a trim to the joint box.
-    Each step equals peel_once on the pair as LaurentPoly2 objects; those
-    are made only at the end, for the base case.
+    Each step equals peel_once on the pair as LaurentPoly2 objects, and the
+    base case reads the last boxes too, so no LaurentPoly2 is made.
     """
     tol = readoff_tolerance()
     original = Su2LaurentUnitary(P, Q)
@@ -367,11 +377,15 @@ def readoff(P, Q):
             )
         )
 
-    # base case: Q gone and P a unimodular constant, giving phi_0
-    u = Su2LaurentUnitary(*_polys((p, q), lo)) if log else original
-    c = u.P.coeff(0, 0)
-    nonconstant = (u.P - LaurentPoly2.constant(c)).max_abs()
-    if u.Q.max_abs() > tol or nonconstant > tol or abs(abs(c) - 1.0) > tol:
+    # base case: Q gone and P a unimodular constant c, giving phi_0. On the
+    # last boxes, |Q| is q's largest magnitude, and |P - c| is p's with the
+    # cell of exponent (0, 0) left out
+    mag_p, c = np.abs(p), 0j
+    i, l = -lo[0], -lo[1]
+    if 0 <= i < p.shape[0] and 0 <= l < p.shape[1]:
+        c, mag_p[i, l] = complex(p[i, l]), 0.0
+    nonconstant = np.max(mag_p, initial=0.0)
+    if np.max(np.abs(q), initial=0.0) > tol or nonconstant > tol or abs(abs(c) - 1.0) > tol:
         raise ReadoffError("not an M-QSP unitary")
     phi0 = math.atan2(c.imag, c.real)
 
@@ -481,6 +495,9 @@ def _scan_stack(stack, tol):
     ok_a, phase_a, mis_a, reason_a = _slice_test(p[trial, top_a], q[trial, top_a], tol)
     ok_b, phase_b, mis_b, reason_b = _slice_test(p[trial, :, top_b], q[trial, :, top_b], tol)
     reports = list(zip(ok_a, ok_b, phase_a, phase_b, mis_a, mis_b, reason_a, reason_b))
+    centre = (p.shape[1] // 2, p.shape[2] // 2)  # the cell of exponent (0, 0)
     for t in np.flatnonzero(top_q.ravel() == 0.0).tolist():
-        reports[t] = _Q_ZERO
+        # Q = 0 holds by convention when P keeps no cell but (0, 0)
+        if np.count_nonzero(keep_p[t]) == keep_p[t][centre]:
+            reports[t] = _Q_ZERO
     return reports

@@ -142,12 +142,10 @@ def poly1_from_records(records):
     """Single-variable (oracle A) read of the shared record format; the
     exponent k of b must be zero throughout."""
     p = poly_from_records(records)
-    coeffs = {}
-    for (j, k), c in p.items():
-        if k != 0:
-            raise ValueError("record with k=%d: single-variable polynomial" % k)
-        coeffs[j] = c
-    return LaurentPoly1(coeffs)
+    if p.degrees().deg_b:
+        k = next(k for (_, k), _ in p.items() if k)
+        raise ValueError("record with k=%d: single-variable polynomial" % k)
+    return LaurentPoly1.from_poly2(p)
 
 
 def spec_to_obj(spec):

@@ -76,6 +76,50 @@ def test_zero_slice_reported_not_raised():
     assert rep.phase_a is None and rep.phase_b is None
 
 
+def test_q_zero_under_nonconstant_p_agrees_with_peel():
+    # Q = 0 holds by convention only for a constant P: P = a reports the
+    # zero leading slices that peel_once refuses
+    u = Su2LaurentUnitary(LaurentPoly2({(1, 0): 1.0}), LaurentPoly2.zero())
+    rep = check_leading_slices(u)
+    assert not rep.holds
+    assert rep.reason_a == rep.reason_b == "zero leading slice"
+    assert rep.phase_a is None and rep.phase_b is None
+    assert rep.mismatch_a == rep.mismatch_b == math.inf
+    with pytest.raises(ReadoffError, match="leading slices not proportional"):
+        peel_once(u, "a")
+    for p in (LaurentPoly2.constant(-1j), LaurentPoly2.zero()):
+        rep = check_leading_slices(Su2LaurentUnitary(p, LaurentPoly2.zero()))
+        assert astuple(rep) == (True, True, 0.0, 0.0, 0.0, 0.0, None, None)
+
+
+def test_one_pair_slice_test_equals_its_row_of_a_stack():
+    def bits(results):
+        return [[x.hex() if isinstance(x, float) else x for x in field] for field in results]
+
+    rng = np.random.default_rng(19)
+    verdicts = set()
+    for width in range(1, 14):
+        ps = rng.standard_normal((8, width)) + 1j * rng.standard_normal((8, width))
+        ps *= 10.0 ** rng.integers(-3, 3, size=(8, 1))
+        # rows 3.. are proportional up to noise of 1e-12 .. 1e-6 of the row
+        turn = np.exp(1j * rng.uniform(-math.pi, math.pi, size=(8, 1)))
+        noise = 10.0 ** rng.integers(-12, -5, size=(8, 1)) * rng.standard_normal((8, width))
+        qs = ps * turn + noise * np.abs(ps).max(axis=1, keepdims=True)
+        qs[0] = 0.0  # a zero Q slice
+        ps[1] = 0.0  # a zero P slice
+        if width > 1:  # a tie in |q| at its largest: the first one wins
+            qs[2, 0], qs[2, -1] = 10.0, 10.0j
+        stacked = bits(readoff_module._slice_test(ps, qs, 1e-8))
+        assert stacked[3][:2] == ["zero leading slice"] * 2
+        verdicts.update(stacked[0][3:])
+        # the pair as a contiguous row and as a strided one
+        for stack_p, stack_q in ((ps, qs), (np.asfortranarray(ps), np.asfortranarray(qs))):
+            for t in range(len(ps)):
+                one = readoff_module._slice_test(stack_p[t : t + 1], stack_q[t : t + 1], 1e-8)
+                assert bits(one) == [field[t : t + 1] for field in stacked]
+    assert verdicts == {True, False}
+
+
 def test_all_b_protocol_holds_in_b_only():
     rng = np.random.default_rng(2)
     spec = random_spec(rng, 3, weight=0)
@@ -268,12 +312,11 @@ def reference_readoff(P, Q):
     degrees = [d for poly in (P, Q) if not poly.is_zero() for d in astuple(poly.degrees())]
     log = []
     for step in range(1, sum(degrees) + 2):
-        # Q = 0 holds by convention in check_leading_slices, but its zero
-        # leading slices leave readoff nothing to peel
-        if u.Q.is_zero():
-            break
         report = check_leading_slices(u)
-        tops = [max(e[axis] for poly in (u.P, u.Q) for e, _ in poly.items()) for axis in (0, 1)]
+        tops = [
+            max((e[axis] for poly in (u.P, u.Q) for e, _ in poly.items()), default=0)
+            for axis in (0, 1)
+        ]
         holds = (report.holds_a, report.holds_b)
         avail = ["ab"[axis] for axis in (0, 1) if tops[axis] >= 1 and holds[axis]]
         if not avail:

@@ -158,6 +158,18 @@ def test_poly1_reads_shared_format():
         serialize.poly1_from_records([{"j": 0, "k": 1, "re": 1.0, "im": 0.0}])
 
 
+def test_poly1_holds_the_shared_read():
+    records = [
+        {"j": -3, "k": 0, "re": 0.25, "im": -0.0},
+        {"j": 1, "k": 0, "re": -1.5, "im": 2.0},
+    ]
+    p = serialize.poly1_from_records(records)
+    assert p.embed() == serialize.poly_from_records(records)
+    assert p.embed() is p.embed()
+    with pytest.raises(ValueError, match="record with k=-2: single-variable"):
+        serialize.poly1_from_records(records + [{"j": 0, "k": -2, "re": 1.0, "im": 0.0}])
+
+
 # -- protocol objects -------------------------------------------------------------
 
 

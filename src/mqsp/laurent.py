@@ -155,26 +155,15 @@ class LaurentPoly2:
 
     @classmethod
     def one(cls):
-        return cls.monomial(0, 0)
+        return object.__new__(cls)._set(np.ones((1, 1), dtype=complex), 0, 0, 1.0)
 
     @classmethod
     def constant(cls, c):
-        return cls.monomial(0, 0, c)
+        return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, j, k, c=1.0):
-        """c a^j b^k on a 1 x 1 box, equal to cls({(j, k): c}): its checks,
-        and a -0.0 part of c stored as +0.0, as adding onto zeros does."""
-        try:
-            j, k = np.array([int(j), int(k)], dtype=np.int64).tolist()
-        except OverflowError:
-            raise ValueError("exponent out of int64 range") from None
-        box = np.zeros((1, 1), dtype=complex)
-        box += _clean(c)
-        top = float(np.abs(box[0, 0]))
-        if top == 0.0:
-            return cls.zero()
-        return object.__new__(cls)._set(box, j, k, top)
+        return cls({(j, k): c})
 
     @classmethod
     def from_array(cls, coeffs, lo_a, lo_b):

@@ -495,9 +495,8 @@ def _scan_stack(stack, tol):
     ok_a, phase_a, mis_a, reason_a = _slice_test(p[trial, top_a], q[trial, top_a], tol)
     ok_b, phase_b, mis_b, reason_b = _slice_test(p[trial, :, top_b], q[trial, :, top_b], tol)
     reports = list(zip(ok_a, ok_b, phase_a, phase_b, mis_a, mis_b, reason_a, reason_b))
-    centre = (p.shape[1] // 2, p.shape[2] // 2)  # the cell of exponent (0, 0)
     for t in np.flatnonzero(top_q.ravel() == 0.0).tolist():
-        # Q = 0 holds by convention when P keeps no cell but (0, 0)
-        if np.count_nonzero(keep_p[t]) == keep_p[t][centre]:
-            reports[t] = _Q_ZERO
+        # a protocol unitary with Q = 0 has a unimodular, inversion-even
+        # monomial P, a constant: the convention of check_leading_slices
+        reports[t] = _Q_ZERO
     return reports

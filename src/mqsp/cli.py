@@ -176,7 +176,7 @@ def _cmd_complete(args):
     fac, rank = result.factorization, result.rank_report
     # one variable has no Gamma route to report, and names its root class
     out = {
-        "p": serialize.poly_to_records(fac.g.embed() if one_var else fac.p),
+        "p": serialize.poly_to_records(fac.g if one_var else fac.p),
         "residual": float(fac.residual),
         "singularValues": None if one_var else [float(s) for s in rank.singular_values],
         "satisfied": True if one_var else rank.satisfied,

@@ -2,18 +2,17 @@
 
 spectral_factor returns g (a LaurentPoly1 with exponents 0..D) with
 f = g * conj_reciprocal(g) for f real and nonnegative on the unit circle,
-from one of two routes, each refused when its residual fails the factor
-gate factor2d.VERIFY_REL_TOL:
+f a LaurentPoly2 on axis a, from one of two routes, each refused when its
+residual fails the factor gate factor2d.VERIFY_REL_TOL:
 
-- factor2d.gamma_factor, the two-variable Gamma route, on f as a
-  LaurentPoly2 on axis a: with the b axis of extent 0 the rank condition
-  is vacuous and every grid has one sample along b. It needs f strictly
-  positive and 1/f within FOURIER_AXIS_MAX samples. Its g, the factor's p
-  held as a LaurentPoly1, is stable (no zeros in the closed disk), with
-  g_0 > 0.
+- factor2d.gamma_factor, the two-variable Gamma route: with the b axis of
+  extent 0 the rank condition is vacuous and every grid has one sample
+  along b. It needs f strictly positive and 1/f within FOURIER_AXIS_MAX
+  samples. Its g, a LaurentPoly1 on the factor's p box, is stable (no
+  zeros in the closed disk), with g_0 > 0.
 - fejer_riesz, when the Gamma route raises, runs Wilson's Newton iteration
-  on g * conj_reciprocal(g) = f, f held as a LaurentPoly1, from the constant
-  sqrt(c_0): one dense real solve per step, at most NEWTON_STEPS steps.
+  on g * conj_reciprocal(g) = f from the constant sqrt(c_0): one dense
+  real solve per step, at most NEWTON_STEPS steps.
   It alone factors f with zeros on the circle (root class "outer"); its
   g has no zeros in the open disk, and its top coefficient is real
   positive.
@@ -38,7 +37,7 @@ from mqsp.factor2d import (
     check_targets,
     gamma_factor,
 )
-from mqsp.laurent import LaurentPoly1, LaurentPoly2
+from mqsp.laurent import LaurentPoly1, LaurentPoly2, aligned
 
 # most Newton steps of fejer_riesz: strictly positive f converges
 # quadratically in 6-16 steps, double zeros on the circle linearly in ~30
@@ -49,9 +48,9 @@ CHECK_GRID = 1024
 
 @dataclass(frozen=True)
 class Factorization1D:
-    """Spectral factor g (exponents 0..D), sup-norm residual of
-    f - g*conj_reciprocal(g) on the verification grid, and the root class.
-    A Gamma-route factor is "stable" (no zeros in the closed unit disk).
+    """Spectral factor g (a LaurentPoly1, exponents 0..D), sup-norm
+    residual of f - g*conj_reciprocal(g) on the verification grid, and the
+    root class. A Gamma-route factor is "stable" (no zeros in the closed unit disk).
     fejer_riesz's is "outer" when f's smallest sample on its check grid is
     at most the sign check's floor (a zero of f on the circle, so of g) and
     "stable" otherwise; a zero on the circle between grid samples reads
@@ -93,8 +92,9 @@ def _newton_step(g, f_top):
 
 
 def fejer_riesz(f):
-    """Factor a circle-nonnegative Laurent polynomial as |g|^2 by Wilson's
-    Newton iteration (G. T. Wilson, SIAM J. Numer. Anal. 6 (1969) 1-7).
+    """Factor f, a circle-nonnegative LaurentPoly2 on axis a, as |g|^2 by
+    Wilson's Newton iteration (G. T. Wilson, SIAM J. Numer. Anal. 6 (1969)
+    1-7); g is a LaurentPoly1.
 
     From g = sqrt(c_0), each step solves _newton_step's linear system. It
     stops when that system is singular (the exact factor of an f with
@@ -115,8 +115,9 @@ def fejer_riesz(f):
 
     # the FFT grid must exceed the exponent spread 2 * deg; doubling keeps
     # the CHECK_GRID points in it
-    grid = _pow2_grid(CHECK_GRID, f.degree())
-    values = f.eval_circle_grid(grid).real
+    grid = _pow2_grid(CHECK_GRID, f.degrees().deg_a)
+    ((_, values),) = f.unit_grid_blocks((grid, 1), grid)
+    values = values[:, 0].real
     scale = float(np.max(np.abs(values)))
     floor = 1e-12 * max(1.0, scale)
     lowest = float(np.min(values))
@@ -124,13 +125,14 @@ def fejer_riesz(f):
         raise FactorizationError("not nonnegative on circle")
     root_class = "outer" if lowest <= floor else "stable"
 
-    d = f.max_exp()
+    box, _, (lo, _) = aligned(f, f)
+    d = lo + len(box) - 1  # the top exponent
     if d == 0:
-        c = f.coeff(0).real
+        c = f.coeff(0, 0).real
         g = LaurentPoly1({0: math.sqrt(max(c, 0.0))})
         return _verified(g, abs(c - max(c, 0.0)), root_class, scale)
 
-    full = np.array([f.coeff(k) for k in range(-d, d + 1)])
+    full = np.array([f.coeff(k, 0) for k in range(-d, d + 1)])
     f_top = full[d:]
 
     def misfit(coeffs):
@@ -153,15 +155,17 @@ def fejer_riesz(f):
     if not misfit(g) < misfit(previous):
         g = previous
     top = g[-1]
+    # the dict constructor stores a -0.0 part as +0.0
     g = LaurentPoly1(dict(enumerate(g * (abs(top) / top if top else 1.0))))
-    residual = float(np.max(np.abs(values - np.abs(g.eval_circle_grid(grid)) ** 2)))
+    ((_, g_values),) = g.unit_grid_blocks((grid, 1), grid)
+    residual = float(np.max(np.abs(values - np.abs(g_values[:, 0]) ** 2)))
     return _verified(g, residual, root_class, scale)
 
 
 def spectral_factor(f):
-    """gamma_factor's factor of f (a LaurentPoly2 on axis a), with g its p
-    held as a LaurentPoly1, or, when that raises, fejer_riesz's factor of f
-    held as a LaurentPoly1; neither is copied."""
+    """gamma_factor's factor of f (a LaurentPoly2 on axis a), with g the
+    LaurentPoly1 on its p box, or, when that raises, fejer_riesz's factor of
+    the LaurentPoly1 on f's box; neither box is copied."""
     try:
         fac, _, _ = gamma_factor(f)
     except FactorizationError:
@@ -173,18 +177,16 @@ def complete_unitary_1d(p_tilde, q_tilde, n):
     """Complete real-on-circle targets (Ptilde, Qtilde) into a single-oracle
     protocol unitary of length n: complete_unitary_2d with weight m = n.
 
-    The targets, as the LaurentPoly2 on axis a each holds (embed, no
-    copy), pass the same check_targets and give
-    f = 1 - Ptilde^2 - Qtilde^2 by the same arithmetic; the unitary is
-    assembled and read off the same way. The factor is spectral_factor's:
-    gamma_factor's, complete_unitary_2d's stable factor bit for bit,
-    or, when that raises (f with zeros on or too near the circle),
-    fejer_riesz's, whose outcome and message are then final. The result
-    has no rank report or convergence residual.
+    The targets, LaurentPoly2s on axis a (a LaurentPoly1 is one), pass the
+    same check_targets and give f = 1 - Ptilde^2 - Qtilde^2 by the same
+    arithmetic; the unitary is assembled and read off the same way. The
+    factor is spectral_factor's: gamma_factor's, complete_unitary_2d's
+    stable factor bit for bit, or, when that raises (f with zeros on or too
+    near the circle), fejer_riesz's, whose outcome and message are then
+    final. The result has no rank report or convergence residual.
     """
     n = int(n)
-    p_a, q_a = p_tilde.embed(), q_tilde.embed()
-    check_targets(p_a, q_a, n, n)
-    f = LaurentPoly2.one() - p_a * p_a - q_a * q_a
+    check_targets(p_tilde, q_tilde, n, n)
+    f = LaurentPoly2.one() - p_tilde * p_tilde - q_tilde * q_tilde
     fac = spectral_factor(f)
-    return CompletionResult(*assemble_and_read_off(p_a, q_a, fac.g.embed(), n, n), fac)
+    return CompletionResult(*assemble_and_read_off(p_tilde, q_tilde, fac.g, n, n), fac)

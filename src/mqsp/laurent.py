@@ -12,10 +12,10 @@ there. Every result is pruned once, dropping coefficients at or below
 PRUNE_REL times its largest magnitude, and a non-finite coefficient
 raises ValueError.
 `LaurentPoly1` is the single-variable polynomial in oracle A's variable
-(a single-oracle protocol has weight m = n): a LaurentPoly2 whose b
-exponents are all 0, to which every method delegates; `embed` returns
-that polynomial. Everything downstream -- protocol unitaries, peeling,
-spectral factorization -- is built on these two classes.
+(a single-oracle protocol has weight m = n): the LaurentPoly2 subclass
+whose b exponents are all 0, built from a {k: c} dict; every query and
+operation is LaurentPoly2's. Everything downstream -- protocol unitaries,
+peeling, spectral factorization -- is built on LaurentPoly2.
 """
 
 from __future__ import annotations
@@ -159,11 +159,11 @@ class LaurentPoly2:
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0): c})
+        return LaurentPoly2({(0, 0): c})
 
     @classmethod
     def monomial(cls, j, k, c=1.0):
-        return cls({(j, k): c})
+        return LaurentPoly2({(j, k): c})
 
     @classmethod
     def from_array(cls, coeffs, lo_a, lo_b):
@@ -213,7 +213,7 @@ class LaurentPoly2:
         terms = ", ".join(
             "(%d,%d): %.6g%+.6gj" % (j, k, c.real, c.imag) for (j, k), c in self.items()
         )
-        return "LaurentPoly2({%s})" % terms
+        return "%s({%s})" % (type(self).__name__, terms)
 
     def distance(self, other):
         """Max coefficient difference; the metric for all exactness checks."""
@@ -401,97 +401,29 @@ def aligned(p, q):
     return x, y, (lo_a, lo_b)
 
 
-class LaurentPoly1:
+class LaurentPoly1(LaurentPoly2):
     """Single-variable Laurent polynomial sum_k c_k a^k in oracle A's
-    variable: a LaurentPoly2 whose b exponents are all 0, to which every
-    method delegates."""
+    variable: a LaurentPoly2 whose b exponents are all 0. Arithmetic on it
+    returns LaurentPoly2s."""
 
-    __slots__ = ("_p",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
-        self._p = LaurentPoly2({(k, 0): c for k, c in (coeffs or {}).items()})
+        """From a dict {k: coefficient}."""
+        super().__init__({(k, 0): c for k, c in (coeffs or {}).items()})
 
     @classmethod
     def from_poly2(cls, p):
-        """The LaurentPoly1 holding p, a LaurentPoly2 whose b exponents are
+        """The LaurentPoly1 on p's box, a LaurentPoly2 whose b exponents are
         all 0 (not checked); no copy is made."""
-        out = object.__new__(cls)
-        out._p = p
-        return out
-
-    @classmethod
-    def zero(cls):
-        return cls.from_poly2(LaurentPoly2.zero())
-
-    @classmethod
-    def one(cls):
-        return cls.from_poly2(LaurentPoly2.one())
-
-    def items(self):
-        """List of (k, coefficient) over the nonzero terms, sorted."""
-        return [(j, c) for (j, _), c in self._p.items()]
-
-    def coeff(self, k):
-        return self._p.coeff(k, 0)
-
-    def is_zero(self):
-        return self._p.is_zero()
-
-    def max_abs(self):
-        return self._p.max_abs()
+        return object.__new__(cls)._set(p._box, *p._lo, p._top)
 
     def max_exp(self):
-        return None if self.is_zero() else self._p._lo[0] + len(self._p._box) - 1
+        """Largest exponent; None for the zero polynomial."""
+        return None if self.is_zero() else self._lo[0] + len(self._box) - 1
 
-    def degree(self):
-        """Max |exponent|; None for the zero polynomial."""
-        return self._p.degrees().deg_a
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly1):
-            return NotImplemented
-        return self._p == other._p
-
-    __hash__ = None
-
-    def __repr__(self):
-        terms = ", ".join("%d: %.6g%+.6gj" % (k, c.real, c.imag) for k, c in self.items())
-        return "LaurentPoly1({%s})" % terms
-
-    def distance(self, other):
-        return self._p.distance(other._p)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly1):
-            return NotImplemented
-        return LaurentPoly1.from_poly2(self._p + other._p)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentPoly1.from_poly2(-self._p)
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly1):
-            return LaurentPoly1.from_poly2(self._p * other._p)
-        return LaurentPoly1.from_poly2(self._p * complex(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def conj_reciprocal(self):
-        return LaurentPoly1.from_poly2(self._p.conj_reciprocal())
-
-    def is_hermitian(self):
-        """c_{-k} == conj(c_k), i.e. real-valued on the unit circle."""
-        return self._p.is_hermitian()
-
-    def eval_circle_grid(self, n):
-        """Values at theta_r = 2*pi*r/n, via zero-padded inverse FFT."""
-        ((_, values),) = self._p.unit_grid_blocks((n, 1), n)
-        return values[:, 0]
-
-    def embed(self):
-        """The LaurentPoly2 on axis a, c_k a^k b^0, held (not copied)."""
-        return self._p
+    # own entries, so that wrapping these names on either class from
+    # outside wraps that class alone
+    __mul__ = LaurentPoly2.__mul__
+    __add__ = LaurentPoly2.__add__
+    conj_reciprocal = LaurentPoly2.conj_reciprocal

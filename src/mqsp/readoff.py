@@ -10,9 +10,9 @@ for it; a counterexample from the scan would be a genuine finding, not a
 bug.
 
 `readoff` aligns P and Q once and then works on their coefficient boxes as
-one stacked box: per step one slice test (_slice_test, the module's only
-one) of the top slices in the directions of positive degree, the peel, one
-prune (laurent.kept) and a trim to the joint box. `peel_once` is the single
+one stacked box: per step a slice test (_slice_test, the module's only
+one) of the top slice pair in each direction of positive degree, the peel,
+one prune (laurent.kept) and a trim to the joint box. `peel_once` is the single
 public step: the same private step on aligned LaurentPoly2 input, equal to
 one step of `readoff`.
 """
@@ -75,7 +75,9 @@ def _slice_test(ps, qs, tol):
     with phase None and mismatch inf.
 
     A single pair (count 1) skips the stack bookkeeping; its results equal
-    those of the same pair as a row of a larger stack, bit for bit.
+    those of the same pair as a row of a larger stack, bit for bit. The
+    read-off steps and check_leading_slices test one pair at a time
+    (_top_slices); only _scan_stack passes larger stacks.
     """
     count, width = ps.shape
     if count == 1:
@@ -112,22 +114,19 @@ def _slice_test(ps, qs, tol):
 
 
 def _top_slices(p, q, tol, axes=(0, 1)):
-    """Test P == e^{i phase} Q on the top slices along `axes` (0 for a, 1
-    for b) of the aligned boxes p, q of P and Q, as one stack of slice
-    pairs; zero-padding the shorter pair changes no result.
+    """Test P == e^{i phase} Q on the top slice along each of `axes` (0 for
+    a, 1 for b) of the aligned boxes p, q of P and Q, each as a stack of
+    one slice pair.
 
     Returns _slice_test's lists (ok, phase, mismatch, reason), one entry
     per axis in `axes`.
     """
-    if len(axes) == 1:  # the top slice pair as a stack of one, unpadded
-        ps, qs = (p[-1:], q[-1:]) if axes[0] == 0 else (p[:, -1:].T, q[:, -1:].T)
-        return _slice_test(ps, qs, tol)
-    rows, cols = p.shape
-    pairs = np.zeros((2, 2, max(rows, cols, 1)), dtype=complex)
-    if p.size:
-        pairs[0, 0, :cols], pairs[0, 1, :rows] = p[-1], p[:, -1]
-        pairs[1, 0, :cols], pairs[1, 1, :rows] = q[-1], q[:, -1]
-    return _slice_test(*pairs, tol)
+    results = ([], [], [], [])
+    for axis in axes:
+        ps, qs = (p[-1:], q[-1:]) if axis == 0 else (p[:, -1:].T, q[:, -1:].T)
+        for out, entry in zip(results, _slice_test(ps, qs, tol)):
+            out += entry
+    return results
 
 
 @dataclass(frozen=True)
@@ -341,9 +340,9 @@ def readoff(P, Q):
     reconstruction misses the input by more than readoff_tolerance().
 
     P and Q are aligned once; every step then works on their coefficient
-    boxes as one stack: one slice test of the top slices in the directions
-    of positive degree, the peel, one prune and a trim to the joint box.
-    Each step equals peel_once on the pair as LaurentPoly2 objects, and the
+    boxes as one stack: a slice test of the top slice pair in each
+    direction of positive degree, the peel, one prune and a trim to the
+    joint box. Each step equals peel_once on the pair as LaurentPoly2 objects, and the
     base case reads the last boxes too, so no LaurentPoly2 is made.
     """
     tol = readoff_tolerance()

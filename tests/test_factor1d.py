@@ -98,7 +98,7 @@ def test_factor_random_strictly_positive():
         fmax = max(abs(fac_v) for fac_v in (f.max_abs(),))
         assert fac.residual < 1e-8 * fmax
         assert fac.root_class == "stable"
-        roots = np.roots([fac.g.coeff(k) for k in range(deg, -1, -1)])
+        roots = np.roots([fac.g.coeff(k, 0) for k in range(deg, -1, -1)])
         assert np.all(np.abs(roots) > 1.0)
 
 
@@ -123,11 +123,11 @@ def test_gamma_factor_matches_newton():
     rng = np.random.default_rng(8)
     for deg in (1, 3, 7, 12, 16):
         f = _random_positive(rng, deg)
-        fac, _, _ = gamma_factor(f.embed())
-        assert spectral_factor(f.embed()).root_class == "stable"
+        fac, _, _ = gamma_factor(f)
+        assert spectral_factor(f).root_class == "stable"
         assert fac.residual < 1e-12 * f.max_abs()
         g = _coeffs(fac.p, deg)
-        ref = _coeffs(fejer_riesz(f).g.embed(), deg)
+        ref = _coeffs(fejer_riesz(f).g, deg)
         assert np.abs(np.abs(g) - np.abs(ref)).max() < 1e-12 * np.abs(g).max()
         assert g[0].real > 0 and abs(g[0].imag) <= 1e-12 * g[0].real
         again = gamma_factor(fac.p * fac.p.conj_reciprocal())[0].p
@@ -142,8 +142,8 @@ def test_boundary_zeros_fall_back_to_newton():
         *(LaurentPoly1.one() - t * t for t in map(chebyshev_t_laurent, (1, 2, 4))),
     ):
         with pytest.raises(FactorizationError):
-            gamma_factor(f.embed())
-        fac = spectral_factor(f.embed())
+            gamma_factor(f)
+        fac = spectral_factor(f)
         assert fac.root_class == "outer"
         assert fac == fejer_riesz(f)
     # and the completions of cos t = T_1 and T_n are the Newton ones
@@ -152,8 +152,7 @@ def test_boundary_zeros_fall_back_to_newton():
         res = complete_unitary_1d(t, LaurentPoly1.zero(), n)
         fac = fejer_riesz(LaurentPoly1.one() - t * t)
         assert res.factorization == fac and fac.root_class == "outer"
-        zero = LaurentPoly1.zero().embed()
-        unitary, spec = assemble_and_read_off(t.embed(), zero, fac.g.embed(), n, n)
+        unitary, spec = assemble_and_read_off(t, LaurentPoly2.zero(), fac.g, n, n)
         assert res.unitary.distance(unitary) == 0.0 and res.spec == spec
 
 
@@ -172,8 +171,8 @@ def test_strictly_positive_past_the_grid_cap_falls_back():
     h = LaurentPoly1({0: 1.0, 1: -0.996})
     f = h * h.conj_reciprocal()
     with pytest.raises(FactorizationError, match="^no convergence$"):
-        gamma_factor(f.embed())
-    fac = spectral_factor(f.embed())
+        gamma_factor(f)
+    fac = spectral_factor(f)
     assert fac == fejer_riesz(f) and fac.root_class == "stable"
     # 1/f of this protocol-derived f does not converge within 2^20 samples:
     # the target still completes, through Newton, and reads off
@@ -182,12 +181,11 @@ def test_strictly_positive_past_the_grid_cap_falls_back():
     pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()})
     qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()})
     # f as complete_unitary_1d builds it, on axis a
-    p_a, q_a = pt.embed(), qt.embed()
-    f = LaurentPoly2.one() - p_a * p_a - q_a * q_a
+    f = LaurentPoly2.one() - pt * pt - qt * qt
     with pytest.raises(FactorizationError, match="^no convergence$"):
         gamma_factor(f)
     res = complete_unitary_1d(pt, qt, 8)
-    assert res.factorization == fejer_riesz(LaurentPoly1({j: c for (j, _), c in f.items()}))
+    assert res.factorization == fejer_riesz(f)
     assert verify_structure(res.unitary, 8, 8).overall
     assert readoff(res.unitary.P, res.unitary.Q).residual < 1e-9
 
@@ -199,20 +197,20 @@ def test_factor_stable_under_one_ulp_changes_of_f():
     u = build_unitary(ProtocolSpec((1,) * 8, NEAR_CIRCLE_PHASES))
     p_a, q_a = u.P.hermitian_part(), u.Q.hermitian_part()
     near = LaurentPoly2.one() - p_a * p_a - q_a * q_a
-    cases = [(LaurentPoly1({j: c for (j, _), c in near.items()}), 1e-10)]
+    cases = [(near, 1e-10)]
     for n in (4, 16, 32):
         t = chebyshev_t_laurent(n)
         cases.append((LaurentPoly1.one() - t * t, 1e-7))
     for f, bound in cases:
         base = fejer_riesz(f)
-        for k, c in f.items():
+        for (k, _), c in f.items():
             if k < 0:
                 continue
             for toward in (math.inf, -math.inf):
                 moved = complex(
                     np.nextafter(c.real, toward), np.nextafter(c.imag, toward) if c.imag else 0.0
                 )
-                coeffs = dict(f.items())
+                coeffs = {j: x for (j, _), x in f.items()}
                 coeffs[k], coeffs[-k] = moved, moved.conjugate()
                 fac = fejer_riesz(LaurentPoly1(coeffs))
                 assert fac.root_class == base.root_class, (k, toward)
@@ -278,10 +276,10 @@ def test_two_variable_route_with_one_axis_is_the_one_variable_route():
         pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()})
         qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()})
         one = complete_unitary_1d(pt, qt, n)
-        two = complete_unitary_2d(pt.embed(), qt.embed(), n, n)
+        two = complete_unitary_2d(pt, qt, n, n)
         assert two.unitary.distance(one.unitary) == 0.0, n
         assert two.spec == one.spec and one.spec is not None, n
-        assert two.factorization.p == one.factorization.g.embed(), n
+        assert two.factorization.p == one.factorization.g, n
         assert two.factorization.residual == one.factorization.residual, n
         assert one.factorization.root_class == "stable", n
 
@@ -308,8 +306,8 @@ def test_gamma_route_sizes_its_work_per_axis(monkeypatch):
     monkeypatch.setattr(LaurentPoly2, "unit_grid_blocks", sample_spy)
     monkeypatch.setattr(factor2d, "_min_on_bidisk_net", net_spy)
     one = complete_unitary_1d(pt, qt, 8)
-    two = complete_unitary_2d(pt.embed(), qt.embed(), 8, 8)
-    assert one.factorization.g.embed() == two.factorization.p
+    two = complete_unitary_2d(pt, qt, 8, 8)
+    assert one.factorization.g == two.factorization.p
     assert shapes and all(nb == 1 for _, nb in shapes), shapes
     assert nets == []
     net = factor2d._bidisk_net()
@@ -334,9 +332,9 @@ def test_factor_gate_refuses_residual(monkeypatch):
     # one binding for both routes
     monkeypatch.setattr(factor2d, "VERIFY_REL_TOL", 0.0)
     f = LaurentPoly1({0: 5.0, 1: 2.0, -1: 2.0})
-    for factor, arg in ((fejer_riesz, f), (gamma_factor, f.embed())):
+    for factor in (fejer_riesz, gamma_factor):
         with pytest.raises(FactorizationError, match="^verification failed$"):
-            factor(arg)
+            factor(f)
     with pytest.raises(FactorizationError, match="^verification failed$"):
         complete_unitary_1d(chebyshev_t_laurent(2), LaurentPoly1.zero(), 2)
     # the zero polynomial is its own exact factor

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from mqsp.laurent import LaurentPoly1, LaurentPoly2
+from mqsp.laurent import LaurentPoly1, LaurentPoly2, aligned
 from mqsp.protocol import ProtocolSpec
 from mqsp import serialize
 
@@ -158,14 +158,22 @@ def test_poly1_reads_shared_format():
         serialize.poly1_from_records([{"j": 0, "k": 1, "re": 1.0, "im": 0.0}])
 
 
-def test_poly1_holds_the_shared_read():
+def test_poly1_shares_poly_from_records_box(monkeypatch):
     records = [
         {"j": -3, "k": 0, "re": 0.25, "im": -0.0},
         {"j": 1, "k": 0, "re": -1.5, "im": 2.0},
     ]
+    read, shared = serialize.poly_from_records, []
+
+    def spy(records):
+        shared.append(read(records))
+        return shared[-1]
+
+    monkeypatch.setattr(serialize, "poly_from_records", spy)
     p = serialize.poly1_from_records(records)
-    assert p.embed() == serialize.poly_from_records(records)
-    assert p.embed() is p.embed()
+    (q,) = shared
+    assert type(p) is LaurentPoly1 and p == q == read(records)
+    assert aligned(p, p)[0] is aligned(q, q)[0]
     with pytest.raises(ValueError, match="record with k=-2: single-variable"):
         serialize.poly1_from_records(records + [{"j": 0, "k": -2, "re": 1.0, "im": 0.0}])
 

@@ -173,14 +173,16 @@ def _cmd_complete(args):
             result = complete_unitary_2d(p_tilde, q_tilde, n, m)
     except FactorizationError as exc:
         raise _Exit(EXIT_FAIL, "completion failed: %s" % exc)
-    fac, rank = result.factorization, result.rank_report
-    # one variable has no Gamma route to report, and names its root class
+    fac = result.factorization
+    # --vars 1 prints no rank report, nor does a Newton-route answer; only
+    # --vars 1 names the root class, so each key set stays fixed
+    rank = None if one_var else result.rank_report
     out = {
-        "p": serialize.poly_to_records(fac.g if one_var else fac.p),
+        "p": serialize.poly_to_records(fac.p),
         "residual": float(fac.residual),
-        "singularValues": None if one_var else [float(s) for s in rank.singular_values],
-        "satisfied": True if one_var else rank.satisfied,
-        "convergenceResidual": None if one_var else float(result.convergence_residual),
+        "singularValues": None if rank is None else [float(s) for s in rank.singular_values],
+        "satisfied": rank is None or rank.satisfied,
+        "convergenceResidual": None if rank is None else float(result.convergence_residual),
     }
     if one_var:
         out["rootClass"] = fac.root_class

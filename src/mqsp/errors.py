@@ -4,8 +4,8 @@ Messages double as interface contracts (the CLI and tests match on them),
 so raise with the exact strings documented on each operation. The class
 split exists for exit-code routing: verification-style failures map to
 exit 1. A completion that checks out but cannot be peeled maps to exit 3:
-complete_unitary_1d and complete_unitary_2d both catch the ReadoffError
-or VerificationError of their read-off and return spec None.
+complete_unitary_2d (one variable is its case m = n) catches the
+ReadoffError or VerificationError of its read-off and returns spec None.
 """
 
 from __future__ import annotations

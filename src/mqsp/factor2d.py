@@ -1,20 +1,21 @@
-"""Two-variable conditional spectral factorization and unitary completion.
+"""Spectral factorization and unitary completion, in one variable and two.
 
 A strictly positive Hermitian Laurent polynomial f on the torus admits
 f = p * conj_reciprocal(p) with p a *stable* polynomial (no zeros on the
 closed bidisk, support in {0..n}x{0..m}) exactly when a rank condition on
 the Fourier coefficients of 1/f holds. gamma_factor, the Gamma route,
 computes those Fourier coefficients, tests the rank condition by two
-independent routes and extracts the stable factor from a linear solve;
-complete_unitary_2d uses it to complete a pair of real-on-torus targets
-(Ptilde, Qtilde) to a full protocol unitary.
+independent routes and extracts the stable factor from a linear solve. It
+sizes its work per axis, so f in one variable costs one-variable work and
+meets a vacuous rank condition. fejer_riesz, Wilson's Newton iteration,
+factors a nonnegative f on axis a, zeros on the circle included.
 
-The route sizes its work per axis, so f in one variable (factor1d, the
-case m = n) costs one-variable work and meets a vacuous rank condition.
-The completion contract is shared with one variable: check_targets on the
-inputs, assemble_and_read_off after the factor, and one CompletionResult;
-factor1d's fallback factor must pass the same residual gate,
-VERIFY_REL_TOL times max f.
+spectral_factor is the one place that picks the route: gamma_factor, and
+fejer_riesz when that raises and f lies on axis a. Both routes pass one
+factor gate, _gated: residual below VERIFY_REL_TOL times max f.
+complete_unitary_2d completes a pair of real-on-torus targets (Ptilde,
+Qtilde) through it to a full protocol unitary; one variable is its case
+m = n with the targets on axis a.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from mqsp.errors import FactorizationError, ReadoffError, VerificationError
-from mqsp.laurent import LaurentPoly2
+from mqsp.laurent import LaurentPoly1, LaurentPoly2, aligned
 from mqsp.protocol import Su2LaurentUnitary, assemble_completion
 from mqsp.readoff import readoff
 
@@ -45,6 +46,11 @@ VERIFY_GRID = 128
 VERIFY_REL_TOL = 1e-6
 NET_RADII = (0.2, 0.4, 0.6, 0.8, 1.0)
 NET_ANGLES = 64
+# most Newton steps of fejer_riesz: strictly positive f converges
+# quadratically in 6-16 steps, double zeros on the circle linearly in ~30
+NEWTON_STEPS = 64
+# smallest circle grid on which fejer_riesz checks f's sign and its factor
+CHECK_GRID = 1024
 
 
 def _degrees(poly):
@@ -222,8 +228,11 @@ def rank_condition(gamma, n, m):
 
 @dataclass(frozen=True)
 class Factorization2D:
-    """Stable factor p (support in {0..n}x{0..m}, constant coefficient real
-    positive) and sup residual of f - |p|^2 on the verification grid.
+    """Spectral factor p (support in {0..n}x{0..m}), sup residual of
+    f - |p|^2 on the verification grid, and root class: "stable" (no zeros
+    in the closed bidisk) for a Gamma-route factor; for fejer_riesz's,
+    "outer" when f's smallest sample on its check grid is at most the sign
+    check's floor (a zero of f on the circle, so of p), else "stable".
 
     min_on_net (smallest |p| on a radial-angular net of the closed bidisk)
     and stable_verified (that minimum is positive) are report values, not
@@ -232,6 +241,7 @@ class Factorization2D:
 
     p: LaurentPoly2
     residual: float
+    root_class: str = "stable"
 
     @property
     def min_on_net(self):
@@ -291,9 +301,15 @@ def extract_stable_factor(gamma, f, n, m):
     ((_, p_values),) = p.unit_grid_blocks(shape, grid * grid)
     f_values = f_values.real
     residual = float(np.abs(f_values - np.abs(p_values) ** 2).max())
-    if residual >= VERIFY_REL_TOL * float(np.abs(f_values).max()):
+    return _gated(p, residual, float(np.abs(f_values).max()))
+
+
+def _gated(p, residual, scale, root_class="stable"):
+    """The factor gate of both routes: "verification failed" unless the
+    residual is below VERIFY_REL_TOL times scale, max f on the grid."""
+    if residual >= VERIFY_REL_TOL * scale:
         raise FactorizationError("verification failed")
-    return Factorization2D(p=p, residual=residual)
+    return Factorization2D(p, residual, root_class)
 
 
 def gamma_factor(f):
@@ -310,6 +326,114 @@ def gamma_factor(f):
     if not report.satisfied:
         raise FactorizationError("rank condition not satisfied")
     return extract_stable_factor(gamma, f, n, m), report, table.convergence_residual
+
+
+def _newton_step(g, f_top):
+    """Wilson's step: h (exponents 0..d, Im h_0 = 0) with
+    g*conj_reciprocal(h) + h*conj_reciprocal(g) = f + g*conj_reciprocal(g).
+
+    Both sides are Hermitian, so their coefficients 0..d (f_top) fix them;
+    the rows are the real parts of those and the imaginary parts of 1..d,
+    the unknowns Re h_0..h_d and Im h_1..h_d. Raises LinAlgError when the
+    system is singular."""
+    d = len(g) - 1
+    k = np.arange(d + 1)
+    # coefficient k of g*conj_reciprocal(h) is sum_j g_{j+k} conj(h_j), of
+    # h*conj_reciprocal(g) sum_m conj(g_{m-k}) h_m
+    hankel = np.concatenate([g, np.zeros(d)])[k[:, None] + k]
+    toeplitz = np.triu(g.conj()[np.abs(k - k[:, None])])
+    by_re, by_im = hankel + toeplitz, 1j * (toeplitz - hankel)
+    system = np.block(
+        [[by_re.real, by_im.real[:, 1:]], [by_re.imag[1:], by_im.imag[1:, 1:]]]
+    )
+    target = f_top + toeplitz @ g
+    x = np.linalg.solve(system, np.concatenate([target.real, target.imag[1:]]))
+    return x[: d + 1] + 1j * np.concatenate([[0.0], x[d + 1 :]])
+
+
+def fejer_riesz(f):
+    """Factor f, a circle-nonnegative LaurentPoly2 on axis a, as |g|^2 by
+    Wilson's Newton iteration (G. T. Wilson, SIAM J. Numer. Anal. 6 (1969)
+    1-7); the factorization's p is g, a LaurentPoly1 (exponents 0..deg f).
+
+    From g = sqrt(c_0), each step solves _newton_step's linear system. It
+    stops when that system is singular (the exact factor of an f with
+    zeros on the circle makes it so), when a step is no shorter than the
+    one before, or after NEWTON_STEPS steps, and keeps whichever of the
+    last two iterates fits f's coefficients better. Wilson's iterates keep
+    their zeros outside the open unit disk. g is scaled so that its top
+    coefficient is real positive.
+
+    Raises "not nonnegative on circle" when sampled values dip below the
+    tolerance floor, and _gated's "verification failed".
+    """
+    if not f.is_hermitian():
+        raise ValueError("f must be Hermitian (real on the unit circle)")
+    if f.is_zero():
+        return Factorization2D(LaurentPoly1.zero(), 0.0)
+
+    # the FFT grid must exceed the exponent spread 2 * deg; doubling keeps
+    # the CHECK_GRID points in it
+    grid = _pow2_grid(CHECK_GRID, f.degrees().deg_a)
+    ((_, values),) = f.unit_grid_blocks((grid, 1), grid)
+    values = values[:, 0].real
+    scale = float(np.max(np.abs(values)))
+    floor = 1e-12 * max(1.0, scale)
+    lowest = float(np.min(values))
+    if lowest < -floor:
+        raise FactorizationError("not nonnegative on circle")
+    root_class = "outer" if lowest <= floor else "stable"
+
+    box, _, (lo, _) = aligned(f, f)
+    d = lo + len(box) - 1  # the top exponent
+    if d == 0:
+        c = f.coeff(0, 0).real
+        g = LaurentPoly1({0: math.sqrt(max(c, 0.0))})
+        return _gated(g, abs(c - max(c, 0.0)), scale, root_class)
+
+    full = np.array([f.coeff(k, 0) for k in range(-d, d + 1)])
+    f_top = full[d:]
+
+    def misfit(coeffs):
+        # max |g*conj_reciprocal(g) - f| over the coefficients
+        return float(np.max(np.abs(np.convolve(coeffs, coeffs[::-1].conj()) - full)))
+
+    g = np.zeros(d + 1, dtype=complex)
+    g[0] = math.sqrt(max(f_top[0].real, 0.0))
+    previous, last_step = g, math.inf
+    for _ in range(NEWTON_STEPS):
+        try:
+            h = _newton_step(g, f_top)
+        except np.linalg.LinAlgError:
+            break
+        step = float(np.max(np.abs(h - g)))
+        previous, g = g, h
+        if not step < last_step:
+            break
+        last_step = step
+    if not misfit(g) < misfit(previous):
+        g = previous
+    top = g[-1]
+    # the dict constructor stores a -0.0 part as +0.0
+    g = LaurentPoly1(dict(enumerate(g * (abs(top) / top if top else 1.0))))
+    ((_, g_values),) = g.unit_grid_blocks((grid, 1), grid)
+    residual = float(np.max(np.abs(values - np.abs(g_values[:, 0]) ** 2)))
+    return _gated(g, residual, scale, root_class)
+
+
+def spectral_factor(f):
+    """(Factorization2D, RankConditionReport or None, convergence residual
+    or None): gamma_factor's result, or, when that raises and f lies on
+    axis a (degree 0 in b), fejer_riesz's factor of the LaurentPoly1 on f's
+    box (no copy), with no rank report or convergence residual; its outcome
+    and message are then final. An f with positive degree in b has the
+    Gamma route alone."""
+    try:
+        return gamma_factor(f)
+    except FactorizationError:
+        if _degrees(f)[1]:
+            raise
+    return fejer_riesz(LaurentPoly1.from_poly2(f)), None, None
 
 
 def stable_from_contraction(K, slots):
@@ -386,11 +510,9 @@ def check_targets(p_tilde, q_tilde, n, m):
 @dataclass(frozen=True)
 class CompletionResult:
     """Completed unitary, recovered protocol (None when the completion is a
-    valid unitary but peeling fails), and the factorization used: a
-    Factorization2D for two variables, a factor1d.Factorization1D for one.
-    complete_unitary_2d also reports gamma_factor's rank condition and the
-    convergence residual of the Fourier table of 1/f; both are None for
-    one variable, whichever route its factor took."""
+    valid unitary but peeling fails), and spectral_factor's factorization,
+    rank report and convergence residual of the Fourier table of 1/f; the
+    rank report and the residual are None when the Newton route answered."""
 
     unitary: Su2LaurentUnitary
     spec: object
@@ -416,16 +538,17 @@ def complete_unitary_2d(p_tilde, q_tilde, n, m):
     """Extend real-on-torus targets to a protocol unitary of length n and
     weight m.
 
-    The targets must pass check_targets, and f = 1 - Ptilde^2 - Qtilde^2
-    must be strictly positive. gamma_factor's stable factor of f, shifted by
-    a^{-m} b^{-(n-m)}, splits into a Hermitian part R and anti-Hermitian
-    part iS with R^2 + S^2 = f, so the matrix [[Ptilde + iR, Qtilde + iS],
-    [...]] is exactly unitary up to the factorization residual
-    (assemble_and_read_off).
+    The targets must pass check_targets. spectral_factor factors
+    f = 1 - Ptilde^2 - Qtilde^2: the stable factor when f is strictly
+    positive, else, for f on axis a, the Newton factor. Shifted by
+    a^{-m} b^{-(n-m)}, the factor splits into a Hermitian part R and
+    anti-Hermitian part iS with R^2 + S^2 = f, so the matrix
+    [[Ptilde + iR, Qtilde + iS], [...]] is exactly unitary up to the
+    factorization residual (assemble_and_read_off).
     """
     n, m = int(n), int(m)
     check_targets(p_tilde, q_tilde, n, m)
     f = LaurentPoly2.one() - p_tilde * p_tilde - q_tilde * q_tilde
-    factorization, report, residual = gamma_factor(f)
+    factorization, report, residual = spectral_factor(f)
     unitary, spec = assemble_and_read_off(p_tilde, q_tilde, factorization.p, n, m)
     return CompletionResult(unitary, spec, factorization, report, residual)

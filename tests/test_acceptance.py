@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from mqsp import families, serialize
-from mqsp.factor1d import complete_unitary_1d, fejer_riesz
+from mqsp.factor1d import complete_unitary_1d
 from mqsp.factor2d import (
     build_gamma,
     extract_stable_factor,
+    fejer_riesz,
     fourier_of_reciprocal,
     generate_stable,
     rank_condition,
@@ -143,15 +144,15 @@ def test_04_fejer_riesz_1d():
         sup_f = float(np.abs(_on_circle(f, 1024)).max())
         fac = fejer_riesz(f)
         worst_rel = max(worst_rel, fac.residual / sup_f)
-        exponents = sorted(j for (j, _), _ in fac.g.items())
+        exponents = sorted(j for (j, _), _ in fac.p.items())
         top = exponents[-1] if exponents else 0
         if top > 0:
             vec = np.zeros(top + 1, dtype=complex)
-            for (j, _), c in fac.g.items():
+            for (j, _), c in fac.p.items():
                 vec[top - j] = c
             roots = np.roots(vec)
             worst_root = min(worst_root, float(np.abs(roots).min()))
-        worst_rerun = max(worst_rerun, fejer_riesz(f).g.distance(fac.g))
+        worst_rerun = max(worst_rerun, fejer_riesz(f).p.distance(fac.p))
     ok = worst_rel < 1e-8 and worst_root >= 1.0 - 1e-12 and worst_rerun < 1e-8
     _report(
         4,

@@ -305,6 +305,25 @@ def test_complete_2d_rank_failure_exit_one(tmp_path, capsys):
     assert "rank condition not satisfied" in err
 
 
+@pytest.mark.parametrize("p_tilde, n", [({1: 0.5, -1: 0.5}, 1), ({0: 1.0}, 0)])
+def test_complete_newton_route_answers_alike_in_one_and_two_variables(tmp_path, capsys, p_tilde, n):
+    # Ptilde = cos t leaves f = sin^2 t, zeros on the circle, and Ptilde = 1
+    # leaves f = 0: the Gamma route refuses both, and since f lies on axis a
+    # --vars 2 falls back to the Newton factor as --vars 1 does
+    records = [{"j": j, "k": 0, "re": c, "im": 0.0} for j, c in p_tilde.items()]
+    path = write_json(tmp_path / "t.json", {"p": records})
+    answers = []
+    for nvars, deg in (("1", str(n)), ("2", "%d,%d" % (n, n))):
+        code, out, err = run(capsys, ["complete", path, "--vars", nvars, "--deg", deg])
+        assert (code, err) == (0, ""), nvars
+        answers.append(json.loads(out))
+    one, two = answers
+    for key in ("p", "residual", "unitary", "protocol"):
+        assert one[key] == two[key], key
+    assert (two["singularValues"], two["satisfied"], two["convergenceResidual"]) == (None, True, None)
+    assert "rootClass" in one and "rootClass" not in two
+
+
 def eval_records(records, theta):
     """Value of a record list at the torus points theta = [(theta_a, theta_b)]."""
     if not records:

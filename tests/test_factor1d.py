@@ -8,12 +8,14 @@ import pytest
 from mqsp import factor2d
 from mqsp.errors import FactorizationError
 from mqsp.laurent import LaurentPoly1, LaurentPoly2
-from mqsp.factor1d import (
-    complete_unitary_1d,
+from mqsp.factor1d import complete_unitary_1d
+from mqsp.factor2d import (
+    assemble_and_read_off,
+    complete_unitary_2d,
     fejer_riesz,
+    gamma_factor,
     spectral_factor,
 )
-from mqsp.factor2d import assemble_and_read_off, complete_unitary_2d, gamma_factor
 from mqsp.protocol import ProtocolSpec, build_unitary, verify_structure
 from mqsp.readoff import readoff
 
@@ -30,7 +32,7 @@ def chebyshev_t_laurent(n):
 
 def test_factor_constant_one():
     fac = fejer_riesz(LaurentPoly1.one())
-    assert fac.g.distance(LaurentPoly1.one()) < 1e-15
+    assert fac.p.distance(LaurentPoly1.one()) < 1e-15
     assert fac.root_class == "stable"
     assert fac.residual < 1e-14
 
@@ -40,7 +42,7 @@ def test_factor_pinned_stable_example():
     f = LaurentPoly1({0: 5.0, 1: 2.0, -1: 2.0})
     fac = fejer_riesz(f)
     assert fac.root_class == "stable"
-    assert fac.g.distance(LaurentPoly1({0: 2.0, 1: 1.0})) < 1e-10
+    assert fac.p.distance(LaurentPoly1({0: 2.0, 1: 1.0})) < 1e-10
     assert fac.residual < 1e-12
 
 
@@ -49,7 +51,7 @@ def test_factor_pinned_boundary_example():
     f = LaurentPoly1({0: 2.0, 1: 1.0, -1: 1.0})
     fac = fejer_riesz(f)
     assert fac.root_class == "outer"
-    assert fac.g.distance(LaurentPoly1({0: 1.0, 1: 1.0})) < 1e-7
+    assert fac.p.distance(LaurentPoly1({0: 1.0, 1: 1.0})) < 1e-7
     assert fac.residual < 1e-10
 
 
@@ -62,7 +64,7 @@ def test_factor_chebyshev_sine_squared():
         fac = fejer_riesz(f)
         assert fac.root_class == "outer"
         expect = LaurentPoly1({0: -0.5, 2 * n: 0.5})
-        assert fac.g.distance(expect) < 1e-9
+        assert fac.p.distance(expect) < 1e-9
         assert fac.residual < 1e-10
 
 
@@ -80,7 +82,7 @@ def test_factor_rejects_negative():
 
 def test_factor_zero_polynomial():
     fac = fejer_riesz(LaurentPoly1.zero())
-    assert fac.g.is_zero() and fac.residual == 0.0
+    assert fac.p.is_zero() and fac.residual == 0.0
 
 
 def _random_positive(rng, deg):
@@ -98,7 +100,7 @@ def test_factor_random_strictly_positive():
         fmax = max(abs(fac_v) for fac_v in (f.max_abs(),))
         assert fac.residual < 1e-8 * fmax
         assert fac.root_class == "stable"
-        roots = np.roots([fac.g.coeff(k, 0) for k in range(deg, -1, -1)])
+        roots = np.roots([fac.p.coeff(k, 0) for k in range(deg, -1, -1)])
         assert np.all(np.abs(roots) > 1.0)
 
 
@@ -107,9 +109,9 @@ def test_factor_deterministic_normalization():
     # the phase, so refactoring a rebuilt f reproduces g itself
     rng = np.random.default_rng(15)
     f = _random_positive(rng, 6)
-    g1 = fejer_riesz(f).g
+    g1 = fejer_riesz(f).p
     f2 = g1 * g1.conj_reciprocal()
-    g2 = fejer_riesz(f2).g
+    g2 = fejer_riesz(f2).p
     assert g1.distance(g2) < 1e-8 * g1.max_abs()
 
 
@@ -124,10 +126,10 @@ def test_gamma_factor_matches_newton():
     for deg in (1, 3, 7, 12, 16):
         f = _random_positive(rng, deg)
         fac, _, _ = gamma_factor(f)
-        assert spectral_factor(f).root_class == "stable"
+        assert spectral_factor(f)[0].root_class == "stable"
         assert fac.residual < 1e-12 * f.max_abs()
         g = _coeffs(fac.p, deg)
-        ref = _coeffs(fejer_riesz(f).g, deg)
+        ref = _coeffs(fejer_riesz(f).p, deg)
         assert np.abs(np.abs(g) - np.abs(ref)).max() < 1e-12 * np.abs(g).max()
         assert g[0].real > 0 and abs(g[0].imag) <= 1e-12 * g[0].real
         again = gamma_factor(fac.p * fac.p.conj_reciprocal())[0].p
@@ -143,16 +145,16 @@ def test_boundary_zeros_fall_back_to_newton():
     ):
         with pytest.raises(FactorizationError):
             gamma_factor(f)
-        fac = spectral_factor(f)
+        fac = fejer_riesz(f)
         assert fac.root_class == "outer"
-        assert fac == fejer_riesz(f)
+        assert spectral_factor(f) == (fac, None, None)
     # and the completions of cos t = T_1 and T_n are the Newton ones
     for n in (1, 2, 5):
         t = chebyshev_t_laurent(n)
         res = complete_unitary_1d(t, LaurentPoly1.zero(), n)
         fac = fejer_riesz(LaurentPoly1.one() - t * t)
         assert res.factorization == fac and fac.root_class == "outer"
-        unitary, spec = assemble_and_read_off(t, LaurentPoly2.zero(), fac.g, n, n)
+        unitary, spec = assemble_and_read_off(t, LaurentPoly2.zero(), fac.p, n, n)
         assert res.unitary.distance(unitary) == 0.0 and res.spec == spec
 
 
@@ -172,8 +174,8 @@ def test_strictly_positive_past_the_grid_cap_falls_back():
     f = h * h.conj_reciprocal()
     with pytest.raises(FactorizationError, match="^no convergence$"):
         gamma_factor(f)
-    fac = spectral_factor(f)
-    assert fac == fejer_riesz(f) and fac.root_class == "stable"
+    fac = fejer_riesz(f)
+    assert spectral_factor(f) == (fac, None, None) and fac.root_class == "stable"
     # 1/f of this protocol-derived f does not converge within 2^20 samples:
     # the target still completes, through Newton, and reads off
     spec = ProtocolSpec((1,) * 8, NEAR_CIRCLE_PHASES)
@@ -214,7 +216,7 @@ def test_factor_stable_under_one_ulp_changes_of_f():
                 coeffs[k], coeffs[-k] = moved, moved.conjugate()
                 fac = fejer_riesz(LaurentPoly1(coeffs))
                 assert fac.root_class == base.root_class, (k, toward)
-                assert fac.g.distance(base.g) <= bound * base.g.max_abs(), (k, toward)
+                assert fac.p.distance(base.p) <= bound * base.p.max_abs(), (k, toward)
 
 
 # -- completion -------------------------------------------------------------------
@@ -279,7 +281,7 @@ def test_two_variable_route_with_one_axis_is_the_one_variable_route():
         two = complete_unitary_2d(pt, qt, n, n)
         assert two.unitary.distance(one.unitary) == 0.0, n
         assert two.spec == one.spec and one.spec is not None, n
-        assert two.factorization.p == one.factorization.g, n
+        assert two.factorization.p == one.factorization.p, n
         assert two.factorization.residual == one.factorization.residual, n
         assert one.factorization.root_class == "stable", n
 
@@ -307,7 +309,7 @@ def test_gamma_route_sizes_its_work_per_axis(monkeypatch):
     monkeypatch.setattr(factor2d, "_min_on_bidisk_net", net_spy)
     one = complete_unitary_1d(pt, qt, 8)
     two = complete_unitary_2d(pt, qt, 8, 8)
-    assert one.factorization.g == two.factorization.p
+    assert one.factorization.p == two.factorization.p
     assert shapes and all(nb == 1 for _, nb in shapes), shapes
     assert nets == []
     net = factor2d._bidisk_net()

@@ -4,6 +4,8 @@ import cmath
 import importlib.util
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mqsp.cli
+from mqsp import factor1d
 from mqsp.laurent import MAX_CELLS, PRUNE_REL, LaurentPoly1, LaurentPoly2, aligned
 
 
@@ -329,15 +332,22 @@ def test_exponent_outside_int64_rejected():
         LaurentPoly1({10**30: 1.0})
 
 
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(mqsp.cli.__file__))), "bench")
+
+
+def _bench_spans():
+    spec = importlib.util.spec_from_file_location("spans", os.path.join(BENCH, "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_bench_spans_count_a_poly1_product_once():
     # bench/spans.py wraps LaurentPoly2's and LaurentPoly1's __mul__, __add__
     # and conj_reciprocal (and names in every loaded mqsp module, hence the
     # mqsp.cli import): a LaurentPoly1 product is one span and one call, and
     # leaving restores both classes exactly
-    root = os.path.dirname(os.path.dirname(os.path.dirname(mqsp.cli.__file__)))
-    spec = importlib.util.spec_from_file_location("spans", os.path.join(root, "bench", "spans.py"))
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_spans()
     before = [dict(vars(cls)) for cls in (LaurentPoly1, LaurentPoly2)]
     p = LaurentPoly1({0: 2.0, 1: 1.0})
     tracer = spans.Tracer()
@@ -348,6 +358,37 @@ def test_bench_spans_count_a_poly1_product_once():
     for cls, held in zip((LaurentPoly1, LaurentPoly2), before):
         now = vars(cls)
         assert now.keys() == held.keys() and all(now[k] is v for k, v in held.items())
+
+
+def test_bench_spans_names_resolve_from_mqsp_cli():
+    # bench/spans.py imports mqsp.cli alone and looks every name it wraps up
+    # in sys.modules, mqsp.factor1d's fejer_riesz and complete_unitary_1d
+    # among them; its roots count calls max_exp() on fejer_riesz's argument,
+    # so a Newton-route completion must hand fejer_riesz a LaurentPoly1
+    script = (
+        "import sys\n"
+        "import mqsp.cli\n"
+        "sys.path.insert(0, %r)\n"
+        "import spans\n"
+        "keys = [(m, p) for _, m, p in spans.SPANS] + list(spans._counting_hooks(spans.Tracer()))\n"
+        "for key in keys:\n"
+        "    getattr(*spans._resolve(*key))\n"
+    ) % BENCH
+    src = os.path.dirname(os.path.dirname(mqsp.cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = _bench_spans()
+    tracer = spans.Tracer()
+    with spans.Instrumented(tracer):
+        factor1d.complete_unitary_1d(LaurentPoly1({1: 0.5, -1: 0.5}), LaurentPoly1.zero(), 1)
+    assert list(tracer.name).count(spans.SPAN_NAMES.index("factor1d.fejer_riesz")) == 1
+    assert tracer.counts["factor1d.roots"] > 0
 
 
 def test_one_and_zero_equal_the_dict_constructor():

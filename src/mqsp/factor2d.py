@@ -92,6 +92,17 @@ def _exceeds_bounds(na, nb):
     return max(na, nb) > FOURIER_AXIS_MAX or na * nb > FOURIER_CELLS_MAX
 
 
+def _dft_entries(half, offsets, n):
+    """Entries at offsets (mod n) along the last axis of the DFT of a real
+    length-n sequence, read from its rfft half: past n/2, the conjugate of
+    the mirror entry."""
+    residues = offsets % n
+    mirrored = residues > n // 2
+    entries = half[..., np.where(mirrored, n - residues, residues)]
+    entries[..., mirrored] = entries[..., mirrored].conj()
+    return entries
+
+
 def fourier_of_reciprocal(f, window):
     """Fourier coefficients of 1/f over `window` = (wa, wb).
 
@@ -105,13 +116,17 @@ def fourier_of_reciprocal(f, window):
     FOURIER_CELLS_MAX in all it raises "no convergence", before sampling
     anything when the first doubling is already past them.
 
-    f is sampled in whole theta_a rows, at most FOURIER_BLOCK_CELLS samples
-    at a time (`unit_grid_blocks`); each block is transformed along b and
-    only the window's 2*wb + 1 columns are kept, then that na x (2*wb + 1)
-    strip is transformed along a. Memory is O(max(FOURIER_BLOCK_CELLS, nb))
-    samples for one block plus O(na * box width) for f's box transformed
-    along a, and time O(na nb log(na nb)) per grid whatever f's degree. A
-    sample of f at or below zero raises "f not strictly positive".
+    f is sampled as real numbers in whole theta_a rows, at most
+    FOURIER_BLOCK_CELLS samples at a time (`real_grid_blocks`, one irfft
+    along b per block). Each block of the real 1/f takes one rfft along b,
+    which holds the window's 2*wb + 1 columns (those of k < 0 are
+    conjugates of k > 0), then that na x (2*wb + 1) strip is transformed
+    along a; with one sample along b, 1/f is one real column and takes one
+    rfft along a. Memory is, per block, max(FOURIER_BLOCK_CELLS, nb) real
+    samples and about half as many complex half-spectrum values, plus
+    O(na * box width) for f's box transformed along a; time is
+    O(na nb log(na nb)) per grid whatever f's degree. A sample of f at or
+    below zero raises "f not strictly positive".
     """
     if not f.is_hermitian():
         raise ValueError("f must be Hermitian (real on the unit torus)")
@@ -132,15 +147,20 @@ def fourier_of_reciprocal(f, window):
     previous = None
     while not _exceeds_bounds(na, nb):
         # fft2 of 1/f with the window's columns kept after the pass along b;
-        # an axis of one sample takes no FFT
-        strip = np.empty((na, ks.size), dtype=complex)
-        for start, block in f.unit_grid_blocks((na, nb), FOURIER_BLOCK_CELLS):
-            values = block.real
+        # with one sample along b, 1/f is a real column for one rfft along a
+        strip = np.empty((na, ks.size), dtype=complex if nb > 1 else float)
+        for start, values in f.real_grid_blocks((na, nb), FOURIER_BLOCK_CELLS):
             if values.min() <= 0.0:
                 raise FactorizationError("f not strictly positive")
-            recip = np.fft.fft(1.0 / values, axis=1) if nb > 1 else 1.0 / values
-            strip[start : start + len(values)] = recip[:, ks % nb]
-        table = (np.fft.fft(strip, axis=0) if na > 1 else strip)[js % na] / (na * nb)
+            recip = 1.0 / values
+            if nb > 1:
+                recip = _dft_entries(np.fft.rfft(recip, axis=1), ks, nb)
+            strip[start : start + len(values)] = recip
+        if nb > 1:
+            table = (np.fft.fft(strip, axis=0) if na > 1 else strip)[js % na]
+        else:
+            table = _dft_entries(np.fft.rfft(strip[:, 0]), js, na)[:, None]
+        table /= na * nb
         if exact or previous is not None:
             residual = 0.0 if exact else float(np.abs(table - previous).max())
             if residual < FOURIER_TOL:
@@ -297,9 +317,8 @@ def extract_stable_factor(gamma, f, n, m):
     degrees = _degrees(f)
     grid = _pow2_grid(VERIFY_GRID, max(*degrees, 2 * n, 2 * m))
     shape = tuple(grid if d or w else 1 for d, w in zip(degrees, (n, m)))
-    ((_, f_values),) = f.unit_grid_blocks(shape, grid * grid)
+    ((_, f_values),) = f.real_grid_blocks(shape, grid * grid)
     ((_, p_values),) = p.unit_grid_blocks(shape, grid * grid)
-    f_values = f_values.real
     residual = float(np.abs(f_values - np.abs(p_values) ** 2).max())
     return _gated(p, residual, float(np.abs(f_values).max()))
 
@@ -375,8 +394,8 @@ def fejer_riesz(f):
     # the FFT grid must exceed the exponent spread 2 * deg; doubling keeps
     # the CHECK_GRID points in it
     grid = _pow2_grid(CHECK_GRID, f.degrees().deg_a)
-    ((_, values),) = f.unit_grid_blocks((grid, 1), grid)
-    values = values[:, 0].real
+    ((_, values),) = f.real_grid_blocks((grid, 1), grid)
+    values = values[:, 0]
     scale = float(np.max(np.abs(values)))
     floor = 1e-12 * max(1.0, scale)
     lowest = float(np.min(values))

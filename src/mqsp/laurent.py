@@ -338,24 +338,63 @@ class LaurentPoly2:
         provided each axis exceeds the exponent spread in its variable.
         """
         na, nb = shape
-        deg = self.degrees()
-        if not deg.is_zero and (2 * deg.deg_a >= na or 2 * deg.deg_b >= nb):
-            raise ValueError("grid %d x %d too small for exponent spread" % (na, nb))
-        (lo_a, lo_b), (rows, cols) = self._lo, self._box.shape
-        # the spread check keeps the residues mod na, nb distinct: no collisions
-        at_b = np.arange(lo_b, lo_b + cols) % nb
-        along_a = np.zeros((na, cols), dtype=complex)
-        along_a[np.arange(lo_a, lo_a + rows) % na] = self._box
-        if na > 1:
-            np.fft.ifft(along_a, axis=0, out=along_a)
+        along_a, exps_b = self._along_a(na, nb)
+        at_b = exps_b % nb
         block_rows = max(1, block_cells // nb)
         for start in range(0, na, block_rows):
             block = np.zeros((min(block_rows, na - start), nb), dtype=complex)
             block[:, at_b] = along_a[start : start + block_rows]
             if nb > 1:
-                np.fft.ifft(block, axis=1, out=block)
-            block *= na * nb
+                np.fft.ifft(block, axis=1, out=block, norm="forward")
             yield start, block
+
+    def real_grid_blocks(self, shape, block_cells):
+        """`unit_grid_blocks` for a Hermitian p: the same blocks, as float64
+        samples (the real parts of unit_grid_blocks', up to rounding).
+
+        The box takes the same inverse FFT along a; each block then builds
+        the half spectrum h_k = (d_k + conj(d_-k))/2, k = 0..nb/2, of its
+        coefficients d_k in b and takes one inverse real FFT along b, so it
+        holds nb/2 + 1 complex and nb real values per theta_a row. With
+        nb = 1 (p on axis a alone) the box itself takes one inverse real FFT
+        along a. Raises ValueError unless p is Hermitian.
+        """
+        if not self.is_hermitian():
+            raise ValueError("real samples need a Hermitian polynomial")
+        na, nb = shape
+        block_rows = max(1, block_cells // nb)
+        if nb == 1:
+            self._check_grid(na, nb)
+            # the box is one column (or empty), its exponents those in a
+            exps_a = np.arange(self._lo[0], self._lo[0] + len(self._box))
+            column = _half_spectrum(self._box.ravel(), exps_a, na)
+            values = np.fft.irfft(column, n=na, norm="forward")[:, None]
+            for start in range(0, na, block_rows):
+                yield start, values[start : start + block_rows]
+            return
+        along_a, exps_b = self._along_a(na, nb)
+        for start in range(0, na, block_rows):
+            half = _half_spectrum(along_a[start : start + block_rows], exps_b, nb)
+            yield start, np.fft.irfft(half, n=nb, axis=1, norm="forward")
+
+    def _check_grid(self, na, nb):
+        deg = self.degrees()
+        if not deg.is_zero and (2 * deg.deg_a >= na or 2 * deg.deg_b >= nb):
+            raise ValueError("grid %d x %d too small for exponent spread" % (na, nb))
+
+    def _along_a(self, na, nb):
+        """(box, b exponents) for a grid of na x nb samples: the coefficient
+        box zero-padded to na rows and inverse-transformed along a, unscaled
+        (an axis of length 1 takes no FFT), with the b exponent of each of
+        its columns. Raises ValueError when the grid does not exceed the
+        exponent spread, which keeps the residues mod na and nb distinct."""
+        self._check_grid(na, nb)
+        (lo_a, lo_b), (rows, cols) = self._lo, self._box.shape
+        along_a = np.zeros((na, cols), dtype=complex)
+        along_a[np.arange(lo_a, lo_a + rows) % na] = self._box
+        if na > 1:
+            np.fft.ifft(along_a, axis=0, out=along_a, norm="forward")
+        return along_a, np.arange(lo_b, lo_b + cols)
 
     # -- degrees and parity ------------------------------------------------
 
@@ -380,6 +419,18 @@ class LaurentPoly2:
             parity = (idx + lo) % 2
             bits.append(int(parity[0]) if (parity == parity[0]).all() else None)
         return tuple(bits)
+
+
+def _half_spectrum(coeffs, exps, n):
+    """h[..., k] = (d_k + conj(d_-k))/2 for k = 0..n//2, where the last
+    axis of coeffs holds d at the exponents exps (|exps| < n/2, distinct):
+    the rfft-layout spectrum of the real part of their inverse DFT."""
+    h = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    up, down = exps >= 0, exps <= 0
+    h[..., exps[up]] = 0.5 * coeffs[..., up]
+    h[..., -exps[down]] += 0.5 * coeffs[..., down].conj()
+    return h
+
 
 def aligned(p, q):
     """(x, y, (lo_a, lo_b)): the coefficients of p and q on the smallest box

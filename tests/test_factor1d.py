@@ -288,14 +288,14 @@ def test_two_variable_route_with_one_axis_is_the_one_variable_route():
 
 def test_gamma_route_sizes_its_work_per_axis(monkeypatch):
     # a single-oracle target takes the Gamma route in one variable and in
-    # two; every grid it samples has one point along b, and the closed-bidisk
-    # net waits until min_on_net is read
+    # two; every grid it samples f on has one point along b, and the
+    # closed-bidisk net waits until min_on_net is read
     phases = tuple(np.random.default_rng(31).uniform(-math.pi, math.pi, size=9))
     u = build_unitary(ProtocolSpec((1,) * 8, phases))
     pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()})
     qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()})
     shapes, nets = [], []
-    sample, net_min = LaurentPoly2.unit_grid_blocks, factor2d._min_on_bidisk_net
+    sample, net_min = LaurentPoly2.real_grid_blocks, factor2d._min_on_bidisk_net
 
     def sample_spy(self, shape, block_cells):
         shapes.append(shape)
@@ -305,7 +305,7 @@ def test_gamma_route_sizes_its_work_per_axis(monkeypatch):
         nets.append(p)
         return net_min(p)
 
-    monkeypatch.setattr(LaurentPoly2, "unit_grid_blocks", sample_spy)
+    monkeypatch.setattr(LaurentPoly2, "real_grid_blocks", sample_spy)
     monkeypatch.setattr(factor2d, "_min_on_bidisk_net", net_spy)
     one = complete_unitary_1d(pt, qt, 8)
     two = complete_unitary_2d(pt, qt, 8, 8)

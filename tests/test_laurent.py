@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import mqsp.cli
 from mqsp import factor1d
+from mqsp.factor2d import FOURIER_BLOCK_CELLS
 from mqsp.laurent import MAX_CELLS, PRUNE_REL, LaurentPoly1, LaurentPoly2, aligned
 
 
@@ -171,6 +172,40 @@ def test_circle_grid_univariate():
     ((_, vals),) = p.unit_grid_blocks((8, 1), 8)
     thetas = 2 * np.pi * np.arange(8) / 8
     assert np.max(np.abs(vals[:, 0] - np.cos(thetas))) < 1e-14
+
+
+@pytest.mark.parametrize("deg", [(3, 2), (4, 0), (0, 5), (0, 0)])
+def test_real_grid_blocks_match_unit_grid_real_parts(deg):
+    # Hermitian f on both axes, on a alone, on b alone, and constant; every
+    # grid its spread admits among axes of 1, 2d + 1 (odd) and 16 samples,
+    # and grids of several FOURIER_BLOCK_CELLS blocks (a partial last one
+    # along a alone)
+    da, db = deg
+    rng = np.random.default_rng(11)
+    f = LaurentPoly2(
+        {(j, k): complex(rng.normal(), rng.normal()) for j in range(-da, da + 1) for k in range(-db, db + 1)}
+    ).hermitian_part()
+    assert (f.degrees().deg_a, f.degrees().deg_b) == deg
+    axes = [sorted({n for n in (1, 2 * d + 1, 16) if n > 2 * d}) for d in deg]
+    # small grids in blocks of at most 7 samples (one row where a row is longer)
+    grids = [((na, nb), 7) for na in axes[0] for nb in axes[1]]
+    grids.append(((512, 2048), FOURIER_BLOCK_CELLS))
+    if db == 0:
+        grids.append(((2 * FOURIER_BLOCK_CELLS + 3, 1), FOURIER_BLOCK_CELLS))
+    for shape, block_cells in grids:
+        real = list(f.real_grid_blocks(shape, block_cells))
+        complex_ = list(f.unit_grid_blocks(shape, block_cells))
+        assert [start for start, _ in real] == [start for start, _ in complex_], shape
+        scale = max(np.abs(block.real).max() for _, block in complex_)
+        for (_, got), (_, want) in zip(real, complex_):
+            assert got.dtype == np.float64 and got.shape == want.shape, shape
+            assert np.abs(got - want.real).max() <= 1e-14 * scale, shape
+    assert len(list(f.real_grid_blocks((512, 2048), FOURIER_BLOCK_CELLS))) == 4
+
+
+def test_real_grid_blocks_reject_non_hermitian():
+    with pytest.raises(ValueError, match="Hermitian"):
+        next(LaurentPoly2({(0, 0): 1.0, (1, 2): 0.5}).real_grid_blocks((8, 8), 64))
 
 
 def test_hermitian_detection():

@@ -27,7 +27,14 @@ from itertools import combinations
 import numpy as np
 
 from mqsp.errors import FactorizationError, ReadoffError, VerificationError
-from mqsp.laurent import LaurentPoly1, LaurentPoly2, aligned
+from mqsp.laurent import (
+    LaurentPoly1,
+    LaurentPoly2,
+    aligned,
+    cos_sin_rows,
+    harmonic_analysis,
+    harmonic_sums_pay,
+)
 from mqsp.protocol import Su2LaurentUnitary, assemble_completion
 from mqsp.readoff import readoff
 
@@ -71,9 +78,9 @@ def _pow2_grid(base, max_degree):
 class FourierTable:
     """Fourier coefficients of 1/f on the window |j| <= wa, |k| <= wb.
 
-    coeffs[wa + j, wb + k] = c_{jk}; grid_size is the pair (na, nb) of FFT
-    sizes at which the doubling iteration converged, convergence_residual
-    the last sweep's max coefficient change.
+    coeffs[wa + j, wb + k] = c_{jk}; grid_size is the pair (na, nb) of grid
+    sizes (samples per axis) at which the doubling iteration converged,
+    convergence_residual the last sweep's max coefficient change.
     """
 
     window: tuple
@@ -94,8 +101,9 @@ def _exceeds_bounds(na, nb):
 
 def _dft_entries(half, offsets, n):
     """Entries at offsets (mod n) along the last axis of the DFT of a real
-    length-n sequence, read from its rfft half: past n/2, the conjugate of
-    the mirror entry."""
+    length-n sequence, read from its first entries `half` (its rfft half,
+    or as many as the offsets reach): past n/2, the conjugate of the
+    mirror entry."""
     residues = offsets % n
     mirrored = residues > n // 2
     entries = half[..., np.where(mirrored, n - residues, residues)]
@@ -117,16 +125,23 @@ def fourier_of_reciprocal(f, window):
     anything when the first doubling is already past them.
 
     f is sampled as real numbers in whole theta_a rows, at most
-    FOURIER_BLOCK_CELLS samples at a time (`real_grid_blocks`, one irfft
-    along b per block). Each block of the real 1/f takes one rfft along b,
-    which holds the window's 2*wb + 1 columns (those of k < 0 are
-    conjugates of k > 0), then that na x (2*wb + 1) strip is transformed
-    along a; with one sample along b, 1/f is one real column and takes one
-    rfft along a. Memory is, per block, max(FOURIER_BLOCK_CELLS, nb) real
-    samples and about half as many complex half-spectrum values, plus
-    O(na * box width) for f's box transformed along a; time is
-    O(na nb log(na nb)) per grid whatever f's degree. A sample of f at or
-    below zero raises "f not strictly positive".
+    FOURIER_BLOCK_CELLS samples at a time (`real_grid_blocks`). 1/f is
+    taken in place of each block's samples, and along b the block yields
+    only the window's harmonics k = 0..wb (those of k < 0 are their
+    conjugates): when harmonic_sums_pay(wb + 1, nb, FOURIER_BLOCK_CELLS),
+    i.e. wb + 1 <= log2(nb) and the cos_sin_rows table of 2 (wb + 1) nb
+    values fits in a block, as direct sums, one matrix product per block;
+    else by one rfft of the block. That na x (2*wb + 1) strip is then
+    transformed along a; with one sample along b, 1/f is one real column
+    and takes one rfft along a. Memory is, per block, at most
+    max(FOURIER_BLOCK_CELLS, nb) real samples plus, on the FFT paths, half
+    spectra of about half as many complex values; per grid, the direct
+    paths' tables (at most FOURIER_BLOCK_CELLS values each), the strip and
+    f's box columns of b exponent >= 0 transformed along a (na x
+    (deg_b + 1) complex). Time per grid is O(na nb log(na nb)) on the FFT
+    paths; direct sums, O(nb) per harmonic and row, are taken only for at
+    most log2(nb) harmonics. A sample of f at or below zero raises "f not
+    strictly positive".
     """
     if not f.is_hermitian():
         raise ValueError("f must be Hermitian (real on the unit torus)")
@@ -146,15 +161,20 @@ def fourier_of_reciprocal(f, window):
     ks = np.arange(-wb, wb + 1)
     previous = None
     while not _exceeds_bounds(na, nb):
-        # fft2 of 1/f with the window's columns kept after the pass along b;
-        # with one sample along b, 1/f is a real column for one rfft along a
+        # fft2 of 1/f with only the window's columns taken along b: direct
+        # sums over k = 0..wb when they pay, else one rfft per block; with
+        # one sample along b, 1/f is a real column for one rfft along a
+        rows = None
+        if nb > 1 and harmonic_sums_pay(wb + 1, nb, FOURIER_BLOCK_CELLS):
+            rows = cos_sin_rows(wb + 1, nb)
         strip = np.empty((na, ks.size), dtype=complex if nb > 1 else float)
         for start, values in f.real_grid_blocks((na, nb), FOURIER_BLOCK_CELLS):
             if values.min() <= 0.0:
                 raise FactorizationError("f not strictly positive")
-            recip = 1.0 / values
+            recip = np.divide(1.0, values, out=values)
             if nb > 1:
-                recip = _dft_entries(np.fft.rfft(recip, axis=1), ks, nb)
+                half = np.fft.rfft(recip, axis=1) if rows is None else harmonic_analysis(recip, rows)
+                recip = _dft_entries(half, ks, nb)
             strip[start : start + len(values)] = recip
         if nb > 1:
             table = (np.fft.fft(strip, axis=0) if na > 1 else strip)[js % na]

@@ -338,8 +338,8 @@ class LaurentPoly2:
         provided each axis exceeds the exponent spread in its variable.
         """
         na, nb = shape
-        along_a, exps_b = self._along_a(na, nb)
-        at_b = exps_b % nb
+        along_a = self._along_a(na, nb)
+        at_b = np.arange(self._lo[1], self._lo[1] + along_a.shape[1]) % nb
         block_rows = max(1, block_cells // nb)
         for start in range(0, na, block_rows):
             block = np.zeros((min(block_rows, na - start), nb), dtype=complex)
@@ -350,14 +350,20 @@ class LaurentPoly2:
 
     def real_grid_blocks(self, shape, block_cells):
         """`unit_grid_blocks` for a Hermitian p: the same blocks, as float64
-        samples (the real parts of unit_grid_blocks', up to rounding).
+        samples (the real parts of unit_grid_blocks', up to rounding and to
+        the departure from exact symmetry that is_hermitian allows).
 
-        The box takes the same inverse FFT along a; each block then builds
-        the half spectrum h_k = (d_k + conj(d_-k))/2, k = 0..nb/2, of its
-        coefficients d_k in b and takes one inverse real FFT along b, so it
-        holds nb/2 + 1 complex and nb real values per theta_a row. With
-        nb = 1 (p on axis a alone) the box itself takes one inverse real FFT
-        along a. Raises ValueError unless p is Hermitian.
+        p's coefficients d_k(theta_a) in b satisfy d_-k = conj(d_k), so only
+        the box's columns of b exponent k >= 0 take the inverse FFT along a
+        (na x (deg_b + 1) complex values), and they are every row's half
+        spectrum. Each block then sums its deg_b + 1 harmonics along b as
+        direct sums, one matrix product with a cos_sin_rows table of
+        2 (deg_b + 1) nb values, when harmonic_sums_pay(deg_b + 1, nb,
+        block_cells); else it takes one inverse real FFT along b of its
+        half spectrum zero-padded to nb/2 + 1 values a row. Either way a
+        block holds at most max(block_cells, nb) real samples. With nb = 1
+        (p on axis a alone) the box itself takes one inverse real FFT along
+        a. Raises ValueError unless p is Hermitian.
         """
         if not self.is_hermitian():
             raise ValueError("real samples need a Hermitian polynomial")
@@ -372,29 +378,36 @@ class LaurentPoly2:
             for start in range(0, na, block_rows):
                 yield start, values[start : start + block_rows]
             return
-        along_a, exps_b = self._along_a(na, nb)
+        # a nonzero Hermitian box has lo_b <= 0 <= its top b exponent, so
+        # its columns from -lo_b on hold k = 0, 1, ..., top
+        half = self._along_a(na, nb, first=max(0, -self._lo[1]))
+        count = half.shape[1]
+        rows = cos_sin_rows(count, nb) if harmonic_sums_pay(count, nb, block_cells) else None
         for start in range(0, na, block_rows):
-            half = _half_spectrum(along_a[start : start + block_rows], exps_b, nb)
-            yield start, np.fft.irfft(half, n=nb, axis=1, norm="forward")
+            block = half[start : start + block_rows]
+            if rows is None:
+                yield start, np.fft.irfft(block, n=nb, axis=1, norm="forward")
+            else:
+                yield start, harmonic_synthesis(block, rows)
 
     def _check_grid(self, na, nb):
         deg = self.degrees()
         if not deg.is_zero and (2 * deg.deg_a >= na or 2 * deg.deg_b >= nb):
             raise ValueError("grid %d x %d too small for exponent spread" % (na, nb))
 
-    def _along_a(self, na, nb):
-        """(box, b exponents) for a grid of na x nb samples: the coefficient
-        box zero-padded to na rows and inverse-transformed along a, unscaled
-        (an axis of length 1 takes no FFT), with the b exponent of each of
-        its columns. Raises ValueError when the grid does not exceed the
+    def _along_a(self, na, nb, first=0):
+        """The coefficient box from its column `first` on (b exponent
+        lo_b + first), zero-padded to na rows and inverse-transformed along
+        a, unscaled (an axis of length 1 takes no FFT), for a grid of na x nb
+        samples. Raises ValueError when the grid does not exceed the
         exponent spread, which keeps the residues mod na and nb distinct."""
         self._check_grid(na, nb)
-        (lo_a, lo_b), (rows, cols) = self._lo, self._box.shape
-        along_a = np.zeros((na, cols), dtype=complex)
-        along_a[np.arange(lo_a, lo_a + rows) % na] = self._box
+        lo_a, rows = self._lo[0], len(self._box)
+        along_a = np.zeros((na, self._box.shape[1] - first), dtype=complex)
+        along_a[np.arange(lo_a, lo_a + rows) % na] = self._box[:, first:]
         if na > 1:
             np.fft.ifft(along_a, axis=0, out=along_a, norm="forward")
-        return along_a, np.arange(lo_b, lo_b + cols)
+        return along_a
 
     # -- degrees and parity ------------------------------------------------
 
@@ -419,6 +432,45 @@ class LaurentPoly2:
             parity = (idx + lo) % 2
             bits.append(int(parity[0]) if (parity == parity[0]).all() else None)
         return tuple(bits)
+
+
+def harmonic_sums_pay(count, n, block_cells):
+    """True when the harmonics k = 0..count-1 along an axis of n samples
+    are cheaper as direct sums, one matrix product with a cos_sin_rows
+    table, than as one real FFT of the whole axis: count <= log2(n) (the
+    product costs ~2 count n flops per row, the FFT ~n log2 n), and the
+    table's 2 count n values fit in block_cells, the caller's samples per
+    block."""
+    return count <= math.log2(n) and 2 * count * n <= block_cells
+
+
+def cos_sin_rows(count, n):
+    """The 2 count x n table whose row k is cos(2 pi k s / n) and row
+    count + k is sin(2 pi k s / n), k = 0..count-1, s = 0..n-1. Every entry
+    is read from one row of n-th roots of unity at the exact residue
+    (k s) mod n, so large k s cost no accuracy."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    powers = roots[np.multiply.outer(np.arange(count), np.arange(n)) % n]
+    return np.concatenate([powers.real, powers.imag])
+
+
+def harmonic_synthesis(half, rows):
+    """x_s = sum_k w_k Re(half[..., k] e^(2 pi i k s / n)), w = 1, 2, 2, ...,
+    as one matrix product with rows = cos_sin_rows(count, n), where count
+    (<= n/2) is half's last axis: np.fft.irfft(half, n, norm="forward") of
+    the half spectrum zero-padded past its count entries."""
+    weights = np.full(half.shape[-1], 2.0)
+    weights[:1] = 1.0
+    return np.concatenate([weights * half.real, -weights * half.imag], axis=-1) @ rows
+
+
+def harmonic_analysis(x, rows):
+    """X_k = sum_s x[..., s] e^(-2 pi i k s / n), k = 0..count-1, as one
+    matrix product with rows = cos_sin_rows(count, n):
+    np.fft.rfft(x)[..., :count] for real x of n samples."""
+    both = x @ rows.T
+    count = len(rows) // 2
+    return both[..., :count] - 1j * both[..., count:]
 
 
 def _half_spectrum(coeffs, exps, n):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mqsp import factor2d
+from mqsp import factor2d, laurent
 from mqsp.errors import FactorizationError
 from mqsp.factor2d import (
     CompletionResult,
@@ -199,28 +199,53 @@ def _reference_table(f, window, full):
 
 FFT2_CASES = {
     # (f, FOURIER_START): converged grid 256^2 (grids of one partial
-    # block, from 64^2 or 128^2), 512^2 (one whole block), degree 120 in
-    # one variable (1024 x 512 and 512 x 1024, two blocks of rows), and f in
-    # a alone (one sample along b for the windows (0, 0) and (8, 0))
+    # block, from 64^2 or 128^2), 512^2 (one whole block), a narrow box
+    # (degree 1 per axis) that needs 1024^2 (four blocks of rows, sampled
+    # and analysed along b by direct sums), degree 120 in one variable
+    # (1024 x 512 and 512 x 1024, two blocks of rows), and f in a alone
+    # (one sample along b for the windows (0, 0) and (8, 0))
     "low degree, start 64": (_abs_square(generate_stable(2, 1, seed=3)), 64),
     "low degree": (_abs_square(generate_stable(2, 1, seed=3)), 128),
     "slow decay": (_abs_square(LaurentPoly2({(0, 0): 1.0, (1, 1): 0.9})), 128),
+    "narrow box": (_abs_square(LaurentPoly2({(0, 0): 1.0, (1, 1): 0.92})), 128),
     "degree 120 in a": (_abs_square(LaurentPoly2({(0, 0): 1.0, (120, 0): 0.5, (1, 1): 0.2})), 128),
     "degree 120 in b": (_abs_square(LaurentPoly2({(0, 0): 1.0, (0, 120): 0.5, (1, 1): 0.2})), 128),
     "a alone": (_abs_square(LaurentPoly2({(0, 0): 1.0, (1, 0): 0.7, (3, 0): 0.2j})), 128),
 }
 
 
+def _spy_on_tables(monkeypatch, module, name):
+    """Wrap the direct-sum kernel module.name: the returned list gets the
+    (2 count, n) shape of the cos_sin_rows table of each call."""
+    seen, kernel = [], getattr(module, name)
+
+    def spy(values, rows):
+        seen.append(rows.shape)
+        return kernel(values, rows)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
 @pytest.mark.parametrize("case", sorted(FFT2_CASES))
 def test_fourier_matches_full_grid_fft2(case, monkeypatch):
     f, start = FFT2_CASES[case]
     monkeypatch.setattr(factor2d, "FOURIER_START", start)
+    synthesized = _spy_on_tables(monkeypatch, laurent, "harmonic_synthesis")
+    analysed = _spy_on_tables(monkeypatch, factor2d, "harmonic_analysis")
     full = {}
     for window in [(0, 0)] + [(w, 8 - w) for w in range(9)] + [(8, 8)]:
         want, shape = _reference_table(f, window, full)
         table = fourier_of_reciprocal(f, window)
         assert table.grid_size == shape, window
         assert np.abs(table.coeffs - want).max() <= 1e-14 * np.abs(want).max(), window
+    if case == "narrow box":
+        # on the converged 1024 samples along b: f's harmonics k = 0, 1 and
+        # the widest window's k = 0..8
+        assert (4, 1024) in synthesized and (18, 1024) in analysed
+    if case == "degree 120 in b":
+        # 121 harmonics along b exceed log2(nb): f is sampled by irfft
+        assert synthesized == [] and analysed
 
 
 def test_fourier_rejects_dip_in_a_later_row_block():

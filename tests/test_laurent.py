@@ -15,7 +15,17 @@ from hypothesis import strategies as st
 import mqsp.cli
 from mqsp import factor1d
 from mqsp.factor2d import FOURIER_BLOCK_CELLS
-from mqsp.laurent import MAX_CELLS, PRUNE_REL, LaurentPoly1, LaurentPoly2, aligned
+from mqsp.laurent import (
+    MAX_CELLS,
+    PRUNE_REL,
+    LaurentPoly1,
+    LaurentPoly2,
+    aligned,
+    cos_sin_rows,
+    harmonic_analysis,
+    harmonic_sums_pay,
+    harmonic_synthesis,
+)
 
 
 def on_torus(p, theta_a, theta_b):
@@ -201,6 +211,31 @@ def test_real_grid_blocks_match_unit_grid_real_parts(deg):
             assert got.dtype == np.float64 and got.shape == want.shape, shape
             assert np.abs(got - want.real).max() <= 1e-14 * scale, shape
     assert len(list(f.real_grid_blocks((512, 2048), FOURIER_BLOCK_CELLS))) == 4
+
+
+@pytest.mark.parametrize("n", [8, 128, 4096])
+def test_harmonic_sums_match_real_ffts(n):
+    # direct sums against numpy's real FFTs, for harmonic counts on both
+    # sides of harmonic_sums_pay's count <= log2(n): synthesis is the irfft
+    # of the zero-padded half spectrum (the imaginary part at k = 0 drops
+    # out), analysis the first count entries of the rfft
+    rng = np.random.default_rng(17)
+    bits = int(math.log2(n))
+    for count in sorted({1, bits, bits + 1, n // 2}):
+        table_cells = 2 * count * n
+        assert harmonic_sums_pay(count, n, table_cells) == (count <= bits), count
+        assert not harmonic_sums_pay(count, n, table_cells - 1), count
+        rows = cos_sin_rows(count, n)
+        half = rng.normal(size=(3, count)) + 1j * rng.normal(size=(3, count))
+        want = np.fft.irfft(half, n=n, axis=1, norm="forward")
+        got = harmonic_synthesis(half, rows)
+        assert got.dtype == np.float64 and got.shape == (3, n), count
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), count
+        samples = rng.normal(size=(3, n))
+        want = np.fft.rfft(samples, axis=1)[:, :count]
+        got = harmonic_analysis(samples, rows)
+        assert got.shape == (3, count), count
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), count
 
 
 def test_real_grid_blocks_reject_non_hermitian():

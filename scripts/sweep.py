@@ -1,0 +1,180 @@
+#!/usr/bin/env python3
+"""Correctness sweep of `mqsp complete`, one JSON line per class of targets.
+
+Targets are the Hermitian parts of random protocol unitaries, drawn from a
+fixed seed and built with the library (`mqsp.protocol`); each goes through
+`mqsp.cli.main` in-process, as `scripts/cli_replay.py` runs the benchmark's
+calls. Every answer that prints a unitary (exit 0, and exit 3, which prints
+one with protocol null) is checked with the library:
+
+- `verify_structure` holds, determinant residual at most 1e-10 included;
+- its real parts equal the targets within TARGET_TOL;
+- on exit 0, the printed protocol rebuilds the unitary within the read-off
+  tolerance (`build_unitary(spec).distance(unitary)`).
+
+The classes:
+
+- `complete --vars 2` on protocols of random bits and length 2..4, one line
+  per band of the positivity margin, min f of f = 1 - Re(P)^2 - Re(Q)^2 on
+  a 256 x 256 torus grid;
+- `complete --vars 1` on random single-oracle protocols, one line per
+  length n.
+
+A line holds the class, its band or length, the target count, the count of
+each exit code, the count of each failure message, the worst determinant
+and rebuild residuals (null when no answer had one) and `badAnswers`, the
+answers that failed their check:
+
+    python3 scripts/sweep.py            # 700 two-variable targets, n up to 256
+    python3 scripts/sweep.py --quick    # a subset that runs in seconds
+
+`--seed` draws other targets and `--src` imports mqsp from another source
+tree, so two trees compare line by line with `diff`. The exit code is 1
+when any answer failed its check, else 0.
+"""
+
+from __future__ import annotations
+
+import os
+
+# single-threaded BLAS and the default read-off tolerance, as the benchmark
+# runs, before numpy or mqsp is loaded
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ.pop("MQSP_TOLERANCE", None)
+
+import argparse  # noqa: E402
+import collections  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# real parts of a completion equal the targets up to parity-projection dust
+TARGET_TOL = 1e-9
+MARGIN_GRID = 256
+MARGIN_EDGES = (1e-6, 1e-4, 1e-2)
+TWO_VAR_LENGTHS = (2, 3, 4)
+# (two-variable targets, one-variable lengths, targets per length)
+FULL = (700, (8, 16, 32, 64, 128, 256), 10)
+QUICK = (60, (8, 16, 32), 5)
+
+
+def _band(margin):
+    """(index, text) of the margin band [lo, hi) holding `margin`."""
+    edges = (-np.inf,) + MARGIN_EDGES + (np.inf,)
+    i = int(np.searchsorted(MARGIN_EDGES, margin, side="right"))
+    return i, "[%g, %g)" % (edges[i], edges[i + 1])
+
+
+def _worst(old, new):
+    return new if old is None else max(old, new)
+
+
+class Sweep:
+    """Runs targets through the CLI and tallies them per class line."""
+
+    def __init__(self, cli_main, workdir):
+        self.cli_main = cli_main
+        self.workdir = workdir
+        self.lines = {}
+
+    def run(self, head, spec, nvars):
+        """One target: the Hermitian parts of spec's unitary, completed with
+        --vars nvars and tallied on the line that starts with `head`."""
+        from mqsp import serialize
+        from mqsp.protocol import Su2LaurentUnitary, build_unitary, verify_structure
+        from mqsp.readoff import readoff_tolerance
+
+        u = build_unitary(spec)
+        p_tilde, q_tilde = u.P.hermitian_part(), u.Q.hermitian_part()
+        path = os.path.join(self.workdir, "target.json")
+        with open(path, "w") as handle:
+            json.dump({"p": serialize.poly_to_records(p_tilde), "q": serialize.poly_to_records(q_tilde)}, handle)
+        deg = str(spec.n) if nvars == 1 else "%d,%d" % (spec.n, spec.weight)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = self.cli_main(["complete", path, "--vars", str(nvars), "--deg", deg])
+
+        line = self.lines.setdefault(tuple(head.items()), dict(
+            head, targets=0, exit=collections.Counter(), failures=collections.Counter(),
+            worstDet=None, worstRebuild=None, badAnswers=0,
+        ))
+        line["targets"] += 1
+        line["exit"][str(code)] += 1
+        if not out.getvalue():
+            line["failures"][err.getvalue().strip()] += 1
+            return
+        answer = json.loads(out.getvalue())
+        printed = answer["unitary"]
+        unitary = Su2LaurentUnitary(
+            serialize.poly_from_records(printed["p"]), serialize.poly_from_records(printed["q"])
+        )
+        report = verify_structure(unitary, spec.n, spec.weight)
+        off_target = max(unitary.P.hermitian_part().distance(p_tilde), unitary.Q.hermitian_part().distance(q_tilde))
+        ok = report.overall and off_target <= TARGET_TOL
+        line["worstDet"] = _worst(line["worstDet"], report.determinant_residual)
+        if code == 0:
+            rebuilt = build_unitary(serialize.spec_from_obj(answer["protocol"])).distance(unitary)
+            line["worstRebuild"] = _worst(line["worstRebuild"], rebuilt)
+            ok = ok and rebuilt <= readoff_tolerance()
+        line["badAnswers"] += not ok
+
+
+def two_var(sweep, rng, count):
+    """`count` targets of random bits, completed in band order."""
+    from mqsp.laurent import LaurentPoly2
+    from mqsp.protocol import build_unitary, random_spec
+
+    banded = []
+    for _ in range(count):
+        spec = random_spec(rng, int(rng.choice(TWO_VAR_LENGTHS)))
+        u = build_unitary(spec)
+        p_tilde, q_tilde = u.P.hermitian_part(), u.Q.hermitian_part()
+        f = LaurentPoly2.one() - p_tilde * p_tilde - q_tilde * q_tilde
+        ((_, values),) = f.real_grid_blocks((MARGIN_GRID, MARGIN_GRID), MARGIN_GRID**2)
+        banded.append((_band(float(values.min())), spec))
+    banded.sort(key=lambda item: item[0][0])
+    for (_, band), spec in banded:
+        sweep.run({"class": "complete --vars 2", "margin": band}, spec, 2)
+
+
+def one_var(sweep, rng, lengths, per_length):
+    """`per_length` single-oracle targets of each length."""
+    from mqsp.protocol import ProtocolSpec
+
+    for n in lengths:
+        for _ in range(per_length):
+            phases = rng.uniform(-np.pi, np.pi, size=n + 1)
+            sweep.run({"class": "complete --vars 1", "n": n}, ProtocolSpec((1,) * n, tuple(phases)), 1)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true", help="a small subset of each class")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the targets (default 0)")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="source tree to import mqsp from")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    from mqsp.cli import main as cli_main
+
+    two_var_count, lengths, per_length = QUICK if args.quick else FULL
+    rng = np.random.default_rng(args.seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        sweep = Sweep(cli_main, tmp)
+        two_var(sweep, rng, two_var_count)
+        one_var(sweep, rng, lengths, per_length)
+    for line in sweep.lines.values():
+        line.update(exit=dict(sorted(line["exit"].items())), failures=dict(sorted(line["failures"].items())))
+        print(json.dumps(line), flush=True)
+    return 1 if any(line["badAnswers"] for line in sweep.lines.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

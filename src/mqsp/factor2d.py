@@ -7,8 +7,10 @@ the Fourier coefficients of 1/f holds. gamma_factor, the Gamma route,
 computes those Fourier coefficients, tests the rank condition by two
 independent routes and extracts the stable factor from a linear solve. It
 sizes its work per axis, so f in one variable costs one-variable work and
-meets a vacuous rank condition. fejer_riesz, Wilson's Newton iteration,
-factors a nonnegative f on axis a, zeros on the circle included.
+meets a vacuous rank condition, and it doubles its Fourier grid only while
+the residuals can still reach a tolerance relative to the table's scale.
+fejer_riesz, Wilson's Newton iteration, factors a nonnegative f on axis a,
+zeros on the circle included.
 
 spectral_factor is the one place that picks the route: gamma_factor, and
 fejer_riesz when that raises and f lies on axis a. Both routes pass one
@@ -99,6 +101,31 @@ def _exceeds_bounds(na, nb):
     return max(na, nb) > FOURIER_AXIS_MAX or na * nb > FOURIER_CELLS_MAX
 
 
+def _may_converge(residual, scale, grid, steps):
+    """Whether doubling on from `grid` can still bring the residual below
+    the tolerance FOURIER_TOL * scale, scale = max(1, max |table|).
+
+    For a positive 1/f no Fourier coefficient exceeds c_00 in size. While
+    they decay like C rho^|k| with C at most scale, the residual between
+    the last two grids is about `aliases` C rho^(N/2), from the
+    coefficients N/2 away along the doubled axes (2 along one axis, 8
+    along two), so rho^(N/2) >= x = residual / (aliases scale). Each
+    doubling squares that factor (trapezoidal sums of an analytic periodic
+    integrand), so after the D doublings left within the bounds the
+    residual is at least aliases scale x^(2^D): the doubling can succeed
+    only if that falls below the tolerance."""
+    (na, nb), (step_a, step_b) = grid, steps
+    aliases = 3 ** ((step_a > 1) + (step_b > 1)) - 1
+    x = residual / (aliases * scale)
+    while residual >= FOURIER_TOL * scale:
+        na, nb = step_a * na, step_b * nb
+        if _exceeds_bounds(na, nb):
+            return False
+        x *= x
+        residual = aliases * scale * x
+    return True
+
+
 def _dft_entries(half, offsets, n):
     """Entries at offsets (mod n) along the last axis of the DFT of a real
     length-n sequence, read from its first entries `half` (its rfft half,
@@ -119,10 +146,15 @@ def fourier_of_reciprocal(f, window):
     one sample, which is exact, along an axis where f has degree 0 and the
     window is 0; else _pow2_grid(FOURIER_START, f's degree in that
     variable) samples, doubled with the other axis until the table changes
-    by less than FOURIER_TOL (aliasing decays exponentially for strictly
-    positive f). Past FOURIER_AXIS_MAX samples on an axis or
-    FOURIER_CELLS_MAX in all it raises "no convergence", before sampling
-    anything when the first doubling is already past them.
+    by less than FOURIER_TOL * max(1, max |table|), a tolerance relative to
+    the table's scale because rounding in the sampled 1/f grows with it
+    (aliasing decays exponentially for strictly positive f). It raises "no
+    convergence" past FOURIER_AXIS_MAX samples on an axis or
+    FOURIER_CELLS_MAX in all, before sampling anything when the first
+    doubling is already past them, and as soon as a residual shows that
+    the tolerance cannot be reached within them (_may_converge): the
+    fastest decay of the aliases that the residual and the table's scale
+    allow, squared at each doubling left, still ends at or above it.
 
     f is sampled as real numbers in whole theta_a rows, at most
     FOURIER_BLOCK_CELLS samples at a time (`real_grid_blocks`). 1/f is
@@ -183,13 +215,16 @@ def fourier_of_reciprocal(f, window):
         table /= na * nb
         if exact or previous is not None:
             residual = 0.0 if exact else float(np.abs(table - previous).max())
-            if residual < FOURIER_TOL:
+            scale = max(1.0, float(np.abs(table).max()))
+            if residual < FOURIER_TOL * scale:
                 return FourierTable(
                     window=(wa, wb),
                     coeffs=table,
                     grid_size=(na, nb),
                     convergence_residual=residual,
                 )
+            if not _may_converge(residual, scale, (na, nb), (step_a, step_b)):
+                break
         previous = table
         na, nb = step_a * na, step_b * nb
     raise FactorizationError("no convergence")

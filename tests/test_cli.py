@@ -622,6 +622,33 @@ def test_help_exit_zero(capsys):
     assert "MQSP_TOLERANCE" in capsys.readouterr().out
 
 
+def test_sweep_script_quick_lines_and_checks():
+    # the schema of every class line, and every answer that printed a
+    # unitary passed its checks; the counts themselves are not pinned
+    src = os.path.dirname(os.path.dirname(mqsp.__file__))
+    script = os.path.join(os.path.dirname(src), "scripts", "sweep.py")
+    done = subprocess.run(
+        [sys.executable, script, "--quick", "--src", src],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert {line["class"] for line in lines} == {"complete --vars 1", "complete --vars 2"}
+    for line in lines:
+        keys = {"class", "margin" if line["class"].endswith("2") else "n"}
+        keys |= {"targets", "exit", "failures", "worstDet", "worstRebuild", "badAnswers"}
+        assert set(line) == keys
+        assert line["targets"] == sum(line["exit"].values()) > 0
+        assert set(line["exit"]) <= {"0", "1", "3"}
+        assert sum(line["failures"].values()) == line["exit"].get("1", 0)
+        assert line["badAnswers"] == 0
+        answered = line["targets"] - line["exit"].get("1", 0)
+        assert (line["worstDet"] is None) == (answered == 0)
+        assert (line["worstRebuild"] is None) == ("0" not in line["exit"])
+        for worst in (line["worstDet"], line["worstRebuild"]):
+            assert worst is None or 0.0 <= worst <= 1e-8
+
+
 @pytest.mark.parametrize("workload, calls", [("scan", 10), ("roundtrip", 58)])
 def test_cli_replay_script_one_line_per_call_and_repeatable(workload, calls):
     # one pass: 10 scan ops of one call each, or one build and one readoff

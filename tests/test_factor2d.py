@@ -136,11 +136,9 @@ def test_fourier_sizes_each_axis_by_its_degree(swap):
     assert peak < 32 * 2**20
 
 
-def test_fourier_no_convergence_before_any_grid(monkeypatch):
-    # convergence compares two successive grids, so when the second would
-    # exceed FOURIER_CELLS_MAX or FOURIER_AXIS_MAX the answer is known
-    # before sampling anything (at degree >= 2048 the positivity grid alone
-    # would be 8192^2)
+def _spy_on_samples(monkeypatch):
+    """Wrap LaurentPoly2.real_grid_blocks: the returned list gets the grid
+    shape of each call."""
     calls = []
     original = LaurentPoly2.real_grid_blocks
 
@@ -149,6 +147,15 @@ def test_fourier_no_convergence_before_any_grid(monkeypatch):
         return original(self, shape, block_cells)
 
     monkeypatch.setattr(LaurentPoly2, "real_grid_blocks", spy)
+    return calls
+
+
+def test_fourier_no_convergence_before_any_grid(monkeypatch):
+    # convergence compares two successive grids, so when the second would
+    # exceed FOURIER_CELLS_MAX or FOURIER_AXIS_MAX the answer is known
+    # before sampling anything (at degree >= 2048 the positivity grid alone
+    # would be 8192^2)
+    calls = _spy_on_samples(monkeypatch)
     monkeypatch.setattr(factor2d, "FOURIER_CELLS_MAX", factor2d.FOURIER_START**2)
     with pytest.raises(FactorizationError, match="no convergence"):
         fourier_of_reciprocal(_abs_square(generate_stable(2, 1, seed=3)), (2, 2))
@@ -163,6 +170,83 @@ def test_fourier_no_convergence_before_any_grid(monkeypatch):
     with pytest.raises(FactorizationError, match="no convergence"):
         fourier_of_reciprocal(one_var, (2, 0))
     assert calls == []
+
+
+def _diagonal(rho):
+    """|1 + rho ab|^2: 1/f has c_jj = (-rho)^|j| / (1 - rho^2), so the
+    aliasing of an N-point grid decays like rho^N."""
+    return _abs_square(LaurentPoly2({(0, 0): 1.0, (1, 1): rho}))
+
+
+# phases of a single-oracle protocol on axis b at n = 16: the 1/f table
+# moves by 58, 14 and 17 (its largest entry ~95) from the 512, 1024 and
+# 2048 sample grids on, then decays and converges on 2^15 samples
+LATE_DECAY_PHASES = (
+    -0.7351975144523601, 0.22195514569114705, -2.5290338440111393,
+    -1.3478915057787713, -1.7419564334931958, -1.202858225102859,
+    -1.102999547262451, 0.47126698222486896, -1.0507370331492187,
+    -1.0878634241342349, 2.081520491597013, -3.0652957293785232,
+    -3.1085450891785875, -2.7827182588168795, 2.296788256083163,
+    0.8403135326522335, 1.4323350866183784,
+)
+
+
+def _f_of(s, phases):
+    """f = 1 - Ptilde^2 - Qtilde^2 of a protocol's real parts, and the
+    window gamma_factor takes for it (its degrees)."""
+    u = build_unitary(ProtocolSpec(s, phases))
+    p_tilde, q_tilde = u.P.hermitian_part(), u.Q.hermitian_part()
+    f = LaurentPoly2.one() - p_tilde * p_tilde - q_tilde * q_tilde
+    deg = f.degrees()
+    return f, (deg.deg_a, deg.deg_b)
+
+
+GIVE_UP_SPARES = {
+    # (f, window): converged grid
+    "rho 0.9": ((_diagonal(0.9), (1, 1)), (512, 512)),
+    "rho 0.95": ((_diagonal(0.95), (1, 1)), (1024, 1024)),
+    "rho 0.97": ((_diagonal(0.97), (1, 1)), (2048, 2048)),
+    "rho 0.98": ((_diagonal(0.98), (1, 1)), (4096, 4096)),
+    "rho 0.985": ((_diagonal(0.985), (1, 1)), (4096, 4096)),
+    "late decay on axis b": (_f_of((0,) * 16, LATE_DECAY_PHASES), (1, 2**15)),
+    # its 256^2 residual is 0.7 of the table's largest entry (22 of 31),
+    # yet it falls to 6e-11 in four doublings: its aliases along both axes
+    # add up to more than twice the table's scale
+    "both axes": (
+        _f_of((0, 1, 1), (1.3644839334537862, -2.9613061580143927, 1.1073485511789887, 2.7016177407846946)),
+        (4096, 4096),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GIVE_UP_SPARES))
+def test_fourier_give_up_spares_every_converging_grid(case, monkeypatch):
+    # the give-up bounds from below the residual the grids left can reach;
+    # where the tolerance is reached it never fires, so the grid and the
+    # table are those of the tolerance alone. A residual that rises on
+    # grids still too coarse for 1/f does not stop the doubling by itself
+    (f, window), grid = GIVE_UP_SPARES[case]
+    table = fourier_of_reciprocal(f, window)
+    monkeypatch.setattr(factor2d, "_may_converge", lambda *args: True)
+    alone = fourier_of_reciprocal(f, window)
+    assert table.grid_size == alone.grid_size == grid
+    assert np.array_equal(table.coeffs, alone.coeffs)
+
+
+@pytest.mark.parametrize("rho, largest", [(0.99, 2048), (0.999, 512)])
+def test_fourier_gives_up_before_the_largest_grids(rho, largest, monkeypatch):
+    # aliasing ~rho^4096 is still above the tolerance on the 4096^2 grid
+    # (by 24 times for rho = 0.99), and an earlier residual already shows
+    # it: 0.0034 on 2048^2 against a table of ~50 for rho = 0.99, 1.9e3
+    # on 512^2 against ~2e3 for rho = 0.999
+    calls = _spy_on_samples(monkeypatch)
+    with pytest.raises(FactorizationError, match="^no convergence$"):
+        fourier_of_reciprocal(_diagonal(rho), (1, 1))
+    assert max(calls) == (largest, largest)
+    monkeypatch.setattr(factor2d, "_may_converge", lambda *args: True)
+    with pytest.raises(FactorizationError, match="^no convergence$"):
+        fourier_of_reciprocal(_diagonal(rho), (1, 1))
+    assert max(calls) == (4096, 4096)
 
 
 def _reciprocal_fft2(f, na, nb):
@@ -191,7 +275,8 @@ def _reference_table(f, window, full):
         if (na, nb) not in full:
             full[na, nb] = _reciprocal_fft2(f, na, nb)
         table = full[na, nb][np.ix_(np.arange(-wa, wa + 1) % na, np.arange(-wb, wb + 1) % nb)]
-        if previous is not None and np.abs(table - previous).max() < factor2d.FOURIER_TOL:
+        tol = factor2d.FOURIER_TOL * max(1.0, np.abs(table).max())
+        if previous is not None and np.abs(table - previous).max() < tol:
             return table, (na, nb)
         previous = table
         na, nb = (2 * na if na > 1 else 1), (2 * nb if nb > 1 else 1)
@@ -532,6 +617,20 @@ def test_complete_protocol_targets_pinned():
     assert rebuilt.distance(result.unitary) < 1e-8
     assert result.unitary.P.hermitian_part().distance(p_tilde) < 1e-9
     assert result.unitary.Q.hermitian_part().distance(q_tilde) < 1e-9
+
+
+def test_complete_on_axis_b_past_the_rounding_floor():
+    # f on axis b alone, so the Gamma route has no Newton fallback: its 1/f
+    # table (max ~4e2) moves by 7.3e-10 from the 2^15 to the 2^16 grid,
+    # rounding in the sampled 1/f, which an absolute tolerance of 1e-10
+    # took for "no convergence"
+    p_tilde, q_tilde = _real_targets(
+        (0, 0), (1.5624715763364785, 2.995043565473665, -0.005802432206793995)
+    )
+    result = complete_unitary_2d(p_tilde, q_tilde, 2, 0)
+    assert result.factorization.residual < 1e-12
+    assert result.spec is not None
+    assert build_unitary(result.spec).distance(result.unitary) < 1e-8
 
 
 def test_complete_constant_targets():

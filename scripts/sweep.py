@@ -1,34 +1,42 @@
 #!/usr/bin/env python3
-"""Correctness sweep of `mqsp complete`, one JSON line per class of targets.
+"""Correctness sweep of the `mqsp` CLI, one JSON line per class of inputs.
 
-Targets are the Hermitian parts of random protocol unitaries, drawn from a
-fixed seed and built with the library (`mqsp.protocol`); each goes through
-`mqsp.cli.main` in-process, as `scripts/cli_replay.py` runs the benchmark's
-calls. Every answer that prints a unitary (exit 0, and exit 3, which prints
-one with protocol null) is checked with the library:
+Inputs are random protocols and the Hermitian parts of their unitaries,
+drawn from a fixed seed and built with the library (`mqsp.protocol`); each
+goes through `mqsp.cli.main` in-process, as `scripts/cli_replay.py` runs
+the benchmark's calls. Every answer that prints a unitary is checked with
+the library:
 
 - `verify_structure` holds, determinant residual at most 1e-10 included;
-- its real parts equal the targets within TARGET_TOL;
-- on exit 0, the printed protocol rebuilds the unitary within the read-off
-  tolerance (`build_unitary(spec).distance(unitary)`).
+- `build`: the printed unitary equals the circuit (`eval_unitary`, an
+  independent numeric route) within CIRCUIT_TOL at CIRCUIT_POINTS;
+- `complete` (exit 0, and exit 3, which prints a unitary with protocol
+  null): its real parts equal the targets within TARGET_TOL;
+- a printed protocol (`readoff` and `complete` on exit 0) rebuilds the
+  unitary within the read-off tolerance
+  (`build_unitary(spec).distance(unitary)`).
 
 The classes:
 
+- `build + readoff`: `mqsp build` on a protocol, then `mqsp readoff` on
+  the unitary it printed, for random bits and for a single oracle (all
+  bits 1), one line per kind and length n;
 - `complete --vars 2` on protocols of random bits and length 2..4, one line
   per band of the positivity margin, min f of f = 1 - Re(P)^2 - Re(Q)^2 on
   a 256 x 256 torus grid;
 - `complete --vars 1` on random single-oracle protocols, one line per
   length n.
 
-A line holds the class, its band or length, the target count, the count of
-each exit code, the count of each failure message, the worst determinant
-and rebuild residuals (null when no answer had one) and `badAnswers`, the
-answers that failed their check:
+A line holds the class, its kind and length or its band, the input count,
+the count of each exit code (per command for `build + readoff`), the count
+of each failure message, the worst determinant and rebuild residuals (null
+when no answer had one) and `badAnswers`, the answers that failed their
+check:
 
-    python3 scripts/sweep.py            # 700 two-variable targets, n up to 256
-    python3 scripts/sweep.py --quick    # a subset that runs in seconds
+    python3 scripts/sweep.py            # n up to 256, 700 two-variable targets
+    python3 scripts/sweep.py --quick    # a subset that runs in about a second
 
-`--seed` draws other targets and `--src` imports mqsp from another source
+`--seed` draws other inputs and `--src` imports mqsp from another source
 tree, so two trees compare line by line with `diff`. The exit code is 1
 when any answer failed its check, else 0.
 """
@@ -57,12 +65,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # real parts of a completion equal the targets up to parity-projection dust
 TARGET_TOL = 1e-9
+# torus points (theta_a, theta_b) where a built unitary meets its circuit
+CIRCUIT_POINTS = ((0.3, -1.1), (2.0, 0.7), (-2.9, 1.6))
+CIRCUIT_TOL = 1e-9
 MARGIN_GRID = 256
 MARGIN_EDGES = (1e-6, 1e-4, 1e-2)
 TWO_VAR_LENGTHS = (2, 3, 4)
-# (two-variable targets, one-variable lengths, targets per length)
-FULL = (700, (8, 16, 32, 64, 128, 256), 10)
-QUICK = (60, (8, 16, 32), 5)
+# (build + readoff lengths, two-variable targets, one-variable lengths,
+# inputs per kind and length)
+FULL = ((16, 32, 64, 128, 256), 700, (8, 16, 32, 64, 128, 256), 10)
+QUICK = ((16, 32), 60, (8, 16, 32), 5)
 
 
 def _band(margin):
@@ -76,6 +88,11 @@ def _worst(old, new):
     return new if old is None else max(old, new)
 
 
+def _sorted(counts):
+    """A plain dict of `counts` (Counters, nested or not) in key order."""
+    return {key: _sorted(value) if isinstance(value, dict) else value for key, value in sorted(counts.items())}
+
+
 class Sweep:
     """Runs targets through the CLI and tallies them per class line."""
 
@@ -84,33 +101,91 @@ class Sweep:
         self.workdir = workdir
         self.lines = {}
 
-    def run(self, head, spec, nvars):
-        """One target: the Hermitian parts of spec's unitary, completed with
-        --vars nvars and tallied on the line that starts with `head`."""
-        from mqsp import serialize
-        from mqsp.protocol import Su2LaurentUnitary, build_unitary, verify_structure
-        from mqsp.readoff import readoff_tolerance
-
-        u = build_unitary(spec)
-        p_tilde, q_tilde = u.P.hermitian_part(), u.Q.hermitian_part()
-        path = os.path.join(self.workdir, "target.json")
-        with open(path, "w") as handle:
-            json.dump({"p": serialize.poly_to_records(p_tilde), "q": serialize.poly_to_records(q_tilde)}, handle)
-        deg = str(spec.n) if nvars == 1 else "%d,%d" % (spec.n, spec.weight)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = self.cli_main(["complete", path, "--vars", str(nvars), "--deg", deg])
-
+    def _line(self, head):
+        """The line that starts with `head`, its input count raised by one."""
         line = self.lines.setdefault(tuple(head.items()), dict(
             head, targets=0, exit=collections.Counter(), failures=collections.Counter(),
             worstDet=None, worstRebuild=None, badAnswers=0,
         ))
         line["targets"] += 1
-        line["exit"][str(code)] += 1
-        if not out.getvalue():
-            line["failures"][err.getvalue().strip()] += 1
+        return line
+
+    def _call(self, argv):
+        """(exit code, stdout, stderr) of one in-process CLI call."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = self.cli_main(argv)
+        return code, out.getvalue(), err.getvalue().strip()
+
+    def _write(self, name, text):
+        path = os.path.join(self.workdir, name)
+        with open(path, "w") as handle:
+            handle.write(text)
+        return path
+
+    def _rebuild_ok(self, line, protocol, unitary):
+        """Tally how closely a printed protocol rebuilds `unitary`."""
+        from mqsp import serialize
+        from mqsp.protocol import build_unitary
+        from mqsp.readoff import readoff_tolerance
+
+        rebuilt = build_unitary(serialize.spec_from_obj(protocol)).distance(unitary)
+        line["worstRebuild"] = _worst(line["worstRebuild"], rebuilt)
+        return rebuilt <= readoff_tolerance()
+
+    def roundtrip(self, head, spec):
+        """One protocol: `mqsp build`, then `mqsp readoff` on the printed
+        unitary, tallied on the line that starts with `head`."""
+        from mqsp import serialize
+        from mqsp.protocol import Su2LaurentUnitary, eval_unitary, verify_structure
+
+        line = self._line(head)
+        line["exit"].setdefault("build", collections.Counter())
+        line["exit"].setdefault("readoff", collections.Counter())
+        code, out, err = self._call(["build", self._write("protocol.json", json.dumps(serialize.spec_to_obj(spec)))])
+        line["exit"]["build"][str(code)] += 1
+        if not out:
+            line["failures"][err] += 1
             return
-        answer = json.loads(out.getvalue())
+        printed = json.loads(out)
+        unitary = Su2LaurentUnitary(
+            serialize.poly_from_records(printed["p"]), serialize.poly_from_records(printed["q"])
+        )
+        report = verify_structure(unitary, spec.n, spec.weight)
+        line["worstDet"] = _worst(line["worstDet"], report.determinant_residual)
+        off_circuit = max(
+            np.abs(eval_unitary(spec, ta, tb) - unitary.matrix_at(ta, tb)).max() for ta, tb in CIRCUIT_POINTS
+        )
+        ok = report.overall and off_circuit <= CIRCUIT_TOL
+
+        code, out, err = self._call(["readoff", self._write("unitary.json", out)])
+        line["exit"]["readoff"][str(code)] += 1
+        if code == 0:
+            ok = self._rebuild_ok(line, json.loads(out), unitary) and ok
+        else:
+            line["failures"][err] += 1
+        line["badAnswers"] += not ok
+
+    def run(self, head, spec, nvars):
+        """One target: the Hermitian parts of spec's unitary, completed with
+        --vars nvars and tallied on the line that starts with `head`."""
+        from mqsp import serialize
+        from mqsp.protocol import Su2LaurentUnitary, build_unitary, verify_structure
+
+        u = build_unitary(spec)
+        p_tilde, q_tilde = u.P.hermitian_part(), u.Q.hermitian_part()
+        path = self._write("target.json", json.dumps(
+            {"p": serialize.poly_to_records(p_tilde), "q": serialize.poly_to_records(q_tilde)}
+        ))
+        deg = str(spec.n) if nvars == 1 else "%d,%d" % (spec.n, spec.weight)
+        code, out, err = self._call(["complete", path, "--vars", str(nvars), "--deg", deg])
+
+        line = self._line(head)
+        line["exit"][str(code)] += 1
+        if not out:
+            line["failures"][err] += 1
+            return
+        answer = json.loads(out)
         printed = answer["unitary"]
         unitary = Su2LaurentUnitary(
             serialize.poly_from_records(printed["p"]), serialize.poly_from_records(printed["q"])
@@ -120,10 +195,18 @@ class Sweep:
         ok = report.overall and off_target <= TARGET_TOL
         line["worstDet"] = _worst(line["worstDet"], report.determinant_residual)
         if code == 0:
-            rebuilt = build_unitary(serialize.spec_from_obj(answer["protocol"])).distance(unitary)
-            line["worstRebuild"] = _worst(line["worstRebuild"], rebuilt)
-            ok = ok and rebuilt <= readoff_tolerance()
+            ok = self._rebuild_ok(line, answer["protocol"], unitary) and ok
         line["badAnswers"] += not ok
+
+
+def build_readoff(sweep, rng, lengths, per_length):
+    """`per_length` protocols of random bits and of a single oracle per length."""
+    from mqsp.protocol import random_spec
+
+    for n in lengths:
+        for kind, weight in (("random bits", None), ("single oracle", n)):
+            for _ in range(per_length):
+                sweep.roundtrip({"class": "build + readoff", "protocols": kind, "n": n}, random_spec(rng, n, weight))
 
 
 def two_var(sweep, rng, count):
@@ -164,14 +247,15 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     from mqsp.cli import main as cli_main
 
-    two_var_count, lengths, per_length = QUICK if args.quick else FULL
+    build_lengths, two_var_count, lengths, per_length = QUICK if args.quick else FULL
     rng = np.random.default_rng(args.seed)
     with tempfile.TemporaryDirectory() as tmp:
         sweep = Sweep(cli_main, tmp)
         two_var(sweep, rng, two_var_count)
         one_var(sweep, rng, lengths, per_length)
+        build_readoff(sweep, rng, build_lengths, per_length)
     for line in sweep.lines.values():
-        line.update(exit=dict(sorted(line["exit"].items())), failures=dict(sorted(line["failures"].items())))
+        line.update(exit=_sorted(line["exit"]), failures=_sorted(line["failures"]))
         print(json.dumps(line), flush=True)
     return 1 if any(line["badAnswers"] for line in sweep.lines.values()) else 0
 

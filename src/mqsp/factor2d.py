@@ -253,8 +253,9 @@ class RankConditionReport:
     removed must have rank exactly n*m. Route two: the inverse of Gamma
     restricted to the lattice minus the origin must vanish on the block
     with rows (i,0), i>=1 and columns (0,l), l>=1 (inverse_block_rel,
-    relative to the inverse's largest entry). The two must agree;
-    `satisfied` reports their common verdict. With n*m = 0 both hold
+    relative to the inverse's largest entry). In exact arithmetic the two
+    agree; `satisfied` holds only when both do, so where rounding near the
+    tolerances splits them the stricter route wins. With n*m = 0 both hold
     vacuously: rank 0, inverse_block_rel 0.0, and nothing is decomposed.
     """
 
@@ -286,14 +287,8 @@ def rank_condition(gamma, n, m):
     block = inverse[np.ix_(block_rows, block_cols)]
     block_rel = float(np.abs(block).max()) / float(np.abs(inverse).max())
     route_two = block_rel <= INVERSE_BLOCK_REL_TOL
-
-    if route_one != route_two:
-        raise FactorizationError(
-            "routes disagree: submatrix rank %d (target %d) vs inverse-block "
-            "relative %.3e" % (rank, target, block_rel)
-        )
     return RankConditionReport(
-        satisfied=route_one,
+        satisfied=route_one and route_two,
         submatrix_rank=rank,
         target_rank=target,
         singular_values=singular_values,

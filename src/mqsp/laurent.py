@@ -58,6 +58,17 @@ def _zeros(rows, cols):
     return np.zeros((rows, cols), dtype=complex)
 
 
+def parity_steps(x, y):
+    """(step_a, step_b) for two coefficient boxes: 2 along an axis where
+    both keep their nonzeros on every other cell from their first, so that
+    their exponents there have one parity each, else 1. A product or a
+    correlation of the two then has its nonzeros on every other cell along
+    such an axis."""
+    step_a = 1 if x[1::2].any() or y[1::2].any() else 2
+    step_b = 1 if x[:, 1::2].any() or y[:, 1::2].any() else 2
+    return step_a, step_b
+
+
 def kept(boxes):
     """(keep, top) for a coefficient box, or a stack of them along a leading
     axis: top is each box's largest magnitude (a scalar for one box, shape
@@ -248,8 +259,7 @@ class LaurentPoly2:
         )
         # when both factors' exponents keep one parity along an axis (every
         # protocol entry does), the product lives on every other cell there
-        step_a = 1 if self._box[1::2].any() or other._box[1::2].any() else 2
-        step_b = 1 if self._box[:, 1::2].any() or other._box[:, 1::2].any() else 2
+        step_a, step_b = parity_steps(self._box, other._box)
         target = out[::step_a, ::step_b]
         # a 2-D convolution is the 1-D one of the row-major flattened boxes
         # once every row is zero-padded to the output width: a term's column

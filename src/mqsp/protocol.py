@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mqsp.errors import VerificationError
-from mqsp.laurent import DegreePair, LaurentPoly2, aligned, check_box
+from mqsp.laurent import DegreePair, LaurentPoly2, aligned, check_box, parity_steps
 
 # Determinant identity P·P~ + Q·Q~ = 1 must hold to this max-coefficient
 # residual for a unitary to count as structurally valid.
@@ -109,9 +109,40 @@ class Su2LaurentUnitary:
         return Su2LaurentUnitary(p, q)
 
     def det_residual(self):
-        """Max coefficient distance of P·P~ + Q·Q~ from the constant 1."""
-        det = self.P * self.P.conj_reciprocal() + self.Q * self.Q.conj_reciprocal()
-        return det.distance(LaurentPoly2.one())
+        """Max coefficient distance of P·P~ + Q·Q~ from the constant 1.
+
+        On the torus P·P~ + Q·Q~ = |P|^2 + |Q|^2, and its coefficients are
+        the autocorrelations of P's and Q's coefficient boxes, so they come
+        from Fourier space in O(N log N): P and Q are aligned once; along an
+        axis where both keep one exponent parity (parity_steps, as in
+        LaurentPoly2.__mul__) the lags are even and only every other row or
+        column is kept; the r x c boxes are transformed on a grid of at
+        least (2r - 1) x (2c - 1) points, so no lag aliases; and one real
+        FFT of |P^|^2 + |Q^|^2 gives the coefficients back. Nothing is
+        pruned: the residual of a unitary reads the raw rounding, ~1e-15
+        (the direct products dropped dust below PRUNE_REL and often read 0).
+
+        Raises ValueError before allocating when the product box of P and Q
+        (2R - 1 by 2C - 1 cells for their aligned R x C box) exceeds
+        MAX_CELLS, and "non-finite coefficient" when the sums overflow.
+        """
+        x, y, _ = aligned(self.P, self.Q)
+        if x.size == 0:
+            return 1.0
+        check_box(2 * x.shape[0] - 1, 2 * x.shape[1] - 1)
+        step_a, step_b = parity_steps(x, y)
+        boxes = np.stack((x[::step_a, ::step_b], y[::step_a, ::step_b]))
+        grid = tuple(_fft_size(2 * length - 1) for length in boxes.shape[1:])
+        # an overflow is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectra = np.fft.fft2(boxes, s=grid)
+            power = (spectra.real**2 + spectra.imag**2).sum(axis=0)
+            det = np.fft.rfft2(power, norm="forward")
+            det[0, 0] -= 1.0
+            residual = float(np.abs(det).max())
+        if not math.isfinite(residual):
+            raise ValueError("non-finite coefficient")
+        return residual
 
     def matrix_at(self, theta_a, theta_b):
         a, b = np.exp(1j * theta_a), np.exp(1j * theta_b)
@@ -122,6 +153,13 @@ class Su2LaurentUnitary:
 
     def distance(self, other):
         return max(self.P.distance(other.P), self.Q.distance(other.Q))
+
+
+def _fft_size(length):
+    """The smallest 2^k or 3 * 2^k at or above length: FFT sizes that stay
+    fast, within 4/3 of the length."""
+    size = 1 << (length - 1).bit_length()
+    return 3 * size // 4 if 3 * size >= 4 * length else size
 
 
 def build_unitary(spec):

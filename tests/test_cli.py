@@ -633,18 +633,31 @@ def test_sweep_script_quick_lines_and_checks():
     )
     assert done.returncode == 0, done.stderr
     lines = [json.loads(line) for line in done.stdout.splitlines()]
-    assert {line["class"] for line in lines} == {"complete --vars 1", "complete --vars 2"}
+    classes = {"build + readoff", "complete --vars 1", "complete --vars 2"}
+    assert {line["class"] for line in lines} == classes
+    assert {(line["protocols"], line["n"]) for line in lines if line["class"] == "build + readoff"} == {
+        (kind, n) for kind in ("random bits", "single oracle") for n in (16, 32)
+    }
     for line in lines:
-        keys = {"class", "margin" if line["class"].endswith("2") else "n"}
-        keys |= {"targets", "exit", "failures", "worstDet", "worstRebuild", "badAnswers"}
-        assert set(line) == keys
-        assert line["targets"] == sum(line["exit"].values()) > 0
-        assert set(line["exit"]) <= {"0", "1", "3"}
-        assert sum(line["failures"].values()) == line["exit"].get("1", 0)
+        head = {"build + readoff": {"protocols", "n"}, "complete --vars 1": {"n"}, "complete --vars 2": {"margin"}}
+        keys = {"class", "targets", "exit", "failures", "worstDet", "worstRebuild", "badAnswers"}
+        assert set(line) == keys | head[line["class"]]
         assert line["badAnswers"] == 0
-        answered = line["targets"] - line["exit"].get("1", 0)
-        assert (line["worstDet"] is None) == (answered == 0)
-        assert (line["worstRebuild"] is None) == ("0" not in line["exit"])
+        if line["class"] == "build + readoff":
+            # every protocol builds and verifies, and each printed unitary is read off
+            build, read = line["exit"]["build"], line["exit"]["readoff"]
+            assert set(line["exit"]) == {"build", "readoff"} and set(read) <= {"0", "1"}
+            assert build == {"0": line["targets"]} and sum(read.values()) == line["targets"] > 0
+            assert sum(line["failures"].values()) == read.get("1", 0)
+            assert line["worstDet"] is not None
+            assert (line["worstRebuild"] is None) == ("0" not in read)
+        else:
+            assert line["targets"] == sum(line["exit"].values()) > 0
+            assert set(line["exit"]) <= {"0", "1", "3"}
+            assert sum(line["failures"].values()) == line["exit"].get("1", 0)
+            answered = line["targets"] - line["exit"].get("1", 0)
+            assert (line["worstDet"] is None) == (answered == 0)
+            assert (line["worstRebuild"] is None) == ("0" not in line["exit"])
         for worst in (line["worstDet"], line["worstRebuild"]):
             assert worst is None or 0.0 <= worst <= 1e-8
 

@@ -675,6 +675,23 @@ def test_complete_rank_failure_is_clean():
         complete_unitary_2d(p_tilde, q_tilde, 2, 1)
 
 
+def test_rank_routes_split_by_rounding_count_as_not_satisfied():
+    # a scripts/sweep.py two-variable target (seed 1000) where the routes
+    # split: route one counts one singular value above RANK_REL_TOL too
+    # many, while route two's inverse block is below its tolerance; the
+    # stricter route wins and the documented rejection follows
+    s = (0, 1, 1, 1)
+    phases = (0.42763150945178063, -0.09102113342859885, 0.3176769254340921,
+              -1.6011014106079304, -0.7522219411083415)
+    p_tilde, q_tilde = _real_targets(s, phases)
+    gamma, report, n, m = _pipeline(LaurentPoly2.one() - p_tilde * p_tilde - q_tilde * q_tilde)
+    assert (report.submatrix_rank, report.target_rank) == (13, 12)
+    assert report.inverse_block_rel <= factor2d.INVERSE_BLOCK_REL_TOL
+    assert not report.satisfied
+    with pytest.raises(FactorizationError, match="rank condition not satisfied"):
+        complete_unitary_2d(p_tilde, q_tilde, 4, 3)
+
+
 def test_complete_validation_errors():
     x_a = LaurentPoly2({(1, 0): 0.5, (-1, 0): 0.5})
     iy_a = LaurentPoly2({(1, 0): 0.5j, (-1, 0): -0.5j})

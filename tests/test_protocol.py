@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from mqsp import serialize
+from mqsp import laurent, serialize
 from mqsp.errors import VerificationError
 from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import (
@@ -25,6 +25,7 @@ from mqsp.protocol import (
 
 X_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): 0.5})
 Y_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): -0.5})
+Y_B = LaurentPoly2({(0, 1): 0.5, (0, -1): -0.5})
 
 
 # -- spec validation -----------------------------------------------------------
@@ -116,10 +117,10 @@ def test_composition_matches_matrix_product():
 
 
 def test_length_sweep_build_matches_circuit_and_round_trips():
-    # every even n in 8..64 plus n = 96, and single-oracle protocols (one
-    # axis of the coefficient box has length 1)
+    # every even n in 8..64 plus n = 96 and 256, and single-oracle
+    # protocols (one axis of the coefficient box has length 1)
     rng = np.random.default_rng(64)
-    specs = [random_spec(rng, n) for n in (*range(8, 65, 2), 96)]
+    specs = [random_spec(rng, n) for n in (*range(8, 65, 2), 96, 256)]
     specs += [random_spec(rng, n, weight=w) for n in (8, 33) for w in (0, n)]
     for spec in specs:
         u = build_unitary(spec)
@@ -127,11 +128,62 @@ def test_length_sweep_build_matches_circuit_and_round_trips():
             ta, tb = rng.uniform(-math.pi, math.pi, size=2)
             err = np.max(np.abs(eval_unitary(spec, ta, tb) - u.matrix_at(ta, tb)))
             assert err < 1e-9, (spec.n, spec.weight, err)
-        if spec.n <= 64:
-            assert verify_structure(u, spec.n, spec.weight).overall, spec.n
+        assert verify_structure(u, spec.n, spec.weight).overall, spec.n
         for poly in (u.P, u.Q):
             wired = json.loads(json.dumps(serialize.poly_to_records(poly)))
             assert serialize.poly_from_records(wired) == poly
+
+
+# -- determinant residual ----------------------------------------------------------
+
+
+def _direct_det_residual(u):
+    # the reference: both products taken directly, as LaurentPoly2 does
+    det = u.P * u.P.conj_reciprocal() + u.Q * u.Q.conj_reciprocal()
+    return det.distance(LaurentPoly2.one())
+
+
+def _det_residual_cases():
+    rng = np.random.default_rng(25)
+    cases = [build_unitary(random_spec(rng, n, w)) for n in range(65) for w in (None, n, 0)]
+    built = build_unitary(random_spec(rng, 12))
+    (j, k), _ = built.P.items()[0]
+    return cases + [
+        Su2LaurentUnitary(X_A, Y_B),  # mixed parities: no axis is thinned
+        Su2LaurentUnitary(LaurentPoly2.zero(), LaurentPoly2.zero()),
+        Su2LaurentUnitary(LaurentPoly2.monomial(3, 0), LaurentPoly2.zero()),  # off the origin
+        Su2LaurentUnitary(built.P + LaurentPoly2.monomial(j, k, 1e-9), built.Q),
+    ]
+
+
+def test_det_residual_matches_direct_products():
+    # random-bit and single-oracle protocols, n 0..64, and the edge cases
+    cases = _det_residual_cases()
+    got = [u.det_residual() for u in cases]
+    for u, residual in zip(cases, got):
+        assert abs(residual - _direct_det_residual(u)) <= 1e-14, residual
+    *protocols, mixed, zero, shifted, perturbed = got
+    assert max(protocols) <= 1e-14
+    assert abs(mixed - 0.25) <= 1e-15  # 1 + (a^2 + a^-2 - b^2 - b^-2)/4
+    assert zero == 1.0
+    assert shifted == 0.0
+    assert 1e-10 < perturbed < 1e-8
+
+
+def test_det_residual_refuses_a_box_over_max_cells(monkeypatch):
+    # n = 10, m = 5: an 11 x 11 box, whose product box is 21 x 21
+    u = build_unitary(ProtocolSpec((1, 0) * 5, (0.1,) * 11))
+    monkeypatch.setattr(laurent, "MAX_CELLS", 21 * 21)
+    assert u.det_residual() < 1e-14
+    monkeypatch.setattr(laurent, "MAX_CELLS", 21 * 21 - 1)
+    with pytest.raises(ValueError, match="exponent box of 21 x 21 coefficients exceeds MAX_CELLS"):
+        u.det_residual()
+
+
+def test_det_residual_refuses_an_overflow():
+    big = LaurentPoly2({(1, 0): 1e200, (-1, 0): 1e200})
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        Su2LaurentUnitary(big, LaurentPoly2.zero()).det_residual()
 
 
 # -- structural checks -----------------------------------------------------------

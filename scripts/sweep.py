@@ -33,7 +33,7 @@ of each failure message, the worst determinant and rebuild residuals (null
 when no answer had one) and `badAnswers`, the answers that failed their
 check:
 
-    python3 scripts/sweep.py            # n up to 256, 700 two-variable targets
+    python3 scripts/sweep.py            # n up to 512, 700 two-variable targets
     python3 scripts/sweep.py --quick    # a subset that runs in about a second
 
 `--seed` draws other inputs and `--src` imports mqsp from another source
@@ -73,7 +73,7 @@ MARGIN_EDGES = (1e-6, 1e-4, 1e-2)
 TWO_VAR_LENGTHS = (2, 3, 4)
 # (build + readoff lengths, two-variable targets, one-variable lengths,
 # inputs per kind and length)
-FULL = ((16, 32, 64, 128, 256), 700, (8, 16, 32, 64, 128, 256), 10)
+FULL = ((16, 32, 64, 128, 256, 512), 700, (8, 16, 32, 64, 128, 256), 10)
 QUICK = ((16, 32), 60, (8, 16, 32), 5)
 
 

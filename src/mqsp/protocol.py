@@ -166,47 +166,54 @@ def build_unitary(spec):
     """Exact symbolic product, left to right: Z(phi_0), then for each k the
     oracle iterate followed by Z(phi_k).
 
-    A stack of one for build_stack, on the tight box spanning the exponents
-    [-m, m] x [-(n-m), n-m]; the result is pruned once at the end. A box
-    above MAX_CELLS raises ValueError before anything is allocated.
+    A stack of one for build_stack, whose lattice is scattered once onto
+    every other cell of the tight box spanning the exponents [-m, m] x
+    [-(n-m), n-m]; the result is pruned once at the end. A box above
+    MAX_CELLS raises ValueError before anything is allocated.
     """
     n, m = spec.n, spec.weight
     check_box(2 * m + 1, 2 * (n - m) + 1)
     p, q = build_stack([spec.s], [spec.phases])
-    lo_a, lo_b = -m, -(n - m)
-    return Su2LaurentUnitary(
-        LaurentPoly2.from_array(p[0], lo_a, lo_b), LaurentPoly2.from_array(q[0], lo_a, lo_b)
-    )
+    box = np.zeros((2, 2 * m + 1, 2 * (n - m) + 1), dtype=complex)
+    box[0, ::2, ::2], box[1, ::2, ::2] = p[0], q[0]
+    # the box is fresh, so LaurentPoly2 keeps it pruned without from_array's copy
+    return Su2LaurentUnitary(*(LaurentPoly2._from_box(x, -m, m - n) for x in box))
 
 
 def build_stack(bits, phases):
-    """Coefficient boxes (p, q) of P and Q for a stack of T protocols.
+    """Coefficient boxes (p, q) of P and Q for a stack of T protocols, on
+    their parity lattices.
 
     `bits` holds T rows of N entries: trial t's bit string, then -1 past
     its length n_t. `phases` holds T rows of N + 1 entries that start with
     trial t's phi_0..phi_{n_t} (later entries are not used). Rows are lists
-    or tuples. p and q have shape (T, 2M + 1, 2R + 1) for M and R the
-    largest weight and co-weight in the stack; trial t's a^j b^k sits at
-    [t, M + j, R + k].
+    or tuples. Every a-exponent j of P and Q has the parity of the weight
+    m_t and every b-exponent k that of the co-weight r_t = n_t - m_t, so
+    p and q have shape (T, M + 1, R + 1) for M and R the largest weight and
+    co-weight in the stack, and trial t's a^j b^k sits at
+    [t, (j + m_t)/2, (k + r_t)/2]; cells past [t, m_t, r_t] hold zeros.
 
     With z the oracle's variable, its iterate is [[x, y], [y, x]] for
     x = (z + 1/z)/2 and y = (z - 1/z)/2, so a step sets P' = (S z + D/z)/2
-    and Q' = (S z - D/z)/2 from S = P + Q and D = P - Q: four slice shifts
-    along that variable's axis, then one scalar multiply per Z-phase. A step
-    whose bits agree over the whole stack works on views of it; otherwise
-    each bit's trials are gathered by mask and scattered back, and trials
-    already past their length sit the step out. The phase factors are
-    computed one scalar at a time with `math`, as for a single protocol, so
-    each trial's box holds the same numbers as its own build.
+    and Q' = (S z - D/z)/2 from S = P + Q and D = P - Q. On the lattice
+    (index i for exponent 2i - k after k iterates in z) that is
+    P'[i] = S[i - 1] + D[i] and Q'[i] = S[i - 1] - D[i], the same two
+    operands in the same order as on the whole box, then one scalar
+    multiply per Z-phase. A step whose bits agree over the whole stack
+    works on views of it; otherwise each bit's trials are gathered by mask
+    and scattered back, and trials already past their length sit the step
+    out. The phase factors are computed one scalar at a time with `math`,
+    as for a single protocol, so each trial's box holds the same numbers
+    as its own build.
     """
     count = len(bits)
     weight = max(row.count(1) for row in bits)
     coweight = max(row.count(0) for row in bits)
-    p = np.zeros((count, 2 * weight + 1, 2 * coweight + 1), dtype=complex)
+    p = np.zeros((count, weight + 1, coweight + 1), dtype=complex)
     q = np.zeros(p.shape, dtype=complex)
     # math, one scalar at a time, as a single build: numpy's vectorized cos
     # and sin need not round as math's do
-    p[:, weight, coweight] = [complex(math.cos(row[0]), math.sin(row[0])) for row in phases]
+    p[:, 0, 0] = [complex(math.cos(row[0]), math.sin(row[0])) for row in phases]
     factors = [[0.5 * complex(math.cos(x), math.sin(x)) for x in row[1:]] for row in phases]
     if count == 1:
         # every step takes the whole stack: run it on the 2-D box, which
@@ -234,23 +241,24 @@ def build_stack(bits, phases):
 
 
 def _step(p, q, bit, w):
-    """One oracle iterate, then the Z-phase factor(s) w, in place on one box
-    or a stack of them (w then of shape (T, 1, 1))."""
+    """One oracle iterate, then the Z-phase factor(s) w, in place on one
+    lattice box or a stack of them (w then of shape (T, 1, 1))."""
     # view the oracle's variable as the first axis
     if p.ndim == 2:
         pv, qv = (p, q) if bit else (p.T, q.T)
     else:
         axes = (1, 0, 2) if bit else (2, 0, 1)
         pv, qv = p.transpose(axes), q.transpose(axes)
-    # S z moves exponent e to e + 1 and D/z to e - 1; nothing leaves the
-    # box, since after k iterates in a variable its exponents lie in [-k, k]
-    s = pv[:-1] + qv[:-1]
-    d = pv[1:] - qv[1:]
-    pv[0] = qv[0] = 0.0
-    pv[1:] = s
-    qv[1:] = s
-    pv[:-1] += d
-    qv[:-1] -= d
+    # S z moves lattice index i to i + 1 and D/z keeps it; nothing leaves
+    # the box, since after k iterates in a variable only indices 0..k hold.
+    # s holds S moved up one index, and D overwrites Q: P' = s + D and
+    # Q' = s - D in place
+    s = np.empty_like(pv)
+    s[0] = 0.0
+    np.add(pv[:-1], qv[:-1], out=s[1:])
+    np.subtract(pv, qv, out=qv)
+    np.add(s, qv, out=pv)
+    np.subtract(s, qv, out=qv)
     p *= w
     q *= w.conjugate()
 

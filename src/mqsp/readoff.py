@@ -39,9 +39,9 @@ from mqsp.protocol import (
 DEFAULT_TOLERANCE = 1e-8
 
 # Most cells one stack of scan_leading_slices holds per coefficient box
-# (trials times the padded box): 2^16 complex cells are 1 MB, room for 387
-# trials of n <= 6 (13 x 13 boxes).
-SCAN_STACK_CELLS = 1 << 16
+# (trials times the padded lattice box of build_stack): 2^14 complex cells
+# are 256 KB, room for 334 trials of n <= 6 (7 x 7 lattice boxes).
+SCAN_STACK_CELLS = 1 << 14
 
 
 def readoff_tolerance():
@@ -452,9 +452,9 @@ def _scan_trials(rng, n_max, trials, tol):
 
     Trials are drawn as random_spec draws them, and each one's own exponent
     box is checked against MAX_CELLS as it is drawn. Consecutive trials are
-    then tested as one stack while it holds at most SCAN_STACK_CELLS cells
-    per box (a trial above that alone is a stack of one), so memory does
-    not grow with the number of trials.
+    then tested as one stack while build_stack's lattice box for it holds
+    at most SCAN_STACK_CELLS cells per box (a trial above that alone is a
+    stack of one), so memory does not grow with the number of trials.
     """
     stack, rows, cols = [], 0, 0
     for _ in range(trials):
@@ -462,10 +462,10 @@ def _scan_trials(rng, n_max, trials, tol):
         s, phases = random_draw(rng, n)
         m = sum(s)
         check_box(2 * m + 1, 2 * (n - m) + 1)
-        rows, cols = max(rows, 2 * m + 1), max(cols, 2 * (n - m) + 1)
+        rows, cols = max(rows, m + 1), max(cols, n - m + 1)
         if stack and (len(stack) + 1) * rows * cols > SCAN_STACK_CELLS:
             yield from zip(stack, _scan_stack(stack, tol))
-            stack, rows, cols = [], 2 * m + 1, 2 * (n - m) + 1
+            stack, rows, cols = [], m + 1, n - m + 1
         stack.append((s, [principal_phase(x) for x in phases]))
     if stack:
         yield from zip(stack, _scan_stack(stack, tol))
@@ -476,8 +476,10 @@ def _scan_stack(stack, tol):
     tuple of SliceReport fields per trial.
 
     Each trial's P and Q are pruned by LaurentPoly2's rule (laurent.kept)
-    and tested on the joint top slices of their kept entries, which are the
-    leading slices aligned() gives for the pruned polynomials.
+    and tested on the joint top slices of their kept entries, straight off
+    build_stack's lattice boxes: the leading slices aligned() gives for the
+    pruned polynomials less their zeros off the lattice, so _slice_test
+    gives the same results.
     """
     steps = max(len(s) for s, _ in stack)
     bits = [s + [-1] * (steps - len(s)) for s, _ in stack]

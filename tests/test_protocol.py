@@ -117,10 +117,10 @@ def test_composition_matches_matrix_product():
 
 
 def test_length_sweep_build_matches_circuit_and_round_trips():
-    # every even n in 8..64 plus n = 96 and 256, and single-oracle
+    # every even n in 8..64 plus n = 96, 256 and 512, and single-oracle
     # protocols (one axis of the coefficient box has length 1)
     rng = np.random.default_rng(64)
-    specs = [random_spec(rng, n) for n in (*range(8, 65, 2), 96, 256)]
+    specs = [random_spec(rng, n) for n in (*range(8, 65, 2), 96, 256, 512)]
     specs += [random_spec(rng, n, weight=w) for n in (8, 33) for w in (0, n)]
     for spec in specs:
         u = build_unitary(spec)
@@ -192,7 +192,8 @@ def test_det_residual_refuses_an_overflow():
 @pytest.mark.parametrize("weight", [None, "all a", "all b"])
 def test_build_stack_matches_single_builds(weight):
     # mixed lengths and bits take the masked steps; a stack of all-a or
-    # all-b protocols of one length works on views throughout
+    # all-b protocols of one length works on views throughout. Trial t's
+    # a^j b^k sits at [t, (j + m_t)/2, (k + r_t)/2] of its parity lattice
     rng = np.random.default_rng(17)
     lengths = [6] * 5 if weight else [int(n) for n in rng.integers(0, 9, size=12)]
     specs = [
@@ -204,11 +205,29 @@ def test_build_stack_matches_single_builds(weight):
     phases = [sp.phases + (9.0,) * (steps - sp.n) for sp in specs]
     p, q = build_stack(bits, phases)
     top_a, top_b = max(sp.weight for sp in specs), max(sp.n - sp.weight for sp in specs)
-    assert p.shape == q.shape == (len(specs), 2 * top_a + 1, 2 * top_b + 1)
-    for spec, p_box, q_box in zip(specs, p, q):
+    assert p.shape == q.shape == (len(specs), top_a + 1, top_b + 1)
+    for spec, p_lattice, q_lattice in zip(specs, p, q):
+        m, r = spec.weight, spec.n - spec.weight
         u = build_unitary(spec)
-        assert LaurentPoly2.from_array(p_box, -top_a, -top_b) == u.P
-        assert LaurentPoly2.from_array(q_box, -top_a, -top_b) == u.Q
+        for lattice, poly in ((p_lattice, u.P), (q_lattice, u.Q)):
+            box = np.zeros((2 * m + 1, 2 * r + 1), dtype=complex)
+            box[::2, ::2] = lattice[: m + 1, : r + 1]
+            assert LaurentPoly2.from_array(box, -m, -r) == poly
+            assert not lattice[m + 1 :].any() and not lattice[:, r + 1 :].any()
+
+
+def test_build_mirrors_under_swapped_oracles():
+    # swapping bits 0 <-> 1 swaps the variables: P and Q come out as the
+    # transposed boxes, byte for byte, signed zeros included
+    rng = np.random.default_rng(5)
+    specs = [random_spec(rng, n) for n in (*range(65), 96, 128)]
+    specs += [ProtocolSpec((1, 0) * 3, (0.0,) * 7), ProtocolSpec((1, 1, 0), (math.pi / 2,) * 4)]
+    for spec in specs:
+        u = build_unitary(spec)
+        v = build_unitary(ProtocolSpec(tuple(1 - b for b in spec.s), spec.phases))
+        for poly, mirror in ((u.P, v.P), (u.Q, v.Q)):
+            assert mirror._lo == poly._lo[::-1]
+            assert mirror._box.tobytes() == poly._box.T.tobytes()
 
 
 def test_assemble_completion_shifts_factor_and_drops_odd_cells():

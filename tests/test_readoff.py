@@ -595,7 +595,7 @@ def test_scan_equals_per_trial_loop(monkeypatch, n_max, tolerance):
     budgets = {
         readoff_module.SCAN_STACK_CELLS: (60, 60),
         1: (1, 1),
-        3 * (2 * n_max + 1) ** 2: (3, 60),
+        3 * (n_max + 1) ** 2: (3, 60),
     }
     for seed in (0, 1, 5):
         expected = reference_scan(n_max, 60, seed)

@@ -173,16 +173,18 @@ def build_unitary(spec):
     """
     n, m = spec.n, spec.weight
     check_box(2 * m + 1, 2 * (n - m) + 1)
-    p, q = build_stack([spec.s], [spec.phases])
     box = np.zeros((2, 2 * m + 1, 2 * (n - m) + 1), dtype=complex)
-    box[0, ::2, ::2], box[1, ::2, ::2] = p[0], q[0]
+    box[:, ::2, ::2] = build_stack([spec.s], [spec.phases])[:, 0]
     # the box is fresh, so LaurentPoly2 keeps it pruned without from_array's copy
-    return Su2LaurentUnitary(*(LaurentPoly2._from_box(x, -m, m - n) for x in box))
+    lo_a, lo_b = -m, -(n - m)
+    return Su2LaurentUnitary(
+        LaurentPoly2._from_box(box[0], lo_a, lo_b), LaurentPoly2._from_box(box[1], lo_a, lo_b)
+    )
 
 
 def build_stack(bits, phases):
-    """Coefficient boxes (p, q) of P and Q for a stack of T protocols, on
-    their parity lattices.
+    """Coefficient boxes of P and Q for a stack of T protocols, on their
+    parity lattices, as one array (p, q).
 
     `bits` holds T rows of N entries: trial t's bit string, then -1 past
     its length n_t. `phases` holds T rows of N + 1 entries that start with
@@ -209,8 +211,8 @@ def build_stack(bits, phases):
     count = len(bits)
     weight = max(row.count(1) for row in bits)
     coweight = max(row.count(0) for row in bits)
-    p = np.zeros((count, weight + 1, coweight + 1), dtype=complex)
-    q = np.zeros(p.shape, dtype=complex)
+    boxes = np.zeros((2, count, weight + 1, coweight + 1), dtype=complex)
+    p, q = boxes[0], boxes[1]  # indexed: unpacking an array iterates it, which costs more
     # math, one scalar at a time, as a single build: numpy's vectorized cos
     # and sin need not round as math's do
     p[:, 0, 0] = [complex(math.cos(row[0]), math.sin(row[0])) for row in phases]
@@ -223,7 +225,7 @@ def build_stack(bits, phases):
             if bit < 0:
                 break
             _step(box_p, box_q, bit, w)
-        return p, q
+        return boxes
     factors = np.array(factors).T.reshape(len(bits[0]), count, 1, 1)
     table = np.array(bits, dtype=np.int8)
     for k, column in enumerate(zip(*bits)):
@@ -237,7 +239,7 @@ def build_stack(bits, phases):
                 pm, qm = p[mask], q[mask]
                 _step(pm, qm, bit, factors[k][mask])
                 p[mask], q[mask] = pm, qm
-    return p, q
+    return boxes
 
 
 def _step(p, q, bit, w):
@@ -249,10 +251,9 @@ def _step(p, q, bit, w):
     else:
         axes = (1, 0, 2) if bit else (2, 0, 1)
         pv, qv = p.transpose(axes), q.transpose(axes)
-    # S z moves lattice index i to i + 1 and D/z keeps it; nothing leaves
-    # the box, since after k iterates in a variable only indices 0..k hold.
-    # s holds S moved up one index, and D overwrites Q: P' = s + D and
-    # Q' = s - D in place
+    # S z moves lattice index i to i + 1 and D/z keeps it (after k iterates
+    # in a variable only indices 0..k hold, so nothing leaves the box): s is
+    # S moved up one index, D overwrites Q, and P' = s + D, Q' = s - D
     s = np.empty_like(pv)
     s[0] = 0.0
     np.add(pv[:-1], qv[:-1], out=s[1:])

@@ -28,6 +28,7 @@ from mqsp import families, serialize
 from mqsp.errors import FactorizationError, MqspError
 from mqsp.factor1d import complete_unitary_1d
 from mqsp.factor2d import complete_unitary_2d
+from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import Su2LaurentUnitary, build_unitary, verify_structure
 from mqsp.readoff import readoff, readoff_tolerance, scan_leading_slices
 
@@ -55,9 +56,19 @@ def _load_json(path):
         raise _Exit(EXIT_USAGE, "cannot read %s: %s" % (path, exc))
 
 
+# compact separators keep json on its C encoder; indent would not
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _dumps(obj):
-    # compact separators keep json on its C encoder; indent would not
-    return json.dumps(obj, separators=(",", ":"))
+    """Compact JSON of obj, polynomials as records: a polynomial by
+    serialize.poly_to_json, a dict with a polynomial or dict value key by
+    key, anything else in one _encode call."""
+    if isinstance(obj, LaurentPoly2):
+        return serialize.poly_to_json(obj)
+    if isinstance(obj, dict) and any(isinstance(v, (dict, LaurentPoly2)) for v in obj.values()):
+        return "{%s}" % ",".join(_encode(key) + ":" + _dumps(v) for key, v in obj.items())
+    return _encode(obj)
 
 
 def _emit(obj):
@@ -89,12 +100,7 @@ def _report_obj(report):
 
 
 def _unitary_obj(u, n, m):
-    return {
-        "n": int(n),
-        "weight": int(m),
-        "p": serialize.poly_to_records(u.P),
-        "q": serialize.poly_to_records(u.Q),
-    }
+    return {"n": int(n), "weight": int(m), "p": u.P, "q": u.Q}
 
 
 def _length_and_weight(obj):
@@ -178,7 +184,7 @@ def _cmd_complete(args):
     # --vars 1 names the root class, so each key set stays fixed
     rank = None if one_var else result.rank_report
     out = {
-        "p": serialize.poly_to_records(fac.p),
+        "p": fac.p,
         "residual": float(fac.residual),
         "singularValues": None if rank is None else [float(s) for s in rank.singular_values],
         "satisfied": rank is None or rank.satisfied,
@@ -211,8 +217,7 @@ def _cmd_scan(args):
         spec, _ = summary.counterexamples[0]
         u = build_unitary(spec)
         dump = serialize.spec_to_obj(spec)
-        dump["p"] = serialize.poly_to_records(u.P)
-        dump["q"] = serialize.poly_to_records(u.Q)
+        dump["p"], dump["q"] = u.P, u.Q
         with open(args.dump, "w") as handle:
             handle.write(_dumps(dump))
         out["dumpPath"] = args.dump

@@ -3,16 +3,18 @@
 A polynomial is a list of records {"j": int, "k": int, "re": float,
 "im": float}, sorted by (j, k); json emits the shortest round-tripping
 repr for floats, so a dump/load cycle is bit-exact (a -0.0 part reads back
-as 0.0). Both directions work on whole arrays: `poly_to_records` reads the
-nonzero cells of the coefficient box in one pass, and `poly_from_records`
-checks and converts every record at once, scattering them into one box;
-only when that check fails does it go through the records one at a time,
-to name the first bad one. A protocol is {"s": [bits], "phases":
-[radians]}. Grids hold |P|^2 on the per-axis angles theta_k = -pi +
-2*pi*k/N (so -pi is included, +pi is not): the CSV first row lists the
-theta_a column coordinates, the first column the theta_b row coordinates
-(corner cell empty), body values with 12 significant digits; the PGM
-variant is plain (P2) 8-bit grayscale in the same row layout.
+as 0.0). Both directions work on whole arrays: `poly_to_json`, the CLI's
+writer, formats the records straight from the nonzero cells of the
+coefficient box, in the bytes compact json.dumps writes for
+`poly_to_records`, and `poly_from_records` checks and converts every
+record at once, scattering them into one box; only when that check fails
+does it go through the records one at a time, to name the first bad one.
+A protocol is {"s": [bits], "phases": [radians]}. Grids hold |P|^2 on the
+per-axis angles theta_k = -pi + 2*pi*k/N (so -pi is included, +pi is
+not): the CSV first row lists the theta_a column coordinates, the first
+column the theta_b row coordinates (corner cell empty), body values with
+12 significant digits; the PGM variant is plain (P2) 8-bit grayscale in
+the same row layout.
 """
 
 from __future__ import annotations
@@ -60,17 +62,30 @@ def _all_of(values, kinds):
     return bool not in types and all(issubclass(t, kinds) for t in types)
 
 
-def poly_to_records(p):
-    """Sorted list of {j, k, re, im} records (deterministic order)."""
+def _cells(p):
+    """(lo_a, lo_b, cells): p's nonzero coefficients as sorted (i, l, re, im)
+    at exponent (lo_a + i, lo_b + l), the one box read of both writers."""
     box, _, (lo_a, lo_b) = aligned(p, p)  # p's own coefficient box
     rows, cols = np.nonzero(box)
     values = box[rows, cols]
-    return [
-        {"j": lo_a + i, "k": lo_b + l, "re": re, "im": im}
-        for i, l, re, im in zip(
-            rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist()
-        )
-    ]
+    return lo_a, lo_b, zip(rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist())
+
+
+def poly_to_records(p):
+    """Sorted list of {j, k, re, im} records (deterministic order)."""
+    lo_a, lo_b, cells = _cells(p)
+    return [{"j": lo_a + i, "k": lo_b + l, "re": re, "im": im} for i, l, re, im in cells]
+
+
+def poly_to_json(p):
+    """json.dumps(poly_to_records(p), separators=(",", ":")), byte for byte,
+    formatted straight from the box: float.__repr__ is what json's encoder
+    writes for a finite float, and a LaurentPoly2 never holds a non-finite
+    coefficient, so no NaN or Infinity can arise."""
+    lo_a, lo_b, cells = _cells(p)
+    return "[%s]" % ",".join(
+        [f'{{"j":{lo_a + i},"k":{lo_b + l},"re":{re!r},"im":{im!r}}}' for i, l, re, im in cells]
+    )
 
 
 def _columns(records):

@@ -244,6 +244,7 @@ def test_complete_1d_chebyshev(tmp_path, capsys):
     )
     code, out, _ = run(capsys, ["complete", path, "--vars", "1", "--deg", "2"])
     assert code == 0
+    assert out.count("\n") == 1 and out == compact(out) + "\n"
     obj = json.loads(out)
     assert obj["satisfied"] is True
     assert obj["residual"] < 1e-10
@@ -258,6 +259,7 @@ def test_complete_valid_but_not_peelable_exit_three(tmp_path, capsys, monkeypatc
     path = write_json(tmp_path / "t.json", targets_of(ProtocolSpec((1, 1), (0.1, 2.8, -2.2))))
     code, out, err = run(capsys, ["complete", path, "--vars", "1", "--deg", "2"])
     assert (code, err) == (3, "")
+    assert out.count("\n") == 1 and out == compact(out) + "\n"
     obj = json.loads(out)
     assert obj["protocol"] is None
     assert (obj["unitary"]["n"], obj["unitary"]["weight"]) == (2, 2)
@@ -265,6 +267,7 @@ def test_complete_valid_but_not_peelable_exit_three(tmp_path, capsys, monkeypatc
     path = write_json(tmp_path / "t2.json", targets_of(ProtocolSpec((0, 1), (0.1, 2.8, -2.2))))
     code, out, err = run(capsys, ["complete", path, "--vars", "2", "--deg", "2,1"])
     assert (code, err) == (3, "")
+    assert out.count("\n") == 1 and out == compact(out) + "\n"
     obj = json.loads(out)
     assert obj["protocol"] is None
     assert (obj["unitary"]["n"], obj["unitary"]["weight"]) == (2, 1)
@@ -275,6 +278,7 @@ def test_complete_2d_determinantal(tmp_path, capsys):
     path = write_json(tmp_path / "t.json", targets_of(ProtocolSpec((0, 1), (0.1, 2.8, -2.2))))
     code, out, _ = run(capsys, ["complete", path, "--vars", "2", "--deg", "2,1"])
     assert code == 0
+    assert out.count("\n") == 1 and out == compact(out) + "\n"
     obj = json.loads(out)
     assert obj["satisfied"] is True
     assert obj["residual"] < 1e-8
@@ -454,8 +458,7 @@ def test_scan_counterexample_dump(tmp_path, capsys, monkeypatch):
     dumped = json.loads(text)
     assert dumped["s"] == [1]
     u = build_unitary(spec)
-    assert serialize.poly_from_records(dumped["p"]).distance(u.P) == 0.0
-    assert serialize.poly_from_records(dumped["q"]).distance(u.Q) == 0.0
+    assert (dumped["p"], dumped["q"]) == tuple(map(serialize.poly_to_records, (u.P, u.Q)))
 
 
 def test_scan_unwritable_dump_exit_two_before_scanning(tmp_path, capsys, monkeypatch):

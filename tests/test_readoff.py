@@ -668,9 +668,20 @@ def test_scan_refuses_a_huge_box_without_allocating_it():
     assert peak < (1 << 20)
 
 
-def test_scan_memory_does_not_grow_with_trials():
-    peaks = []
-    for trials in (500, 5000):
+def test_scan_memory_does_not_grow_with_trials(monkeypatch):
+    # a trial of n <= 6 has a lattice box of at most 7 x 7 cells, so a stack
+    # holds at least SCAN_STACK_CELLS // 49 trials; the small run is sized
+    # to fill three such stacks, and counted to span at least two
+    per_stack = readoff_module.SCAN_STACK_CELLS // 7**2
+    stacks, scan_stack = [], readoff_module._scan_stack
+
+    def counted(stack, tol):
+        stacks.append(len(stack))
+        return scan_stack(stack, tol)
+
+    monkeypatch.setattr(readoff_module, "_scan_stack", counted)
+    peaks, spans = [], []
+    for trials in (3 * per_stack, 30 * per_stack):
         tracemalloc.start()
         try:
             assert scan_leading_slices(6, trials, 3).all_passed
@@ -678,4 +689,6 @@ def test_scan_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
         peaks.append(peak)
+        spans.append(len(stacks))
+    assert spans[0] >= 2
     assert peaks[1] < 1.5 * peaks[0]

@@ -8,36 +8,64 @@ import numpy as np
 import pytest
 
 from mqsp.laurent import LaurentPoly1, LaurentPoly2, aligned
-from mqsp.protocol import ProtocolSpec
+from mqsp.protocol import ProtocolSpec, build_unitary
 from mqsp import serialize
 
-AWKWARD = LaurentPoly2(
-    {
-        (0, 0): 0.1 + 0.2,  # 0.30000000000000004
-        (3, -2): complex(1.0 / 3.0, -2.0 / 7.0),
-        (-5, 4): complex(1e-300, 1e308),
-        (1, 1): complex(-0.0, 5e-324),  # subnormal and signed zero
-    }
-)
+# Every term survives the prune (PRUNE_REL times the largest magnitude), so
+# each advertised value reaches the records.
+EXTREME_TERMS = {
+    (-5, 4): complex(1e-300, 1e308),  # a tiny part beside a huge one
+    (2, -3): -1.7976931348623157e308,  # the largest finite float
+    (0, 1): complex(3e295, -2.2250738585072014e-308),  # the smallest normal
+}
+EXTREME = LaurentPoly2(EXTREME_TERMS)
+# Negated, so the zero parts are -0.0; the subnormal rides on a unit part.
+SUBNORMAL_TERMS = {
+    (0, 0): 0.1 + 0.2,  # -0.30000000000000004 after negation
+    (3, -2): complex(1.0 / 3.0, -2.0 / 7.0),
+    (1, 1): complex(1.0, 5e-324),  # subnormal
+    (-2, 5): 2.0j,  # a -0.0 real part after negation
+}
+SUBNORMAL = -LaurentPoly2(SUBNORMAL_TERMS)
+FIXTURES = ((EXTREME, EXTREME_TERMS), (SUBNORMAL, SUBNORMAL_TERMS))
+
+
+def compact(records):
+    return json.dumps(records, separators=(",", ":"))
 
 
 # -- polynomial records -----------------------------------------------------------
 
 
+def test_fixtures_keep_every_term():
+    for p, terms in FIXTURES:
+        records = serialize.poly_to_records(p)
+        assert len(records) == len(terms)
+    records = serialize.poly_to_records(SUBNORMAL)
+    assert {"j": 0, "k": 0, "re": -0.30000000000000004, "im": -0.0} in records
+    assert {"j": 1, "k": 1, "re": -1.0, "im": -5e-324} in records
+    assert records[0] == {"j": -2, "k": 5, "re": -0.0, "im": -2.0}
+    assert math.copysign(1.0, records[0]["re"]) < 0
+
+
 def test_poly_round_trip_bit_exact():
-    records = serialize.poly_to_records(AWKWARD)
-    wired = json.loads(json.dumps(records))
-    back = serialize.poly_from_records(wired)
-    assert dict(back.items()) == dict(AWKWARD.items())
+    for p, _ in FIXTURES:
+        records = serialize.poly_to_records(p)
+        wired = json.loads(json.dumps(records))
+        back = serialize.poly_from_records(wired)
+        # bit-exact but for the sign of a zero part
+        unsigned = [(e, (c.real + 0.0).hex(), (c.imag + 0.0).hex()) for e, c in p.items()]
+        assert bits(back) == unsigned
 
 
 def test_poly_records_sorted_and_typed():
-    records = serialize.poly_to_records(AWKWARD)
-    keys = [(r["j"], r["k"]) for r in records]
-    assert keys == sorted(keys)
-    for r in records:
-        assert type(r["j"]) is int and type(r["k"]) is int
-        assert type(r["re"]) is float and type(r["im"]) is float
+    for p, terms in FIXTURES:
+        records = serialize.poly_to_records(p)
+        keys = [(r["j"], r["k"]) for r in records]
+        assert keys == sorted(terms)
+        for r in records:
+            assert type(r["j"]) is int and type(r["k"]) is int
+            assert type(r["re"]) is float and type(r["im"]) is float
 
 
 def test_poly_empty_and_zero():
@@ -143,8 +171,27 @@ def test_poly_to_records_keeps_box_bits():
     ]
     assert records[0] == {"j": 0, "k": 0, "re": -0.30000000000000004, "im": -0.0}
     assert records[1]["im"] == -5e-324
-    compact = json.dumps(records, separators=(",", ":"))
-    assert serialize.poly_from_records(json.loads(compact)) == p
+    assert serialize.poly_from_records(json.loads(compact(records))) == p
+
+
+def test_poly_to_json_is_compact_dumps_of_the_records():
+    assert serialize.poly_to_json(LaurentPoly2.zero()) == "[]"
+    polys = [LaurentPoly2.zero(), LaurentPoly1({2: 0.5, -2: -0.5j})]
+    for p, _ in FIXTURES:
+        polys += [p, -p]  # -0.0 parts where the other has 0.0
+    for lo in (2**40 - 3, -(2**40)):  # exponents near +-2^40
+        polys.append(LaurentPoly2({(lo, -lo): 0.5 - 0.25j, (lo + 2, 1 - lo): -1e-3}))
+    for p in polys:
+        assert serialize.poly_to_json(p) == compact(serialize.poly_to_records(p))
+
+
+def test_poly_to_json_is_compact_dumps_on_protocol_unitaries():
+    rng = np.random.default_rng(27)
+    for n in range(65):
+        s = tuple(int(b) for b in rng.integers(0, 2, n))
+        u = build_unitary(ProtocolSpec(s, tuple(rng.uniform(-np.pi, np.pi, n + 1).tolist())))
+        for p in (u.P, u.Q):
+            assert serialize.poly_to_json(p) == compact(serialize.poly_to_records(p))
 
 
 def test_poly1_reads_shared_format():

@@ -25,13 +25,17 @@ The classes:
   per band of the positivity margin, min f of f = 1 - Re(P)^2 - Re(Q)^2 on
   a 256 x 256 torus grid;
 - `complete --vars 1` on random single-oracle protocols, one line per
-  length n.
+  length n;
+- `mirror`: each `build + readoff` protocol and each `complete --vars 2`
+  target run again with oracles a and b swapped (bits 1 - s; transposed
+  targets with `--deg n,n-m`), one line per mirrored class.
 
 A line holds the class, its kind and length or its band, the input count,
 the count of each exit code (per command for `build + readoff`), the count
 of each failure message, the worst determinant and rebuild residuals (null
 when no answer had one) and `badAnswers`, the answers that failed their
-check:
+check. A `mirror` line holds the mirrored class, the pair count and
+`exitDiffers`, the pairs whose exit codes differ:
 
     python3 scripts/sweep.py            # n up to 512, 700 two-variable targets
     python3 scripts/sweep.py --quick    # a subset that runs in about a second
@@ -100,6 +104,7 @@ class Sweep:
         self.cli_main = cli_main
         self.workdir = workdir
         self.lines = {}
+        self.mirrors = []
 
     def _line(self, head):
         """The line that starts with `head`, its input count raised by one."""
@@ -123,6 +128,26 @@ class Sweep:
             handle.write(text)
         return path
 
+    def call_build_readoff(self, spec):
+        """(build, readoff): (exit code, stdout, stderr) of `mqsp build` on a
+        protocol and of `mqsp readoff` on the unitary it printed (None when
+        it printed none)."""
+        from mqsp import serialize
+
+        build = self._call(["build", self._write("protocol.json", json.dumps(serialize.spec_to_obj(spec)))])
+        if not build[1]:
+            return build, None
+        return build, self._call(["readoff", self._write("unitary.json", build[1])])
+
+    def call_complete(self, p_tilde, q_tilde, nvars, deg):
+        """(exit code, stdout, stderr) of `mqsp complete` on the targets."""
+        from mqsp import serialize
+
+        path = self._write("target.json", json.dumps(
+            {"p": serialize.poly_to_records(p_tilde), "q": serialize.poly_to_records(q_tilde)}
+        ))
+        return self._call(["complete", path, "--vars", str(nvars), "--deg", deg])
+
     def _rebuild_ok(self, line, protocol, unitary):
         """Tally how closely a printed protocol rebuilds `unitary`."""
         from mqsp import serialize
@@ -135,18 +160,19 @@ class Sweep:
 
     def roundtrip(self, head, spec):
         """One protocol: `mqsp build`, then `mqsp readoff` on the printed
-        unitary, tallied on the line that starts with `head`."""
+        unitary, tallied on the line that starts with `head`. Returns the
+        two exit codes (the second None when build printed nothing)."""
         from mqsp import serialize
         from mqsp.protocol import Su2LaurentUnitary, eval_unitary, verify_structure
 
         line = self._line(head)
         line["exit"].setdefault("build", collections.Counter())
         line["exit"].setdefault("readoff", collections.Counter())
-        code, out, err = self._call(["build", self._write("protocol.json", json.dumps(serialize.spec_to_obj(spec)))])
+        (code, out, err), read = self.call_build_readoff(spec)
         line["exit"]["build"][str(code)] += 1
         if not out:
             line["failures"][err] += 1
-            return
+            return code, None
         printed = json.loads(out)
         unitary = Su2LaurentUnitary(
             serialize.poly_from_records(printed["p"]), serialize.poly_from_records(printed["q"])
@@ -158,33 +184,32 @@ class Sweep:
         )
         ok = report.overall and off_circuit <= CIRCUIT_TOL
 
-        code, out, err = self._call(["readoff", self._write("unitary.json", out)])
-        line["exit"]["readoff"][str(code)] += 1
-        if code == 0:
+        read_code, out, err = read
+        line["exit"]["readoff"][str(read_code)] += 1
+        if read_code == 0:
             ok = self._rebuild_ok(line, json.loads(out), unitary) and ok
         else:
             line["failures"][err] += 1
         line["badAnswers"] += not ok
+        return code, read_code
 
     def run(self, head, spec, nvars):
         """One target: the Hermitian parts of spec's unitary, completed with
-        --vars nvars and tallied on the line that starts with `head`."""
+        --vars nvars and tallied on the line that starts with `head`.
+        Returns the exit code."""
         from mqsp import serialize
         from mqsp.protocol import Su2LaurentUnitary, build_unitary, verify_structure
 
         u = build_unitary(spec)
         p_tilde, q_tilde = u.P.hermitian_part(), u.Q.hermitian_part()
-        path = self._write("target.json", json.dumps(
-            {"p": serialize.poly_to_records(p_tilde), "q": serialize.poly_to_records(q_tilde)}
-        ))
         deg = str(spec.n) if nvars == 1 else "%d,%d" % (spec.n, spec.weight)
-        code, out, err = self._call(["complete", path, "--vars", str(nvars), "--deg", deg])
+        code, out, err = self.call_complete(p_tilde, q_tilde, nvars, deg)
 
         line = self._line(head)
         line["exit"][str(code)] += 1
         if not out:
             line["failures"][err] += 1
-            return
+            return code
         answer = json.loads(out)
         printed = answer["unitary"]
         unitary = Su2LaurentUnitary(
@@ -197,16 +222,37 @@ class Sweep:
         if code == 0:
             ok = self._rebuild_ok(line, answer["protocol"], unitary) and ok
         line["badAnswers"] += not ok
+        return code
+
+    def mirror(self, of, pairs):
+        """The `mirror` line of class `of` from (exit codes, exit codes of
+        the mirrored input) pairs."""
+        differ = sum(codes != mirrored for codes, mirrored in pairs)
+        self.mirrors.append({"class": "mirror", "of": of, "pairs": len(pairs), "exitDiffers": differ})
+
+
+def transposed(p):
+    """p(b, a): the coefficient box transposed."""
+    from mqsp.laurent import LaurentPoly2, aligned
+
+    box, _, (lo_a, lo_b) = aligned(p, p)
+    return LaurentPoly2.from_array(box.T, lo_b, lo_a)
 
 
 def build_readoff(sweep, rng, lengths, per_length):
-    """`per_length` protocols of random bits and of a single oracle per length."""
-    from mqsp.protocol import random_spec
+    """`per_length` protocols of random bits and of a single oracle per
+    length, each then mirrored."""
+    from mqsp.protocol import ProtocolSpec, random_spec
 
+    pairs = []
     for n in lengths:
         for kind, weight in (("random bits", None), ("single oracle", n)):
             for _ in range(per_length):
-                sweep.roundtrip({"class": "build + readoff", "protocols": kind, "n": n}, random_spec(rng, n, weight))
+                spec = random_spec(rng, n, weight)
+                codes = sweep.roundtrip({"class": "build + readoff", "protocols": kind, "n": n}, spec)
+                (build, _, _), read = sweep.call_build_readoff(ProtocolSpec(tuple(1 - b for b in spec.s), spec.phases))
+                pairs.append((codes, (build, None if read is None else read[0])))
+    sweep.mirror("build + readoff", pairs)
 
 
 def two_var(sweep, rng, count):
@@ -223,8 +269,14 @@ def two_var(sweep, rng, count):
         ((_, values),) = f.real_grid_blocks((MARGIN_GRID, MARGIN_GRID), MARGIN_GRID**2)
         banded.append((_band(float(values.min())), spec))
     banded.sort(key=lambda item: item[0][0])
+    pairs = []
     for (_, band), spec in banded:
-        sweep.run({"class": "complete --vars 2", "margin": band}, spec, 2)
+        code = sweep.run({"class": "complete --vars 2", "margin": band}, spec, 2)
+        u = build_unitary(spec)
+        p_tilde, q_tilde = (transposed(x.hermitian_part()) for x in (u.P, u.Q))
+        mirrored = sweep.call_complete(p_tilde, q_tilde, 2, "%d,%d" % (spec.n, spec.n - spec.weight))[0]
+        pairs.append((code, mirrored))
+    sweep.mirror("complete --vars 2", pairs)
 
 
 def one_var(sweep, rng, lengths, per_length):
@@ -256,6 +308,8 @@ def main(argv=None):
         build_readoff(sweep, rng, build_lengths, per_length)
     for line in sweep.lines.values():
         line.update(exit=_sorted(line["exit"]), failures=_sorted(line["failures"]))
+        print(json.dumps(line), flush=True)
+    for line in sweep.mirrors:
         print(json.dumps(line), flush=True)
     return 1 if any(line["badAnswers"] for line in sweep.lines.values()) else 0
 

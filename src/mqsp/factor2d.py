@@ -37,7 +37,7 @@ from mqsp.laurent import (
     harmonic_analysis,
     harmonic_sums_pay,
 )
-from mqsp.protocol import Su2LaurentUnitary, assemble_completion
+from mqsp.protocol import Su2LaurentUnitary, assemble_completion, conforms
 from mqsp.readoff import readoff
 
 # fourier_of_reciprocal's grid bounds (one axis, in all) and sampling block
@@ -553,26 +553,30 @@ def generate_stable(deg_a, deg_b, seed):
 
 
 def check_targets(p_tilde, q_tilde, n, m):
-    """The completion's contract on real targets for length n, weight m.
-
-    Both must be real on the torus, with negation parity (m mod 2,
-    (n-m) mod 2) and degrees within (m, n-m); Ptilde must be
+    """The completion's contract on real targets for length n, weight m:
+    both real on the torus, then protocol.conforms with Ptilde
     inversion-even and Qtilde inversion-odd. One variable is the case
     m = n with the targets embedded on axis a.
+
+    Raises ValueError for a weight outside 0..n; then, for Ptilde and then
+    Qtilde, ValueError "inputs must be real on the unit torus",
+    FactorizationError "parity mismatch" (negation parity) or "degree
+    exceeds bound"; and only once both pass those, FactorizationError
+    "parity mismatch" when the inversion parity fails.
     """
     if not 0 <= m <= n:
         raise ValueError("weight must satisfy 0 <= m <= n")
-    for poly in (p_tilde, q_tilde):
+    inversion = []
+    for poly, sign in ((p_tilde, +1), (q_tilde, -1)):
         if not poly.is_hermitian():
             raise ValueError("inputs must be real on the unit torus")
-        if not poly.is_zero():
-            bit_a, bit_b = poly.negation_bits()
-            if bit_a != m % 2 or bit_b != (n - m) % 2:
-                raise FactorizationError("parity mismatch")
-            deg = poly.degrees()
-            if deg.deg_a > m or deg.deg_b > n - m:
-                raise FactorizationError("degree exceeds bound")
-    if not p_tilde.has_inversion_sign(+1) or not q_tilde.has_inversion_sign(-1):
+        degree_ok, inversion_ok, negation_ok = conforms(poly, n, m, sign)
+        if not negation_ok:
+            raise FactorizationError("parity mismatch")
+        if not degree_ok:
+            raise FactorizationError("degree exceeds bound")
+        inversion.append(inversion_ok)
+    if not all(inversion):
         raise FactorizationError("parity mismatch")
 
 

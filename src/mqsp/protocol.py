@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mqsp.errors import VerificationError
-from mqsp.laurent import DegreePair, LaurentPoly2, aligned, check_box, parity_steps
+from mqsp.laurent import LaurentPoly2, aligned, check_box, parity_steps
 
 # Determinant identity P·P~ + Q·Q~ = 1 must hold to this max-coefficient
 # residual for a unitary to count as structurally valid.
@@ -201,12 +201,12 @@ def build_stack(bits, phases):
     (index i for exponent 2i - k after k iterates in z) that is
     P'[i] = S[i - 1] + D[i] and Q'[i] = S[i - 1] - D[i], the same two
     operands in the same order as on the whole box, then one scalar
-    multiply per Z-phase. A step whose bits agree over the whole stack
-    works on views of it; otherwise each bit's trials are gathered by mask
-    and scattered back, and trials already past their length sit the step
-    out. The phase factors are computed one scalar at a time with `math`,
-    as for a single protocol, so each trial's box holds the same numbers
-    as its own build.
+    multiply per Z-phase. A stack of one steps its 2-D boxes in place; in a
+    larger stack each bit's trials are gathered by mask and scattered back
+    at every step, and trials already past their length sit the step out.
+    The phase factors are computed one scalar at a time with `math`, as
+    for a single protocol, so each trial's box holds the same numbers as
+    its own build.
     """
     count = len(bits)
     weight = max(row.count(1) for row in bits)
@@ -227,14 +227,9 @@ def build_stack(bits, phases):
             _step(box_p, box_q, bit, w)
         return boxes
     factors = np.array(factors).T.reshape(len(bits[0]), count, 1, 1)
-    table = np.array(bits, dtype=np.int8)
-    for k, column in enumerate(zip(*bits)):
-        a_all = column.count(1) == count
-        if a_all or column.count(0) == count:
-            _step(p, q, a_all, factors[k])
-            continue
+    for k, column in enumerate(np.array(bits, dtype=np.int8).T):
         for bit in (1, 0):
-            mask = table[:, k] == bit
+            mask = column == bit
             if mask.any():
                 pm, qm = p[mask], q[mask]
                 _step(pm, qm, bit, factors[k][mask])
@@ -308,7 +303,8 @@ def eval_unitary(spec, theta_a, theta_b):
 @dataclass(frozen=True)
 class StructureReport:
     """Outcome of the four structural checks for a protocol unitary of
-    length n and weight m.
+    length n and weight m; the first three are conforms() on P (+1) and
+    Q (-1), each flag holding when it holds for both.
 
     degree_ok: deg(P), deg(Q) within (m, n-m) componentwise (max |exponent|).
     inversion_parity_ok: P even and Q odd under (a, b) -> (1/a, 1/b) jointly.
@@ -322,35 +318,31 @@ class StructureReport:
     negation_parity_ok: bool
     determinant_residual: float
     overall: bool
-    bound: tuple
-    p_degrees: DegreePair
-    q_degrees: DegreePair
 
 
-def _within_bound(deg, bound_a, bound_b):
-    if deg.is_zero:
-        return True
-    return deg.deg_a <= bound_a and deg.deg_b <= bound_b
-
-
-def _negation_ok(poly, bit_a, bit_b):
+def conforms(poly, length, weight, sign):
+    """(degree_ok, inversion_ok, negation_ok) for one entry of a unitary of
+    a protocol of length n and weight m: degrees within (m, n-m)
+    componentwise, poly(1/a, 1/b) == sign * poly within PARITY_REL, and
+    every a-exponent congruent to m and every b-exponent to n-m (mod 2).
+    The zero polynomial conforms.
+    """
+    n, m = int(length), int(weight)
     if poly.is_zero():
-        return True
-    got_a, got_b = poly.negation_bits()  # None here means mixed residues
-    return got_a == bit_a and got_b == bit_b
+        return True, True, True
+    deg = poly.degrees()
+    degree_ok = deg.deg_a <= m and deg.deg_b <= n - m
+    # negation_bits gives None for mixed residues
+    negation_ok = poly.negation_bits() == (m % 2, (n - m) % 2)
+    return degree_ok, poly.has_inversion_sign(sign), negation_ok
 
 
 def verify_structure(u, length, weight):
     """Check the structural conditions for a protocol of the given length n
     and Hamming weight m. All four must hold for unitaries produced by
     build_unitary; the report records which fail for arbitrary inputs."""
-    n, m = int(length), int(weight)
-    pd, qd = u.P.degrees(), u.Q.degrees()
-    degree_ok = _within_bound(pd, m, n - m) and _within_bound(qd, m, n - m)
-    inversion_ok = u.P.has_inversion_sign(+1) and u.Q.has_inversion_sign(-1)
-    negation_ok = _negation_ok(u.P, m % 2, (n - m) % 2) and _negation_ok(
-        u.Q, m % 2, (n - m) % 2
-    )
+    p_flags, q_flags = conforms(u.P, length, weight, +1), conforms(u.Q, length, weight, -1)
+    degree_ok, inversion_ok, negation_ok = (x and y for x, y in zip(p_flags, q_flags))
     det_res = u.det_residual()
     overall = degree_ok and inversion_ok and negation_ok and det_res <= DET_RESIDUAL_TOL
     return StructureReport(
@@ -359,9 +351,6 @@ def verify_structure(u, length, weight):
         negation_parity_ok=negation_ok,
         determinant_residual=det_res,
         overall=overall,
-        bound=(m, n - m),
-        p_degrees=pd,
-        q_degrees=qd,
     )
 
 

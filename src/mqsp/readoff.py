@@ -11,10 +11,11 @@ bug.
 
 `readoff` aligns P and Q once and then works on their coefficient boxes as
 one stacked box: per step a slice test (_slice_test, the module's only
-one) of the top slice pair in each direction of positive degree, the peel,
-one prune (laurent.kept) and a trim to the joint box. `peel_once` is the single
-public step: the same private step on aligned LaurentPoly2 input, equal to
-one step of `readoff`.
+one) of the top slice pair in each direction of positive degree, the peel
+and its prune (_pruned: one laurent.kept call when the reduced boxes need
+no trim, else LaurentPoly2 and aligned() themselves). `peel_once` is the
+single public step: the same private step on aligned LaurentPoly2 input,
+equal to one step of `readoff`.
 """
 
 from __future__ import annotations
@@ -213,8 +214,8 @@ def _peel(p, q, lo, axis, phase):
 
     Returns (phi, box, lo): phi = principal_phase(phase)/2, and the reduced
     P and Q as one (2, rows, cols) stack whose first cell is at exponent
-    lo. The stack holds what aligned() gives for the reduced polynomials,
-    signed zeros included (_pruned).
+    lo. _pruned makes the stack what aligned() gives for the reduced
+    polynomials as LaurentPoly2, signed zeros included.
     """
     phi = principal_phase(phase) / 2.0
     w = complex(math.cos(phi), math.sin(phi))
@@ -246,30 +247,22 @@ def _peel(p, q, lo, axis, phase):
     return (phi,) + _pruned(box, lo)
 
 
-def _span(flags):
-    """(first, last + 1) of the True entries of a list, None when none."""
-    if True not in flags:
-        return None
-    return flags.index(True), len(flags) - flags[::-1].index(True)
-
-
 def _pruned(box, lo):
     """(box, lo) for a (2, rows, cols) stack of P and Q whose first cell is
-    at exponent lo: each layer pruned by LaurentPoly2's rule (laurent.kept)
-    and set to +0 outside its own trimmed box, the stack trimmed to the
-    joint box.
+    at exponent lo: the pair aligned() gives for LaurentPoly2 of each
+    layer, stacked, signed zeros included. Raises ValueError for a
+    non-finite coefficient, as LaurentPoly2 does.
 
-    That is the pair aligned() gives for LaurentPoly2.from_array of each
-    layer, signed zeros included: a layer that drops a nonzero coefficient
-    has all its dropped cells set to +0, one that drops none keeps its
-    zeros as they are inside its box. Raises ValueError for a non-finite
-    coefficient, as from_array does.
+    The fast path: one prune (laurent.kept) of the whole stack, each layer
+    that drops a nonzero coefficient set to +0 in its dropped cells, and,
+    when both layers keep a cell on every edge row and column, the stack
+    returned as it is, since nothing is trimmed and aligned() pads nothing.
+    Every other stack takes LaurentPoly2 and aligned() themselves.
     """
     keep, top = kept(box)
     top_p, top_q = top.ravel().tolist()
     if not (top_p < math.inf and top_q < math.inf):
         raise ValueError("non-finite coefficient")
-    dust = [False, False]
     if np.count_nonzero(box) != np.count_nonzero(keep):
         dust = [np.count_nonzero(box[k]) != np.count_nonzero(keep[k]) for k in (0, 1)]
         if dust[0] and dust[1]:
@@ -284,30 +277,8 @@ def _pruned(box, lo):
     edges += keep[:, :, :: max(width - 1, 1)].transpose(0, 2, 1).tolist()
     if all(any(edge) for layer in edges for edge in layer):
         return box, tuple(lo)
-    # else each layer's own box (None for a zero layer) and their union
-    spans = [
-        (_span(rows), _span(cols))
-        for rows, cols in zip(keep.any(axis=2).tolist(), keep.any(axis=1).tolist())
-    ]
-    held = [span for span in spans if span[0]]
-    if not held:
-        return np.zeros((2, 0, 0), dtype=complex), (0, 0)
-    joint = tuple(
-        (min(span[i][0] for span in held), max(span[i][1] for span in held)) for i in (0, 1)
-    )
-    for layer, dropped, span in zip(box, dust, spans):
-        if dropped or span == joint:
-            continue
-        # a layer that dropped nothing may hold -0 outside its own box,
-        # where aligned() pads with +0
-        if span[0] is None:
-            layer[...] = 0.0
-        else:
-            (r0, r1), (c0, c1) = span
-            layer[:r0], layer[r1:] = 0.0, 0.0
-            layer[:, :c0], layer[:, c1:] = 0.0, 0.0
-    (r0, r1), (c0, c1) = joint
-    return box[:, r0:r1, c0:c1], (lo[0] + r0, lo[1] + c0)
+    p, q, lo = aligned(*(LaurentPoly2._from_box(layer, *lo) for layer in box))
+    return np.stack((p, q)), lo
 
 
 @dataclass(frozen=True)
@@ -341,9 +312,10 @@ def readoff(P, Q):
 
     P and Q are aligned once; every step then works on their coefficient
     boxes as one stack: a slice test of the top slice pair in each
-    direction of positive degree, the peel, one prune and a trim to the
-    joint box. Each step equals peel_once on the pair as LaurentPoly2 objects, and the
-    base case reads the last boxes too, so no LaurentPoly2 is made.
+    direction of positive degree, the peel and its prune (_pruned). Each
+    step equals peel_once on the pair as LaurentPoly2 objects, and the base
+    case reads the last boxes too, so LaurentPoly2 objects are made only
+    for the steps whose reduced boxes need a trim.
     """
     tol = readoff_tolerance()
     original = Su2LaurentUnitary(P, Q)

@@ -56,6 +56,9 @@ def test_build_malformed_phases_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, ["build", path])
     assert code == 2
     assert "invalid input" in err
+    path = write_json(tmp_path / "u.json", {"n": "2", "weight": 1, "p": [], "q": []})
+    code, out, err = run(capsys, ["build", path])
+    assert (code, out, err) == (2, "", "invalid input: unitary file needs integer 'n'\n")
 
 
 def test_build_unparsable_file_exit_two(tmp_path, capsys):
@@ -626,8 +629,9 @@ def test_help_exit_zero(capsys):
 
 
 def test_sweep_script_quick_lines_and_checks():
-    # the schema of every class line, and every answer that printed a
-    # unitary passed its checks; the counts themselves are not pinned
+    # the schema of every class line and mirror line, and every answer that
+    # printed a unitary passed its checks; the counts themselves are not
+    # pinned
     src = os.path.dirname(os.path.dirname(mqsp.__file__))
     script = os.path.join(os.path.dirname(src), "scripts", "sweep.py")
     done = subprocess.run(
@@ -636,8 +640,16 @@ def test_sweep_script_quick_lines_and_checks():
     )
     assert done.returncode == 0, done.stderr
     lines = [json.loads(line) for line in done.stdout.splitlines()]
+    mirrors = [line for line in lines if line["class"] == "mirror"]
+    lines = [line for line in lines if line["class"] != "mirror"]
     classes = {"build + readoff", "complete --vars 1", "complete --vars 2"}
     assert {line["class"] for line in lines} == classes
+    # one mirror line per mirrored class, pairing each of its inputs
+    assert [line["of"] for line in mirrors] == ["complete --vars 2", "build + readoff"]
+    for line in mirrors:
+        assert set(line) == {"class", "of", "pairs", "exitDiffers"}
+        assert line["pairs"] == sum(x["targets"] for x in lines if x["class"] == line["of"])
+        assert 0 <= line["exitDiffers"] <= line["pairs"]
     assert {(line["protocols"], line["n"]) for line in lines if line["class"] == "build + readoff"} == {
         (kind, n) for kind in ("random bits", "single oracle") for n in (16, 32)
     }

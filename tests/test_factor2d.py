@@ -19,7 +19,7 @@ from mqsp.factor2d import (
     stable_from_contraction,
 )
 from mqsp.laurent import LaurentPoly2
-from mqsp.protocol import ProtocolSpec, build_unitary, verify_structure
+from mqsp.protocol import ProtocolSpec, Su2LaurentUnitary, build_unitary, verify_structure
 
 W = LaurentPoly2.monomial(1, 1)  # the product variable ab
 GEOMETRIC = LaurentPoly2({(0, 0): 1.0, (1, 1): 0.5})  # 1 + ab/2
@@ -52,6 +52,8 @@ def test_fourier_constant_reciprocal():
     ]
     assert max(others) < 1e-12
     assert table.convergence_residual < 1e-10
+    with pytest.raises(IndexError, match="outside window"):
+        table.coeff(2, 0)
 
 
 def test_fourier_geometric_series_on_diagonal():
@@ -95,6 +97,8 @@ def test_fourier_rejects_dip_between_coarse_samples():
 def test_fourier_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         fourier_of_reciprocal(LaurentPoly2.monomial(1, 0), (1, 1))
+    with pytest.raises(ValueError, match="^window must be nonnegative$"):
+        fourier_of_reciprocal(LaurentPoly2.one(), (-1, 0))
 
 
 def test_fourier_no_convergence_near_singular():
@@ -576,6 +580,10 @@ def test_contraction_two_by_two_formula():
 def test_contraction_rejects_expansive_K():
     with pytest.raises(ValueError, match="contraction"):
         stable_from_contraction(1.0, ("a",))
+    with pytest.raises(ValueError, match="^slots must be 'a' or 'b'$"):
+        stable_from_contraction(0.5, ("c",))
+    with pytest.raises(ValueError, match="^K must be 2 x 2$"):
+        stable_from_contraction(0.5, ("a", "b"))
 
 
 def test_generate_stable_properties():
@@ -591,6 +599,8 @@ def test_generate_stable_properties():
 def test_generate_stable_degree_cap():
     with pytest.raises(ValueError, match="degree sum"):
         generate_stable(5, 4, seed=0)
+    with pytest.raises(ValueError, match="^degrees must be nonnegative$"):
+        generate_stable(-1, 0, 0)
 
 
 # ---------------------------------------------------------------- completion
@@ -707,3 +717,48 @@ def test_complete_validation_errors():
         )
     with pytest.raises(ValueError, match="weight"):
         complete_unitary_2d(x_a, LaurentPoly2.zero(), 1, 2)
+
+
+def test_check_targets_raises_exactly_where_verify_structure_fails():
+    # Hermitian pairs: the real parts of protocol unitaries, some with one
+    # term pair c a^j b^k + conj(c) a^-j b^-k added to Ptilde or Qtilde,
+    # which can break degree, negation or inversion parity. verify_structure
+    # on each entry alone (the zero polynomial conforms) fixes the message
+    # check_targets must raise: per entry negation, then degree; inversion
+    # only after both entries pass
+    rng = np.random.default_rng(11)
+    zero = LaurentPoly2.zero()
+    raised = set()
+    for trial in range(300):
+        n = int(rng.integers(1, 5))
+        spec = ProtocolSpec(rng.integers(0, 2, n).tolist(), rng.uniform(-3, 3, n + 1).tolist())
+        m = spec.weight
+        u = build_unitary(spec)
+        targets = [u.P.hermitian_part(), u.Q.hermitian_part()]
+        for entry in (0, 1):
+            if trial % 4 in (entry + 1, 3):  # perturb none, P, Q or both
+                j, k = (int(rng.integers(-d - 2, d + 3)) for d in (m, n - m))
+                c = 0.1 * rng.choice([1.0, 1j, 1.0 + 1j])
+                extra = LaurentPoly2({(j, k): c}) + LaurentPoly2({(-j, -k): np.conj(c)})
+                targets[entry] = targets[entry] + extra
+        p_tilde, q_tilde = targets
+        p_rep = verify_structure(Su2LaurentUnitary(p_tilde, zero), n, m)
+        q_rep = verify_structure(Su2LaurentUnitary(zero, q_tilde), n, m)
+        both = verify_structure(Su2LaurentUnitary(p_tilde, q_tilde), n, m)
+        want = None
+        for rep in (p_rep, q_rep):
+            if want is None and not rep.negation_parity_ok:
+                want = "parity mismatch"
+            if want is None and not rep.degree_ok:
+                want = "degree exceeds bound"
+        if want is None and not (p_rep.inversion_parity_ok and q_rep.inversion_parity_ok):
+            want = "parity mismatch"
+        flags = (both.degree_ok, both.inversion_parity_ok, both.negation_parity_ok)
+        assert (want is None) == all(flags)
+        if want is None:
+            factor2d.check_targets(p_tilde, q_tilde, n, m)
+            continue
+        with pytest.raises(FactorizationError, match="^%s$" % want):
+            factor2d.check_targets(p_tilde, q_tilde, n, m)
+        raised.add(want)
+    assert raised == {"parity mismatch", "degree exceeds bound"}

@@ -118,6 +118,9 @@ def test_nonfinite_coefficient_rejected():
         LaurentPoly2({(0, 0): float("nan")})
     with pytest.raises(ValueError, match="non-finite"):
         LaurentPoly1({0: complex(float("inf"), 0)})
+    # as is a coefficient array of more than two axes
+    with pytest.raises(ValueError, match="^coefficients must be a 2-D array$"):
+        LaurentPoly2.from_array(np.ones((1, 2, 2)), 0, 0)
 
 
 def test_prune_drops_relative_dust():

@@ -174,6 +174,8 @@ def test_peel_wrong_direction_fails():
     u = build_unitary(ProtocolSpec((1, 1), (0.1, 0.2, 0.3)))
     with pytest.raises(ReadoffError, match="cannot peel"):
         peel_once(u, "b")
+    with pytest.raises(ValueError, match="^direction must be 'a' or 'b'$"):
+        peel_once(u, "c")
 
 
 def test_peel_non_proportional_fails():
@@ -467,7 +469,7 @@ def test_peel_trims_the_axis_not_peeled():
     assert reduced.Q.is_zero() and reduced.P == LaurentPoly2.monomial(0, 1)
 
 
-def test_pruned_stack_is_aligned_from_array_bit_for_bit():
+def test_pruned_stack_is_aligned_from_array_bit_for_bit(monkeypatch):
     # signed zeros, dust below PRUNE_REL and zero layers: each stack must
     # come out as aligned() of the two LaurentPoly2.from_array layers,
     # byte for byte
@@ -484,6 +486,66 @@ def test_pruned_stack_is_aligned_from_array_bit_for_bit():
         got, got_lo = readoff_module._pruned(box.copy(), lo)
         assert got_lo == want_lo and got.shape == (2,) + x.shape
         assert got[0].tobytes() == x.tobytes() and got[1].tobytes() == y.tobytes()
+    # stacks whose layers keep a cell on every edge row and column take the
+    # fast path, which makes no LaurentPoly2: their -0.0, +0.0 and dust,
+    # in one layer or both, must still come out as the reference has them
+    calls = []
+    monkeypatch.setattr(readoff_module, "aligned", lambda *polys: calls.append(polys))
+    zeros_and_dust = values[[0, 1, 6, 7]]
+    for trial in range(400):
+        shape = (2, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        box = np.empty(shape, dtype=complex)
+        box.real = zeros_and_dust[rng.integers(0, 4, shape)]
+        box.imag = zeros_and_dust[rng.integers(0, 4, shape)]
+        if trial % 3:  # one layer holds no dust: only signed zeros
+            box[trial % 2] = np.where(np.abs(box[trial % 2]) > 0, 0.0, box[trial % 2])
+        for layer in box:
+            rows, cols = layer.shape
+            for i in (0, rows - 1):
+                layer[i, rng.integers(0, cols)] = rng.choice([1.0, -0.5j])
+            for l in (0, cols - 1):
+                layer[rng.integers(0, rows), l] = rng.choice([1.0, -0.5j])
+        lo = (int(rng.integers(-3, 3)), int(rng.integers(-3, 3)))
+        x, y, want_lo = aligned(*(LaurentPoly2.from_array(layer, *lo) for layer in box))
+        got, got_lo = readoff_module._pruned(box.copy(), lo)
+        assert not calls
+        assert got_lo == want_lo and got.shape == (2,) + x.shape
+        assert got[0].tobytes() == x.tobytes() and got[1].tobytes() == y.tobytes()
+
+
+def transposed(p):
+    """p(b, a): the coefficient box transposed."""
+    box, _, (lo_a, lo_b) = aligned(p, p)
+    return LaurentPoly2.from_array(box.T, lo_b, lo_a)
+
+
+def spec_or_message(P, Q):
+    try:
+        return readoff(P, Q).spec
+    except (ReadoffError, VerificationError) as exc:
+        return str(exc)
+
+
+def test_readoff_commutes_with_the_ab_mirror():
+    # swapping the variables maps the unitary of (s, phases) to that of
+    # (1 - s, phases): read-off on the transposed P and Q must fail with the
+    # same message, or recover the mirrored bits and the transposed rebuild
+    rng = np.random.default_rng(5)
+    tol = readoff_tolerance()
+    succeeded = 0
+    for _ in range(80):
+        u = build_unitary(random_spec(rng, int(rng.integers(8, 33))))
+        got = spec_or_message(u.P, u.Q)
+        flip = spec_or_message(transposed(u.P), transposed(u.Q))
+        if isinstance(got, str) or isinstance(flip, str):
+            assert got == flip
+            continue
+        succeeded += 1
+        assert flip.s == tuple(1 - bit for bit in got.s)
+        rebuilt, mirrored = build_unitary(got), build_unitary(flip)
+        assert mirrored.P.distance(transposed(rebuilt.P)) <= tol
+        assert mirrored.Q.distance(transposed(rebuilt.Q)) <= tol
+    assert succeeded >= 40  # 68 of the 80 read off, so the mirror is checked
 
 
 def reference_peel(u, direction):

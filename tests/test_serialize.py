@@ -125,6 +125,8 @@ REJECTED_RECORDS = [
         json.loads('[{"j": 0, "k": 0, "re": NaN, "im": 0.0}, {"j": 1, "k": 0, "re": "x", "im": 0}]'),
         "record 1: coefficient part must be a real number",
     ),
+    # four keys of the wrong names: the fast path's lookup fails first
+    ([{"a": 0, "b": 0, "c": 1.0, "d": 0.0}], "record 0: expected keys j, k, re, im"),
 ]
 
 
@@ -250,6 +252,11 @@ def test_spec_round_trip():
 def test_spec_from_obj_rejects(obj):
     with pytest.raises(ValueError):
         serialize.spec_from_obj(obj)
+
+
+def test_spec_from_obj_names_non_array_fields():
+    with pytest.raises(ValueError, match="^s and phases must be arrays$"):
+        serialize.spec_from_obj({"s": 1, "phases": []})
 
 
 # -- grids ------------------------------------------------------------------------

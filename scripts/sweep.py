@@ -26,6 +26,10 @@ The classes:
   a 256 x 256 torus grid;
 - `complete --vars 1` on random single-oracle protocols, one line per
   length n;
+- `complete --vars 1 on T_N`: the Chebyshev target T_N (the real part of
+  the zero-phase single-oracle protocol of length N), one line per N. Its
+  f = 1 - T_N^2 has double zeros on the circle, so it takes the Newton
+  route;
 - `mirror`: each `build + readoff` protocol and each `complete --vars 2`
   target run again with oracles a and b swapped (bits 1 - s; transposed
   targets with `--deg n,n-m`), one line per mirrored class.
@@ -76,9 +80,9 @@ MARGIN_GRID = 256
 MARGIN_EDGES = (1e-6, 1e-4, 1e-2)
 TWO_VAR_LENGTHS = (2, 3, 4)
 # (build + readoff lengths, two-variable targets, one-variable lengths,
-# inputs per kind and length)
-FULL = ((16, 32, 64, 128, 256, 512), 700, (8, 16, 32, 64, 128, 256), 10)
-QUICK = ((16, 32), 60, (8, 16, 32), 5)
+# inputs per kind and length, Chebyshev degrees)
+FULL = ((16, 32, 64, 128, 256, 512), 700, (8, 16, 32, 64, 128, 256), 10, (8, 16, 32, 64, 128))
+QUICK = ((16, 32), 60, (8, 16, 32), 5, (8,))
 
 
 def _band(margin):
@@ -231,14 +235,6 @@ class Sweep:
         self.mirrors.append({"class": "mirror", "of": of, "pairs": len(pairs), "exitDiffers": differ})
 
 
-def transposed(p):
-    """p(b, a): the coefficient box transposed."""
-    from mqsp.laurent import LaurentPoly2, aligned
-
-    box, _, (lo_a, lo_b) = aligned(p, p)
-    return LaurentPoly2.from_array(box.T, lo_b, lo_a)
-
-
 def build_readoff(sweep, rng, lengths, per_length):
     """`per_length` protocols of random bits and of a single oracle per
     length, each then mirrored."""
@@ -273,7 +269,7 @@ def two_var(sweep, rng, count):
     for (_, band), spec in banded:
         code = sweep.run({"class": "complete --vars 2", "margin": band}, spec, 2)
         u = build_unitary(spec)
-        p_tilde, q_tilde = (transposed(x.hermitian_part()) for x in (u.P, u.Q))
+        p_tilde, q_tilde = (x.hermitian_part().transposed() for x in (u.P, u.Q))
         mirrored = sweep.call_complete(p_tilde, q_tilde, 2, "%d,%d" % (spec.n, spec.n - spec.weight))[0]
         pairs.append((code, mirrored))
     sweep.mirror("complete --vars 2", pairs)
@@ -289,6 +285,14 @@ def one_var(sweep, rng, lengths, per_length):
             sweep.run({"class": "complete --vars 1", "n": n}, ProtocolSpec((1,) * n, tuple(phases)), 1)
 
 
+def chebyshev(sweep, degrees):
+    """The target T_N of each degree N."""
+    from mqsp.protocol import ProtocolSpec
+
+    for n in degrees:
+        sweep.run({"class": "complete --vars 1 on T_N", "n": n}, ProtocolSpec((1,) * n, (0.0,) * (n + 1)), 1)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true", help="a small subset of each class")
@@ -299,12 +303,13 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     from mqsp.cli import main as cli_main
 
-    build_lengths, two_var_count, lengths, per_length = QUICK if args.quick else FULL
+    build_lengths, two_var_count, lengths, per_length, degrees = QUICK if args.quick else FULL
     rng = np.random.default_rng(args.seed)
     with tempfile.TemporaryDirectory() as tmp:
         sweep = Sweep(cli_main, tmp)
         two_var(sweep, rng, two_var_count)
         one_var(sweep, rng, lengths, per_length)
+        chebyshev(sweep, degrees)
         build_readoff(sweep, rng, build_lengths, per_length)
     for line in sweep.lines.values():
         line.update(exit=_sorted(line["exit"]), failures=_sorted(line["failures"]))

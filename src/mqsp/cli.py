@@ -182,13 +182,13 @@ def _cmd_complete(args):
     fac = result.factorization
     # --vars 1 prints no rank report, nor does a Newton-route answer; only
     # --vars 1 names the root class, so each key set stays fixed
-    rank = None if one_var else result.rank_report
+    rank = None if one_var else fac.rank_report
     out = {
         "p": fac.p,
         "residual": float(fac.residual),
         "singularValues": None if rank is None else [float(s) for s in rank.singular_values],
         "satisfied": rank is None or rank.satisfied,
-        "convergenceResidual": None if rank is None else float(result.convergence_residual),
+        "convergenceResidual": None if rank is None else float(fac.convergence_residual),
     }
     if one_var:
         out["rootClass"] = fac.root_class

@@ -13,17 +13,19 @@ fejer_riesz, Wilson's Newton iteration, factors a nonnegative f on axis a,
 zeros on the circle included.
 
 spectral_factor is the one place that picks the route: gamma_factor, and
-fejer_riesz when that raises and f lies on axis a. Both routes pass one
-factor gate, _gated: residual below VERIFY_REL_TOL times max f.
-complete_unitary_2d completes a pair of real-on-torus targets (Ptilde,
-Qtilde) through it to a full protocol unitary; one variable is its case
-m = n with the targets on axis a.
+fejer_riesz when that raises and f lies on axis a; an f on axis b alone is
+factored as its transpose. Either route returns one Factorization2D, which
+says which route made it, through one factor gate, _gated, which samples
+the factor on the grid of f's samples: residual below VERIFY_REL_TOL times
+max f. complete_unitary_2d completes a pair of real-on-torus targets
+(Ptilde, Qtilde) through it to a full protocol unitary; one variable is
+its case m = n with the targets on axis a.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -304,6 +306,10 @@ class Factorization2D:
     "outer" when f's smallest sample on its check grid is at most the sign
     check's floor (a zero of f on the circle, so of p), else "stable".
 
+    rank_report and convergence_residual (of the Fourier table of 1/f) say
+    how the Gamma route ran; both are None for a fejer_riesz factor. The
+    report holds an array, so it takes no part in ==.
+
     min_on_net (smallest |p| on a radial-angular net of the closed bidisk)
     and stable_verified (that minimum is positive) are report values, not
     a gate: each is computed when read, so a completion that never reads
@@ -312,6 +318,8 @@ class Factorization2D:
     p: LaurentPoly2
     residual: float
     root_class: str = "stable"
+    rank_report: RankConditionReport | None = field(default=None, compare=False)
+    convergence_residual: float | None = None
 
     @property
     def min_on_net(self):
@@ -356,10 +364,10 @@ def extract_stable_factor(gamma, f, n, m):
     constant coefficient times the factor itself, so normalizing by
     sqrt(q_{00}) recovers p with p_{00} real positive (this pins the
     overall phase, making repeated extractions identical). The candidate
-    must fit f to within VERIFY_REL_TOL times max f ("verification
-    failed") on a torus grid of _pow2_grid(VERIFY_GRID, max(deg f, 2n, 2m))
-    samples per axis, or one sample along an axis where f and the lattice
-    both have extent 0. The closed-bidisk net is left to Factorization2D.
+    must pass _gated on a torus grid of _pow2_grid(VERIFY_GRID,
+    max(deg f, 2n, 2m)) samples per axis, or one sample along an axis where
+    f and the lattice both have extent 0. The closed-bidisk net is left to
+    Factorization2D.
     """
     # the lattice ordinal j*(m+1) + k is row-major order on the (n+1, m+1) box
     p = LaurentPoly2.from_array(_solve_for_factor(gamma).reshape(n + 1, m + 1), 0, 0)
@@ -368,24 +376,24 @@ def extract_stable_factor(gamma, f, n, m):
     grid = _pow2_grid(VERIFY_GRID, max(*degrees, 2 * n, 2 * m))
     shape = tuple(grid if d or w else 1 for d, w in zip(degrees, (n, m)))
     ((_, f_values),) = f.real_grid_blocks(shape, grid * grid)
-    ((_, p_values),) = p.unit_grid_blocks(shape, grid * grid)
-    residual = float(np.abs(f_values - np.abs(p_values) ** 2).max())
-    return _gated(p, residual, float(np.abs(f_values).max()))
+    return _gated(p, f_values)
 
 
-def _gated(p, residual, scale, root_class="stable"):
-    """The factor gate of both routes: "verification failed" unless the
-    residual is below VERIFY_REL_TOL times scale, max f on the grid."""
-    if residual >= VERIFY_REL_TOL * scale:
+def _gated(p, f_values, root_class="stable"):
+    """The factor gate of both routes: p sampled on the grid of f's samples
+    f_values (`unit_grid`), "verification failed" unless the residual
+    max |f - |p|^2| there is below VERIFY_REL_TOL times max |f|."""
+    residual = float(np.abs(f_values - np.abs(p.unit_grid(f_values.shape)) ** 2).max())
+    if residual >= VERIFY_REL_TOL * float(np.abs(f_values).max()):
         raise FactorizationError("verification failed")
     return Factorization2D(p, residual, root_class)
 
 
 def gamma_factor(f):
-    """(Factorization2D, RankConditionReport, convergence residual): the
-    stable factor of a strictly positive f on the lattice of its degree box
-    by fourier_of_reciprocal, build_gamma, rank_condition and
-    extract_stable_factor. Raises as they do, and "rank condition not
+    """The stable factor of a strictly positive f on the lattice of its
+    degree box by fourier_of_reciprocal, build_gamma, rank_condition and
+    extract_stable_factor, with the rank report and the table's
+    convergence residual. Raises as they do, and "rank condition not
     satisfied" when the rank condition fails.
     """
     n, m = _degrees(f)
@@ -394,7 +402,8 @@ def gamma_factor(f):
     report = rank_condition(gamma, n, m)
     if not report.satisfied:
         raise FactorizationError("rank condition not satisfied")
-    return extract_stable_factor(gamma, f, n, m), report, table.convergence_residual
+    factorization = extract_stable_factor(gamma, f, n, m)
+    return replace(factorization, rank_report=report, convergence_residual=table.convergence_residual)
 
 
 def _newton_step(g, f_top):
@@ -445,9 +454,7 @@ def fejer_riesz(f):
     # the CHECK_GRID points in it
     grid = _pow2_grid(CHECK_GRID, f.degrees().deg_a)
     ((_, values),) = f.real_grid_blocks((grid, 1), grid)
-    values = values[:, 0]
-    scale = float(np.max(np.abs(values)))
-    floor = 1e-12 * max(1.0, scale)
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(values))))
     lowest = float(np.min(values))
     if lowest < -floor:
         raise FactorizationError("not nonnegative on circle")
@@ -455,11 +462,6 @@ def fejer_riesz(f):
 
     box, _, (lo, _) = aligned(f, f)
     d = lo + len(box) - 1  # the top exponent
-    if d == 0:
-        c = f.coeff(0, 0).real
-        g = LaurentPoly1({0: math.sqrt(max(c, 0.0))})
-        return _gated(g, abs(c - max(c, 0.0)), scale, root_class)
-
     full = np.array([f.coeff(k, 0) for k in range(-d, d + 1)])
     f_top = full[d:]
 
@@ -485,24 +487,26 @@ def fejer_riesz(f):
     top = g[-1]
     # the dict constructor stores a -0.0 part as +0.0
     g = LaurentPoly1(dict(enumerate(g * (abs(top) / top if top else 1.0))))
-    ((_, g_values),) = g.unit_grid_blocks((grid, 1), grid)
-    residual = float(np.max(np.abs(values - np.abs(g_values[:, 0]) ** 2)))
-    return _gated(g, residual, scale, root_class)
+    return _gated(g, values, root_class)
 
 
 def spectral_factor(f):
-    """(Factorization2D, RankConditionReport or None, convergence residual
-    or None): gamma_factor's result, or, when that raises and f lies on
+    """gamma_factor's factorization, or, when that raises and f lies on
     axis a (degree 0 in b), fejer_riesz's factor of the LaurentPoly1 on f's
-    box (no copy), with no rank report or convergence residual; its outcome
-    and message are then final. An f with positive degree in b has the
-    Gamma route alone."""
+    box (no copy); its outcome and message are then final. An f of degree 0
+    in a and positive degree in b is factored as the transpose of
+    spectral_factor(f.transposed()), so both routes serve either axis. An f
+    with positive degree in both has the Gamma route alone."""
+    n, m = _degrees(f)
+    if m and not n:
+        factorization = spectral_factor(f.transposed())
+        return replace(factorization, p=factorization.p.transposed())
     try:
         return gamma_factor(f)
     except FactorizationError:
-        if _degrees(f)[1]:
+        if m:
             raise
-    return fejer_riesz(LaurentPoly1.from_poly2(f)), None, None
+    return fejer_riesz(LaurentPoly1.from_poly2(f))
 
 
 def stable_from_contraction(K, slots):
@@ -583,28 +587,11 @@ def check_targets(p_tilde, q_tilde, n, m):
 @dataclass(frozen=True)
 class CompletionResult:
     """Completed unitary, recovered protocol (None when the completion is a
-    valid unitary but peeling fails), and spectral_factor's factorization,
-    rank report and convergence residual of the Fourier table of 1/f; the
-    rank report and the residual are None when the Newton route answered."""
+    valid unitary but peeling fails), and spectral_factor's factorization."""
 
     unitary: Su2LaurentUnitary
     spec: object
-    factorization: object
-    rank_report: RankConditionReport | None = None
-    convergence_residual: float | None = None
-
-
-def assemble_and_read_off(p_tilde, q_tilde, factor, n, m):
-    """(unitary, spec): [[Ptilde + iR, Qtilde + iS], ...] assembled from the
-    spectral factor (assemble_completion), and the protocol read off it.
-    A read-off failure leaves spec None rather than raising, since a valid
-    completion need not be protocol-realizable."""
-    unitary = assemble_completion(p_tilde, q_tilde, factor, n, m)
-    try:
-        spec = readoff(unitary.P, unitary.Q).spec
-    except (ReadoffError, VerificationError):
-        spec = None
-    return unitary, spec
+    factorization: Factorization2D
 
 
 def complete_unitary_2d(p_tilde, q_tilde, n, m):
@@ -613,15 +600,21 @@ def complete_unitary_2d(p_tilde, q_tilde, n, m):
 
     The targets must pass check_targets. spectral_factor factors
     f = 1 - Ptilde^2 - Qtilde^2: the stable factor when f is strictly
-    positive, else, for f on axis a, the Newton factor. Shifted by
+    positive, else, for f on one axis, the Newton factor. Shifted by
     a^{-m} b^{-(n-m)}, the factor splits into a Hermitian part R and
     anti-Hermitian part iS with R^2 + S^2 = f, so the matrix
     [[Ptilde + iR, Qtilde + iS], [...]] is exactly unitary up to the
-    factorization residual (assemble_and_read_off).
+    factorization residual (assemble_completion). The protocol is read off
+    it; a read-off failure leaves spec None rather than raising, since a
+    valid completion need not be protocol-realizable.
     """
     n, m = int(n), int(m)
     check_targets(p_tilde, q_tilde, n, m)
     f = LaurentPoly2.one() - p_tilde * p_tilde - q_tilde * q_tilde
-    factorization, report, residual = spectral_factor(f)
-    unitary, spec = assemble_and_read_off(p_tilde, q_tilde, factorization.p, n, m)
-    return CompletionResult(unitary, spec, factorization, report, residual)
+    factorization = spectral_factor(f)
+    unitary = assemble_completion(p_tilde, q_tilde, factorization.p, n, m)
+    try:
+        spec = readoff(unitary.P, unitary.Q).spec
+    except (ReadoffError, VerificationError):
+        spec = None
+    return CompletionResult(unitary, spec, factorization)

@@ -6,11 +6,11 @@ exponent (lo_a, lo_b) of its first cell; the zero polynomial is an empty
 array. Ring operations are numpy work on these arrays: sums add aligned
 boxes, a product is one direct (not FFT) 1-D convolution of the
 flattened boxes, the conjugate-reciprocal and the inversion flip the box,
-and degrees and parity read it directly. `aligned` puts the boxes of two
-polynomials on one exponent range; read-off takes its leading slices from
-there. Every result is pruned once, dropping coefficients at or below
-PRUNE_REL times its largest magnitude, and a non-finite coefficient
-raises ValueError.
+the transpose swaps the variables, and degrees and parity read it
+directly. `aligned` puts the boxes of two polynomials on one exponent
+range; read-off takes its leading slices from there. Every result is
+pruned once, dropping coefficients at or below PRUNE_REL times its
+largest magnitude, and a non-finite coefficient raises ValueError.
 `LaurentPoly1` is the single-variable polynomial in oracle A's variable
 (a single-oracle protocol has weight m = n): the LaurentPoly2 subclass
 whose b exponents are all 0, built from a {k: c} dict; every query and
@@ -304,6 +304,10 @@ class LaurentPoly2:
             return self
         return self._like(self._box[::-1, ::-1], *self._flipped_lo())
 
+    def transposed(self):
+        """p(b, a): coefficient at (j,k) becomes the input's at (k,j)."""
+        return self._like(self._box.T, self._lo[1], self._lo[0])
+
     def hermitian_part(self):
         """(p + conj_reciprocal(p))/2, the real part of p on the torus."""
         return (self + self.conj_reciprocal()) * 0.5
@@ -331,37 +335,32 @@ class LaurentPoly2:
 
     def eval_unit_grid(self, n):
         """Values at theta_r = 2*pi*r/n per axis: out[r, s] = p(2*pi*r/n,
-        2*pi*s/n), the whole grid as one block of `unit_grid_blocks`."""
-        ((_, values),) = self.unit_grid_blocks((n, n), n * n)
-        return values
+        2*pi*s/n), `unit_grid` on the n x n grid."""
+        return self.unit_grid((n, n))
 
-    def unit_grid_blocks(self, shape, block_cells):
-        """Yield (start, values) over the na x nb grid of `shape`, in whole
-        theta_a rows of at most block_cells samples (at least one row):
-        values[i, s] = p(2*pi*(start + i)/na, 2*pi*s/nb).
+    def unit_grid(self, shape):
+        """Values on the na x nb grid of `shape`:
+        out[r, s] = p(2*pi*r/na, 2*pi*s/nb).
 
         One zero-padded inverse FFT along a of the coefficient box (na x box
-        width) serves every block; each block then takes one inverse FFT
-        along b, so it costs O(block_cells log nb) and holds at most
-        max(block_cells, nb) samples whatever the box width. An axis of
-        length 1 (p constant along it) takes no FFT. Exact (up to rounding)
-        provided each axis exceeds the exponent spread in its variable.
+        width), then one along b of the whole grid; an axis of length 1 (p
+        constant along it) takes no FFT. Exact (up to rounding) provided
+        each axis exceeds the exponent spread in its variable.
         """
         na, nb = shape
         along_a = self._along_a(na, nb)
-        at_b = np.arange(self._lo[1], self._lo[1] + along_a.shape[1]) % nb
-        block_rows = max(1, block_cells // nb)
-        for start in range(0, na, block_rows):
-            block = np.zeros((min(block_rows, na - start), nb), dtype=complex)
-            block[:, at_b] = along_a[start : start + block_rows]
-            if nb > 1:
-                np.fft.ifft(block, axis=1, out=block, norm="forward")
-            yield start, block
+        grid = np.zeros((na, nb), dtype=complex)
+        grid[:, np.arange(self._lo[1], self._lo[1] + along_a.shape[1]) % nb] = along_a
+        if nb > 1:
+            np.fft.ifft(grid, axis=1, out=grid, norm="forward")
+        return grid
 
     def real_grid_blocks(self, shape, block_cells):
-        """`unit_grid_blocks` for a Hermitian p: the same blocks, as float64
-        samples (the real parts of unit_grid_blocks', up to rounding and to
-        the departure from exact symmetry that is_hermitian allows).
+        """Yield (start, values) over the na x nb grid of `shape` for a
+        Hermitian p, in whole theta_a rows of at most block_cells samples (at
+        least one row): values[i] is row start + i of `unit_grid`'s real
+        parts, as float64 samples (up to rounding and to the departure from
+        exact symmetry that is_hermitian allows).
 
         p's coefficients d_k(theta_a) in b satisfy d_-k = conj(d_k), so only
         the box's columns of b exponent k >= 0 take the inverse FFT along a

@@ -1,11 +1,10 @@
 """Acceptance gate: ten end-to-end criteria at their stated tolerances.
 
 Each test prints one summary line ("criterion NN ...: PASS/FAIL (detail)")
-and fails hard when its criterion is not met. Criterion 7 is expected to
-fail: it demands that the rank condition reject strictly positive
-(ab)-diagonal densities, but every such density has a stable univariate
-factor in the joint variable, so the condition is provably satisfied
-instead; the analysis lives in /root/notes/decisions.md.
+and fails hard when its criterion is not met. Criterion 7 controls the
+rank condition both ways: strictly positive (ab)-diagonal densities have a
+stable factor and must pass it, (ab^-1)-diagonal ones have none and must
+fail it (README, "Acceptance gate").
 """
 
 import json
@@ -16,12 +15,14 @@ import numpy as np
 import pytest
 
 from mqsp import families, serialize
+from mqsp.errors import FactorizationError
 from mqsp.factor1d import complete_unitary_1d
 from mqsp.factor2d import (
     build_gamma,
     extract_stable_factor,
     fejer_riesz,
     fourier_of_reciprocal,
+    gamma_factor,
     generate_stable,
     rank_condition,
 )
@@ -117,8 +118,7 @@ def test_03_proportionality_scan(tmp_path):
 
 def _on_circle(p, n):
     # p at the n points theta_r = 2 pi r / n, p on axis a
-    ((_, values),) = p.unit_grid_blocks((n, 1), n)
-    return values[:, 0]
+    return p.unit_grid((n, 1))[:, 0]
 
 
 def _random_positive_trig(rng):
@@ -219,41 +219,45 @@ def test_06_forward_2d_pipeline():
 
 
 def test_07_diagonal_negative_control():
-    # Expected to fail: a strictly positive density supported on the (ab)
-    # diagonal always factors through a stable univariate polynomial in the
-    # joint variable, so the rank condition is provably satisfied, never
-    # refuted. Kept as stated so the gap stays visible; the derivation and
-    # numerics are recorded in /root/notes/decisions.md.
+    # q(w) = 1 + c1 w + c2 w^2 with |c1| + |c2| = 0.7 has no zeros in the
+    # closed disk. Positive control: f = |q(ab)|^2 has the stable factor
+    # q(ab) on the lattice {0..2}^2, so by Geronimo-Woerdeman the rank
+    # condition holds and the Gamma route recovers q(ab). Negative control:
+    # a^2 b^2 |q(ab^-1)|^2 is homogeneous of degree 4, so every factor g of
+    # degree <= (2, 2) with g g~ = a^2 b^2 f is homogeneous and nonconstant,
+    # g(0, 0) = 0, and no stable factor exists: the rank condition fails and
+    # gamma_factor refuses f
     rng = np.random.default_rng(23)
-    rejected = 0
+    satisfied = recovered = rejected = refused = 0
     for _ in range(20):
         c1 = complex(rng.normal(), rng.normal())
         c2 = complex(rng.normal(), rng.normal())
         scale = 0.7 / (abs(c1) + abs(c2))
-        q = (
-            LaurentPoly2.one()
-            + LaurentPoly2.monomial(1, 1) * (c1 * scale)
-            + LaurentPoly2.monomial(2, 2) * (c2 * scale)
-        )
-        f = q * q.conj_reciprocal()
-        table = fourier_of_reciprocal(f, (2, 2))
-        report = rank_condition(build_gamma(table, 2, 2), 2, 2)
-        rejected += not report.satisfied
-    ok = rejected == 20
-    _report(
-        7,
-        "diagonal control",
-        ok,
-        "rank condition rejected %d/20 diagonal densities; a stable factor in"
-        " the joint variable exists for all of them, so rejection is"
-        " impossible -- see /root/notes/decisions.md" % rejected,
+        for k in (1, -1):
+            q = (
+                LaurentPoly2.one()
+                + LaurentPoly2.monomial(1, k) * (c1 * scale)
+                + LaurentPoly2.monomial(2, 2 * k) * (c2 * scale)
+            )
+            f = q * q.conj_reciprocal()
+            table = fourier_of_reciprocal(f, (2, 2))
+            report = rank_condition(build_gamma(table, 2, 2), 2, 2)
+            if k == 1:
+                satisfied += report.satisfied
+                recovered += gamma_factor(f).p.distance(q) < 1e-9
+                continue
+            rejected += not report.satisfied
+            try:
+                gamma_factor(f)
+            except FactorizationError as exc:
+                refused += str(exc) == "rank condition not satisfied"
+    ok = satisfied == recovered == rejected == refused == 20
+    detail = (
+        "(ab)-diagonal: %d/20 satisfied, %d/20 factor recovered; (ab^-1)-diagonal:"
+        " %d/20 rejected, %d/20 refused" % (satisfied, recovered, rejected, refused)
     )
-    assert rejected == 20, (
-        "rank condition rejected %d/20 strictly positive (ab)-diagonal"
-        " densities; every such density has a stable univariate factor in the"
-        " joint variable, so the condition is provably satisfied instead;"
-        " analysis in /root/notes/decisions.md" % rejected
-    )
+    _report(7, "diagonal control", ok, detail)
+    assert ok, detail + "; see README, Acceptance gate"
 
 
 def test_08_six_query_discrimination():

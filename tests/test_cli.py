@@ -331,6 +331,32 @@ def test_complete_newton_route_answers_alike_in_one_and_two_variables(tmp_path, 
     assert "rootClass" in one and "rootClass" not in two
 
 
+def _swapped(records):
+    """The records of p(b, a), in the order the CLI writes them."""
+    return sorted(({**r, "j": r["k"], "k": r["j"]} for r in records), key=lambda r: (r["j"], r["k"]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_complete_on_axis_b_answers_as_its_axis_a_twin_transposed(tmp_path, capsys, n):
+    # Ptilde = cos n theta_b leaves f = sin^2 n theta_b, zeros on the
+    # circle along b alone: --deg n,0 completes it as --deg n,n completes
+    # cos n theta_a, with the factor and the unitary transposed and the
+    # protocol of bits 1 - s and the same phases
+    on_a = [{"j": j, "k": 0, "re": 0.5, "im": 0.0} for j in (-n, n)]
+    answers = []
+    for records, deg in ((on_a, "%d,%d" % (n, n)), (_swapped(on_a), "%d,0" % n)):
+        path = write_json(tmp_path / "t.json", {"p": records})
+        code, out, err = run(capsys, ["complete", path, "--vars", "2", "--deg", deg])
+        assert (code, err) == (0, ""), deg
+        answers.append(json.loads(out))
+    a, b = answers
+    assert b["p"] == _swapped(a["p"])
+    assert b["unitary"] == dict(a["unitary"], weight=0, p=_swapped(a["unitary"]["p"]), q=_swapped(a["unitary"]["q"]))
+    assert b["protocol"] == {"s": [1 - bit for bit in a["protocol"]["s"]], "phases": a["protocol"]["phases"]}
+    for key in ("residual", "singularValues", "satisfied", "convergenceResidual"):
+        assert b[key] == a[key], key
+
+
 def eval_records(records, theta):
     """Value of a record list at the torus points theta = [(theta_a, theta_b)]."""
     if not records:
@@ -642,7 +668,7 @@ def test_sweep_script_quick_lines_and_checks():
     lines = [json.loads(line) for line in done.stdout.splitlines()]
     mirrors = [line for line in lines if line["class"] == "mirror"]
     lines = [line for line in lines if line["class"] != "mirror"]
-    classes = {"build + readoff", "complete --vars 1", "complete --vars 2"}
+    classes = {"build + readoff", "complete --vars 1", "complete --vars 1 on T_N", "complete --vars 2"}
     assert {line["class"] for line in lines} == classes
     # one mirror line per mirrored class, pairing each of its inputs
     assert [line["of"] for line in mirrors] == ["complete --vars 2", "build + readoff"]
@@ -653,8 +679,14 @@ def test_sweep_script_quick_lines_and_checks():
     assert {(line["protocols"], line["n"]) for line in lines if line["class"] == "build + readoff"} == {
         (kind, n) for kind in ("random bits", "single oracle") for n in (16, 32)
     }
+    assert [line["n"] for line in lines if line["class"] == "complete --vars 1 on T_N"] == [8]
     for line in lines:
-        head = {"build + readoff": {"protocols", "n"}, "complete --vars 1": {"n"}, "complete --vars 2": {"margin"}}
+        head = {
+            "build + readoff": {"protocols", "n"},
+            "complete --vars 1": {"n"},
+            "complete --vars 1 on T_N": {"n"},
+            "complete --vars 2": {"margin"},
+        }
         keys = {"class", "targets", "exit", "failures", "worstDet", "worstRebuild", "badAnswers"}
         assert set(line) == keys | head[line["class"]]
         assert line["badAnswers"] == 0

@@ -10,13 +10,15 @@ from mqsp.errors import FactorizationError
 from mqsp.laurent import LaurentPoly1, LaurentPoly2
 from mqsp.factor1d import complete_unitary_1d
 from mqsp.factor2d import (
-    assemble_and_read_off,
+    build_gamma,
     complete_unitary_2d,
     fejer_riesz,
+    fourier_of_reciprocal,
     gamma_factor,
+    rank_condition,
     spectral_factor,
 )
-from mqsp.protocol import ProtocolSpec, build_unitary, verify_structure
+from mqsp.protocol import ProtocolSpec, assemble_completion, build_unitary, verify_structure
 from mqsp.readoff import readoff
 
 
@@ -85,6 +87,20 @@ def test_factor_zero_polynomial():
     assert fac.p.is_zero() and fac.residual == 0.0
 
 
+@pytest.mark.parametrize("c, root_class", [(1.0, "stable"), (2.0, "stable"), (0.3, "stable"), (1e-300, "outer")])
+def test_factor_constant_takes_the_newton_loop(c, root_class, monkeypatch):
+    # a positive constant has no branch of its own: Wilson's step on a
+    # one-coefficient g gives sqrt(c) to within one ulp
+    steps = []
+    step = factor2d._newton_step
+    monkeypatch.setattr(factor2d, "_newton_step", lambda g, f_top: steps.append(g) or step(g, f_top))
+    fac = fejer_riesz(LaurentPoly1({0: c}))
+    assert steps
+    assert len(fac.p) == 1 and abs(fac.p.coeff(0, 0) - math.sqrt(c)) <= math.ulp(math.sqrt(c))
+    assert fac.residual <= math.ulp(c)
+    assert fac.root_class == root_class
+
+
 def _random_positive(rng, deg):
     h = LaurentPoly1(
         {k: complex(rng.normal(), rng.normal()) for k in range(deg + 1)}
@@ -121,18 +137,26 @@ def _coeffs(p, deg):
 
 def test_gamma_factor_matches_newton():
     # the same factor up to a global phase, pinned by p_0 > 0 instead of
-    # fejer_riesz's top coefficient, so refactoring p p* reproduces p
+    # fejer_riesz's top coefficient, so refactoring p p* reproduces p; the
+    # Gamma-route factorization carries its rank report and the convergence
+    # residual of its Fourier table
     rng = np.random.default_rng(8)
     for deg in (1, 3, 7, 12, 16):
         f = _random_positive(rng, deg)
-        fac, _, _ = gamma_factor(f)
-        assert spectral_factor(f)[0].root_class == "stable"
+        fac = gamma_factor(f)
+        assert spectral_factor(f) == fac and fac.root_class == "stable"
+        table = fourier_of_reciprocal(f, (deg, 0))
+        report = rank_condition(build_gamma(table, deg, 0), deg, 0)
+        assert fac.convergence_residual == table.convergence_residual
+        assert vars(fac.rank_report).keys() == vars(report).keys()
+        for key, value in vars(report).items():
+            assert np.array_equal(getattr(fac.rank_report, key), value), key
         assert fac.residual < 1e-12 * f.max_abs()
         g = _coeffs(fac.p, deg)
         ref = _coeffs(fejer_riesz(f).p, deg)
         assert np.abs(np.abs(g) - np.abs(ref)).max() < 1e-12 * np.abs(g).max()
         assert g[0].real > 0 and abs(g[0].imag) <= 1e-12 * g[0].real
-        again = gamma_factor(fac.p * fac.p.conj_reciprocal())[0].p
+        again = gamma_factor(fac.p * fac.p.conj_reciprocal()).p
         assert again.distance(fac.p) < 1e-12 * fac.p.max_abs()
 
 
@@ -147,15 +171,17 @@ def test_boundary_zeros_fall_back_to_newton():
             gamma_factor(f)
         fac = fejer_riesz(f)
         assert fac.root_class == "outer"
-        assert spectral_factor(f) == (fac, None, None)
+        assert fac.rank_report is None and fac.convergence_residual is None
+        assert spectral_factor(f) == fac
     # and the completions of cos t = T_1 and T_n are the Newton ones
     for n in (1, 2, 5):
         t = chebyshev_t_laurent(n)
         res = complete_unitary_1d(t, LaurentPoly1.zero(), n)
         fac = fejer_riesz(LaurentPoly1.one() - t * t)
         assert res.factorization == fac and fac.root_class == "outer"
-        unitary, spec = assemble_and_read_off(t, LaurentPoly2.zero(), fac.p, n, n)
-        assert res.unitary.distance(unitary) == 0.0 and res.spec == spec
+        unitary = assemble_completion(t, LaurentPoly2.zero(), fac.p, n, n)
+        assert res.unitary.distance(unitary) == 0.0
+        assert res.spec == readoff(unitary.P, unitary.Q).spec
 
 
 # phases of a single-oracle protocol at n = 8 whose real parts leave
@@ -181,7 +207,7 @@ def test_strictly_positive_past_the_grid_cap_falls_back():
     with pytest.raises(FactorizationError, match="^no convergence$"):
         gamma_factor(f)
     fac = fejer_riesz(f)
-    assert spectral_factor(f) == (fac, None, None) and fac.root_class == "stable"
+    assert spectral_factor(f) == fac and fac.root_class == "stable"
     # 1/f of this protocol-derived f does not converge within
     # FOURIER_AXIS_MAX samples: the target still completes, through
     # Newton, and reads off

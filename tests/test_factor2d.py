@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from mqsp.factor2d import (
     complete_unitary_2d,
     extract_stable_factor,
     fourier_of_reciprocal,
+    gamma_factor,
     generate_stable,
     rank_condition,
+    spectral_factor,
     stable_from_contraction,
 )
 from mqsp.laurent import LaurentPoly2
@@ -348,7 +351,7 @@ def test_fourier_rejects_dip_in_a_later_row_block():
     na = factor2d._pow2_grid(factor2d.FOURIER_START, 1)
     nb = factor2d._pow2_grid(factor2d.FOURIER_START, 1100)
     assert na * nb == 2 * factor2d.FOURIER_BLOCK_CELLS
-    ((_, values),) = f.unit_grid_blocks((na, nb), na * nb)
+    values = f.unit_grid((na, nb))
     rows = factor2d.FOURIER_BLOCK_CELLS // nb
     assert values[:rows].real.min() > 0.998 and values.real.min() < 0.0
     with pytest.raises(FactorizationError, match="f not strictly positive"):
@@ -407,12 +410,16 @@ def test_rank_constant_f():
 
 
 def test_rank_forward_determinantal():
+    # spectral_factor's factorization carries the very report of the route
     for seed, (da, db) in [(7, (1, 1)), (8, (2, 1)), (9, (2, 2))]:
         f = _abs_square(generate_stable(da, db, seed=seed))
         _, report, n, m = _pipeline(f)
         assert report.satisfied, (seed, report)
         assert report.submatrix_rank == n * m
         assert report.inverse_block_rel < 1e-8
+        carried = spectral_factor(f).rank_report
+        assert np.array_equal(carried.singular_values, report.singular_values)
+        assert (carried.submatrix_rank, carried.inverse_block_rel) == (report.submatrix_rank, report.inverse_block_rel)
 
 
 def test_rank_rejects_generic_positive_f():
@@ -630,14 +637,20 @@ def test_complete_protocol_targets_pinned():
 
 
 def test_complete_on_axis_b_past_the_rounding_floor():
-    # f on axis b alone, so the Gamma route has no Newton fallback: its 1/f
-    # table (max ~4e2) moves by 7.3e-10 from the 2^15 to the 2^16 grid,
-    # rounding in the sampled 1/f, which an absolute tolerance of 1e-10
-    # took for "no convergence"
+    # f on axis b alone: its 1/f table (max ~4e2) moves by 7.3e-10 from the
+    # 2^15 to the 2^16 grid, rounding in the sampled 1/f, which an absolute
+    # tolerance of 1e-10 took for "no convergence". The Gamma route
+    # converges on f along b and on its transpose along a alike, and
+    # spectral_factor takes the transpose's factor transposed back
     p_tilde, q_tilde = _real_targets(
         (0, 0), (1.5624715763364785, 2.995043565473665, -0.005802432206793995)
     )
+    f = LaurentPoly2.one() - p_tilde * p_tilde - q_tilde * q_tilde
+    on_b, on_a = gamma_factor(f), gamma_factor(f.transposed())
+    assert on_b.convergence_residual == on_a.convergence_residual > factor2d.FOURIER_TOL
+    assert on_b.p.distance(on_a.p.transposed()) < 1e-14
     result = complete_unitary_2d(p_tilde, q_tilde, 2, 0)
+    assert result.factorization == replace(on_a, p=on_a.p.transposed())
     assert result.factorization.residual < 1e-12
     assert result.spec is not None
     assert build_unitary(result.spec).distance(result.unitary) < 1e-8

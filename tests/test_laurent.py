@@ -141,13 +141,21 @@ def _random_poly2(rng, terms, spread):
 
 
 def test_unit_grid_matches_direct_eval():
+    # the square grid of eval_unit_grid and a non-square one of unit_grid
     p = _random_poly2(np.random.default_rng(7), terms=6, spread=3)
-    n = 16
-    grid = p.eval_unit_grid(n)
-    thetas = 2 * np.pi * np.arange(n) / n
-    z = np.exp(1j * thetas)
-    direct = p.eval_grid(z, z)
-    assert np.max(np.abs(grid - direct)) < 1e-12
+    for (na, nb), grid in (((16, 16), p.eval_unit_grid(16)), ((16, 7), p.unit_grid((16, 7)))):
+        za, zb = (np.exp(2j * np.pi * np.arange(n) / n) for n in (na, nb))
+        assert grid.shape == (na, nb)
+        assert np.max(np.abs(grid - p.eval_grid(za, zb))) < 1e-12
+
+
+def test_transposed_swaps_the_variables():
+    p = _random_poly2(np.random.default_rng(9), terms=6, spread=3)
+    t = p.transposed()
+    assert t == LaurentPoly2({(k, j): c for (j, k), c in p.items()})
+    assert t.transposed() == p and t.max_abs() == p.max_abs()
+    assert LaurentPoly1({2: 1.0, -1: 0.5j}).transposed() == LaurentPoly2({(0, 2): 1.0, (0, -1): 0.5j})
+    assert LaurentPoly2.zero().transposed().is_zero()
 
 
 def test_eval_grid_matches_per_term_sum():
@@ -182,7 +190,7 @@ def test_unit_grid_too_small_raises():
 
 def test_circle_grid_univariate():
     p = LaurentPoly1({1: 0.5, -1: 0.5})  # cos(theta)
-    ((_, vals),) = p.unit_grid_blocks((8, 1), 8)
+    vals = p.unit_grid((8, 1))
     thetas = 2 * np.pi * np.arange(8) / 8
     assert np.max(np.abs(vals[:, 0] - np.cos(thetas))) < 1e-14
 
@@ -207,12 +215,14 @@ def test_real_grid_blocks_match_unit_grid_real_parts(deg):
         grids.append(((2 * FOURIER_BLOCK_CELLS + 3, 1), FOURIER_BLOCK_CELLS))
     for shape, block_cells in grids:
         real = list(f.real_grid_blocks(shape, block_cells))
-        complex_ = list(f.unit_grid_blocks(shape, block_cells))
-        assert [start for start, _ in real] == [start for start, _ in complex_], shape
-        scale = max(np.abs(block.real).max() for _, block in complex_)
-        for (_, got), (_, want) in zip(real, complex_):
-            assert got.dtype == np.float64 and got.shape == want.shape, shape
-            assert np.abs(got - want.real).max() <= 1e-14 * scale, shape
+        want = f.unit_grid(shape).real
+        rows = max(1, block_cells // shape[1])
+        assert [start for start, _ in real] == list(range(0, shape[0], rows)), shape
+        scale = np.abs(want).max()
+        for start, got in real:
+            block = want[start : start + rows]
+            assert got.dtype == np.float64 and got.shape == block.shape, shape
+            assert np.abs(got - block).max() <= 1e-14 * scale, shape
     assert len(list(f.real_grid_blocks((512, 2048), FOURIER_BLOCK_CELLS))) == 4
 
 

@@ -226,8 +226,9 @@ def test_build_mirrors_under_swapped_oracles():
         u = build_unitary(spec)
         v = build_unitary(ProtocolSpec(tuple(1 - b for b in spec.s), spec.phases))
         for poly, mirror in ((u.P, v.P), (u.Q, v.Q)):
-            assert mirror._lo == poly._lo[::-1]
-            assert mirror._box.tobytes() == poly._box.T.tobytes()
+            swapped = poly.transposed()
+            assert mirror._lo == swapped._lo
+            assert mirror._box.tobytes() == swapped._box.tobytes()
 
 
 def test_assemble_completion_shifts_factor_and_drops_odd_cells():

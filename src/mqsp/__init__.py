@@ -12,10 +12,9 @@ from mqsp.errors import (
     ReadoffError,
     VerificationError,
 )
-from mqsp.laurent import DegreePair, LaurentPoly1, LaurentPoly2
+from mqsp.laurent import LaurentPoly1, LaurentPoly2
 
 __all__ = [
-    "DegreePair",
     "FactorizationError",
     "LaurentPoly1",
     "LaurentPoly2",

@@ -21,7 +21,6 @@ peeling, spectral factorization -- is built on LaurentPoly2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,20 +81,6 @@ def kept(boxes):
 
 
 _EMPTY = np.zeros((0, 0), dtype=complex)
-
-
-@dataclass(frozen=True)
-class DegreePair:
-    """Degrees of a bivariate Laurent polynomial: deg_a/deg_b are the max
-    |exponent| per variable, both None for the zero polynomial (sentinel).
-    """
-
-    deg_a: int | None
-    deg_b: int | None
-
-    @property
-    def is_zero(self):
-        return self.deg_a is None
 
 
 class LaurentPoly2:
@@ -326,8 +311,6 @@ class LaurentPoly2:
         """
         za = np.atleast_1d(np.asarray(za, dtype=complex))
         zb = np.atleast_1d(np.asarray(zb, dtype=complex))
-        if self.is_zero():
-            return np.zeros((za.size, zb.size), dtype=complex)
         (lo_a, lo_b), (rows, cols) = self._lo, self._box.shape
         va = za[:, None] ** np.arange(lo_a, lo_a + rows)
         vb = zb[:, None] ** np.arange(lo_b, lo_b + cols)
@@ -400,8 +383,8 @@ class LaurentPoly2:
                 yield start, harmonic_synthesis(block, rows)
 
     def _check_grid(self, na, nb):
-        deg = self.degrees()
-        if not deg.is_zero and (2 * deg.deg_a >= na or 2 * deg.deg_b >= nb):
+        deg_a, deg_b = self.degrees()
+        if 2 * deg_a >= na or 2 * deg_b >= nb:
             raise ValueError("grid %d x %d too small for exponent spread" % (na, nb))
 
     def _along_a(self, na, nb, first=0):
@@ -421,10 +404,12 @@ class LaurentPoly2:
     # -- degrees and parity ------------------------------------------------
 
     def degrees(self):
+        """(deg_a, deg_b): the largest |exponent| per variable, (0, 0) for
+        the zero polynomial."""
         if self.is_zero():
-            return DegreePair(None, None)
+            return (0, 0)
         (lo_a, lo_b), (rows, cols) = self._lo, self._box.shape
-        return DegreePair(max(-lo_a, lo_a + rows - 1), max(-lo_b, lo_b + cols - 1))
+        return (max(-lo_a, lo_a + rows - 1), max(-lo_b, lo_b + cols - 1))
 
     def has_inversion_sign(self, sign):
         """True when p(1/a, 1/b) == sign * p within PARITY_REL (zero poly: True)."""

@@ -330,8 +330,8 @@ def conforms(poly, length, weight, sign):
     n, m = int(length), int(weight)
     if poly.is_zero():
         return True, True, True
-    deg = poly.degrees()
-    degree_ok = deg.deg_a <= m and deg.deg_b <= n - m
+    deg_a, deg_b = poly.degrees()
+    degree_ok = deg_a <= m and deg_b <= n - m
     # negation_bits gives None for mixed residues
     negation_ok = poly.negation_bits() == (m % 2, (n - m) % 2)
     return degree_ok, poly.has_inversion_sign(sign), negation_ok

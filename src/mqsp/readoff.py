@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,7 +169,7 @@ def check_leading_slices(u):
     to constrain). Under a non-constant P, Q = 0 gives zero leading slices.
     """
     tol = readoff_tolerance()
-    if u.Q.is_zero() and not any(astuple(u.P.degrees())):
+    if u.Q.is_zero() and not any(u.P.degrees()):
         return SliceReport(*_Q_ZERO)
     p, q, _ = aligned(u.P, u.Q)
     ok, phase, mismatch, reason = _top_slices(p, q, tol)
@@ -322,9 +322,7 @@ def readoff(P, Q):
     bits_reversed = []
     phases_reversed = []
     log = []
-    max_steps = sum(
-        deg.deg_a + deg.deg_b for deg in (P.degrees(), Q.degrees()) if not deg.is_zero
-    )
+    max_steps = sum(P.degrees()) + sum(Q.degrees())
     p, q, lo = aligned(P, Q)
     for step in range(1, max_steps + 2):
         live = [axis for axis in (0, 1) if lo[axis] + p.shape[axis] - 1 >= 1]

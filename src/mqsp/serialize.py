@@ -157,7 +157,7 @@ def poly1_from_records(records):
     """Single-variable (oracle A) read of the shared record format; the
     exponent k of b must be zero throughout."""
     p = poly_from_records(records)
-    if p.degrees().deg_b:
+    if p.degrees()[1]:
         k = next(k for (_, k), _ in p.items() if k)
         raise ValueError("record with k=%d: single-variable polynomial" % k)
     return LaurentPoly1.from_poly2(p)

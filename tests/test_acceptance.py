@@ -190,9 +190,7 @@ def test_06_forward_2d_pipeline():
         deg_b = int(rng.integers(0, 3))
         generator = generate_stable(deg_a, deg_b, seed=1000 + trial)
         f = generator * generator.conj_reciprocal()
-        deg_f = f.degrees()
-        n = 0 if deg_f.is_zero else deg_f.deg_a
-        m = 0 if deg_f.is_zero else deg_f.deg_b
+        n, m = f.degrees()
         table = fourier_of_reciprocal(f, (n, m))
         gamma = build_gamma(table, n, m)
         report = rank_condition(gamma, n, m)

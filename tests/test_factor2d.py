@@ -33,9 +33,7 @@ def _abs_square(p):
 
 
 def _pipeline(f):
-    deg = f.degrees()
-    n = 0 if deg.is_zero else deg.deg_a
-    m = 0 if deg.is_zero else deg.deg_b
+    n, m = f.degrees()
     table = fourier_of_reciprocal(f, (n, m))
     gamma = build_gamma(table, n, m)
     return gamma, rank_condition(gamma, n, m), n, m
@@ -204,8 +202,7 @@ def _f_of(s, phases):
     u = build_unitary(ProtocolSpec(s, phases))
     p_tilde, q_tilde = u.P.hermitian_part(), u.Q.hermitian_part()
     f = LaurentPoly2.one() - p_tilde * p_tilde - q_tilde * q_tilde
-    deg = f.degrees()
-    return f, (deg.deg_a, deg.deg_b)
+    return f, f.degrees()
 
 
 GIVE_UP_SPARES = {
@@ -272,10 +269,9 @@ def _reference_table(f, window, full):
     (cached per grid in `full`): (table, (na, nb)). An axis of one sample
     makes the table the 1-D FFT of sampled 1/f along the other."""
     wa, wb = window
-    deg = f.degrees()
     na, nb = (
         1 if d == w == 0 else factor2d._pow2_grid(factor2d.FOURIER_START, d)
-        for d, w in ((deg.deg_a, wa), (deg.deg_b, wb))
+        for d, w in zip(f.degrees(), (wa, wb))
     )
     previous = None
     while True:
@@ -560,6 +556,17 @@ def test_extract_verification_gate():
         extract_stable_factor(gamma, f, 1, 1)
 
 
+def test_extract_refuses_nonpositive_solve():
+    # -Gamma solves to -q, whose constant coefficient is negative
+    f = _abs_square(GEOMETRIC)
+    gamma, _, n, m = _pipeline(f)
+    with pytest.raises(
+        FactorizationError,
+        match="^verification failed: constant coefficient of the solve is not positive$",
+    ):
+        extract_stable_factor(-gamma, f, n, m)
+
+
 # ---------------------------------------------------------------- generator
 
 
@@ -596,11 +603,15 @@ def test_contraction_rejects_expansive_K():
 def test_generate_stable_properties():
     p = generate_stable(2, 2, seed=17)
     assert abs(p.coeff(0, 0) - 1.0) < 1e-12
-    deg = p.degrees()
-    assert deg.deg_a <= 2 and deg.deg_b <= 2
+    deg_a, deg_b = p.degrees()
+    assert deg_a <= 2 and deg_b <= 2
     assert min(e for e, _ in p.items()) >= (0, 0)
     assert p == generate_stable(2, 2, seed=17)
     assert generate_stable(0, 0, seed=1) == LaurentPoly2.one()
+    # ||K|| = 0.8 keeps |det(I - KZ)| >= 0.2^(deg_a + deg_b) on the closed bidisk
+    for deg_a, deg_b, seed in ((2, 2, 17), (4, 4, 3), (1, 0, 5), (0, 3, 9)):
+        p = generate_stable(deg_a, deg_b, seed)
+        assert factor2d._min_on_bidisk_net(p) >= 0.2 ** (deg_a + deg_b)
 
 
 def test_generate_stable_degree_cap():

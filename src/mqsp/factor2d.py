@@ -4,8 +4,8 @@ A strictly positive Hermitian Laurent polynomial f on the torus admits
 f = p * conj_reciprocal(p) with p a *stable* polynomial (no zeros on the
 closed bidisk, support in {0..n}x{0..m}) exactly when a rank condition on
 the Fourier coefficients of 1/f holds. gamma_factor, the Gamma route,
-computes those Fourier coefficients, tests the rank condition by two
-independent routes and extracts the stable factor from a linear solve. It
+computes those Fourier coefficients, tests the rank condition on one
+submatrix of Gamma and extracts the stable factor from a linear solve. It
 sizes its work per axis, so f in one variable costs one-variable work and
 meets a vacuous rank condition, and it doubles its Fourier grid only while
 the residuals can still reach a tolerance relative to the table's scale.
@@ -49,10 +49,6 @@ FOURIER_CELLS_MAX = 4096**2
 FOURIER_BLOCK_CELLS = 2**18
 FOURIER_TOL = 1e-10
 RANK_REL_TOL = 1e-8
-# Relative size of the inverse-block entries below which the second route
-# counts as satisfied. Observed ~1e-12 on exact-rank fixtures (set by the
-# Fourier truncation) and O(1) on non-factorable f.
-INVERSE_BLOCK_REL_TOL = 1e-6
 VERIFY_GRID = 128
 VERIFY_REL_TOL = 1e-6
 NET_RADII = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -243,52 +239,33 @@ def build_gamma(table, n, m):
 
 @dataclass(frozen=True)
 class RankConditionReport:
-    """Outcome of both rank-condition routes.
-
-    Route one: the submatrix of Gamma with rows (j,0) and columns (0,l)
-    removed must have rank exactly n*m. Route two: the inverse of Gamma
-    restricted to the lattice minus the origin must vanish on the block
-    with rows (i,0), i>=1 and columns (0,l), l>=1 (inverse_block_rel,
-    relative to the inverse's largest entry). In exact arithmetic the two
-    agree; `satisfied` holds only when both do, so where rounding near the
-    tolerances splits them the stricter route wins. With n*m = 0 both hold
-    vacuously: rank 0, inverse_block_rel 0.0, and nothing is decomposed.
+    """Outcome of the rank condition: the submatrix of Gamma with rows
+    (j,0) and columns (0,l) removed must have rank exactly n*m, counting
+    the singular values above RANK_REL_TOL times the largest. With n*m = 0
+    it holds vacuously: rank 0, and nothing is decomposed.
     """
 
     satisfied: bool
     submatrix_rank: int
     target_rank: int
     singular_values: np.ndarray
-    inverse_block_rel: float
 
 
 def rank_condition(gamma, n, m):
     target = n * m
     if not target:
-        # the submatrix and the inverse block are empty: both routes hold
-        return RankConditionReport(True, 0, 0, np.zeros(0), 0.0)
+        # the submatrix is empty: the condition holds
+        return RankConditionReport(True, 0, 0, np.zeros(0))
     j, k = _lattice(n, m)
-
     sub = gamma[np.ix_(np.flatnonzero(k >= 1), np.flatnonzero(j >= 1))]
     singular_values = np.linalg.svd(sub, compute_uv=False)
     top = singular_values[0]
     rank = 0 if top == 0 else int((singular_values > RANK_REL_TOL * top).sum())
-    route_one = rank == target
-
-    # ordinal of (0,0) is 0, so dropping the origin is dropping index 0
-    inverse = np.linalg.inv(gamma[1:, 1:])
-    # rows (i,0), i>=1 and columns (0,l), l>=1, shifted past the origin
-    block_rows = np.flatnonzero((k == 0) & (j >= 1)) - 1
-    block_cols = np.flatnonzero((j == 0) & (k >= 1)) - 1
-    block = inverse[np.ix_(block_rows, block_cols)]
-    block_rel = float(np.abs(block).max()) / float(np.abs(inverse).max())
-    route_two = block_rel <= INVERSE_BLOCK_REL_TOL
     return RankConditionReport(
-        satisfied=route_one and route_two,
+        satisfied=rank == target,
         submatrix_rank=rank,
         target_rank=target,
         singular_values=singular_values,
-        inverse_block_rel=block_rel,
     )
 
 
@@ -304,10 +281,10 @@ class Factorization2D:
     how the Gamma route ran; both are None for a fejer_riesz factor. The
     report holds an array, so it takes no part in ==.
 
-    min_on_net (smallest |p| on a radial-angular net of the closed bidisk)
-    and stable_verified (that minimum is positive) are report values, not
-    a gate: each is computed when read, so a completion that never reads
-    them never evaluates the net."""
+    min_on_net (smallest |p| on a radial-angular net of the closed bidisk,
+    positive for a factor stable on the net) is a report value, not a
+    gate: it is computed when read, so a completion that never reads it
+    never evaluates the net."""
 
     p: LaurentPoly2
     residual: float
@@ -318,10 +295,6 @@ class Factorization2D:
     @property
     def min_on_net(self):
         return _min_on_bidisk_net(self.p)
-
-    @property
-    def stable_verified(self):
-        return self.min_on_net > 0.0
 
 
 def _bidisk_net():

@@ -383,10 +383,6 @@ class ScanSummary:
     n_max: int
     seed: int
 
-    @property
-    def all_passed(self):
-        return self.passes == self.trials
-
 
 def scan_leading_slices(n_max, trials, seed):
     """Sample protocols with n uniform in {0..n_max}, bits and phases

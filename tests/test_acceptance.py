@@ -96,7 +96,7 @@ def test_02_readoff_round_trip():
 
 def test_03_proportionality_scan(tmp_path):
     summary = scan_leading_slices(n_max=6, trials=1000, seed=0)
-    ok = summary.all_passed and summary.worst_mismatch < 1e-8
+    ok = summary.passes == summary.trials and summary.worst_mismatch < 1e-8
     _report(
         3,
         "leading-slice scan",

@@ -605,13 +605,13 @@ def test_scan_deterministic_and_clean():
     s1 = scan_leading_slices(n_max=4, trials=50, seed=99)
     s2 = scan_leading_slices(n_max=4, trials=50, seed=99)
     assert s1 == s2
-    assert s1.all_passed
+    assert s1.passes == s1.trials
     assert s1.worst_mismatch < 1e-8
 
 
 def test_scan_vacuous_at_zero_length():
     s = scan_leading_slices(n_max=0, trials=10, seed=1)
-    assert s.all_passed and s.worst_mismatch == 0.0
+    assert s.passes == s.trials and s.worst_mismatch == 0.0
 
 
 def reference_scan(n_max, trials, seed):
@@ -740,7 +740,8 @@ def test_scan_memory_does_not_grow_with_trials(monkeypatch):
     for trials in (3 * per_stack, 30 * per_stack):
         tracemalloc.start()
         try:
-            assert scan_leading_slices(6, trials, 3).all_passed
+            summary = scan_leading_slices(6, trials, 3)
+            assert summary.passes == summary.trials
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -16,8 +16,8 @@ class MqspError(Exception):
 
 
 class VerificationError(MqspError):
-    """A structural or numerical check failed (readoff rebuild, x-picture
-    decomposition, promise validation, factor verification, ...)."""
+    """A structural or numerical check failed: in the library, readoff's
+    "rebuild mismatch"."""
 
 
 class FactorizationError(MqspError):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -474,50 +473,6 @@ def spectral_factor(f):
         if m:
             raise
     return fejer_riesz(LaurentPoly1.from_poly2(f))
-
-
-def stable_from_contraction(K, slots):
-    """det(I - K Z) for Z = diag of the variable named in each slot.
-
-    Expanded over principal minors: the coefficient of a^j b^k is
-    sum over subsets S with j 'a'-slots and k 'b'-slots of
-    (-1)^{|S|} det(K[S, S]). A strict contraction K makes the result
-    stable, since KZ then has spectral radius below one on the bidisk.
-    """
-    slots = tuple(slots)
-    if any(s not in ("a", "b") for s in slots):
-        raise ValueError("slots must be 'a' or 'b'")
-    size = len(slots)
-    K = np.atleast_2d(np.asarray(K, dtype=complex))
-    if K.shape != (size, size):
-        raise ValueError("K must be %d x %d" % (size, size))
-    if size and np.linalg.norm(K, 2) >= 1.0:
-        raise ValueError("K must be a strict contraction")
-
-    coeffs = {(0, 0): 1.0 + 0.0j}
-    for count in range(1, size + 1):
-        for subset in combinations(range(size), count):
-            minor = np.linalg.det(K[np.ix_(subset, subset)])
-            j = sum(1 for i in subset if slots[i] == "a")
-            k = count - j
-            coeffs[(j, k)] = coeffs.get((j, k), 0.0) + (-1) ** count * minor
-    return LaurentPoly2(coeffs)
-
-
-def generate_stable(deg_a, deg_b, seed):
-    """Random stable polynomial of degree (deg_a, deg_b) with p(0,0) = 1,
-    built as det(I - KZ) from a random contraction rescaled to norm 0.8."""
-    deg_a, deg_b = int(deg_a), int(deg_b)
-    if deg_a < 0 or deg_b < 0:
-        raise ValueError("degrees must be nonnegative")
-    if deg_a + deg_b > 8:
-        raise ValueError("degree sum too large for determinant expansion")
-    size = deg_a + deg_b
-    rng = np.random.default_rng(seed)
-    K = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    if size:
-        K *= 0.8 / np.linalg.norm(K, 2)
-    return stable_from_contraction(K, ("a",) * deg_a + ("b",) * deg_b)
 
 
 def check_targets(p_tilde, q_tilde, n, m):

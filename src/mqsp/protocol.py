@@ -6,9 +6,8 @@ with n+1 Z-phases. Its unitary is represented exactly as a 2x2 matrix
 conj_reciprocal; the bottom row is derived, never stored. This module
 builds that representation, evaluates the same circuit numerically as an
 independent route, checks the structural conditions (degree bound, parity
-under joint inversion, negation parity, determinant identity),
-cross-checks against the x-picture component form by parity projection,
-and assembles the completed unitary from a spectral factor.
+under joint inversion, negation parity, determinant identity) and
+assembles the completed unitary from a spectral factor.
 """
 
 from __future__ import annotations
@@ -18,17 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mqsp.errors import VerificationError
 from mqsp.laurent import LaurentPoly2, aligned, check_box, parity_steps
 
 # Determinant identity P·P~ + Q·Q~ = 1 must hold to this max-coefficient
 # residual for a unitary to count as structurally valid.
 DET_RESIDUAL_TOL = 1e-10
-
-# x-picture cross-check: interior samples per axis, and the relative size
-# below which the mixed-parity components count as vanished.
-XPICTURE_GRID = 17
-XPICTURE_TOL = 1e-8
 
 X_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): 0.5})
 Y_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): -0.5})
@@ -98,15 +91,6 @@ class Su2LaurentUnitary:
 
     P: LaurentPoly2
     Q: LaurentPoly2
-
-    def __matmul__(self, other):
-        if not isinstance(other, Su2LaurentUnitary):
-            return NotImplemented
-        # [[P1,Q1],[-Q1~,P1~]] @ [[P2,Q2],[-Q2~,P2~]]: the product is again
-        # of the same form, which pins the top row formulas below.
-        p = self.P * other.P - self.Q * other.Q.conj_reciprocal()
-        q = self.P * other.Q + self.Q * other.P.conj_reciprocal()
-        return Su2LaurentUnitary(p, q)
 
     def det_residual(self):
         """Max coefficient distance of P·P~ + Q·Q~ from the constant 1.
@@ -351,100 +335,4 @@ def verify_structure(u, length, weight):
         negation_parity_ok=negation_ok,
         determinant_residual=det_res,
         overall=overall,
-    )
-
-
-# -- x-picture cross-check ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class XPictureReport:
-    """Grid extraction of the x-picture components.
-
-    On theta in (0, pi)^2 the two stored entries split by theta-parity:
-        P(theta) = p_hat(x_a, x_b) + q_hat(x_a, x_b) sin(t_a) sin(t_b)
-        Q(theta) = r_hat(x_a, x_b) sin(t_a) + s_hat(x_a, x_b) sin(t_b)
-    with x = cos(theta). Components are sampled values on the grid, not
-    polynomials; no square-root sign convention is asserted beyond the
-    positive branch on (0, pi).
-    """
-
-    thetas: np.ndarray
-    p_hat: np.ndarray
-    q_hat: np.ndarray
-    r_hat: np.ndarray
-    s_hat: np.ndarray
-    decomposition_residual: float
-    det_relation_residual: float
-
-
-def x_picture_cross_check(u):
-    """Extract x-picture components by parity projection and verify the
-    pointwise determinant relation.
-
-    Raises VerificationError("decomposition residual exceeded") when the
-    mixed-parity components (odd/even and even/odd parts of P, even/even
-    and odd/odd parts of Q) do not vanish to XPICTURE_TOL (relative).
-    """
-    # interior grid avoids sin(theta) = 0 so component division is stable
-    thetas = np.pi * (np.arange(XPICTURE_GRID) + 1.0) / (XPICTURE_GRID + 1.0)
-    z, zbar = np.exp(1j * thetas), np.exp(-1j * thetas)
-
-    def quadrants(poly):
-        pp = poly.eval_grid(z, z)
-        mp = poly.eval_grid(zbar, z)
-        pm = poly.eval_grid(z, zbar)
-        mm = poly.eval_grid(zbar, zbar)
-        ee = (pp + mp + pm + mm) / 4.0
-        oe = (pp - mp + pm - mm) / 4.0
-        eo = (pp + mp - pm - mm) / 4.0
-        oo = (pp - mp - pm + mm) / 4.0
-        return ee, oe, eo, oo
-
-    p_ee, p_oe, p_eo, p_oo = quadrants(u.P)
-    q_ee, q_oe, q_eo, q_oo = quadrants(u.Q)
-
-    scale = max(
-        1.0,
-        float(np.max(np.abs(p_ee + p_oo))),
-        float(np.max(np.abs(q_oe + q_eo))),
-    )
-    decomp = max(
-        float(np.max(np.abs(p_oe))),
-        float(np.max(np.abs(p_eo))),
-        float(np.max(np.abs(q_ee))),
-        float(np.max(np.abs(q_oo))),
-    )
-    if decomp > XPICTURE_TOL * scale:
-        raise VerificationError("decomposition residual exceeded")
-
-    sa = np.sin(thetas)[:, None]
-    sb = np.sin(thetas)[None, :]
-    p_hat = p_ee
-    q_hat = p_oo / (sa * sb)
-    r_hat = q_oe / sa
-    s_hat = q_eo / sb
-
-    # pointwise determinant relation in the x picture; cross terms carry
-    # conjugates on the second factor (the plain-product form does not
-    # close under unitarity)
-    relation = (
-        np.abs(p_hat) ** 2
-        + (sa * sb) ** 2 * np.abs(q_hat) ** 2
-        + sa**2 * np.abs(r_hat) ** 2
-        + sb**2 * np.abs(s_hat) ** 2
-        + 2.0
-        * sa
-        * sb
-        * (p_hat * q_hat.conjugate() + r_hat * s_hat.conjugate()).real
-    )
-    det_rel = float(np.max(np.abs(relation - 1.0)))
-    return XPictureReport(
-        thetas=thetas,
-        p_hat=p_hat,
-        q_hat=q_hat,
-        r_hat=r_hat,
-        s_hat=s_hat,
-        decomposition_residual=decomp,
-        det_relation_residual=det_rel,
     )

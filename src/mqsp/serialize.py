@@ -225,17 +225,6 @@ def write_grid_csv(grid, path):
             handle.write(label + "," + cells + "\n")
 
 
-def read_grid_csv(path):
-    """Inverse of write_grid_csv: (thetas_a, thetas_b, values) with values
-    in the GridExport orientation (first index theta_a)."""
-    with open(path) as handle:
-        rows = [line.split(",") for line in handle.read().splitlines() if line]
-    thetas_a = np.array([float(x) for x in rows[0][1:]])
-    thetas_b = np.array([float(row[0]) for row in rows[1:]])
-    body = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
-    return thetas_a, thetas_b, body.T
-
-
 def write_grid_pgm(grid, path):
     """Plain PGM (P2), one image row per theta_b, clipped to [0, 1] and
     quantized to 8 bits. Quantized and written GRID_BLOCK_ROWS image rows

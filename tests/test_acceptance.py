@@ -23,12 +23,12 @@ from mqsp.factor2d import (
     fejer_riesz,
     fourier_of_reciprocal,
     gamma_factor,
-    generate_stable,
     rank_condition,
 )
 from mqsp.laurent import LaurentPoly1, LaurentPoly2
 from mqsp.protocol import build_unitary, random_spec, verify_structure
 from mqsp.readoff import readoff, scan_leading_slices
+from support import generate_stable, read_grid_csv
 
 SPEC_SEED = 2024
 SPEC_COUNT = 500
@@ -314,7 +314,7 @@ def _emitted_grid(spec, n_theta, tmp_path, name):
     grid = serialize.grid_from_poly(build_unitary(spec).P, n_theta)
     path = tmp_path / name
     serialize.write_grid_csv(grid, path)
-    _, _, values = serialize.read_grid_csv(path)
+    _, _, values = read_grid_csv(path)
     return values
 
 

@@ -14,6 +14,7 @@ from mqsp import families, laurent, serialize
 from mqsp.cli import build_parser, main
 from mqsp.protocol import ProtocolSpec, build_unitary
 from mqsp.readoff import ScanSummary, readoff_tolerance
+from support import read_grid_csv
 
 TRIVIAL1 = {"s": [0, 1], "phases": [0.0, 0.0, 0.0]}
 IDENTITY = {"s": [], "phases": [0.0]}
@@ -510,7 +511,7 @@ def test_scan_unwritable_dump_exit_two_before_scanning(tmp_path, capsys, monkeyp
 
 
 def grid_values(path):
-    _, _, values = serialize.read_grid_csv(path)
+    _, _, values = read_grid_csv(path)
     return values
 
 

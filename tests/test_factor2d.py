@@ -16,10 +16,8 @@ from mqsp.factor2d import (
     extract_stable_factor,
     fourier_of_reciprocal,
     gamma_factor,
-    generate_stable,
     rank_condition,
     spectral_factor,
-    stable_from_contraction,
 )
 from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import (
@@ -31,6 +29,7 @@ from mqsp.protocol import (
     random_spec,
     verify_structure,
 )
+from support import generate_stable, stable_from_contraction
 
 W = LaurentPoly2.monomial(1, 1)  # the product variable ab
 GEOMETRIC = LaurentPoly2({(0, 0): 1.0, (1, 1): 0.5})  # 1 + ab/2

@@ -20,8 +20,8 @@ from mqsp.protocol import (
     principal_phase,
     random_spec,
     verify_structure,
-    x_picture_cross_check,
 )
+from support import compose, x_picture_cross_check
 
 X_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): 0.5})
 Y_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): -0.5})
@@ -113,7 +113,7 @@ def test_composition_matches_matrix_product():
         s1.s + s2.s,
         s1.phases[:-1] + (s1.phases[-1] + s2.phases[0],) + s2.phases[1:],
     )
-    assert build_unitary(merged).distance(build_unitary(s1) @ build_unitary(s2)) < 1e-12
+    assert build_unitary(merged).distance(compose(build_unitary(s1), build_unitary(s2))) < 1e-12
 
 
 def test_length_sweep_build_matches_circuit_and_round_trips():

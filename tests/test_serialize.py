@@ -10,6 +10,7 @@ import pytest
 from mqsp.laurent import LaurentPoly1, LaurentPoly2, aligned
 from mqsp.protocol import ProtocolSpec, build_unitary
 from mqsp import serialize
+from support import read_grid_csv
 
 # Every term survives the prune (PRUNE_REL times the largest magnitude), so
 # each advertised value reaches the records.
@@ -293,7 +294,7 @@ def test_csv_layout_and_round_trip(tmp_path):
     assert float(rows[0][1]) == pytest.approx(-math.pi, abs=1e-11)
     assert float(rows[3][5]) == pytest.approx(grid.values[4, 2], rel=1e-11)
 
-    ta, tb, values = serialize.read_grid_csv(path)
+    ta, tb, values = read_grid_csv(path)
     assert np.allclose(ta, grid.thetas, atol=1e-11)
     assert np.allclose(tb, grid.thetas, atol=1e-11)
     assert np.allclose(values, grid.values, rtol=1e-11)

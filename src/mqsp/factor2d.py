@@ -81,12 +81,6 @@ class FourierTable:
     grid_size: tuple
     convergence_residual: float
 
-    def coeff(self, j, k):
-        wa, wb = self.window
-        if abs(j) > wa or abs(k) > wb:
-            raise IndexError("(%d, %d) outside window" % (j, k))
-        return complex(self.coeffs[wa + j, wb + k])
-
 
 def _exceeds_bounds(na, nb):
     return max(na, nb) > FOURIER_AXIS_MAX or na * nb > FOURIER_CELLS_MAX
@@ -174,16 +168,12 @@ def fourier_of_reciprocal(f, window):
 
     na, nb = (1 if d == w == 0 else _pow2_grid(FOURIER_START, d) for d, w in zip(f.degrees(), (wa, wb)))
     step_a, step_b = (2 if na > 1 else 1), (2 if nb > 1 else 1)
-    exact = na == nb == 1
-    if not exact and _exceeds_bounds(step_a * na, step_b * nb):
-        # convergence needs two successive grids within the bounds; fail
-        # before sampling anything
-        raise FactorizationError("no convergence")
-
     js = np.arange(-wa, wa + 1)
     ks = np.arange(-wb, wb + 1)
     previous = None
-    while not _exceeds_bounds(na, nb):
+    # convergence takes two grids within the bounds, so the first is sampled
+    # only if its successor fits; a 1 x 1 grid is its own (sampled twice)
+    while not _exceeds_bounds(*((na, nb) if previous is not None else (step_a * na, step_b * nb))):
         # fft2 of 1/f with only the window's columns taken along b: direct
         # sums over k = 0..wb when they pay, else one rfft per block; with
         # one sample along b, 1/f is a real column for one rfft along a
@@ -204,8 +194,8 @@ def fourier_of_reciprocal(f, window):
         else:
             table = _dft_entries(np.fft.rfft(strip[:, 0]), js, na)[:, None]
         table /= na * nb
-        if exact or previous is not None:
-            residual = 0.0 if exact else float(np.abs(table - previous).max())
+        if previous is not None:
+            residual = float(np.abs(table - previous).max())
             scale = max(1.0, float(np.abs(table).max()))
             if residual < FOURIER_TOL * scale:
                 return FourierTable(

@@ -154,14 +154,6 @@ class LaurentPoly2:
         return object.__new__(cls)._set(np.ones((1, 1), dtype=complex), 0, 0, 1.0)
 
     @classmethod
-    def constant(cls, c):
-        return LaurentPoly2({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, j, k, c=1.0):
-        return LaurentPoly2({(j, k): c})
-
-    @classmethod
     def from_array(cls, coeffs, lo_a, lo_b):
         """From a 2-D array whose cell [i, l] is the coefficient of
         a^(lo_a + i) b^(lo_b + l); the array is copied."""

@@ -154,10 +154,6 @@ class SliceReport:
     reason_a: str | None
     reason_b: str | None
 
-    @property
-    def holds(self):
-        return self.holds_a or self.holds_b
-
 
 # SliceReport fields for Q identically zero and P constant
 _Q_ZERO = (True, True, 0.0, 0.0, 0.0, 0.0, None, None)

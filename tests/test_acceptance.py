@@ -234,8 +234,8 @@ def test_07_diagonal_negative_control():
         for k in (1, -1):
             q = (
                 LaurentPoly2.one()
-                + LaurentPoly2.monomial(1, k) * (c1 * scale)
-                + LaurentPoly2.monomial(2, 2 * k) * (c2 * scale)
+                + LaurentPoly2({(1, k): 1.0}) * (c1 * scale)
+                + LaurentPoly2({(2, 2 * k): 1.0}) * (c2 * scale)
             )
             f = q * q.conj_reciprocal()
             table = fourier_of_reciprocal(f, (2, 2))

@@ -50,7 +50,7 @@ def test_phase_normalization_to_principal_range():
 
 def test_empty_protocol_is_phase_only():
     u = build_unitary(ProtocolSpec((), (0.7,)))
-    assert u.P.distance(LaurentPoly2.constant(cmath.exp(0.7j))) < 1e-15
+    assert u.P.distance(LaurentPoly2({(0, 0): cmath.exp(0.7j)})) < 1e-15
     assert u.Q.is_zero()
 
 
@@ -151,8 +151,8 @@ def _det_residual_cases():
     return cases + [
         Su2LaurentUnitary(X_A, Y_B),  # mixed parities: no axis is thinned
         Su2LaurentUnitary(LaurentPoly2.zero(), LaurentPoly2.zero()),
-        Su2LaurentUnitary(LaurentPoly2.monomial(3, 0), LaurentPoly2.zero()),  # off the origin
-        Su2LaurentUnitary(built.P + LaurentPoly2.monomial(j, k, 1e-9), built.Q),
+        Su2LaurentUnitary(LaurentPoly2({(3, 0): 1.0}), LaurentPoly2.zero()),  # off the origin
+        Su2LaurentUnitary(built.P + LaurentPoly2({(j, k): 1e-9}), built.Q),
     ]
 
 
@@ -236,7 +236,7 @@ def test_assemble_completion_shifts_factor_and_drops_odd_cells():
     # cells with both exponents even are kept (the odd ones are solver dust)
     factor = LaurentPoly2({(0, 0): 0.5, (2, 4): 0.25j, (1, 0): 1e-9, (2, 3): -1e-9})
     t = LaurentPoly2({(-1, -2): 0.5, (1, 2): 0.25j})
-    p_tilde, q_tilde = LaurentPoly2.constant(0.1), LaurentPoly2.monomial(1, 0, 0.2)
+    p_tilde, q_tilde = LaurentPoly2({(0, 0): 0.1}), LaurentPoly2({(1, 0): 0.2})
     u = assemble_completion(p_tilde, q_tilde, factor, 3, 1)
     assert u.P == p_tilde + 1j * t.hermitian_part()
     assert u.Q == q_tilde + 1j * ((t - t.conj_reciprocal()) * (-0.5j))
@@ -252,7 +252,7 @@ def test_structure_report_passes_for_built_unitaries():
 
 def test_structure_rejects_wrong_inversion_parity():
     # P = a, Q = 0: determinant holds but inversion parity fails.
-    u = Su2LaurentUnitary(LaurentPoly2.monomial(1, 0), LaurentPoly2.zero())
+    u = Su2LaurentUnitary(LaurentPoly2({(1, 0): 1.0}), LaurentPoly2.zero())
     rep = verify_structure(u, 1, 1)
     assert rep.determinant_residual < 1e-15
     assert not rep.inversion_parity_ok

@@ -273,7 +273,7 @@ def test_grid_theta_axis():
 def test_grid_orientation():
     # |e^{i theta_a} + 2|^2 depends on the first index only; the larger
     # grid spans three row blocks, the last one partial
-    p = LaurentPoly2.monomial(1, 0) + LaurentPoly2.constant(2.0)
+    p = LaurentPoly2({(1, 0): 1.0}) + LaurentPoly2({(0, 0): 2.0})
     for n_theta in (16, 2 * serialize.GRID_BLOCK_ROWS + 3):
         grid = serialize.grid_from_poly(p, n_theta)
         expect = np.abs(np.exp(1j * grid.thetas) + 2.0) ** 2

@@ -1,5 +1,5 @@
 """The library holds no code that only tests use: checks and fixtures live
-in tests/support.py."""
+in tests/support.py, and a class keeps no member that only tests call."""
 
 import ast
 import os
@@ -10,6 +10,10 @@ LIBRARY = os.path.join(ROOT, "src", "mqsp")
 # where a mention makes a caller; bench/spans.py names its targets as strings
 CALLER_DIRS = (LIBRARY, os.path.join(ROOT, "scripts"), os.path.join(ROOT, "bench"))
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# library names kept without a caller, with the reason
+KEPT = {
+    "factor2d.Factorization2D.min_on_net": "a report value for the stage trace (ROADMAP item 3)",
+}
 
 
 def _parse_dir(directory):
@@ -23,24 +27,41 @@ def _parse_dir(directory):
     return trees
 
 
+def _names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        return []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _span(stmt):
+    first = min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", ())])
+    return first, stmt.end_lineno
+
+
 def _definitions(trees):
-    """{name: (path, first line, last line)} for every module-level function,
-    class and assigned name, dunders skipped."""
-    found = {}
+    """[(qualified name, name, path, first line, last line)] for every
+    module-level function, class and assigned name, and for every function
+    in the body of a module-level class (methods, properties, classmethods);
+    dunders are skipped, and so are class-body assignments such as dataclass
+    fields, which are report data."""
+    found = []
     for path, tree in trees.items():
+        module = os.path.basename(path)[:-3]
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [stmt.name]
-            elif isinstance(stmt, ast.Assign):
-                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                names = [stmt.target.id]
-            else:
-                continue
-            first = min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", ())])
-            for name in names:
-                if not (name.startswith("__") and name.endswith("__")):
-                    found[name] = (path, first, stmt.end_lineno)
+            for name in _names(stmt):
+                found.append(("%s.%s" % (module, name), name, path) + _span(stmt))
+            if isinstance(stmt, ast.ClassDef):
+                for member in stmt.body:
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        for name in _names(member):
+                            qualified = "%s.%s.%s" % (module, stmt.name, name)
+                            found.append((qualified, name, path) + _span(member))
     return found
 
 
@@ -72,19 +93,27 @@ def _mentions(tree):
 
 
 def test_every_library_name_has_a_caller_outside_tests():
+    """Every library name, class members included, is mentioned in src/mqsp,
+    scripts/ or bench/ outside its own definition.
+
+    The check goes by name, so a mention of the same word anywhere counts:
+    it would not have flagged LaurentPoly2.constant, whose word is in
+    factor2d's "verification failed: constant coefficient ..." message, nor
+    FourierTable.coeff, since fejer_riesz calls LaurentPoly2.coeff."""
     trees = {}
     for directory in CALLER_DIRS:
         trees.update(_parse_dir(directory))
     definitions = _definitions({p: t for p, t in trees.items() if p.startswith(LIBRARY)})
+    by_name = {}
+    for definition in definitions:
+        by_name.setdefault(definition[1], []).append(definition)
     called = set()
     for path, tree in trees.items():
         for word, line in _mentions(tree):
-            if word in definitions:
-                where, first, last = definitions[word]
+            for qualified, _, where, first, last in by_name.get(word, ()):
                 if not (path == where and first <= line <= last):
-                    called.add(word)
-    uncalled = sorted(
-        "%s.%s" % (os.path.basename(definitions[name][0])[:-3], name)
-        for name in set(definitions) - called
+                    called.add(qualified)
+    uncalled = sorted({d[0] for d in definitions} - called)
+    assert uncalled == sorted(KEPT), (
+        "only tests call these; move them to tests/support.py or keep them in KEPT: %s" % uncalled
     )
-    assert uncalled == [], "only tests call these; move them to tests/support.py: %s" % uncalled

@@ -2,7 +2,7 @@
 
 Exact bivariate-Laurent protocol unitaries, structural verification,
 inverse phase read-off, Fejer-Riesz unitary completion in one and two
-variables, named protocol families, and a single-/six-query
+variables, the specs of two named protocol families, and a six-query
 discrimination demo.
 """
 

@@ -108,7 +108,10 @@ def _length_and_weight(obj):
         value = obj.get(key)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError("unitary file needs integer %r" % key)
-    return obj["n"], obj["weight"]
+    n, m = obj["n"], obj["weight"]
+    if not 0 <= m <= n:  # as complete refuses it (factor2d.check_targets)
+        raise ValueError("weight must satisfy 0 <= m <= n")
+    return n, m
 
 
 def _cmd_build(args):
@@ -247,7 +250,7 @@ def _cmd_plot(args):
     if args.grid > MAX_GRID:
         raise _Exit(EXIT_USAGE, "grid size must be at most %d" % MAX_GRID)
     if args.named is not None:
-        spec = _parse_named(args.named).spec
+        spec = _parse_named(args.named)
     else:
         spec = serialize.spec_from_obj(_load_json(args.protocol_file))
     u = build_unitary(spec)

@@ -23,11 +23,6 @@ from mqsp.laurent import LaurentPoly2, aligned, check_box, parity_steps
 # residual for a unitary to count as structurally valid.
 DET_RESIDUAL_TOL = 1e-10
 
-X_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): 0.5})
-Y_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): -0.5})
-X_B = LaurentPoly2({(0, 1): 0.5, (0, -1): 0.5})
-Y_B = LaurentPoly2({(0, 1): 0.5, (0, -1): -0.5})
-
 
 def principal_phase(phi):
     """Map a phase to (-pi, pi]."""

@@ -1,5 +1,10 @@
 """Checks and fixtures that only the tests use.
 
+- `X_A`, `Y_A`, `X_B`, `Y_B`: the oracle entries cos(theta) and
+  i sin(theta) of each variable as Laurent polynomials.
+- `chebyshev_t`, `chebyshev_u` and the closed forms `trivial_closed_form`
+  and `xyz_closed_form`: the named families' unitaries built from
+  Chebyshev recurrences, independently of `build_unitary`.
 - `compose`: the product of two protocol unitaries, kept in the
   [[P, Q], [-Q~, P~]] form.
 - `x_picture_cross_check`: the paper's x-picture component form
@@ -12,6 +17,8 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,6 +33,11 @@ from mqsp.protocol import Su2LaurentUnitary
 XPICTURE_GRID = 17
 XPICTURE_TOL = 1e-8
 
+X_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): 0.5})
+Y_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): -0.5})
+X_B = LaurentPoly2({(0, 1): 0.5, (0, -1): 0.5})
+Y_B = LaurentPoly2({(0, 1): 0.5, (0, -1): -0.5})
+
 
 def compose(u, v):
     """u @ v for two Su2LaurentUnitary values."""
@@ -33,6 +45,59 @@ def compose(u, v):
     # of the same form, which pins the top row formulas below.
     p = u.P * v.P - u.Q * v.Q.conj_reciprocal()
     q = u.P * v.Q + u.Q * v.P.conj_reciprocal()
+    return Su2LaurentUnitary(p, q)
+
+
+# -- named-family closed forms -----------------------------------------------------
+
+
+def _chebyshev(degree, x, first):
+    """Iterate c_{k+1} = 2 x c_k - c_{k-1} from c_0 = 1 and c_1 = `first`."""
+    degree = int(degree)
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    previous = LaurentPoly2.one() if isinstance(x, LaurentPoly2) else 1.0
+    if degree == 0:
+        return previous
+    current = first
+    for _ in range(degree - 1):
+        previous, current = current, 2 * x * current - previous
+    return current
+
+
+def chebyshev_t(degree, x):
+    """First-kind Chebyshev polynomial of `x` (scalar or LaurentPoly2)."""
+    return _chebyshev(degree, x, x)
+
+
+def chebyshev_u(degree, x):
+    """Second-kind Chebyshev polynomial of `x` (scalar or LaurentPoly2)."""
+    return _chebyshev(degree, x, 2 * x)
+
+
+def trivial_closed_form(n):
+    """The unitary of families.trivial_protocol(n):
+    P = T_n(x_a) T_n(x_b) + y_a y_b U_{n-1}(x_a) U_{n-1}(x_b) and
+    Q = y_b T_n(x_a) U_{n-1}(x_b) + y_a T_n(x_b) U_{n-1}(x_a); both are
+    functions of the product ab alone (diagonal support)."""
+    t_a, t_b = chebyshev_t(n, X_A), chebyshev_t(n, X_B)
+    u_a, u_b = chebyshev_u(n - 1, X_A), chebyshev_u(n - 1, X_B)
+    p = t_a * t_b + Y_A * Y_B * u_a * u_b
+    q = Y_B * t_a * u_b + Y_A * t_b * u_a
+    return Su2LaurentUnitary(p, q)
+
+
+def xyz_closed_form(n):
+    """The unitary of families.xyz_protocol(n), with the overall phase
+    e^{i pi/4} that its unpaired final phase leaves:
+    P = e^{i pi/4} (T_n(x_a x_b) + i y_a y_b U_{n-1}(x_a x_b)) and
+    Q = e^{i pi/4} (y_a x_b - i x_a y_b) U_{n-1}(x_a x_b)."""
+    prefactor = cmath.exp(1j * math.pi / 4)
+    x_ab = X_A * X_B
+    t_n = chebyshev_t(n, x_ab)
+    u_prev = chebyshev_u(n - 1, x_ab)
+    p = (t_n + 1j * Y_A * Y_B * u_prev) * prefactor
+    q = (Y_A * X_B + (-1j) * X_A * Y_B) * u_prev * prefactor
     return Su2LaurentUnitary(p, q)
 
 

@@ -28,7 +28,7 @@ from mqsp.factor2d import (
 from mqsp.laurent import LaurentPoly1, LaurentPoly2
 from mqsp.protocol import build_unitary, random_spec, verify_structure
 from mqsp.readoff import readoff, scan_leading_slices
-from support import generate_stable, read_grid_csv
+from support import generate_stable, read_grid_csv, trivial_closed_form, xyz_closed_form
 
 SPEC_SEED = 2024
 SPEC_COUNT = 500
@@ -259,8 +259,7 @@ def test_07_diagonal_negative_control():
 
 
 def test_08_six_query_discrimination():
-    protocol = families.xyz_protocol(3)
-    assert len(protocol.spec.s) == 6
+    assert len(families.xyz_protocol(3).s) == 6
     worst_two = 0.0
     for inst in families.case_two_samples(50):
         result = families.discriminate(inst)
@@ -289,10 +288,12 @@ def test_09_closed_forms():
     worst = 0.0
     worst_bound = 0.0
     for n in range(1, 7):
-        for maker in (families.trivial_protocol, families.xyz_protocol):
-            protocol = maker(n)
-            built = build_unitary(protocol.spec)
-            worst = max(worst, built.distance(protocol.closed_form))
+        for maker, closed_form in (
+            (families.trivial_protocol, trivial_closed_form),
+            (families.xyz_protocol, xyz_closed_form),
+        ):
+            built = build_unitary(maker(n))
+            worst = max(worst, built.distance(closed_form(n)))
             if maker is families.trivial_protocol:
                 for poly in (built.P, built.Q):
                     assert all(j == k for (j, k), _ in poly.items())
@@ -324,8 +325,8 @@ def test_10_grid_symmetries(tmp_path):
     # alternating family is additionally symmetric per axis under negation.
     # The diagonal family is not (cos^2(ta + tb) breaks it), so the joint
     # form is the one checked for both.
-    trivial = _emitted_grid(families.trivial_protocol(1).spec, 64, tmp_path, "t.csv")
-    xyz = _emitted_grid(families.xyz_protocol(3).spec, 128, tmp_path, "x.csv")
+    trivial = _emitted_grid(families.trivial_protocol(1), 64, tmp_path, "t.csv")
+    xyz = _emitted_grid(families.xyz_protocol(3), 128, tmp_path, "x.csv")
     worst = 0.0
     for values in (trivial, xyz):
         size = values.shape[0]

@@ -14,7 +14,7 @@ from mqsp import families, laurent, serialize
 from mqsp.cli import build_parser, main
 from mqsp.protocol import ProtocolSpec, build_unitary
 from mqsp.readoff import ScanSummary, readoff_tolerance
-from support import read_grid_csv
+from support import read_grid_csv, trivial_closed_form, xyz_closed_form
 
 TRIVIAL1 = {"s": [0, 1], "phases": [0.0, 0.0, 0.0]}
 IDENTITY = {"s": [], "phases": [0.0]}
@@ -48,7 +48,7 @@ def test_build_trivial_exit_zero(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["report"]["overall"] is True
     assert obj["n"] == 2 and obj["weight"] == 1
-    closed = families.trivial_protocol(1).closed_form
+    closed = trivial_closed_form(1)
     assert serialize.poly_from_records(obj["p"]).distance(closed.P) < 1e-15
 
 
@@ -60,6 +60,14 @@ def test_build_malformed_phases_exit_two(tmp_path, capsys):
     path = write_json(tmp_path / "u.json", {"n": "2", "weight": 1, "p": [], "q": []})
     code, out, err = run(capsys, ["build", path])
     assert (code, out, err) == (2, "", "invalid input: unitary file needs integer 'n'\n")
+
+
+@pytest.mark.parametrize("n, weight", [(1, 2), (-1, 0), (2, -1)])
+def test_build_weight_out_of_range_exit_two(tmp_path, capsys, n, weight):
+    # refused as complete refuses it, before any report is printed
+    path = write_json(tmp_path / "u.json", {"n": n, "weight": weight, "p": [], "q": []})
+    code, out, err = run(capsys, ["build", path])
+    assert (code, out, err) == (2, "", "invalid input: weight must satisfy 0 <= m <= n\n")
 
 
 def test_build_unparsable_file_exit_two(tmp_path, capsys):
@@ -563,7 +571,7 @@ def test_plot_xyz_axis_negation_and_case_two(tmp_path, capsys):
     assert np.abs(v - v[:, (-np.arange(n)) % n]).max() < 1e-9  # theta_b -> -theta_b
     assert v.max() <= 1.0 + 1e-10
     # the curve 4 cos^2 a cos^2 b = 1 is off-grid; check the same polynomial
-    p = families.xyz_protocol(3).closed_form.P
+    p = xyz_closed_form(3).P
     for inst in families.case_two_samples(50):
         value = p.eval_grid(np.exp(1j * inst.theta_a), np.exp(1j * inst.theta_b))[0, 0]
         assert abs(value) ** 2 >= 1 - 1e-9

@@ -10,19 +10,19 @@ import numpy as np
 import pytest
 
 import mqsp
+from mqsp.cli import main
 from mqsp.families import (
     CASE_ONE_POINTS,
     DiscriminationInstance,
     case_one_instances,
     case_two_samples,
-    chebyshev_t,
-    chebyshev_u,
     discriminate,
     trivial_protocol,
     xyz_protocol,
 )
 from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import build_unitary, verify_structure
+from support import chebyshev_t, chebyshev_u, trivial_closed_form, xyz_closed_form
 
 ROOT2_OVER_4 = math.sqrt(2.0) / 4.0
 
@@ -67,42 +67,42 @@ def test_chebyshev_rejects_negative_degree():
 
 
 def test_trivial_n1_pinned():
-    named = trivial_protocol(1)
-    assert named.spec.s == (0, 1)
-    assert named.spec.phases == (0.0, 0.0, 0.0)
+    spec = trivial_protocol(1)
+    assert spec.s == (0, 1)
+    assert spec.phases == (0.0, 0.0, 0.0)
+    closed = trivial_closed_form(1)
     p_expected = LaurentPoly2({(1, 1): 0.5, (-1, -1): 0.5})
     q_expected = LaurentPoly2({(1, 1): 0.5, (-1, -1): -0.5})
-    assert named.closed_form.P.distance(p_expected) < 1e-14
-    assert named.closed_form.Q.distance(q_expected) < 1e-14
+    assert closed.P.distance(p_expected) < 1e-14
+    assert closed.Q.distance(q_expected) < 1e-14
 
 
 def test_trivial_build_matches_closed_form():
     for n in range(1, 7):
-        named = trivial_protocol(n)
-        built = build_unitary(named.spec)
-        assert built.distance(named.closed_form) < 1e-10
+        built = build_unitary(trivial_protocol(n))
+        assert built.distance(trivial_closed_form(n)) < 1e-10
 
 
 def test_trivial_support_is_diagonal_exactly():
     for n in (1, 3, 5):
-        named = trivial_protocol(n)
-        for poly in (named.closed_form.P, named.closed_form.Q):
+        closed = trivial_closed_form(n)
+        for poly in (closed.P, closed.Q):
             assert all(j == k for (j, k), _ in poly.items())
 
 
 def test_trivial_passes_structure_checks():
-    named = trivial_protocol(4)
-    report = verify_structure(named.closed_form, 8, 4)
+    report = verify_structure(trivial_closed_form(4), 8, 4)
     assert report.overall
 
 
 def test_xyz_n1_pinned_coefficients():
-    named = xyz_protocol(1)
-    assert named.spec.s == (1, 0)
-    assert named.spec.phases == pytest.approx(
+    spec = xyz_protocol(1)
+    assert spec.s == (1, 0)
+    assert spec.phases == pytest.approx(
         (math.pi / 4, -math.pi / 4, math.pi / 4)
     )
-    p, q = named.closed_form.P, named.closed_form.Q
+    closed = xyz_closed_form(1)
+    p, q = closed.P, closed.Q
     assert abs(p.coeff(1, 1) - 1j * ROOT2_OVER_4) < 1e-14
     assert abs(p.coeff(1, -1) - ROOT2_OVER_4) < 1e-14
     assert abs(p.coeff(-1, 1) - ROOT2_OVER_4) < 1e-14
@@ -115,17 +115,16 @@ def test_xyz_n1_pinned_coefficients():
 
 def test_xyz_build_matches_closed_form():
     for n in range(1, 7):
-        named = xyz_protocol(n)
-        built = build_unitary(named.spec)
-        assert built.distance(named.closed_form) < 1e-10
+        built = build_unitary(xyz_protocol(n))
+        assert built.distance(xyz_closed_form(n)) < 1e-10
 
 
 def test_xyz_transition_prob_on_half_cosine_curve():
     # at cos(theta_a)cos(theta_b) = 1/2: T_3 = -1 and U_2 = 0, so |P|^2 = 1
-    named = xyz_protocol(3)
+    p = xyz_closed_form(3).P
     for theta_a in (0.0, 0.4, -0.9):
         theta_b = math.acos(0.5 / math.cos(theta_a))
-        value = named.closed_form.P.eval_grid(np.exp(1j * theta_a), np.exp(1j * theta_b))[0, 0]
+        value = p.eval_grid(np.exp(1j * theta_a), np.exp(1j * theta_b))[0, 0]
         assert abs(abs(value) ** 2 - 1.0) < 1e-12
 
 
@@ -150,10 +149,26 @@ def test_family_length_validation():
 
 
 def test_family_boundedness_on_grid():
-    for fn in (trivial_protocol, xyz_protocol):
-        named = fn(3)
-        values = np.abs(named.closed_form.P.eval_unit_grid(128)) ** 2
+    for fn in (trivial_closed_form, xyz_closed_form):
+        values = np.abs(fn(3).P.eval_unit_grid(128)) ** 2
         assert values.max() <= 1 + 1e-10
+
+
+def test_families_multiply_no_laurent_polynomials(monkeypatch, tmp_path):
+    # a family is its spec; the closed forms are built only by the tests
+    def refuse(self, other):
+        raise AssertionError("LaurentPoly2 product")
+
+    monkeypatch.setattr(LaurentPoly2, "__mul__", refuse)
+    assert len(trivial_protocol(8).s) == len(xyz_protocol(8).s) == 16
+    for instance in list(case_one_instances()) + case_two_samples(20):
+        assert discriminate(instance).decision == instance.case
+    for named in ("trivial:8", "xyz:8"):
+        for fmt in ("csv", "pgm"):
+            out = tmp_path / ("grid." + fmt)
+            argv = ["plot", "--named", named, "--format", fmt, "--out", str(out)]
+            assert main(argv) == 0
+            assert out.stat().st_size > 0
 
 
 # ---------------------------------------------------------------- problem 1

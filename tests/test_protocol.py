@@ -21,11 +21,7 @@ from mqsp.protocol import (
     random_spec,
     verify_structure,
 )
-from support import compose, x_picture_cross_check
-
-X_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): 0.5})
-Y_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): -0.5})
-Y_B = LaurentPoly2({(0, 1): 0.5, (0, -1): -0.5})
+from support import X_A, Y_A, Y_B, compose, x_picture_cross_check
 
 
 # -- spec validation -----------------------------------------------------------

@@ -12,6 +12,7 @@ assembles the completed unitary from a spectral factor.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -64,9 +65,13 @@ class ProtocolSpec:
 
 def random_draw(rng, n, weight=None):
     """The draws behind random_spec, as lists (s, phases): bits i.i.d. (or
-    fixed Hamming weight), then phases uniform on [-pi, pi), unnormalized."""
+    fixed Hamming weight), then phases uniform on [-pi, pi), unnormalized.
+
+    For n = 0 no bits are drawn: numpy's draw of size 0 consumes nothing
+    from the generator, so skipping it leaves the stream as it was.
+    """
     if weight is None:
-        s = rng.integers(0, 2, size=n).tolist()
+        s = rng.integers(0, 2, size=n).tolist() if n else []
     else:
         s = [1] * weight + [0] * (n - weight)
         rng.shuffle(s)
@@ -183,19 +188,20 @@ def build_stack(bits, phases):
     multiply per Z-phase. A stack of one steps its 2-D boxes in place; in a
     larger stack each bit's trials are gathered by mask and scattered back
     at every step, and trials already past their length sit the step out.
-    The phase factors are computed one scalar at a time with `math`, as
-    for a single protocol, so each trial's box holds the same numbers as
-    its own build.
+    The phase factors are computed one scalar at a time with cmath.rect
+    (cos and sin of the phase, bit for bit those of `math`), as for a
+    single protocol, so each trial's box holds the same numbers as its own
+    build.
     """
     count = len(bits)
     weight = max(row.count(1) for row in bits)
     coweight = max(row.count(0) for row in bits)
     boxes = np.zeros((2, count, weight + 1, coweight + 1), dtype=complex)
     p, q = boxes[0], boxes[1]  # indexed: unpacking an array iterates it, which costs more
-    # math, one scalar at a time, as a single build: numpy's vectorized cos
-    # and sin need not round as math's do
-    p[:, 0, 0] = [complex(math.cos(row[0]), math.sin(row[0])) for row in phases]
-    factors = [[0.5 * complex(math.cos(x), math.sin(x)) for x in row[1:]] for row in phases]
+    # cmath.rect, one scalar at a time, as a single build: numpy's vectorized
+    # cos and sin need not round as libm's do
+    p[:, 0, 0] = [cmath.rect(1.0, row[0]) for row in phases]
+    factors = [[0.5 * cmath.rect(1.0, x) for x in row[1:]] for row in phases]
     if count == 1:
         # every step takes the whole stack: run it on the 2-D box, which
         # numpy iterates faster than a transposed 3-D view

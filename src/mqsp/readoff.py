@@ -23,6 +23,7 @@ equal to one step of `readoff`.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -92,7 +93,7 @@ def _slice_test(ps, qs, tol):
             return [False], [None], [math.inf], ["zero leading slice"]
         r = p[star] / q_star
         phase = math.atan2(r.imag, r.real)
-        w = complex(math.cos(phase), math.sin(phase))
+        w = cmath.rect(1.0, phase)
         mismatch = float(np.abs(p - w * q).max() / p_max)
         return [not mismatch > tol], [phase], [mismatch], [None]
     # small strided views cost numpy more per call than one copy
@@ -101,18 +102,16 @@ def _slice_test(ps, qs, tol):
     star += np.arange(0, count * width, width)
     p_star, q_star = ps.take(star), qs.take(star)
     p_max = np.maximum.reduce(np.abs(ps), axis=1)
-    zero = [
-        t for t, (x, y) in enumerate(zip(p_max.tolist(), q_star.tolist())) if not (x and y)
-    ]
-    if zero:  # any finite stand-in: these pairs' results are replaced below
+    zero = np.flatnonzero((p_max == 0.0) | (q_star == 0.0))
+    if zero.size:  # any finite stand-in: these pairs' results are replaced below
         p_max[zero] = q_star[zero] = 1.0
     # one scalar at a time with `math`: numpy's arctan2 can differ from
     # math.atan2 in the last bit
     phase = [math.atan2(r.imag, r.real) for r in (p_star / q_star).tolist()]
-    w = np.array([complex(math.cos(x), math.sin(x)) for x in phase])[:, None]
+    w = np.array([cmath.rect(1.0, x) for x in phase])[:, None]
     mismatch = (np.maximum.reduce(np.abs(ps - w * qs), axis=1) / p_max).tolist()
     reason = [None] * count
-    for t in zero:
+    for t in zero.tolist():
         phase[t], mismatch[t], reason[t] = None, math.inf, "zero leading slice"
     return [not x > tol for x in mismatch], phase, mismatch, reason
 
@@ -217,7 +216,7 @@ def _peel(p, q, lo, axis, phase):
     polynomials as LaurentPoly2, signed zeros included.
     """
     phi = principal_phase(phase) / 2.0
-    w = complex(math.cos(phi), math.sin(phi))
+    w = cmath.rect(1.0, phi)
     if axis:  # view the peeled variable as the first axis
         p, q = p.T, q.T
     rows = len(p)
@@ -388,19 +387,22 @@ def scan_leading_slices(n_max, trials, seed):
     uniform; check the leading-slice proportionality on each.
 
     The summary equals that of check_leading_slices(build_unitary(spec))
-    over random_spec's draws, trial by trial; _scan_trials computes it on
-    stacks of trials.
+    over random_spec's draws, trial by trial. _scan_trials gives the
+    reports of each stack of trials as per-trial columns; passes and the
+    worst mismatch are taken per stack, and a ProtocolSpec and SliceReport
+    are made only for each counterexample, in draw order.
     """
     tol = readoff_tolerance()  # an invalid MQSP_TOLERANCE fails before any trial
     passes = 0
     worst = 0.0
     bad = []
-    for draw, fields in _scan_trials(np.random.default_rng(seed), n_max, int(trials), tol):
-        if fields[0] or fields[1]:
-            passes += 1
-            worst = max(worst, min(fields[4], fields[5]))
-        else:
-            bad.append((ProtocolSpec(*draw), SliceReport(*fields)))
+    for stack, columns in _scan_trials(np.random.default_rng(seed), n_max, int(trials), tol):
+        holds = np.logical_or(columns[0], columns[1])
+        passes += int(np.count_nonzero(holds))
+        # exact, as the per-trial max(worst, min(a, b)): neither rounds
+        worst = max(worst, float(np.minimum(columns[4], columns[5])[holds].max(initial=0.0)))
+        for t in np.flatnonzero(~holds).tolist():
+            bad.append((ProtocolSpec(*stack[t]), SliceReport(*(column[t] for column in columns))))
     return ScanSummary(
         trials=int(trials),
         passes=passes,
@@ -412,8 +414,8 @@ def scan_leading_slices(n_max, trials, seed):
 
 
 def _scan_trials(rng, n_max, trials, tol):
-    """Yield each trial's draw (s, phases) with its SliceReport fields, in
-    draw order.
+    """Yield stacks of consecutive trials in draw order, each as its list
+    of draws (s, phases) with _scan_stack's columns for it.
 
     Trials are drawn as random_spec draws them, and each one's own exponent
     box is checked against MAX_CELLS as it is drawn. Consecutive trials are
@@ -429,16 +431,18 @@ def _scan_trials(rng, n_max, trials, tol):
         check_box(2 * m + 1, 2 * (n - m) + 1)
         rows, cols = max(rows, m + 1), max(cols, n - m + 1)
         if stack and (len(stack) + 1) * rows * cols > SCAN_STACK_CELLS:
-            yield from zip(stack, _scan_stack(stack, tol))
+            yield stack, _scan_stack(stack, tol)
             stack, rows, cols = [], m + 1, n - m + 1
         stack.append((s, [principal_phase(x) for x in phases]))
     if stack:
-        yield from zip(stack, _scan_stack(stack, tol))
+        yield stack, _scan_stack(stack, tol)
 
 
 def _scan_stack(stack, tol):
-    """check_leading_slices for a stack of drawn (s, phases) trials: one
-    tuple of SliceReport fields per trial.
+    """check_leading_slices for a stack of drawn (s, phases) trials, as the
+    eight SliceReport fields in per-trial columns: lists (holds_a, holds_b,
+    phase_a, phase_b, mismatch_a, mismatch_b, reason_a, reason_b), entry t
+    of each for trial t.
 
     Each trial's P and Q are pruned by LaurentPoly2's rule (laurent.kept)
     and tested on the joint top slices of their kept entries, straight off
@@ -458,11 +462,12 @@ def _scan_stack(stack, tol):
     top_a = either.shape[1] - 1 - either.any(axis=2)[:, ::-1].argmax(axis=1)
     top_b = either.shape[2] - 1 - either.any(axis=1)[:, ::-1].argmax(axis=1)
     trial = np.arange(len(stack))
-    ok_a, phase_a, mis_a, reason_a = _slice_test(p[trial, top_a], q[trial, top_a], tol)
-    ok_b, phase_b, mis_b, reason_b = _slice_test(p[trial, :, top_b], q[trial, :, top_b], tol)
-    reports = list(zip(ok_a, ok_b, phase_a, phase_b, mis_a, mis_b, reason_a, reason_b))
+    along_a = _slice_test(p[trial, top_a], q[trial, top_a], tol)
+    along_b = _slice_test(p[trial, :, top_b], q[trial, :, top_b], tol)
+    columns = [column for pair in zip(along_a, along_b) for column in pair]
     for t in np.flatnonzero(top_q.ravel() == 0.0).tolist():
         # a protocol unitary with Q = 0 has a unimodular, inversion-even
         # monomial P, a constant: the convention of check_leading_slices
-        reports[t] = _Q_ZERO
-    return reports
+        for column, field in zip(columns, _Q_ZERO):
+            column[t] = field
+    return columns

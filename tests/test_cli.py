@@ -748,3 +748,27 @@ def test_cli_replay_script_one_line_per_call_and_repeatable(workload, calls):
     counts = dict(line.rsplit(": ", 1) for line in runs[0].stderr.splitlines())
     assert {key: int(count) for key, count in counts.items()} == tally
     assert runs[0].stderr == runs[1].stderr
+
+
+def test_ab_pairs_script_one_line_per_end_to_end_metric():
+    # one tiny scan pair, the same tree on both sides
+    src = os.path.dirname(os.path.dirname(mqsp.__file__))
+    root = os.path.dirname(src)
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "ab_pairs.py"), root, root,
+         "--workload", "scan", "--seed", "1", "--pairs", "1", "--seconds", "0.1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    with open(os.path.join(root, "BENCHMARK.json")) as handle:
+        metrics = json.load(handle)["end_to_end"]
+    assert [(line["metric"], line["better"]) for line in lines] == [
+        (metric["name"], metric["better"]) for metric in metrics
+    ]
+    for line in lines:
+        assert line["pairs"] == 1 and line["parentIqr"] == 0.0
+        assert [line["parent"]] == line["parentRuns"] and [line["change"]] == line["changeRuns"]
+        # one pair has no spread: the change clears the bar exactly when it wins
+        assert line["clears"] == (line["wins"] == 1)
+    assert {line["metric"]: line["change"] for line in lines}["ok_frac"] == 1.0

@@ -18,6 +18,7 @@ from mqsp.protocol import (
     build_unitary,
     eval_unitary,
     principal_phase,
+    random_draw,
     random_spec,
     verify_structure,
 )
@@ -210,6 +211,40 @@ def test_build_stack_matches_single_builds(weight):
             box[::2, ::2] = lattice[: m + 1, : r + 1]
             assert LaurentPoly2.from_array(box, -m, -r) == poly
             assert not lattice[m + 1 :].any() and not lattice[:, r + 1 :].any()
+
+
+def test_rect_phase_factors_equal_cos_sin_bit_for_bit():
+    # build_stack and readoff take e^{ix} as cmath.rect(1.0, x) and the
+    # step factor as half of it: the same parts as complex(cos x, sin x)
+    # and half of that, compared by hex (NaN reads "nan" either way)
+    edges = [0.0, -0.0, math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+             math.nextafter(-math.pi, 0.0), 5e-324, -5e-324, 1e300, -1e300, math.nan]
+    draws = np.random.default_rng(35).uniform(-math.pi, math.pi, size=10_000).tolist()
+
+    def parts(z):
+        return z.real.hex(), z.imag.hex()
+
+    for x in edges + draws:
+        old = complex(math.cos(x), math.sin(x))
+        assert parts(cmath.rect(1.0, x)) == parts(old)
+        assert parts(0.5 * cmath.rect(1.0, x)) == parts(0.5 * old)
+    for x in (math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            cmath.rect(1.0, x)
+        with pytest.raises(ValueError):
+            complex(math.cos(x), math.sin(x))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 424242])
+def test_random_draw_of_length_zero_leaves_the_stream(seed):
+    # numpy's bit draw of size 0 consumes nothing, so random_draw skips it
+    # and every later draw is what it was
+    rng, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng.integers(0, 2, size=0)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+    s, phases = random_draw(rng, 0)
+    assert s == [] and phases == fresh.uniform(-math.pi, math.pi, size=1).tolist()
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 def test_build_mirrors_under_swapped_oracles():

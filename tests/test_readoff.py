@@ -676,7 +676,8 @@ def test_scan_stack_prunes_as_laurent_does():
         ((0, 1, 0, 1, 1), (0.1, -0.2, 0.3, -0.4, 0.5, -0.6)),
     ]
     stack = [(list(s), list(phases)) for s, phases in draws]
-    for (s, phases), fields in zip(draws, readoff_module._scan_stack(stack, 1e-8)):
+    columns = readoff_module._scan_stack(stack, 1e-8)
+    for (s, phases), fields in zip(draws, zip(*columns)):
         expected = check_leading_slices(build_unitary(ProtocolSpec(s, phases)))
         assert SliceReport(*fields) == expected
 

@@ -80,7 +80,7 @@ def _check_writable(path):
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(parent):
+    elif not path or not os.path.isdir(parent):
         code = errno.ENOENT
     elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code = errno.EACCES
@@ -217,7 +217,7 @@ def _cmd_scan(args):
         "counterexamples": len(summary.counterexamples),
     }
     if summary.counterexamples:
-        spec, _ = summary.counterexamples[0]
+        spec = summary.counterexamples[0]
         u = build_unitary(spec)
         dump = serialize.spec_to_obj(spec)
         dump["p"], dump["q"] = u.P, u.Q

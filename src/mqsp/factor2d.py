@@ -323,8 +323,11 @@ def extract_stable_factor(gamma, f, n, m):
     must pass _gated on a torus grid of _pow2_grid(VERIFY_GRID,
     max(deg f, 2n, 2m)) samples per axis, or one sample along an axis where
     f and the lattice both have extent 0. The closed-bidisk net is left to
-    Factorization2D.
+    Factorization2D. Raises ValueError, as fourier_of_reciprocal does,
+    unless f is Hermitian.
     """
+    if not f.is_hermitian():
+        raise ValueError("f must be Hermitian (real on the unit torus)")
     # the lattice ordinal j*(m+1) + k is row-major order on the (n+1, m+1) box
     p = LaurentPoly2.from_array(_solve_for_factor(gamma).reshape(n + 1, m + 1), 0, 0)
 

@@ -337,6 +337,10 @@ class LaurentPoly2:
         parts, as float64 samples (up to rounding and to the departure from
         exact symmetry that is_hermitian allows).
 
+        p must be Hermitian, which is not checked here: the factor routes
+        check f once, where it enters them. For any other p the samples are
+        not those real parts.
+
         p's coefficients d_k(theta_a) in b satisfy d_-k = conj(d_k), so only
         the box's columns of b exponent k >= 0 take the inverse FFT along a
         (na x (deg_b + 1) complex values), and they are every row's half
@@ -347,10 +351,8 @@ class LaurentPoly2:
         half spectrum zero-padded to nb/2 + 1 values a row. Either way a
         block holds at most max(block_cells, nb) real samples. With nb = 1
         (p on axis a alone) the box itself takes one inverse real FFT along
-        a. Raises ValueError unless p is Hermitian.
+        a.
         """
-        if not self.is_hermitian():
-            raise ValueError("real samples need a Hermitian polynomial")
         na, nb = shape
         block_rows = max(1, block_cells // nb)
         if nb == 1:

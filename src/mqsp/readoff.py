@@ -13,12 +13,13 @@ slice test, relative to that slice, reads the build's rounding as a
 mismatch above tol (ROADMAP item 1 has the same precision loss).
 
 `readoff` aligns P and Q once and then works on their coefficient boxes as
-one stacked box: per step a slice test (_slice_test, the module's only
-one) of the top slice pair in each direction of positive degree, the peel
+one stacked box: per step a slice test (_top_test, the module's one pair
+test) of the top slice pair in each direction of positive degree, the peel
 and its prune (_pruned: one laurent.kept call when the reduced boxes need
 no trim, else LaurentPoly2 and aligned() themselves). `peel_once` is the
 single public step: the same private step on aligned LaurentPoly2 input,
-equal to one step of `readoff`.
+equal to one step of `readoff`. The scan tests many trials at once with
+_stack_test, whose verdicts equal _top_test's pair by pair.
 """
 
 from __future__ import annotations
@@ -68,34 +69,34 @@ def readoff_tolerance():
     return tol
 
 
-def _slice_test(ps, qs, tol):
-    """Test P == e^{i phase} Q on each slice pair of the stacks ps, qs
-    (T x W, row t one pair).
+def _top_test(p, q, axis, tol):
+    """Test P == e^{i phase} Q on the top slice pair along `axis` (0 for a,
+    1 for b) of the aligned boxes p, q of P and Q.
 
-    Returns lists (ok, phase, mismatch, reason), one entry per pair. Phase
-    is read from the largest-magnitude coefficient of Q's slice; the
-    mismatch norm is relative to P's slice. One slice vanishing while the
-    other does not cannot be fixed by a unimodular scalar (both vanish only
-    for P = Q = 0, an empty box): such a pair fails as "zero leading slice"
-    with phase None and mismatch inf.
+    Returns (ok, phase, mismatch, reason). Phase is read from the
+    largest-magnitude coefficient of Q's slice; the mismatch norm is
+    relative to P's slice. One slice vanishing while the other does not
+    cannot be fixed by a unimodular scalar (both vanish only for P = Q = 0,
+    an empty box): such a pair fails as "zero leading slice" with phase
+    None and mismatch inf.
+    """
+    p, q = (p[-1], q[-1]) if axis == 0 else (p[:, -1], q[:, -1])
+    star = np.abs(q).argmax()
+    p_max, q_star = np.abs(p).max(), q[star]
+    if not (p_max and q_star):
+        return False, None, math.inf, "zero leading slice"
+    r = p[star] / q_star
+    phase = math.atan2(r.imag, r.real)
+    mismatch = float(np.abs(p - cmath.rect(1.0, phase) * q).max() / p_max)
+    return not mismatch > tol, phase, mismatch, None
 
-    A single pair (count 1) skips the stack bookkeeping; its results equal
-    those of the same pair as a row of a larger stack, bit for bit. The
-    read-off steps and check_leading_slices test one pair at a time
-    (_top_slices); only _scan_stack passes larger stacks.
+
+def _stack_test(ps, qs, tol):
+    """_top_test on each slice pair of the stacks ps, qs (T x W, row t one
+    pair): arrays (ok, mismatch), entry t for pair t, equal to ok and
+    mismatch of _top_test on that pair bit for bit.
     """
     count, width = ps.shape
-    if count == 1:
-        p, q = ps[0], qs[0]
-        star = np.abs(q).argmax()
-        p_max, q_star = np.abs(p).max(), q[star]
-        if not (p_max and q_star):
-            return [False], [None], [math.inf], ["zero leading slice"]
-        r = p[star] / q_star
-        phase = math.atan2(r.imag, r.real)
-        w = cmath.rect(1.0, phase)
-        mismatch = float(np.abs(p - w * q).max() / p_max)
-        return [not mismatch > tol], [phase], [mismatch], [None]
     # small strided views cost numpy more per call than one copy
     ps, qs = np.ascontiguousarray(ps), np.ascontiguousarray(qs)
     star = np.abs(qs).argmax(axis=1)
@@ -103,33 +104,15 @@ def _slice_test(ps, qs, tol):
     p_star, q_star = ps.take(star), qs.take(star)
     p_max = np.maximum.reduce(np.abs(ps), axis=1)
     zero = np.flatnonzero((p_max == 0.0) | (q_star == 0.0))
-    if zero.size:  # any finite stand-in: these pairs' results are replaced below
+    if zero.size:  # any finite stand-in: these pairs' mismatches are replaced below
         p_max[zero] = q_star[zero] = 1.0
     # one scalar at a time with `math`: numpy's arctan2 can differ from
     # math.atan2 in the last bit
     phase = [math.atan2(r.imag, r.real) for r in (p_star / q_star).tolist()]
     w = np.array([cmath.rect(1.0, x) for x in phase])[:, None]
-    mismatch = (np.maximum.reduce(np.abs(ps - w * qs), axis=1) / p_max).tolist()
-    reason = [None] * count
-    for t in zero.tolist():
-        phase[t], mismatch[t], reason[t] = None, math.inf, "zero leading slice"
-    return [not x > tol for x in mismatch], phase, mismatch, reason
-
-
-def _top_slices(p, q, tol, axes=(0, 1)):
-    """Test P == e^{i phase} Q on the top slice along each of `axes` (0 for
-    a, 1 for b) of the aligned boxes p, q of P and Q, each as a stack of
-    one slice pair.
-
-    Returns _slice_test's lists (ok, phase, mismatch, reason), one entry
-    per axis in `axes`.
-    """
-    results = ([], [], [], [])
-    for axis in axes:
-        ps, qs = (p[-1:], q[-1:]) if axis == 0 else (p[:, -1:].T, q[:, -1:].T)
-        for out, entry in zip(results, _slice_test(ps, qs, tol)):
-            out += entry
-    return results
+    mismatch = np.maximum.reduce(np.abs(ps - w * qs), axis=1) / p_max
+    mismatch[zero] = math.inf
+    return ~(mismatch > tol), mismatch
 
 
 @dataclass(frozen=True)
@@ -154,10 +137,6 @@ class SliceReport:
     reason_b: str | None
 
 
-# SliceReport fields for Q identically zero and P constant
-_Q_ZERO = (True, True, 0.0, 0.0, 0.0, 0.0, None, None)
-
-
 def check_leading_slices(u):
     """Proportionality report for both directions, within
     readoff_tolerance().
@@ -168,10 +147,10 @@ def check_leading_slices(u):
     """
     tol = readoff_tolerance()
     if u.Q.is_zero() and not any(u.P.degrees()):
-        return SliceReport(*_Q_ZERO)
+        return SliceReport(True, True, 0.0, 0.0, 0.0, 0.0, None, None)
     p, q, _ = aligned(u.P, u.Q)
-    ok, phase, mismatch, reason = _top_slices(p, q, tol)
-    return SliceReport(*ok, *phase, *mismatch, *reason)
+    along_a, along_b = (_top_test(p, q, axis, tol) for axis in (0, 1))
+    return SliceReport(*(x for pair in zip(along_a, along_b) for x in pair))
 
 
 def peel_once(u, direction):
@@ -179,7 +158,7 @@ def peel_once(u, direction):
     Z-phase: one step of readoff, whose result it equals.
 
     Returns (phase, reduced). With phi_X the phase by which the leading
-    slice of P in `direction` equals that of Q (read as _slice_test reads
+    slice of P in `direction` equals that of Q (read as _top_test reads
     it), the phase is fixed deterministically to principal_phase(phi_X)/2,
     in (-pi/2, pi/2]; the other branch phi_X/2 + pi differs by a sign that
     later phases absorb, so rebuilds agree either way. `reduced` has degree
@@ -199,7 +178,7 @@ def peel_once(u, direction):
     p, q, lo = aligned(u.P, u.Q)
     if lo[axis] + p.shape[axis] - 1 < 1:
         raise ReadoffError("cannot peel: no positive degree in direction %r" % direction)
-    (ok,), (phase,), _, _ = _top_slices(p, q, tol, (axis,))
+    ok, phase, _, _ = _top_test(p, q, axis, tol)
     if not ok:
         raise ReadoffError("cannot peel: leading slices not proportional")
     phi, box, lo = _peel(p, q, lo, axis, phase)
@@ -326,8 +305,8 @@ def readoff(P, Q):
         live = [axis for axis in (0, 1) if lo[axis] + p.shape[axis] - 1 >= 1]
         if not live:
             break
-        ok, phase, _, _ = _top_slices(p, q, tol, live)
-        avail = [(axis, x) for axis, held, x in zip(live, ok, phase) if held]
+        tests = [(axis,) + _top_test(p, q, axis, tol)[:2] for axis in live]
+        avail = [(axis, phase) for axis, held, phase in tests if held]
         if not avail:
             break
         axis, phase = avail[0]
@@ -371,8 +350,10 @@ def readoff(P, Q):
 
 @dataclass(frozen=True)
 class ScanSummary:
-    """Randomized scan outcome. counterexamples holds (spec, report) pairs
-    for which neither direction was proportional; expected empty."""
+    """Randomized scan outcome. counterexamples holds, in draw order, the
+    ProtocolSpecs for which neither direction was proportional; expected
+    empty. check_leading_slices(build_unitary(spec)) gives the report of
+    each, which the scan's test equals by construction."""
 
     trials: int
     passes: int
@@ -387,22 +368,21 @@ def scan_leading_slices(n_max, trials, seed):
     uniform; check the leading-slice proportionality on each.
 
     The summary equals that of check_leading_slices(build_unitary(spec))
-    over random_spec's draws, trial by trial. _scan_trials gives the
-    reports of each stack of trials as per-trial columns; passes and the
-    worst mismatch are taken per stack, and a ProtocolSpec and SliceReport
-    are made only for each counterexample, in draw order.
+    over random_spec's draws, trial by trial. _scan_trials gives each
+    stack of trials its per-trial verdicts; passes and the worst mismatch
+    are taken per stack, and a ProtocolSpec is made only for each
+    counterexample, in draw order.
     """
     tol = readoff_tolerance()  # an invalid MQSP_TOLERANCE fails before any trial
     passes = 0
     worst = 0.0
     bad = []
-    for stack, columns in _scan_trials(np.random.default_rng(seed), n_max, int(trials), tol):
-        holds = np.logical_or(columns[0], columns[1])
+    rng = np.random.default_rng(seed)
+    for stack, (holds, mismatch) in _scan_trials(rng, n_max, int(trials), tol):
         passes += int(np.count_nonzero(holds))
-        # exact, as the per-trial max(worst, min(a, b)): neither rounds
-        worst = max(worst, float(np.minimum(columns[4], columns[5])[holds].max(initial=0.0)))
-        for t in np.flatnonzero(~holds).tolist():
-            bad.append((ProtocolSpec(*stack[t]), SliceReport(*(column[t] for column in columns))))
+        # exact, as the per-trial max(worst, mismatch): neither rounds
+        worst = max(worst, float(mismatch[holds].max(initial=0.0)))
+        bad += [ProtocolSpec(*stack[t]) for t in np.flatnonzero(~holds).tolist()]
     return ScanSummary(
         trials=int(trials),
         passes=passes,
@@ -415,7 +395,7 @@ def scan_leading_slices(n_max, trials, seed):
 
 def _scan_trials(rng, n_max, trials, tol):
     """Yield stacks of consecutive trials in draw order, each as its list
-    of draws (s, phases) with _scan_stack's columns for it.
+    of draws (s, phases) with _scan_stack's verdicts for it.
 
     Trials are drawn as random_spec draws them, and each one's own exponent
     box is checked against MAX_CELLS as it is drawn. Consecutive trials are
@@ -439,16 +419,17 @@ def _scan_trials(rng, n_max, trials, tol):
 
 
 def _scan_stack(stack, tol):
-    """check_leading_slices for a stack of drawn (s, phases) trials, as the
-    eight SliceReport fields in per-trial columns: lists (holds_a, holds_b,
-    phase_a, phase_b, mismatch_a, mismatch_b, reason_a, reason_b), entry t
-    of each for trial t.
+    """The scan's verdict on check_leading_slices for each of a stack of
+    drawn (s, phases) trials: arrays (holds, mismatch), entry t for trial
+    t, with holds_a or holds_b and min(mismatch_a, mismatch_b) of its
+    report (True and 0.0 for Q = 0, the convention of
+    check_leading_slices).
 
     Each trial's P and Q are pruned by LaurentPoly2's rule (laurent.kept)
     and tested on the joint top slices of their kept entries, straight off
     build_stack's lattice boxes: the leading slices aligned() gives for the
-    pruned polynomials less their zeros off the lattice, so _slice_test
-    gives the same results.
+    pruned polynomials less their zeros off the lattice, so _stack_test
+    gives _top_test's results.
     """
     steps = max(len(s) for s, _ in stack)
     bits = [s + [-1] * (steps - len(s)) for s, _ in stack]
@@ -462,12 +443,11 @@ def _scan_stack(stack, tol):
     top_a = either.shape[1] - 1 - either.any(axis=2)[:, ::-1].argmax(axis=1)
     top_b = either.shape[2] - 1 - either.any(axis=1)[:, ::-1].argmax(axis=1)
     trial = np.arange(len(stack))
-    along_a = _slice_test(p[trial, top_a], q[trial, top_a], tol)
-    along_b = _slice_test(p[trial, :, top_b], q[trial, :, top_b], tol)
-    columns = [column for pair in zip(along_a, along_b) for column in pair]
-    for t in np.flatnonzero(top_q.ravel() == 0.0).tolist():
-        # a protocol unitary with Q = 0 has a unimodular, inversion-even
-        # monomial P, a constant: the convention of check_leading_slices
-        for column, field in zip(columns, _Q_ZERO):
-            column[t] = field
-    return columns
+    ok_a, mismatch_a = _stack_test(p[trial, top_a], q[trial, top_a], tol)
+    ok_b, mismatch_b = _stack_test(p[trial, :, top_b], q[trial, :, top_b], tol)
+    holds, mismatch = ok_a | ok_b, np.minimum(mismatch_a, mismatch_b)
+    # a protocol unitary with Q = 0 has a unimodular, inversion-even
+    # monomial P, a constant: the convention of check_leading_slices
+    q_zero = top_q.ravel() == 0.0
+    holds[q_zero], mismatch[q_zero] = True, 0.0
+    return holds, mismatch

@@ -105,7 +105,7 @@ def test_03_proportionality_scan(tmp_path):
         % (summary.passes, summary.trials, summary.worst_mismatch),
     )
     if summary.counterexamples:
-        spec, _ = summary.counterexamples[0]
+        spec = summary.counterexamples[0]
         u = build_unitary(spec)
         artifact = serialize.spec_to_obj(spec)
         artifact["p"] = serialize.poly_to_records(u.P)

@@ -12,8 +12,8 @@ import pytest
 import mqsp
 from mqsp import families, laurent, serialize
 from mqsp.cli import build_parser, main
-from mqsp.protocol import ProtocolSpec, build_unitary
-from mqsp.readoff import ScanSummary, readoff_tolerance
+from mqsp.protocol import ProtocolSpec, build_unitary, verify_structure
+from mqsp.readoff import ScanSummary, check_leading_slices, readoff_tolerance
 from support import read_grid_csv, trivial_closed_form, xyz_closed_form
 
 TRIVIAL1 = {"s": [0, 1], "phases": [0.0, 0.0, 0.0]}
@@ -482,7 +482,7 @@ def test_scan_counterexample_dump(tmp_path, capsys, monkeypatch):
         trials=1,
         passes=0,
         worst_mismatch=0.5,
-        counterexamples=((spec, None),),
+        counterexamples=(spec,),
         n_max=1,
         seed=0,
     )
@@ -499,6 +499,28 @@ def test_scan_counterexample_dump(tmp_path, capsys, monkeypatch):
     assert (dumped["p"], dumped["q"]) == tuple(map(serialize.poly_to_records, (u.P, u.Q)))
 
 
+def test_scan_exit_four_on_a_rounding_counterexample(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
+    argv = ["scan", "--trials", "200", "--seed", "0"]
+    code, out, _ = run(capsys, argv + ["--n-max", "40"])
+    assert code == 0 and json.loads(out)["passes"] == 200
+    dump = tmp_path / "ce.json"
+    code, out, _ = run(capsys, argv + ["--n-max", "50", "--dump", str(dump)])
+    obj = json.loads(out)
+    assert code == 4
+    assert (obj["passes"], obj["counterexamples"], obj["dumpPath"]) == (199, 1, str(dump))
+    dumped = json.loads(dump.read_text())
+    spec = serialize.spec_from_obj(dumped)
+    assert len(spec.s) == 48 and sum(spec.s) == 20
+    u = build_unitary(spec)
+    assert (dumped["p"], dumped["q"]) == tuple(map(serialize.poly_to_records, (u.P, u.Q)))
+    # rounding, not a failure of the property: the unitary passes the
+    # structure checks, but neither leading slice pair reads as proportional
+    assert verify_structure(u, len(spec.s), sum(spec.s)).overall
+    rep = check_leading_slices(u)
+    assert not (rep.holds_a or rep.holds_b)
+
+
 def test_scan_unwritable_dump_exit_two_before_scanning(tmp_path, capsys, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned before checking --dump")
@@ -508,6 +530,11 @@ def test_scan_unwritable_dump_exit_two_before_scanning(tmp_path, capsys, monkeyp
         code, out, err = run(capsys, ["scan", "--trials", "5", "--dump", str(dump)])
         assert (code, out) == (2, "")
         assert err.startswith("cannot write %s: " % dump)
+    # the empty path names no file: refused as such, not after the scan
+    monkeypatch.chdir(tmp_path)
+    argv = ["scan", "--n-max", "50", "--trials", "200", "--seed", "0", "--dump", ""]
+    assert run(capsys, argv) == (2, "", "cannot write : No such file or directory\n")
+    assert not any(tmp_path.iterdir())
     monkeypatch.undo()
     # a writable path is not created unless a counterexample turns up
     dump = tmp_path / "ce.json"

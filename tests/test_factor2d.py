@@ -558,6 +558,15 @@ def test_extract_verification_gate():
         extract_stable_factor(gamma, f, 1, 1)
 
 
+def test_extract_rejects_non_hermitian():
+    # real_grid_blocks trusts its caller: extract_stable_factor is the one
+    # public caller that reaches it past neither fourier_of_reciprocal's
+    # nor fejer_riesz's check
+    gamma, _, n, m = _pipeline(_abs_square(GEOMETRIC))
+    with pytest.raises(ValueError, match=r"^f must be Hermitian \(real on the unit torus\)$"):
+        extract_stable_factor(gamma, LaurentPoly2({(0, 0): 1.0, (1, 2): 0.5}), n, m)
+
+
 def test_extract_refuses_nonpositive_solve():
     # -Gamma solves to -q, whose constant coefficient is negative
     f = _abs_square(GEOMETRIC)

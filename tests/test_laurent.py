@@ -250,11 +250,6 @@ def test_harmonic_sums_match_real_ffts(n):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), count
 
 
-def test_real_grid_blocks_reject_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        next(LaurentPoly2({(0, 0): 1.0, (1, 2): 0.5}).real_grid_blocks((8, 8), 64))
-
-
 def test_hermitian_detection():
     f = LaurentPoly1({-1: 2.0, 0: 5.0, 1: 2.0})
     assert f.is_hermitian()

@@ -25,7 +25,6 @@ from mqsp.readoff import (
     PeelStep,
     ReadoffResult,
     ScanSummary,
-    SliceReport,
     check_leading_slices,
     peel_once,
     readoff,
@@ -93,9 +92,6 @@ def test_q_zero_under_nonconstant_p_agrees_with_peel():
 
 
 def test_one_pair_slice_test_equals_its_row_of_a_stack():
-    def bits(results):
-        return [[x.hex() if isinstance(x, float) else x for x in field] for field in results]
-
     rng = np.random.default_rng(19)
     verdicts = set()
     for width in range(1, 14):
@@ -109,14 +105,20 @@ def test_one_pair_slice_test_equals_its_row_of_a_stack():
         ps[1] = 0.0  # a zero P slice
         if width > 1:  # a tie in |q| at its largest: the first one wins
             qs[2, 0], qs[2, -1] = 10.0, 10.0j
-        stacked = bits(readoff_module._slice_test(ps, qs, 1e-8))
-        assert stacked[3][:2] == ["zero leading slice"] * 2
-        verdicts.update(stacked[0][3:])
-        # the pair as a contiguous row and as a strided one
+        ok, mismatch = readoff_module._stack_test(ps, qs, 1e-8)
+        stacked = [(held, x.hex()) for held, x in zip(ok.tolist(), mismatch.tolist())]
+        verdicts.update(ok[3:].tolist())
+        # the pair as the top row (axis 0) and the top column (axis 1) of a
+        # box, each contiguous in one memory order and strided in the other
         for stack_p, stack_q in ((ps, qs), (np.asfortranarray(ps), np.asfortranarray(qs))):
             for t in range(len(ps)):
-                one = readoff_module._slice_test(stack_p[t : t + 1], stack_q[t : t + 1], 1e-8)
-                assert bits(one) == [field[t : t + 1] for field in stacked]
+                p, q = stack_p[t : t + 1], stack_q[t : t + 1]
+                for axis, (box_p, box_q) in enumerate(((p, q), (p.T, q.T))):
+                    held, phase, x, reason = readoff_module._top_test(box_p, box_q, axis, 1e-8)
+                    assert (held, x.hex()) == stacked[t]
+                    zero = t < 2
+                    assert reason == ("zero leading slice" if zero else None)
+                    assert (phase is None) == zero
     assert verdicts == {True, False}
 
 
@@ -626,7 +628,7 @@ def reference_scan(n_max, trials, seed):
             passes += 1
             worst = max(worst, min(report.mismatch_a, report.mismatch_b))
         else:
-            bad.append((spec, report))
+            bad.append(spec)
     return ScanSummary(trials, passes, worst, tuple(bad), n_max, seed)
 
 
@@ -676,10 +678,12 @@ def test_scan_stack_prunes_as_laurent_does():
         ((0, 1, 0, 1, 1), (0.1, -0.2, 0.3, -0.4, 0.5, -0.6)),
     ]
     stack = [(list(s), list(phases)) for s, phases in draws]
-    columns = readoff_module._scan_stack(stack, 1e-8)
-    for (s, phases), fields in zip(draws, zip(*columns)):
-        expected = check_leading_slices(build_unitary(ProtocolSpec(s, phases)))
-        assert SliceReport(*fields) == expected
+    holds, mismatch = readoff_module._scan_stack(stack, 1e-8)
+    assert len(holds) == len(mismatch) == len(draws)
+    for (s, phases), held, x in zip(draws, holds.tolist(), mismatch.tolist()):
+        rep = check_leading_slices(build_unitary(ProtocolSpec(s, phases)))
+        assert held == (rep.holds_a or rep.holds_b)
+        assert x.hex() == min(rep.mismatch_a, rep.mismatch_b).hex()
 
 
 def test_scan_counterexamples_at_tiny_tolerance_in_draw_order(monkeypatch):
@@ -687,6 +691,9 @@ def test_scan_counterexamples_at_tiny_tolerance_in_draw_order(monkeypatch):
     summary = scan_leading_slices(6, 100, 1)
     assert len(summary.counterexamples) == 78
     assert summary == reference_scan(6, 100, 1)
+    for spec in summary.counterexamples:
+        rep = check_leading_slices(build_unitary(spec))
+        assert not (rep.holds_a or rep.holds_b)
 
 
 @pytest.mark.parametrize(

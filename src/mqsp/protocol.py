@@ -35,8 +35,8 @@ def principal_phase(phi):
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Bit string s and phases (phi_0, ..., phi_n); phases normalized to
-    (-pi, pi] on construction."""
+    """Bit string s and phases (phi_0, ..., phi_n); phases must be finite
+    and are normalized to (-pi, pi] on construction."""
 
     s: tuple
     phases: tuple
@@ -45,7 +45,10 @@ class ProtocolSpec:
         s = tuple(int(b) for b in self.s)
         if any(b not in (0, 1) for b in s):
             raise ValueError("s entries must be bits (0 or 1)")
-        phases = tuple(principal_phase(p) for p in self.phases)
+        phases = tuple(map(float, self.phases))
+        if not all(map(math.isfinite, phases)):
+            raise ValueError("phases must be finite")
+        phases = tuple(map(principal_phase, phases))
         if len(phases) != len(s) + 1:
             raise ValueError(
                 "need %d phases for %d iterates, got %d"

@@ -14,11 +14,12 @@ mismatch above tol (ROADMAP item 1 has the same precision loss).
 
 `readoff` aligns P and Q once and then works on their coefficient boxes as
 one stacked box: per step a slice test (_top_test, the module's one pair
-test) of the top slice pair in each direction of positive degree, the peel
-and its prune (_pruned: one laurent.kept call when the reduced boxes need
-no trim, else LaurentPoly2 and aligned() themselves). `peel_once` is the
-single public step: the same private step on aligned LaurentPoly2 input,
-equal to one step of `readoff`. The scan tests many trials at once with
+test) of the top slice pair along a, and along b only when a does not
+peel (each direction only at positive degree), the peel and its prune
+(_pruned: one laurent.kept call when the reduced boxes need no trim, else
+LaurentPoly2 and aligned() themselves). `peel_once` is the single public
+step: the same private step on aligned LaurentPoly2 input, equal to one
+step of `readoff`. The scan tests many trials at once with
 _stack_test, whose verdicts equal _top_test's pair by pair.
 """
 
@@ -259,14 +260,6 @@ def _pruned(box, lo):
 
 
 @dataclass(frozen=True)
-class PeelStep:
-    step: int
-    direction: str
-    phase: float
-    both_directions_possible: bool
-
-
-@dataclass(frozen=True)
 class ReadoffResult:
     """Recovered protocol; residual is the max coefficient distance between
     build_unitary(spec) and the input. Phase lists are not unique when a
@@ -275,7 +268,6 @@ class ReadoffResult:
 
     spec: ProtocolSpec
     residual: float
-    branch_log: tuple
 
 
 def readoff(P, Q):
@@ -288,40 +280,31 @@ def readoff(P, Q):
     reconstruction misses the input by more than readoff_tolerance().
 
     P and Q are aligned once; every step then works on their coefficient
-    boxes as one stack: a slice test of the top slice pair in each
-    direction of positive degree, the peel and its prune (_pruned). Each
-    step equals peel_once on the pair as LaurentPoly2 objects, and the base
-    case reads the last boxes too, so LaurentPoly2 objects are made only
-    for the steps whose reduced boxes need a trim.
+    boxes as one stack: a slice test of the top slice pair along a, then
+    along b only if a does not peel (each at positive degree only), the
+    peel and its prune (_pruned). Each step equals peel_once on the pair
+    as LaurentPoly2 objects, and the base case reads the last boxes too,
+    so LaurentPoly2 objects are made only for the steps whose reduced
+    boxes need a trim.
     """
     tol = readoff_tolerance()
     original = Su2LaurentUnitary(P, Q)
     bits_reversed = []
     phases_reversed = []
-    log = []
     max_steps = sum(P.degrees()) + sum(Q.degrees())
     p, q, lo = aligned(P, Q)
-    for step in range(1, max_steps + 2):
-        live = [axis for axis in (0, 1) if lo[axis] + p.shape[axis] - 1 >= 1]
-        if not live:
+    for _ in range(max_steps + 1):
+        for axis in (0, 1):
+            if lo[axis] + p.shape[axis] - 1 >= 1:
+                held, phase = _top_test(p, q, axis, tol)[:2]
+                if held:
+                    break
+        else:  # neither direction of positive degree peels
             break
-        tests = [(axis,) + _top_test(p, q, axis, tol)[:2] for axis in live]
-        avail = [(axis, phase) for axis, held, phase in tests if held]
-        if not avail:
-            break
-        axis, phase = avail[0]
         phi, box, lo = _peel(p, q, lo, axis, phase)
         p, q = box
         bits_reversed.append(1 - axis)
         phases_reversed.append(phi)
-        log.append(
-            PeelStep(
-                step=step,
-                direction="ab"[axis],
-                phase=phi,
-                both_directions_possible=len(avail) == 2,
-            )
-        )
 
     # base case: Q gone and P a unimodular constant c, giving phi_0. On the
     # last boxes, |Q| is q's largest magnitude, and |P - c| is p's with the
@@ -342,7 +325,7 @@ def readoff(P, Q):
     residual = build_unitary(spec).distance(original)
     if residual > tol:
         raise VerificationError("rebuild mismatch")
-    return ReadoffResult(spec=spec, residual=residual, branch_log=tuple(log))
+    return ReadoffResult(spec=spec, residual=residual)
 
 
 # -- numerical scan of the proportionality property ------------------------------
@@ -398,14 +381,17 @@ def _scan_trials(rng, n_max, trials, tol):
     of draws (s, phases) with _scan_stack's verdicts for it.
 
     Trials are drawn as random_spec draws them, and each one's own exponent
-    box is checked against MAX_CELLS as it is drawn. Consecutive trials are
-    then tested as one stack while build_stack's lattice box for it holds
-    at most SCAN_STACK_CELLS cells per box (a trial above that alone is a
-    stack of one), so memory does not grow with the number of trials.
+    box is checked against MAX_CELLS as it is drawn; a length whose
+    smallest box, 1 x (2n + 1), already exceeds it is refused before its
+    bits and phases are drawn. Consecutive trials are then tested as one
+    stack while build_stack's lattice box for it holds at most
+    SCAN_STACK_CELLS cells per box (a trial above that alone is a stack of
+    one), so memory does not grow with the number of trials.
     """
     stack, rows, cols = [], 0, 0
     for _ in range(trials):
         n = int(rng.integers(0, n_max + 1))
+        check_box(1, 2 * n + 1)  # every weight's box holds at least this many
         s, phases = random_draw(rng, n)
         m = sum(s)
         check_box(2 * m + 1, 2 * (n - m) + 1)

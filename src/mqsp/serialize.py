@@ -205,13 +205,12 @@ class GridExport:
 
 def grid_from_poly(p, n_theta):
     n_theta = int(n_theta)
-    thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta) / n_theta
-    z = np.exp(1j * thetas)
-    values = np.empty((n_theta, n_theta))
+    grid = GridExport(n_theta=n_theta, values=np.empty((n_theta, n_theta)))
+    z = np.exp(1j * grid.thetas)
     for start in range(0, n_theta, GRID_BLOCK_ROWS):
         rows = slice(start, start + GRID_BLOCK_ROWS)
-        values[rows] = np.abs(p.eval_grid(z[rows], z)) ** 2
-    return GridExport(n_theta=n_theta, values=values)
+        grid.values[rows] = np.abs(p.eval_grid(z[rows], z)) ** 2
+    return grid
 
 
 def write_grid_csv(grid, path):

@@ -79,7 +79,7 @@ def test_02_readoff_round_trip():
         u = build_unitary(spec)
         result = readoff(u.P, u.Q)
         worst = max(worst, result.residual)
-        step_mismatches += len(result.branch_log) != spec.n
+        step_mismatches += len(result.spec.s) != spec.n
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and step_mismatches == 0 and elapsed < 60.0
     _report(

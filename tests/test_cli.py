@@ -70,6 +70,14 @@ def test_build_weight_out_of_range_exit_two(tmp_path, capsys, n, weight):
     assert (code, out, err) == (2, "", "invalid input: weight must satisfy 0 <= m <= n\n")
 
 
+@pytest.mark.parametrize("phase", ["Infinity", "1e400", "NaN"])
+def test_build_non_finite_phase_exit_two(tmp_path, capsys, phase):
+    path = tmp_path / "p.json"
+    path.write_text('{"s":[1,0],"phases":[0,%s,0]}' % phase)
+    code, out, err = run(capsys, ["build", str(path)])
+    assert (code, out, err) == (2, "", "invalid input: phases must be finite\n")
+
+
 def test_build_unparsable_file_exit_two(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text("{not json")
@@ -462,6 +470,27 @@ def test_scan_refuses_a_huge_box_by_its_own_size(capsys):
     code, out, err = run(capsys, ["scan", "--n-max", "6000", "--trials", "3", "--seed", "1"])
     assert (code, out) == (2, "")
     assert err == "invalid input: exponent box of 2871 x 2809 coefficients exceeds MAX_CELLS\n"
+
+
+def test_scan_refuses_a_huge_length_before_drawing_it():
+    # seed 0 draws n = 85,062,423 first, whose bits and phases alone take
+    # gigabytes: the run is capped at 1 GiB of address space, under which
+    # only a refusal made before the draws exits cleanly
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from mqsp.cli import main\n"
+        "sys.exit(main(['scan', '--n-max', '100000000', '--trials', '1', '--seed', '0']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(mqsp.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == (
+        "invalid input: exponent box of 1 x 170124847 coefficients exceeds MAX_CELLS\n"
+    )
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

@@ -35,6 +35,12 @@ def test_spec_validates_lengths_and_bits():
         ProtocolSpec((2,), (0.0, 0.0))
 
 
+@pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+def test_spec_refuses_non_finite_phases(phase):
+    with pytest.raises(ValueError, match="^phases must be finite$"):
+        ProtocolSpec((1,), (0.0, phase))
+
+
 def test_phase_normalization_to_principal_range():
     spec = ProtocolSpec((), (3 * math.pi,))
     assert spec.phases[0] == pytest.approx(math.pi)

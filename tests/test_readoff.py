@@ -22,7 +22,6 @@ from mqsp.protocol import (
     random_spec,
 )
 from mqsp.readoff import (
-    PeelStep,
     ReadoffResult,
     ScanSummary,
     check_leading_slices,
@@ -228,7 +227,7 @@ def test_readoff_three_iterates_pinned():
     u = build_unitary(spec)
     res = readoff(u.P, u.Q)
     assert res.residual < 1e-9
-    assert len(res.branch_log) == 3
+    assert len(res.spec.s) == 3
     assert build_unitary(res.spec).distance(u) < 1e-9
     # bits must match exactly (degrees pin the string)
     assert res.spec.s == spec.s
@@ -239,16 +238,17 @@ def test_readoff_exactly_n_steps_and_unit_degree_drops():
     spec = random_spec(rng, 9)
     u = build_unitary(spec)
     res = readoff(u.P, u.Q)
-    assert len(res.branch_log) == spec.n
+    assert len(res.spec.s) == spec.n
     assert res.spec.s == spec.s
 
 
 def test_readoff_commuting_segment_both_directions():
     spec = ProtocolSpec((0, 1), (0.0, 0.0, 0.0))
     u = build_unitary(spec)
+    rep = check_leading_slices(u)
+    assert rep.holds_a and rep.holds_b
     res = readoff(u.P, u.Q)
-    assert res.branch_log[0].both_directions_possible
-    assert res.branch_log[0].direction == "a"  # tie-break
+    assert res.spec.s[-1] == 1  # tie-break: the last iterate is peeled along a
     assert res.residual < 1e-12
 
 
@@ -266,17 +266,48 @@ def test_readoff_interior_phase_quantized_when_both_possible():
         phases = list(spec.phases)
         phases[-2] = 0.0
         spec = ProtocolSpec(tuple(s), tuple(phases))
+        # walk the peels as reference_readoff does: each step peels a when
+        # a holds at positive degree, else b
         u = build_unitary(spec)
-        res = readoff(u.P, u.Q)
-        for step, entry in enumerate(res.branch_log):
-            if entry.both_directions_possible and step + 1 < len(res.branch_log):
-                nxt = res.branch_log[step + 1].phase
-                dist = min(
-                    abs(nxt), abs(nxt - math.pi), abs(nxt + math.pi)
-                )
-                assert dist < 1e-8, (spec, res.branch_log)
+        steps = []  # (both directions peel, phase), one per peel
+        for _ in range(spec.n):
+            rep = check_leading_slices(u)
+            degrees = map(max, u.P.degrees(), u.Q.degrees())
+            holds = [held and d >= 1 for held, d in zip((rep.holds_a, rep.holds_b), degrees)]
+            phase, u = peel_once(u, "a" if holds[0] else "b")
+            steps.append((all(holds), phase))
+        for (both, _), (_, nxt) in zip(steps, steps[1:]):
+            if both:
+                dist = min(abs(nxt), abs(nxt - math.pi), abs(nxt + math.pi))
+                assert dist < 1e-8, spec
                 seen += 1
     assert seen > 0  # the construction must actually exercise the branch
+
+
+def test_readoff_tests_b_only_when_a_does_not_peel(monkeypatch):
+    # a random-bit protocol, most of whose steps peel a: a spy on the slice
+    # test records (step, axis, held) per call, the step counted by peels
+    spec = random_spec(np.random.default_rng(4), 12)
+    u = build_unitary(spec)
+    expected = repr(readoff(u.P, u.Q))
+    calls, peels = [], []
+    top_test, peel = readoff_module._top_test, readoff_module._peel
+
+    def spy_top_test(p, q, axis, tol):
+        result = top_test(p, q, axis, tol)
+        calls.append((len(peels), axis, result[0]))
+        return result
+
+    def counting_peel(*args):
+        peels.append(args[3])
+        return peel(*args)
+
+    monkeypatch.setattr(readoff_module, "_top_test", spy_top_test)
+    monkeypatch.setattr(readoff_module, "_peel", counting_peel)
+    assert repr(readoff(u.P, u.Q)) == expected
+    a_held = {step for step, axis, held in calls if axis == 0 and held}
+    assert peels.count(0) == len(a_held) == spec.weight == 8
+    assert not [step for step, axis, _ in calls if axis == 1 and step in a_held]
 
 
 def test_readoff_rejects_garbage():
@@ -301,7 +332,7 @@ def test_readoff_roundtrip_many():
         u = build_unitary(spec)
         res = readoff(u.P, u.Q)
         assert res.residual < 1e-9
-        assert len(res.branch_log) == spec.n
+        assert len(res.spec.s) == spec.n
 
 
 # -- read-off against a loop of public single steps --------------------------------
@@ -314,8 +345,8 @@ def reference_readoff(P, Q):
     tol = readoff_tolerance()
     original = u = Su2LaurentUnitary(P, Q)
     max_steps = sum(P.degrees()) + sum(Q.degrees())
-    log = []
-    for step in range(1, max_steps + 2):
+    peels = []  # (direction, phase), one per step
+    for _ in range(max_steps + 1):
         report = check_leading_slices(u)
         tops = [
             max((e[axis] for poly in (u.P, u.Q) for e, _ in poly.items()), default=0)
@@ -326,19 +357,19 @@ def reference_readoff(P, Q):
         if not avail:
             break
         phase, u = peel_once(u, avail[0])
-        log.append(PeelStep(step, avail[0], phase, len(avail) == 2))
+        peels.append((avail[0], phase))
     c = u.P.coeff(0, 0)
     nonconstant = (u.P - LaurentPoly2({(0, 0): c})).max_abs()
     if u.Q.max_abs() > tol or nonconstant > tol or abs(abs(c) - 1.0) > tol:
         raise ReadoffError("not an M-QSP unitary")
     spec = ProtocolSpec(
-        tuple(1 if entry.direction == "a" else 0 for entry in reversed(log)),
-        (math.atan2(c.imag, c.real),) + tuple(entry.phase for entry in reversed(log)),
+        tuple(1 if direction == "a" else 0 for direction, _ in reversed(peels)),
+        (math.atan2(c.imag, c.real),) + tuple(phase for _, phase in reversed(peels)),
     )
     residual = build_unitary(spec).distance(original)
     if residual > tol:
         raise VerificationError("rebuild mismatch")
-    return ReadoffResult(spec, residual, tuple(log))
+    return ReadoffResult(spec, residual)
 
 
 def outcome(fn, *args):

@@ -13,10 +13,12 @@ what the benchmark itself uses).
 
 For every end-to-end metric of the parent's BENCHMARK.json, one JSON line
 gives both medians, the parent's interquartile range, the pairs the change
-wins (a tie counts for neither side), every run's value, and `clears`:
+wins (a tie counts for neither side), every run's value, `clears`:
 whether a gain on that metric may be claimed, that is, the change wins at
 least nine tenths of the pairs and its median is better than the parent's
-by more than the parent's interquartile range.
+by more than the parent's interquartile range, and `regresses`: whether the
+change's median is worse than the parent's by more than the metric's
+`bound` in BENCHMARK.json, as a fraction of the parent's median.
 
 The exit code is 1 when a run fails (its stderr is shown), else 0.
 """
@@ -45,20 +47,23 @@ def run_once(root, workload, seed, seconds):
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
-def compare(parent, change, better):
+def compare(parent, change, better, bound):
     """The summary line for one metric: `parent` and `change` are the runs'
-    values, pair by pair; `better` is "lower" or "higher"."""
+    values, pair by pair; `better` is "lower" or "higher", and `bound` the
+    largest worsening allowed, as a fraction of the parent's median."""
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (y - x) > 0 for x, y in zip(parent, change))
     q1, q3 = np.percentile(parent, [25, 75]).tolist()
-    gap = sign * (statistics.median(change) - statistics.median(parent))
+    middle = statistics.median(parent)
+    gap = sign * (statistics.median(change) - middle)
     return {
-        "parent": statistics.median(parent),
+        "parent": middle,
         "change": statistics.median(change),
         "parentIqr": q3 - q1,
         "wins": wins,
         "pairs": len(parent),
         "clears": 10 * wins >= 9 * len(parent) and gap > q3 - q1,
+        "regresses": -gap > bound * abs(middle),
         "parentRuns": parent,
         "changeRuns": change,
     }
@@ -90,7 +95,8 @@ def main(argv=None):
         return 1
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        line = compare([r[name] for r in parent], [r[name] for r in change], metric["better"])
+        line = compare([r[name] for r in parent], [r[name] for r in change], metric["better"],
+                       metric["bound"])
         print(json.dumps(dict(metric=name, better=metric["better"], **line)))
     return 0
 

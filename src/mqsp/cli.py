@@ -204,6 +204,8 @@ def _cmd_complete(args):
 def _cmd_scan(args):
     if args.n_max < 0 or args.trials < 0:
         raise _Exit(EXIT_USAGE, "--n-max and --trials must be nonnegative")
+    if args.n_max >= 1 << 63:  # lengths are drawn below n_max + 1 <= 2^63
+        raise _Exit(EXIT_USAGE, "--n-max must be at most %d" % ((1 << 63) - 1))
     if args.seed < 0:
         raise _Exit(EXIT_USAGE, "--seed must be nonnegative")
     _check_writable(args.dump)  # before the scan, not after it

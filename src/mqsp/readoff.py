@@ -19,8 +19,10 @@ peel (each direction only at positive degree), the peel and its prune
 (_pruned: one laurent.kept call when the reduced boxes need no trim, else
 LaurentPoly2 and aligned() themselves). `peel_once` is the single public
 step: the same private step on aligned LaurentPoly2 input, equal to one
-step of `readoff`. The scan tests many trials at once with
-_stack_test, whose verdicts equal _top_test's pair by pair.
+step of `readoff`. The scan decodes its trials from the raw PCG64 words
+of its generator (protocol.RawDraws, the same stream as random_spec's
+Generator calls) and tests many trials at once with _stack_test, whose
+verdicts equal _top_test's pair by pair.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ from mqsp.errors import ReadoffError, VerificationError
 from mqsp.laurent import LaurentPoly2, aligned, check_box, kept
 from mqsp.protocol import (
     ProtocolSpec,
+    RawDraws,
     Su2LaurentUnitary,
     build_stack,
     build_unitary,
     principal_phase,
-    random_draw,
 )
 
 DEFAULT_TOLERANCE = 1e-8
@@ -351,8 +353,11 @@ def scan_leading_slices(n_max, trials, seed):
     uniform; check the leading-slice proportionality on each.
 
     The summary equals that of check_leading_slices(build_unitary(spec))
-    over random_spec's draws, trial by trial. _scan_trials gives each
-    stack of trials its per-trial verdicts; passes and the worst mismatch
+    over random_spec's draws, trial by trial, on default_rng(seed): n as
+    rng.integers(0, n_max + 1), then random_spec(rng, n). The draws are
+    decoded from the generator's raw words by protocol.RawDraws, bit for
+    bit, with no Generator call per trial. _scan_trials gives each stack
+    of trials its per-trial verdicts; passes and the worst mismatch
     are taken per stack, and a ProtocolSpec is made only for each
     counterexample, in draw order.
     """
@@ -360,8 +365,8 @@ def scan_leading_slices(n_max, trials, seed):
     passes = 0
     worst = 0.0
     bad = []
-    rng = np.random.default_rng(seed)
-    for stack, (holds, mismatch) in _scan_trials(rng, n_max, int(trials), tol):
+    draws = RawDraws(np.random.default_rng(seed))
+    for stack, (holds, mismatch) in _scan_trials(draws, int(n_max), int(trials), tol):
         passes += int(np.count_nonzero(holds))
         # exact, as the per-trial max(worst, mismatch): neither rounds
         worst = max(worst, float(mismatch[holds].max(initial=0.0)))
@@ -376,23 +381,23 @@ def scan_leading_slices(n_max, trials, seed):
     )
 
 
-def _scan_trials(rng, n_max, trials, tol):
+def _scan_trials(draws, n_max, trials, tol):
     """Yield stacks of consecutive trials in draw order, each as its list
     of draws (s, phases) with _scan_stack's verdicts for it.
 
-    Trials are drawn as random_spec draws them, and each one's own exponent
-    box is checked against MAX_CELLS as it is drawn; a length whose
-    smallest box, 1 x (2n + 1), already exceeds it is refused before its
-    bits and phases are drawn. Consecutive trials are then tested as one
-    stack while build_stack's lattice box for it holds at most
-    SCAN_STACK_CELLS cells per box (a trial above that alone is a stack of
-    one), so memory does not grow with the number of trials.
+    Trials are decoded by `draws` (a RawDraws) as random_spec draws them,
+    and each one's own exponent box is checked against MAX_CELLS as it is
+    drawn; a length whose smallest box, 1 x (2n + 1), already exceeds it
+    is refused before its bits and phases are decoded. Consecutive trials
+    are then tested as one stack while build_stack's lattice box for it
+    holds at most SCAN_STACK_CELLS cells per box (a trial above that alone
+    is a stack of one), so memory does not grow with the number of trials.
     """
     stack, rows, cols = [], 0, 0
     for _ in range(trials):
-        n = int(rng.integers(0, n_max + 1))
+        n = draws.integers(n_max + 1)
         check_box(1, 2 * n + 1)  # every weight's box holds at least this many
-        s, phases = random_draw(rng, n)
+        s, phases = draws.bits(n), draws.phases(n + 1)
         m = sum(s)
         check_box(2 * m + 1, 2 * (n - m) + 1)
         rows, cols = max(rows, m + 1), max(cols, n - m + 1)

@@ -466,6 +466,26 @@ def test_scan_negative_seed_names_its_flag_before_the_dump_check(tmp_path, capsy
     assert (code, out, err) == (2, "", "--seed must be nonnegative\n")
 
 
+def test_scan_refuses_n_max_past_int64_by_name(tmp_path, capsys, monkeypatch):
+    # lengths are drawn below n_max + 1, which must stay within 2^63; the
+    # largest n_max that does reaches the scan and its first draw
+    def no_scan(*args):
+        raise AssertionError("scanned")
+
+    dump = str(tmp_path / "no-such-dir" / "ce.json")
+    with monkeypatch.context() as patch:
+        patch.setattr("mqsp.cli.scan_leading_slices", no_scan)
+        for n_max in (2**63, 2**64 + 5):
+            argv = ["scan", "--n-max", str(n_max), "--trials", "1", "--dump", dump]
+            code, out, err = run(capsys, argv)
+            assert (code, out, err) == (2, "", "--n-max must be at most 9223372036854775807\n")
+    code, out, err = run(capsys, ["scan", "--n-max", str(2**63 - 1), "--trials", "1"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "invalid input: exponent box of 1 x 11749869230777074271 coefficients exceeds MAX_CELLS\n"
+    )
+
+
 def test_scan_refuses_a_huge_box_by_its_own_size(capsys):
     code, out, err = run(capsys, ["scan", "--n-max", "6000", "--trials", "3", "--seed", "1"])
     assert (code, out) == (2, "")
@@ -822,9 +842,16 @@ def test_ab_pairs_script_one_line_per_end_to_end_metric():
     assert [(line["metric"], line["better"]) for line in lines] == [
         (metric["name"], metric["better"]) for metric in metrics
     ]
+    bounds = {metric["name"]: metric["bound"] for metric in metrics}
     for line in lines:
         assert line["pairs"] == 1 and line["parentIqr"] == 0.0
         assert [line["parent"]] == line["parentRuns"] and [line["change"]] == line["changeRuns"]
         # one pair has no spread: the change clears the bar exactly when it wins
         assert line["clears"] == (line["wins"] == 1)
+        # and regresses when it is worse by more than the bound, relative
+        # to the parent's value
+        worse = line["change"] - line["parent"]
+        if line["better"] == "higher":
+            worse = -worse
+        assert line["regresses"] is (worse > bounds[line["metric"]] * abs(line["parent"]))
     assert {line["metric"]: line["change"] for line in lines}["ok_frac"] == 1.0

@@ -664,7 +664,7 @@ def reference_scan(n_max, trials, seed):
 
 
 @pytest.mark.parametrize("tolerance", [None, "1e-300"])
-@pytest.mark.parametrize("n_max", [0, 1, 2, 6, 9])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 6, 9, 40])
 def test_scan_equals_per_trial_loop(monkeypatch, n_max, tolerance):
     if tolerance is None:
         monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
@@ -679,10 +679,13 @@ def test_scan_equals_per_trial_loop(monkeypatch, n_max, tolerance):
 
     monkeypatch.setattr(readoff_module, "_scan_stack", spy)
     # (fewest, most) trials per stack but the last: the default budget
-    # holds all 60, a one-cell budget is below every box (stacks of one),
-    # and the last holds at least three trials of the largest box
+    # holds all 60 up to n_max = 9 (and at least as many trials of the
+    # largest box as it has room for), a one-cell budget is below every box
+    # (stacks of one), and the last holds at least three trials of the
+    # largest box
+    default = readoff_module.SCAN_STACK_CELLS
     budgets = {
-        readoff_module.SCAN_STACK_CELLS: (60, 60),
+        default: (min(60, default // (n_max + 1) ** 2), 60),
         1: (1, 1),
         3 * (n_max + 1) ** 2: (3, 60),
     }
@@ -694,6 +697,23 @@ def test_scan_equals_per_trial_loop(monkeypatch, n_max, tolerance):
             assert scan_leading_slices(n_max, 60, seed) == expected
             assert sum(sizes) == 60
             assert fewest <= min(sizes[:-1] or [fewest]) and max(sizes) <= most
+
+
+@pytest.mark.parametrize("seed", [1, 2, 424242])
+def test_scan_makes_no_generator_draw(monkeypatch, seed):
+    # the scan decodes its trials from raw words: Generator's methods cannot
+    # be patched (an immutable type), so default_rng gives a subclass whose
+    # integers and uniform raise
+    class Refusing(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            raise AssertionError("Generator.integers")
+
+        def uniform(self, *args, **kwargs):
+            raise AssertionError("Generator.uniform")
+
+    expected = scan_leading_slices(6, 100, seed)
+    monkeypatch.setattr(np.random, "default_rng", lambda s: Refusing(np.random.PCG64(s)))
+    assert scan_leading_slices(6, 100, seed) == expected
 
 
 def test_scan_stack_prunes_as_laurent_does():

@@ -6,9 +6,10 @@ closed bidisk, support in {0..n}x{0..m}) exactly when a rank condition on
 the Fourier coefficients of 1/f holds. gamma_factor, the Gamma route,
 computes those Fourier coefficients, tests the rank condition on one
 submatrix of Gamma and extracts the stable factor from a linear solve. It
-sizes its work per axis, so f in one variable costs one-variable work and
-meets a vacuous rank condition, and it doubles its Fourier grid only while
-the residuals can still reach a tolerance relative to the table's scale.
+sizes its work per axis, so f in one variable costs one-variable work (f's
+half spectrum made once, then one irfft/rfft pair per grid) and meets a
+vacuous rank condition, and it doubles its Fourier grid only while the
+residuals can still reach a tolerance relative to the table's scale.
 fejer_riesz, Wilson's Newton iteration, factors a nonnegative f on axis a,
 zeros on the circle included.
 
@@ -123,6 +124,15 @@ def _dft_entries(half, offsets, n):
     return entries
 
 
+def _axis_table(f_half, js, na):
+    """The unscaled table of 1/f on an na x 1 grid from f's half spectrum:
+    one irfft, 1/f in place, one rfft read by _dft_entries."""
+    recip = np.fft.irfft(f_half, n=na, norm="forward")
+    if np.minimum.reduce(recip) <= 0.0:
+        raise FactorizationError("f not strictly positive")
+    return _dft_entries(np.fft.rfft(np.divide(1.0, recip, out=recip)), js, na)
+
+
 def fourier_of_reciprocal(f, window):
     """Fourier coefficients of 1/f over `window` = (wa, wb).
 
@@ -141,16 +151,17 @@ def fourier_of_reciprocal(f, window):
     fastest decay of the aliases that the residual and the table's scale
     allow, squared at each doubling left, still ends at or above it.
 
-    f is sampled as real numbers in whole theta_a rows, at most
-    FOURIER_BLOCK_CELLS samples at a time (`real_grid_blocks`). 1/f is
-    taken in place of each block's samples, and along b the block yields
-    only the window's harmonics k = 0..wb (those of k < 0 are their
+    f is sampled as real numbers. With one sample along b, f's
+    half_spectrum is made once per call, and a grid costs one irfft and
+    one rfft (_axis_table). Otherwise f is sampled in whole theta_a rows,
+    at most FOURIER_BLOCK_CELLS samples at a time (`real_grid_blocks`).
+    1/f is taken in place of each block's samples, and along b the block
+    yields only the window's harmonics k = 0..wb (those of k < 0 are their
     conjugates): when harmonic_sums_pay(wb + 1, nb, FOURIER_BLOCK_CELLS),
     i.e. wb + 1 <= log2(nb) and the cos_sin_rows table of 2 (wb + 1) nb
     values fits in a block, as direct sums, one matrix product per block;
     else by one rfft of the block. That na x (2*wb + 1) strip is then
-    transformed along a; with one sample along b, 1/f is one real column
-    and takes one rfft along a. Memory is, per block, at most
+    transformed along a. Memory is, per block, at most
     max(FOURIER_BLOCK_CELLS, nb) real samples plus, on the FFT paths, half
     spectra of about half as many complex values; per grid, the direct
     paths' tables (at most FOURIER_BLOCK_CELLS values each), the strip and
@@ -170,29 +181,26 @@ def fourier_of_reciprocal(f, window):
     step_a, step_b = (2 if na > 1 else 1), (2 if nb > 1 else 1)
     js = np.arange(-wa, wa + 1)
     ks = np.arange(-wb, wb + 1)
+    if nb == 1:
+        f_half = f.half_spectrum()
     previous = None
     # convergence takes two grids within the bounds, so the first is sampled
     # only if its successor fits; a 1 x 1 grid is its own (sampled twice)
     while not _exceeds_bounds(*((na, nb) if previous is not None else (step_a * na, step_b * nb))):
-        # fft2 of 1/f with only the window's columns taken along b: direct
-        # sums over k = 0..wb when they pay, else one rfft per block; with
-        # one sample along b, 1/f is a real column for one rfft along a
-        rows = None
-        if nb > 1 and harmonic_sums_pay(wb + 1, nb, FOURIER_BLOCK_CELLS):
-            rows = cos_sin_rows(wb + 1, nb)
-        strip = np.empty((na, ks.size), dtype=complex if nb > 1 else float)
-        for start, values in f.real_grid_blocks((na, nb), FOURIER_BLOCK_CELLS):
-            if values.min() <= 0.0:
-                raise FactorizationError("f not strictly positive")
-            recip = np.divide(1.0, values, out=values)
-            if nb > 1:
-                half = np.fft.rfft(recip, axis=1) if rows is None else harmonic_analysis(recip, rows)
-                recip = _dft_entries(half, ks, nb)
-            strip[start : start + len(values)] = recip
-        if nb > 1:
-            table = (np.fft.fft(strip, axis=0) if na > 1 else strip)[js % na]
+        if nb == 1:
+            table = _axis_table(f_half, js, na)[:, None]
         else:
-            table = _dft_entries(np.fft.rfft(strip[:, 0]), js, na)[:, None]
+            # fft2 of 1/f with only the window's columns taken along b:
+            # direct sums over k = 0..wb when they pay, else one rfft per block
+            rows = cos_sin_rows(wb + 1, nb) if harmonic_sums_pay(wb + 1, nb, FOURIER_BLOCK_CELLS) else None
+            strip = np.empty((na, ks.size), dtype=complex)
+            for start, values in f.real_grid_blocks((na, nb), FOURIER_BLOCK_CELLS):
+                if values.min() <= 0.0:
+                    raise FactorizationError("f not strictly positive")
+                recip = np.divide(1.0, values, out=values)
+                half = np.fft.rfft(recip, axis=1) if rows is None else harmonic_analysis(recip, rows)
+                strip[start : start + len(values)] = _dft_entries(half, ks, nb)
+            table = (np.fft.fft(strip, axis=0) if na > 1 else strip)[js % na]
         table /= na * nb
         if previous is not None:
             residual = float(np.abs(table - previous).max())

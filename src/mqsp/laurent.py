@@ -350,17 +350,14 @@ class LaurentPoly2:
         block_cells); else it takes one inverse real FFT along b of its
         half spectrum zero-padded to nb/2 + 1 values a row. Either way a
         block holds at most max(block_cells, nb) real samples. With nb = 1
-        (p on axis a alone) the box itself takes one inverse real FFT along
-        a.
+        (p on axis a alone) its half_spectrum takes one inverse real FFT
+        along a.
         """
         na, nb = shape
         block_rows = max(1, block_cells // nb)
         if nb == 1:
             self._check_grid(na, nb)
-            # the box is one column (or empty), its exponents those in a
-            exps_a = np.arange(self._lo[0], self._lo[0] + len(self._box))
-            column = _half_spectrum(self._box.ravel(), exps_a, na)
-            values = np.fft.irfft(column, n=na, norm="forward")[:, None]
+            values = np.fft.irfft(self.half_spectrum(), n=na, norm="forward")[:, None]
             for start in range(0, na, block_rows):
                 yield start, values[start : start + block_rows]
             return
@@ -375,6 +372,18 @@ class LaurentPoly2:
                 yield start, np.fft.irfft(block, n=nb, axis=1, norm="forward")
             else:
                 yield start, harmonic_synthesis(block, rows)
+
+    def half_spectrum(self):
+        """h_k = (c_k + conj(c_-k))/2, k = 0..deg_a, for p on axis a alone
+        (b exponents all 0, not checked): the rfft-layout spectrum of p's
+        real part, so np.fft.irfft(h, n, norm="forward") samples it at
+        theta_r = 2*pi*r/n for any n > 2 deg_a (numpy zero-pads h)."""
+        h = np.zeros(self.degrees()[0] + 1, dtype=complex)
+        exps, coeffs = np.arange(self._lo[0], self._lo[0] + len(self._box)), self._box.ravel()
+        up, down = exps >= 0, exps <= 0
+        h[exps[up]] = 0.5 * coeffs[up]
+        h[-exps[down]] += 0.5 * coeffs[down].conj()
+        return h
 
     def _check_grid(self, na, nb):
         deg_a, deg_b = self.degrees()
@@ -459,17 +468,6 @@ def harmonic_analysis(x, rows):
     both = x @ rows.T
     count = len(rows) // 2
     return both[..., :count] - 1j * both[..., count:]
-
-
-def _half_spectrum(coeffs, exps, n):
-    """h[..., k] = (d_k + conj(d_-k))/2 for k = 0..n//2, where the last
-    axis of coeffs holds d at the exponents exps (|exps| < n/2, distinct):
-    the rfft-layout spectrum of the real part of their inverse DFT."""
-    h = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=complex)
-    up, down = exps >= 0, exps <= 0
-    h[..., exps[up]] = 0.5 * coeffs[..., up]
-    h[..., -exps[down]] += 0.5 * coeffs[..., down].conj()
-    return h
 
 
 def aligned(p, q):

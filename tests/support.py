@@ -13,6 +13,10 @@
 - `stable_from_contraction` and `generate_stable`: stable polynomials
   det(I - KZ), the fixtures of the two-variable factorization tests.
 - `read_grid_csv`: reads back what `serialize.write_grid_csv` writes.
+- `spy_on_samples`: records the grid of every sampling of f in the
+  factor routes.
+- `GAMMA_SINGLE_ORACLE_DIGESTS` and `GAMMA_TWO_AXIS_DIGESTS`: per-target
+  digests of `gamma_factor`'s outputs, the reference its tests pin.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
+from mqsp import factor2d
 from mqsp.errors import VerificationError
 from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import Su2LaurentUnitary
@@ -242,6 +247,66 @@ def generate_stable(deg_a, deg_b, seed):
     if size:
         K *= 0.8 / np.linalg.norm(K, 2)
     return stable_from_contraction(K, ("a",) * deg_a + ("b",) * deg_b)
+
+
+# -- sampling spy -----------------------------------------------------------------
+
+
+def spy_on_samples(monkeypatch):
+    """Wrap the two places the factor routes sample f: the returned list
+    gets the grid shape of each call, (na, nb) of
+    LaurentPoly2.real_grid_blocks and (na, 1) of factor2d._axis_table,
+    which samples f on one point along b."""
+    calls = []
+    blocks, axis_table = LaurentPoly2.real_grid_blocks, factor2d._axis_table
+
+    def blocks_spy(self, shape, block_cells):
+        calls.append(shape)
+        return blocks(self, shape, block_cells)
+
+    def axis_spy(f_half, js, na):
+        calls.append((na, 1))
+        return axis_table(f_half, js, na)
+
+    monkeypatch.setattr(LaurentPoly2, "real_grid_blocks", blocks_spy)
+    monkeypatch.setattr(factor2d, "_axis_table", axis_spy)
+    return calls
+
+
+# -- gamma_factor reference digests ------------------------------------------------
+
+# Per target, the first 16 hex digits of the sha256 of gamma_factor's output:
+# repr of [(j, k, re.hex(), im.hex()) per factor coefficient, residual.hex(),
+# root_class, convergence_residual.hex()], or the message where it raises.
+# Made with numpy 2.4.6 on x86-64, before the one-axis route took f's half
+# spectrum once per call. The values come from FFTs, so another numpy or
+# pocketfft build (or another SIMD path) may move their last bits with no
+# defect in this code: then remake them from that build's parent tree.
+GAMMA_SINGLE_ORACLE_DIGESTS = (  # test_factor2d._single_oracle_fs(), in order
+    "0f10281d82c8ddcb", "d15d2948f87b34f4", "0b5fb5bd0f725ba3", "eed4b4ce7c71d402",
+    "a67d119e6a6f1437", "94da92c12cb64f79", "de9843b03ab25e89", "75f88f9e97491724",
+    "d4e3e37d219447df", "c935a5aa8dee7000", "c9bd80fe20f3feba", "c1912534e3b64be2",
+    "d2d032bd88e6ba12", "435aef9a1d436f85", "fc63819b6c5ac3a0", "743a9b24ad0b5f77",
+    "a4c52cf52101984c", "1238377e10a7e460", "00c6fef66d70222b", "36e0c4e0d6a456fd",
+    "a19b11175f113198", "5b3b93f107a6a532", "c6c05ec2ec8c3694", "59d2a1891278c795",
+    "dfd74529944f1eb2", "c1a3a39c21cacea9", "4d8a215ecbf70f1f", "9b2de6e08d53cc87",
+    "c27c769368e7dd37", "c1f4e05d4271d70e", "b62df737134cb316", "57c6737c789340d6",
+    "027145bfe5721fd1", "0f6b20f068690a51", "b0328f7a0321045f", "bb29cd34924bfdfe",
+    "eedfff2c104f0e2a", "3b11f20400fa3a3f", "be1895123abfb901", "53a1ef2d9c450e6b",
+    "5ad787e2b366c400", "32dd8cbce782204d", "93f8ee023f3d5374", "4474d3af7eb9c647",
+    "f271af695829229f", "76b74e1c2aa2b8ce", "862885cd2a89b1ed", "97fd35a27ea87879",
+    "5b7058f8e6c6a155", "cfcd5e1bdbca9639", "327a850a9e4f957a", "2e934126e52cb4e1",
+    "d072c5a041e21269", "fbb1cb53afcc0f35", "98d9c4b6b85715ad", "ea208f8beba7e1e6",
+    "80a7d6d71fe5f538", "c0ec19aee771a766", "accd7c85fc2cd050", "a177cc8b5ce32673",
+    "4448710dfa2a5183", "a01bee6c6161d651", "0ac052c932d39dcc", "288bd3b5d49f79d3",
+    "0728f1a687671195", "405cdae65551692b", "8ff9f01a7b1c5add", "f71874587e0fbe23",
+    "4fe8c0cbcfb5704e", "b693e8405b96af1b", "c1ed53dc724e9208", "71b11fbfa2183c0a",
+    "0412548032e9fe44", "4f254c620fc0efba", "ebd9d1a17ae54cbf",
+)
+GAMMA_TWO_AXIS_DIGESTS = (  # test_factor2d._two_axis_fs(), in order
+    "72ade2f4d84cdc22", "2c30d2402a0d6de0", "a3cdf79a539b78e9", "36cabb7ca0a84b73",
+    "db7b9e1e5d09fe34",
+)
 
 
 # -- grid CSV ---------------------------------------------------------------------

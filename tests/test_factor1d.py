@@ -20,6 +20,7 @@ from mqsp.factor2d import (
 )
 from mqsp.protocol import ProtocolSpec, assemble_completion, build_unitary, verify_structure
 from mqsp.readoff import readoff
+from support import spy_on_samples
 
 
 def chebyshev_t_laurent(n):
@@ -327,18 +328,13 @@ def test_gamma_route_sizes_its_work_per_axis(monkeypatch):
     u = build_unitary(ProtocolSpec((1,) * 8, phases))
     pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()})
     qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()})
-    shapes, nets = [], []
-    sample, net_min = LaurentPoly2.real_grid_blocks, factor2d._min_on_bidisk_net
-
-    def sample_spy(self, shape, block_cells):
-        shapes.append(shape)
-        return sample(self, shape, block_cells)
+    shapes, nets = spy_on_samples(monkeypatch), []
+    net_min = factor2d._min_on_bidisk_net
 
     def net_spy(p):
         nets.append(p)
         return net_min(p)
 
-    monkeypatch.setattr(LaurentPoly2, "real_grid_blocks", sample_spy)
     monkeypatch.setattr(factor2d, "_min_on_bidisk_net", net_spy)
     one = complete_unitary_1d(pt, qt, 8)
     two = complete_unitary_2d(pt, qt, 8, 8)

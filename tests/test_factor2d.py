@@ -1,5 +1,6 @@
 """Tests for the two-variable factorization pipeline and completion."""
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -29,7 +30,13 @@ from mqsp.protocol import (
     random_spec,
     verify_structure,
 )
-from support import generate_stable, stable_from_contraction
+from support import (
+    GAMMA_SINGLE_ORACLE_DIGESTS,
+    GAMMA_TWO_AXIS_DIGESTS,
+    generate_stable,
+    spy_on_samples,
+    stable_from_contraction,
+)
 
 W = LaurentPoly2({(1, 1): 1.0})  # the product variable ab
 GEOMETRIC = LaurentPoly2({(0, 0): 1.0, (1, 1): 0.5})  # 1 + ab/2
@@ -147,26 +154,12 @@ def test_fourier_sizes_each_axis_by_its_degree(swap):
     assert peak < 32 * 2**20
 
 
-def _spy_on_samples(monkeypatch):
-    """Wrap LaurentPoly2.real_grid_blocks: the returned list gets the grid
-    shape of each call."""
-    calls = []
-    original = LaurentPoly2.real_grid_blocks
-
-    def spy(self, shape, block_cells):
-        calls.append(shape)
-        return original(self, shape, block_cells)
-
-    monkeypatch.setattr(LaurentPoly2, "real_grid_blocks", spy)
-    return calls
-
-
 def test_fourier_no_convergence_before_any_grid(monkeypatch):
     # convergence compares two successive grids, so when the second would
     # exceed FOURIER_CELLS_MAX or FOURIER_AXIS_MAX the answer is known
     # before sampling anything (at degree >= 2048 the positivity grid alone
     # would be 8192^2)
-    calls = _spy_on_samples(monkeypatch)
+    calls = spy_on_samples(monkeypatch)
     monkeypatch.setattr(factor2d, "FOURIER_CELLS_MAX", factor2d.FOURIER_START**2)
     with pytest.raises(FactorizationError, match="no convergence"):
         fourier_of_reciprocal(_abs_square(generate_stable(2, 1, seed=3)), (2, 2))
@@ -249,7 +242,7 @@ def test_fourier_gives_up_before_the_largest_grids(rho, largest, monkeypatch):
     # (by 24 times for rho = 0.99), and an earlier residual already shows
     # it: 0.0034 on 2048^2 against a table of ~50 for rho = 0.99, 1.9e3
     # on 512^2 against ~2e3 for rho = 0.999
-    calls = _spy_on_samples(monkeypatch)
+    calls = spy_on_samples(monkeypatch)
     with pytest.raises(FactorizationError, match="^no convergence$"):
         fourier_of_reciprocal(_diagonal(rho), (1, 1))
     assert max(calls) == (largest, largest)
@@ -358,6 +351,73 @@ def test_fourier_rejects_dip_in_a_later_row_block():
     assert values[:rows].real.min() > 0.998 and values.real.min() < 0.0
     with pytest.raises(FactorizationError, match="f not strictly positive"):
         fourier_of_reciprocal(f, (1, 1))
+
+
+def _single_oracle_fs(seed=1):
+    """f = 1 - Ptilde^2 - Qtilde^2 of 75 random single-oracle protocols,
+    five at each even n = 4..32: one-axis f as `complete --vars 1` makes
+    them."""
+    rng = np.random.default_rng(seed)
+    for n in range(4, 33, 2):
+        for _ in range(5):
+            spec = ProtocolSpec((1,) * n, tuple(rng.uniform(-math.pi, math.pi, size=n + 1)))
+            u = build_unitary(spec)
+            pt, qt = u.P.hermitian_part(), u.Q.hermitian_part()
+            yield LaurentPoly2.one() - pt * pt - qt * qt
+
+
+def _two_axis_fs():
+    """Five two-variable |p|^2 of generate_stable."""
+    for degrees, seed in (((1, 1), 3), ((2, 1), 3), ((2, 2), 5), ((3, 1), 7), ((0, 2), 2)):
+        yield _abs_square(generate_stable(*degrees, seed=seed))
+
+
+def _gamma_digest(f):
+    """support.GAMMA_*_DIGESTS' digest of gamma_factor(f)."""
+    try:
+        fac = gamma_factor(f)
+    except FactorizationError as error:
+        record = str(error).encode()
+    else:
+        fields = [(j, k, c.real.hex(), c.imag.hex()) for (j, k), c in fac.p.items()]
+        fields += [fac.residual.hex(), fac.root_class, fac.convergence_residual.hex()]
+        record = repr(fields).encode()
+    return hashlib.sha256(record).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "fs, digests",
+    [(_single_oracle_fs, GAMMA_SINGLE_ORACLE_DIGESTS), (_two_axis_fs, GAMMA_TWO_AXIS_DIGESTS)],
+    ids=["single_oracle", "two_axis"],
+)
+def test_gamma_factor_outputs_are_pinned_bit_for_bit(fs, digests):
+    # factor, residual, root class and convergence residual by hex, as
+    # the Gamma route gave them before f's half spectrum was made once per
+    # call (the reference and the numpy build it holds for are in support)
+    got = [_gamma_digest(f) for f in fs()]
+    assert len(got) == len(digests)
+    for index, (f, have, want) in enumerate(zip(fs(), got, digests)):
+        assert have == want, (index, f.degrees())
+
+
+def test_one_axis_route_makes_f_half_spectrum_once_per_call(monkeypatch):
+    # every grid of one call samples f from one half spectrum along a
+    calls, half_spectrum = [], LaurentPoly2.half_spectrum
+
+    def spy(self):
+        calls.append(self.degrees())
+        return half_spectrum(self)
+
+    monkeypatch.setattr(LaurentPoly2, "half_spectrum", spy)
+    longest = 0
+    for f in _single_oracle_fs():
+        del calls[:]
+        table = fourier_of_reciprocal(f, f.degrees())
+        assert calls == [f.degrees()]
+        first = factor2d._pow2_grid(factor2d.FOURIER_START, f.degrees()[0])
+        longest = max(longest, table.grid_size[0] // first)
+    # some call visits at least four grids
+    assert longest >= 8
 
 
 # ---------------------------------------------------------------- gamma

@@ -225,6 +225,23 @@ def test_real_grid_blocks_match_unit_grid_real_parts(deg):
     assert len(list(f.real_grid_blocks((512, 2048), FOURIER_BLOCK_CELLS))) == 4
 
 
+def test_half_spectrum_samples_any_grid_by_one_irfft():
+    # deg_a + 1 entries, which numpy zero-pads: the samples equal by hex
+    # those of the half spectrum padded to n/2 + 1 entries, and they are
+    # the real parts of unit_grid on every grid above the spread
+    rng = np.random.default_rng(13)
+    f = LaurentPoly1({k: complex(rng.normal(), rng.normal()) for k in range(-4, 5)}).hermitian_part()
+    half = f.half_spectrum()
+    assert half.shape == (5,) and half[0].imag == 0.0
+    for n in (9, 10, 16, 128, 2**16):
+        padded = np.zeros(n // 2 + 1, dtype=complex)
+        padded[:5] = half
+        samples = np.fft.irfft(half, n=n, norm="forward")
+        assert samples.tobytes() == np.fft.irfft(padded, n=n, norm="forward").tobytes(), n
+        assert np.abs(samples - f.unit_grid((n, 1))[:, 0].real).max() <= 1e-14 * f.max_abs(), n
+    assert np.array_equal(LaurentPoly2.zero().half_spectrum(), np.zeros(1))
+
+
 @pytest.mark.parametrize("n", [8, 128, 4096])
 def test_harmonic_sums_match_real_ffts(n):
     # direct sums against numpy's real FFTs, for harmonic counts on both

@@ -771,6 +771,10 @@ def test_scan_refuses_max_cells_per_trial_in_draw_order(monkeypatch, seed):
 
 
 def test_scan_refuses_a_huge_box_without_allocating_it():
+    # numpy's first generator in a process peaks near 1 MB on its own: make
+    # it before tracing, so the bound measures the scan alone and reads the
+    # same peak whether the test runs alone or after others
+    np.random.default_rng()
     tracemalloc.start()
     try:
         with pytest.raises(

@@ -1,24 +1,28 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload, in alternating pairs.
+"""Compare two checkouts on benchmark workloads, in alternating pairs.
 
 Usage:
 
-    python3 scripts/ab_pairs.py PARENT_ROOT CHANGE_ROOT --workload scan --seed 1 --pairs 10
+    python3 scripts/ab_pairs.py PARENT_ROOT CHANGE_ROOT --workload scan \
+        [--workload roundtrip ...] --seed 1 --pairs 10
 
-Each pair runs `bench/run.py --trace 0` once in each checkout, one run
-after the other, and the checkout that runs first alternates from pair to
-pair, so drift on the machine falls on both sides alike. Runs last
---seconds each (default: the `run_seconds` of the parent's BENCHMARK.json,
-what the benchmark itself uses).
+--workload may be given more than once: the workloads run one after the
+other, each with its own pairs. Each pair runs `bench/run.py --trace 0`
+once in each checkout, one run after the other, and the checkout that
+runs first alternates from pair to pair, so drift on the machine falls on
+both sides alike. Runs last --seconds each (default: the `run_seconds` of
+the parent's BENCHMARK.json, what the benchmark itself uses).
 
-For every end-to-end metric of the parent's BENCHMARK.json, one JSON line
-gives both medians, the parent's interquartile range, the pairs the change
-wins (a tie counts for neither side), every run's value, `clears`:
-whether a gain on that metric may be claimed, that is, the change wins at
-least nine tenths of the pairs and its median is better than the parent's
-by more than the parent's interquartile range, and `regresses`: whether the
+For every workload and every end-to-end metric of the parent's
+BENCHMARK.json, one JSON line gives the workload, the metric, both
+medians, the parent's interquartile range, the pairs the change wins (a
+tie counts for neither side), every run's value, `clears`: whether a gain
+on that metric may be claimed, that is, the change wins at least nine
+tenths of the pairs and its median is better than the parent's by more
+than the parent's interquartile range, and `regresses`: whether the
 change's median is worse than the parent's by more than the metric's
-`bound` in BENCHMARK.json, as a fraction of the parent's median.
+`bound` in BENCHMARK.json, as a fraction of the parent's median. A
+workload's lines are printed when its pairs are done.
 
 The exit code is 1 when a run fails (its stderr is shown), else 0.
 """
@@ -73,7 +77,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_root")
     parser.add_argument("change_root")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float)
@@ -85,19 +89,21 @@ def main(argv=None):
         spec = json.load(handle)
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     roots = (args.parent_root, args.change_root)
-    parent, change = runs = ([], [])
-    try:
-        for pair in range(args.pairs):
-            for side in (1, 0) if pair % 2 else (0, 1):
-                runs[side].append(run_once(roots[side], args.workload, args.seed, seconds))
-    except RuntimeError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    for metric in spec["end_to_end"]:
-        name = metric["name"]
-        line = compare([r[name] for r in parent], [r[name] for r in change], metric["better"],
-                       metric["bound"])
-        print(json.dumps(dict(metric=name, better=metric["better"], **line)))
+    for workload in args.workload:
+        parent, change = runs = ([], [])
+        try:
+            for pair in range(args.pairs):
+                for side in (1, 0) if pair % 2 else (0, 1):
+                    runs[side].append(run_once(roots[side], workload, args.seed, seconds))
+        except RuntimeError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            line = compare([r[name] for r in parent], [r[name] for r in change],
+                           metric["better"], metric["bound"])
+            line = dict(workload=workload, metric=name, better=metric["better"], **line)
+            print(json.dumps(line), flush=True)
     return 0
 
 

@@ -69,10 +69,10 @@ def parity_steps(x, y):
 
 
 def kept(boxes):
-    """(keep, top) for a coefficient box, or a stack of them along a leading
-    axis: top is each box's largest magnitude (a scalar for one box, shape
-    (T, 1, 1) for a stack), and keep marks the entries a pruned result
-    keeps, those above PRUNE_REL * top."""
+    """(keep, top) for a coefficient box, or a stack of them along leading
+    axes: top is each box's largest magnitude (a scalar for one box, the
+    leading shape then (1, 1) for a stack), and keep marks the entries a
+    pruned result keeps, those above PRUNE_REL * top."""
     mag = np.abs(boxes)
     # for one box a reduction over all axes is the cheapest numpy call
     axis = (-2, -1) if mag.ndim > 2 else None

@@ -29,7 +29,10 @@ DET_RESIDUAL_TOL = 1e-10
 
 def principal_phase(phi):
     """Map a phase to (-pi, pi]."""
-    out = math.remainder(float(phi), 2.0 * math.pi)
+    phi = float(phi)
+    if -math.pi < phi <= math.pi:  # what remainder() gives, at less cost
+        return phi
+    out = math.remainder(phi, 2.0 * math.pi)
     if out <= -math.pi:  # remainder() can land exactly on -pi
         out = math.pi
     return out
@@ -272,7 +275,7 @@ def build_unitary(spec):
     n, m = spec.n, spec.weight
     check_box(2 * m + 1, 2 * (n - m) + 1)
     box = np.zeros((2, 2 * m + 1, 2 * (n - m) + 1), dtype=complex)
-    box[:, ::2, ::2] = build_stack([spec.s], [spec.phases])[:, 0]
+    box[:, ::2, ::2] = build_stack([spec.s], [spec.phases])[0][:, 0]
     # the box is fresh, so LaurentPoly2 keeps it pruned without from_array's copy
     lo_a, lo_b = -m, -(n - m)
     return Su2LaurentUnitary(
@@ -282,69 +285,89 @@ def build_unitary(spec):
 
 def build_stack(bits, phases):
     """Coefficient boxes of P and Q for a stack of T protocols, on their
-    parity lattices, as one array (p, q).
+    parity lattices, as one array (p, q), and the order of its trials.
 
-    `bits` holds T rows of N entries: trial t's bit string, then -1 past
-    its length n_t. `phases` holds T rows of N + 1 entries that start with
-    trial t's phi_0..phi_{n_t} (later entries are not used). Rows are lists
-    or tuples. Every a-exponent j of P and Q has the parity of the weight
-    m_t and every b-exponent k that of the co-weight r_t = n_t - m_t, so
-    p and q have shape (T, M + 1, R + 1) for M and R the largest weight and
-    co-weight in the stack, and trial t's a^j b^k sits at
-    [t, (j + m_t)/2, (k + r_t)/2]; cells past [t, m_t, r_t] hold zeros.
+    Row t of `bits` is trial t's bit string, of length n_t, and row t of
+    `phases` its phi_0..phi_{n_t}, taken to (-pi, pi] by principal_phase.
+    Trials are stacked longest first, trial order[i] as the i-th (rows of
+    equal length in order). Every a-exponent j of P and Q has the parity of
+    the weight m_t and every b-exponent k that of the co-weight
+    r_t = n_t - m_t, so p and q have shape (T, M + 1, R + 1) for M and R the
+    largest weight and co-weight in the stack, and trial t's a^j b^k sits
+    at [i, (j + m_t)/2, (k + r_t)/2]; cells past [i, m_t, r_t] hold zeros.
 
     With z the oracle's variable, its iterate is [[x, y], [y, x]] for
     x = (z + 1/z)/2 and y = (z - 1/z)/2, so a step sets P' = (S z + D/z)/2
     and Q' = (S z - D/z)/2 from S = P + Q and D = P - Q. On the lattice
-    (index i for exponent 2i - k after k iterates in z) that is
-    P'[i] = S[i - 1] + D[i] and Q'[i] = S[i - 1] - D[i], the same two
-    operands in the same order as on the whole box, then one scalar
-    multiply per Z-phase. A stack of one steps its 2-D boxes in place; in a
-    larger stack each bit's trials are gathered by mask and scattered back
-    at every step, and trials already past their length sit the step out.
-    The phase factors are computed one scalar at a time with cmath.rect
-    (cos and sin of the phase, bit for bit those of `math`), as for a
-    single protocol, so each trial's box holds the same numbers as its own
-    build.
+    (index i for exponent 2i - k after k iterates in z; nothing leaves the
+    box) that is P'[i] = S[i - 1] + D[i] and Q'[i] = S[i - 1] - D[i], the
+    same two operands in the same order as on the whole box, then one
+    multiply per Z-phase. A stack of one steps its 2-D boxes in place; a
+    larger one steps its prefix of trials still stepping, S[i - 1] taken
+    along each trial's own variable by one take through a shift index.
+    Phase factors are cmath.rect of each phase, one scalar at a time
+    (numpy's vectorized cos and sin need not round as libm's do), as for a
+    single protocol, so each box is its trial's own build's, signed zeros
+    included.
     """
     count = len(bits)
-    weight = max(row.count(1) for row in bits)
-    coweight = max(row.count(0) for row in bits)
-    boxes = np.zeros((2, count, weight + 1, coweight + 1), dtype=complex)
-    p, q = boxes[0], boxes[1]  # indexed: unpacking an array iterates it, which costs more
-    # cmath.rect, one scalar at a time, as a single build: numpy's vectorized
-    # cos and sin need not round as libm's do
-    p[:, 0, 0] = [cmath.rect(1.0, row[0]) for row in phases]
-    factors = [[0.5 * cmath.rect(1.0, x) for x in row[1:]] for row in phases]
     if count == 1:
-        # every step takes the whole stack: run it on the 2-D box, which
-        # numpy iterates faster than a transposed 3-D view
-        box_p, box_q = p[0], q[0]
-        for bit, w in zip(bits[0], factors[0]):
-            if bit < 0:
-                break
-            _step(box_p, box_q, bit, w)
-        return boxes
-    factors = np.array(factors).T.reshape(len(bits[0]), count, 1, 1)
-    for k, column in enumerate(np.array(bits, dtype=np.int8).T):
-        for bit in (1, 0):
-            mask = column == bit
-            if mask.any():
-                pm, qm = p[mask], q[mask]
-                _step(pm, qm, bit, factors[k][mask])
-                p[mask], q[mask] = pm, qm
-    return boxes
+        (s,), (row,) = bits, phases
+        boxes = np.zeros((2, 1, s.count(1) + 1, s.count(0) + 1), dtype=complex)
+        p, q = boxes[0, 0], boxes[1, 0]
+        p[0, 0] = cmath.rect(1.0, principal_phase(row[0]))
+        for bit, x in zip(s, row[1:]):
+            _step(p, q, bit, 0.5 * cmath.rect(1.0, principal_phase(x)))
+        return boxes, [0]
+    lengths = [len(s) for s in bits]
+    # a stable sort; numpy's argsort would map in ~0.3 MB of sort code
+    order = sorted(range(count), key=lengths.__getitem__, reverse=True)
+    lengths = np.array([lengths[t] for t in order])
+    steps = int(lengths[0])
+    # from the unpadded rows: trial i's bits at [i, k < n_t], factors at [i, k <= n_t]
+    stepping = np.arange(steps) < lengths[:, None]
+    grid = np.zeros((count, steps), dtype=np.intp)
+    grid[stepping] = [bit for t in order for bit in bits[t]]
+    factors = np.zeros((count, steps + 1), dtype=complex)
+    factors[np.arange(steps + 1) <= lengths[:, None]] = [
+        cmath.rect(1.0, principal_phase(x)) for t in order for x in phases[t]
+    ]
+    weight = grid.sum(axis=1)
+    rows, cols = int(weight.max()) + 1, int((lengths - weight).max()) + 1
+    cells = rows * cols
+    boxes = np.zeros((2, count, rows, cols), dtype=complex)
+    p, q = boxes[0], boxes[1]  # indexed: unpacking an array iterates it, which costs more
+    p[:, 0, 0] = factors[:, 0]
+    w = 0.5 * factors.T[1:, :, None, None]
+    # row 2t + bit of shift: for each cell of the t-th trial stacked, the flat
+    # index of S[i - 1] along its columns (bit 0) or rows (bit 1), or -1 (the
+    # zero cell) at i = 0
+    cell = np.arange(count * cells).reshape(count, 1, rows, cols)
+    shift = cell - np.array([1, cols]).reshape(2, 1, 1)
+    shift[:, 0, :, 0] = shift[:, 1, 0] = -1
+    shift, pick = shift.reshape(2 * count, cells), grid.T + 2 * np.arange(count)
+    flat = np.zeros(count * cells + 1, dtype=complex)  # S, then the zero cell
+    total, index = flat[:-1].reshape(count, rows, cols), np.empty((count, cells), dtype=np.intp)
+    for k, c in enumerate(np.count_nonzero(stepping, axis=0).tolist()):
+        # S to flat, D over Q, S[i - 1] over P, then P' = S[i - 1] + D to
+        # flat and Q' = S[i - 1] - D over Q, each times its factor
+        pk, qk, sk = p[:c], q[:c], total[:c]
+        np.add(pk, qk, out=sk)
+        np.subtract(pk, qk, out=qk)
+        np.take(shift, pick[k, :c], axis=0, out=index[:c])
+        np.take(flat, index[:c], out=pk.reshape(c, cells))
+        np.add(pk, qk, out=sk)
+        np.subtract(pk, qk, out=qk)
+        np.multiply(sk, w[k, :c], out=pk)
+        qk *= w[k, :c].conjugate()
+    return boxes, order
 
 
 def _step(p, q, bit, w):
-    """One oracle iterate, then the Z-phase factor(s) w, in place on one
-    lattice box or a stack of them (w then of shape (T, 1, 1))."""
+    """One oracle iterate, then the Z-phase factor w, in place on one
+    lattice box."""
     # view the oracle's variable as the first axis
-    if p.ndim == 2:
-        pv, qv = (p, q) if bit else (p.T, q.T)
-    else:
-        axes = (1, 0, 2) if bit else (2, 0, 1)
-        pv, qv = p.transpose(axes), q.transpose(axes)
+    pv, qv = (p, q) if bit else (p.T, q.T)
     # S z moves lattice index i to i + 1 and D/z keeps it (after k iterates
     # in a variable only indices 0..k hold, so nothing leaves the box): s is
     # S moved up one index, D overwrites Q, and P' = s + D, Q' = s - D

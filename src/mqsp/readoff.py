@@ -49,7 +49,9 @@ DEFAULT_TOLERANCE = 1e-8
 
 # Most cells one stack of scan_leading_slices holds per coefficient box
 # (trials times the padded lattice box of build_stack): 2^14 complex cells
-# are 256 KB, room for 334 trials of n <= 6 (7 x 7 lattice boxes).
+# are 256 KB, room for 334 trials of n <= 6 (7 x 7 lattice boxes); build_stack
+# adds S, which its take gathers from, the int64 shift index (two per cell)
+# and one step's int64 index rows (one per cell): ~1.1 MB a stack with P, Q.
 SCAN_STACK_CELLS = 1 << 14
 
 
@@ -404,7 +406,7 @@ def _scan_trials(draws, n_max, trials, tol):
         if stack and (len(stack) + 1) * rows * cols > SCAN_STACK_CELLS:
             yield stack, _scan_stack(stack, tol)
             stack, rows, cols = [], m + 1, n - m + 1
-        stack.append((s, [principal_phase(x) for x in phases]))
+        stack.append((s, phases))
     if stack:
         yield stack, _scan_stack(stack, tol)
 
@@ -420,25 +422,28 @@ def _scan_stack(stack, tol):
     and tested on the joint top slices of their kept entries, straight off
     build_stack's lattice boxes: the leading slices aligned() gives for the
     pruned polynomials less their zeros off the lattice, so _stack_test
-    gives _top_test's results.
+    gives _top_test's results, both directions in one call on slices
+    zero-padded to one width (which leaves ok and mismatch as they are).
     """
-    steps = max(len(s) for s, _ in stack)
-    bits = [s + [-1] * (steps - len(s)) for s, _ in stack]
-    phases = [ph + [0.0] * (steps - len(s)) for s, ph in stack]
-    p, q = build_stack(bits, phases)
-    keep_p, _ = kept(p)
-    keep_q, top_q = kept(q)
-    p, q = np.where(keep_p, p, 0.0), np.where(keep_q, q, 0.0)
-    either = keep_p | keep_q
+    boxes, order = build_stack(*zip(*stack))
+    keep, top = kept(boxes)
+    np.putmask(boxes, ~keep, 0.0)
+    either = keep[0] | keep[1]
+    count, rows, cols = either.shape
     # each trial's joint top level along a (rows) and along b (columns)
-    top_a = either.shape[1] - 1 - either.any(axis=2)[:, ::-1].argmax(axis=1)
-    top_b = either.shape[2] - 1 - either.any(axis=1)[:, ::-1].argmax(axis=1)
-    trial = np.arange(len(stack))
-    ok_a, mismatch_a = _stack_test(p[trial, top_a], q[trial, top_a], tol)
-    ok_b, mismatch_b = _stack_test(p[trial, :, top_b], q[trial, :, top_b], tol)
-    holds, mismatch = ok_a | ok_b, np.minimum(mismatch_a, mismatch_b)
+    top_a = rows - 1 - either.any(axis=2)[:, ::-1].argmax(axis=1)
+    top_b = cols - 1 - either.any(axis=1)[:, ::-1].argmax(axis=1)
+    trial = np.arange(count)
+    slices = np.zeros((2, 2 * count, max(rows, cols)), dtype=complex)
+    slices[:, :count, :cols] = boxes[:, trial, top_a]
+    slices[:, count:, :rows] = boxes.transpose(0, 1, 3, 2)[:, trial, top_b]
+    ok, mismatch = _stack_test(slices[0], slices[1], tol)
+    holds, mismatch = ok[:count] | ok[count:], np.minimum(mismatch[:count], mismatch[count:])
     # a protocol unitary with Q = 0 has a unimodular, inversion-even
     # monomial P, a constant: the convention of check_leading_slices
-    q_zero = top_q.ravel() == 0.0
+    q_zero = top[1].ravel() == 0.0
     holds[q_zero], mismatch[q_zero] = True, 0.0
-    return holds, mismatch
+    # back to draw order from build_stack's, longest first
+    drawn = np.empty_like(holds), np.empty_like(mismatch)
+    drawn[0][order], drawn[1][order] = holds, mismatch
+    return drawn

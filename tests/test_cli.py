@@ -827,20 +827,23 @@ def test_cli_replay_script_one_line_per_call_and_repeatable(workload, calls):
 
 
 def test_ab_pairs_script_one_line_per_end_to_end_metric():
-    # one tiny scan pair, the same tree on both sides
+    # one tiny pair per workload, the same tree on both sides
     src = os.path.dirname(os.path.dirname(mqsp.__file__))
     root = os.path.dirname(src)
     done = subprocess.run(
         [sys.executable, os.path.join(root, "scripts", "ab_pairs.py"), root, root,
-         "--workload", "scan", "--seed", "1", "--pairs", "1", "--seconds", "0.1"],
+         "--workload", "scan", "--workload", "roundtrip", "--seed", "1", "--pairs", "1",
+         "--seconds", "0.1"],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     lines = [json.loads(line) for line in done.stdout.splitlines()]
     with open(os.path.join(root, "BENCHMARK.json")) as handle:
         metrics = json.load(handle)["end_to_end"]
-    assert [(line["metric"], line["better"]) for line in lines] == [
-        (metric["name"], metric["better"]) for metric in metrics
+    assert [(line["workload"], line["metric"], line["better"]) for line in lines] == [
+        (workload, metric["name"], metric["better"])
+        for workload in ("scan", "roundtrip")
+        for metric in metrics
     ]
     bounds = {metric["name"]: metric["bound"] for metric in metrics}
     for line in lines:
@@ -854,4 +857,5 @@ def test_ab_pairs_script_one_line_per_end_to_end_metric():
         if line["better"] == "higher":
             worse = -worse
         assert line["regresses"] is (worse > bounds[line["metric"]] * abs(line["parent"]))
-    assert {line["metric"]: line["change"] for line in lines}["ok_frac"] == 1.0
+    scan = {line["metric"]: line["change"] for line in lines if line["workload"] == "scan"}
+    assert scan["ok_frac"] == 1.0

@@ -50,6 +50,27 @@ def test_phase_normalization_to_principal_range():
     assert principal_phase(0.3) == pytest.approx(0.3)
 
 
+def test_principal_phase_equals_the_remainder_route_by_hex():
+    # a phase already in (-pi, pi] is returned as it is, the same float by
+    # hex as the remainder route gives (remainder(phi, 2 pi), -pi turned to
+    # pi); NaN passes through and +-inf raise
+    def remainder_route(phi):
+        out = math.remainder(phi, 2.0 * math.pi)
+        return math.pi if out <= -math.pi else out
+
+    pi = math.pi
+    edges = [0.0, -0.0, 5e-324, -5e-324, math.nextafter(pi, 0.0), math.nextafter(-pi, 0.0),
+             pi, -pi, math.nextafter(pi, 4.0), math.nextafter(-pi, -4.0), 3 * pi, -3 * pi,
+             2 * pi, -2 * pi, 1e300, -1e300]
+    draws = np.random.default_rng(41).uniform(-4.0, 4.0, size=100_000).tolist()
+    for phi in edges + draws:
+        assert principal_phase(phi).hex() == remainder_route(phi).hex()
+    assert math.isnan(principal_phase(math.nan))
+    for phi in (math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            principal_phase(phi)
+
+
 # -- pinned constructions --------------------------------------------------------
 
 
@@ -194,31 +215,47 @@ def test_det_residual_refuses_an_overflow():
 # -- structural checks -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("weight", [None, "all a", "all b"])
+@pytest.mark.parametrize("weight", [None, "all a", "all b", "none"])
 def test_build_stack_matches_single_builds(weight):
-    # mixed lengths and bits take the masked steps; a stack of all-a or
-    # all-b protocols of one length works on views throughout. Trial t's
-    # a^j b^k sits at [t, (j + m_t)/2, (k + r_t)/2] of its parity lattice
+    # unpadded rows in draw order: mixed lengths 0..8 and bits, with raw
+    # phases outside (-pi, pi] and phases that leave signed zeros, or five
+    # all-a, all-b or zero-length protocols. Stacked longest first, trial
+    # t = order[i] has its a^j b^k at [i, (j + m_t)/2, (k + r_t)/2]
     rng = np.random.default_rng(17)
-    lengths = [6] * 5 if weight else [int(n) for n in rng.integers(0, 9, size=12)]
-    specs = [
-        random_spec(rng, n, None if weight is None else (n if weight == "all a" else 0))
-        for n in lengths
-    ]
-    steps = max(lengths)
-    bits = [sp.s + (-1,) * (steps - sp.n) for sp in specs]
-    phases = [sp.phases + (9.0,) * (steps - sp.n) for sp in specs]
-    p, q = build_stack(bits, phases)
+    if weight is None:
+        lengths = [int(n) for n in rng.integers(0, 9, size=12)] + [0, 8]
+        rows = [(spec.s, spec.phases) for spec in (random_spec(rng, n) for n in lengths)]
+        rows[3:3] = [
+            ((1, 0, 1), (-math.pi, 3 * math.pi, -0.0, math.pi / 2)),
+            ((0, 0), (-0.0, math.pi / 2, -math.pi / 2)),
+            ((), (-math.pi,)),
+        ]
+    else:
+        n = 0 if weight == "none" else 6
+        rows = [
+            (spec.s, spec.phases)
+            for spec in (random_spec(rng, n, n if weight == "all a" else 0) for _ in range(5))
+        ]
+    (p, q), order = build_stack([list(s) for s, _ in rows], [list(ph) for _, ph in rows])
+    assert order == sorted(range(len(rows)), key=lambda t: -len(rows[t][0]))
+    specs = [ProtocolSpec(*rows[t]) for t in order]
     top_a, top_b = max(sp.weight for sp in specs), max(sp.n - sp.weight for sp in specs)
     assert p.shape == q.shape == (len(specs), top_a + 1, top_b + 1)
+    signed_zeros = 0
     for spec, p_lattice, q_lattice in zip(specs, p, q):
         m, r = spec.weight, spec.n - spec.weight
         u = build_unitary(spec)
-        for lattice, poly in ((p_lattice, u.P), (q_lattice, u.Q)):
-            box = np.zeros((2 * m + 1, 2 * r + 1), dtype=complex)
-            box[::2, ::2] = lattice[: m + 1, : r + 1]
-            assert LaurentPoly2.from_array(box, -m, -r) == poly
+        # the stack of one is the lattice build_unitary scatters onto its box
+        single = build_stack([spec.s], [spec.phases])[0][:, 0]
+        for lattice, alone, poly in ((p_lattice, single[0], u.P), (q_lattice, single[1], u.Q)):
+            assert lattice[: m + 1, : r + 1].tobytes() == alone.tobytes()
             assert not lattice[m + 1 :].any() and not lattice[:, r + 1 :].any()
+            box = np.zeros((2 * m + 1, 2 * r + 1), dtype=complex)
+            box[::2, ::2] = alone
+            assert LaurentPoly2.from_array(box, -m, -r) == poly
+            parts = alone.view(float)
+            signed_zeros += np.count_nonzero((parts == 0.0) & np.signbit(parts))
+    assert weight or signed_zeros
 
 
 def test_rect_phase_factors_equal_cos_sin_bit_for_bit():

@@ -121,6 +121,32 @@ def test_one_pair_slice_test_equals_its_row_of_a_stack():
     assert verdicts == {True, False}
 
 
+def test_stack_test_reads_zero_padded_rows_as_they_are():
+    # the scan tests its slices along a and b in one call, zero-padded to
+    # one width: the padding leaves every ok and mismatch as it is, and an
+    # all-zero row reads inf either way
+    rng = np.random.default_rng(23)
+    verdicts = set()
+    for width in range(1, 9):
+        ps = rng.standard_normal((7, width)) + 1j * rng.standard_normal((7, width))
+        turn = np.exp(1j * rng.uniform(-math.pi, math.pi, size=(7, 1)))
+        noise = 10.0 ** rng.integers(-12, -5, size=(7, 1)) * rng.standard_normal((7, width))
+        qs = ps * turn + noise
+        ps[0] = qs[0] = 0.0  # both slices zero
+        qs[1] = 0.0
+        ps[2] = 0.0
+        ok, mismatch = readoff_module._stack_test(ps, qs, 1e-8)
+        assert mismatch[:3].tolist() == [math.inf] * 3 and not ok[:3].any()
+        verdicts.update(ok[3:].tolist())
+        hexes = [x.hex() for x in mismatch.tolist()]
+        for pad in (1, 2, 9):
+            wide_p, wide_q = (np.pad(x, ((0, 0), (0, pad))) for x in (ps, qs))
+            wide_ok, wide_mismatch = readoff_module._stack_test(wide_p, wide_q, 1e-8)
+            assert wide_ok.tolist() == ok.tolist()
+            assert [x.hex() for x in wide_mismatch.tolist()] == hexes
+    assert verdicts == {True, False}
+
+
 def test_all_b_protocol_holds_in_b_only():
     rng = np.random.default_rng(2)
     spec = random_spec(rng, 3, weight=0)

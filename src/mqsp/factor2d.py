@@ -51,8 +51,6 @@ FOURIER_TOL = 1e-10
 RANK_REL_TOL = 1e-8
 VERIFY_GRID = 128
 VERIFY_REL_TOL = 1e-6
-NET_RADII = (0.2, 0.4, 0.6, 0.8, 1.0)
-NET_ANGLES = 64
 # most Newton steps of fejer_riesz: strictly positive f converges
 # quadratically in 6-16 steps, double zeros on the circle linearly in ~30
 NEWTON_STEPS = 64
@@ -276,35 +274,13 @@ class Factorization2D:
 
     rank_report and convergence_residual (of the Fourier table of 1/f) say
     how the Gamma route ran; both are None for a fejer_riesz factor. The
-    report holds an array, so it takes no part in ==.
-
-    min_on_net (smallest |p| on a radial-angular net of the closed bidisk,
-    positive for a factor stable on the net) is a report value, not a
-    gate: it is computed when read, so a completion that never reads it
-    never evaluates the net."""
+    report holds an array, so it takes no part in ==."""
 
     p: LaurentPoly2
     residual: float
     root_class: str = "stable"
     rank_report: RankConditionReport | None = field(default=None, compare=False)
     convergence_residual: float | None = None
-
-    @property
-    def min_on_net(self):
-        return _min_on_bidisk_net(self.p)
-
-
-def _bidisk_net():
-    angles = np.exp(2j * np.pi * np.arange(NET_ANGLES) / NET_ANGLES)
-    return np.concatenate([r * angles for r in NET_RADII])
-
-
-def _min_on_bidisk_net(p):
-    """min |p| on the net in both variables; along an axis where p has
-    degree 0 (p constant along it) one net point gives the same minimum."""
-    net = _bidisk_net()
-    za, zb = (net if d else net[:1] for d in p.degrees())
-    return float(np.abs(p.eval_grid(za, zb)).min())
 
 
 def _solve_for_factor(gamma):
@@ -330,9 +306,8 @@ def extract_stable_factor(gamma, f, n, m):
     overall phase, making repeated extractions identical). The candidate
     must pass _gated on a torus grid of _pow2_grid(VERIFY_GRID,
     max(deg f, 2n, 2m)) samples per axis, or one sample along an axis where
-    f and the lattice both have extent 0. The closed-bidisk net is left to
-    Factorization2D. Raises ValueError, as fourier_of_reciprocal does,
-    unless f is Hermitian.
+    f and the lattice both have extent 0. Raises ValueError, as
+    fourier_of_reciprocal does, unless f is Hermitian.
     """
     if not f.is_hermitian():
         raise ValueError("f must be Hermitian (real on the unit torus)")

@@ -204,9 +204,11 @@ class LaurentPoly2:
         return "%s({%s})" % (type(self).__name__, terms)
 
     def distance(self, other):
-        """Max coefficient difference; the metric for all exactness checks."""
+        """Max coefficient difference; the metric for all exactness checks
+        (inf where the difference overflows, which fails every `<=`)."""
         x, y, _ = aligned(self, other)
-        return float(np.abs(x - y).max()) if x.size else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.abs(x - y).max()) if x.size else 0.0
 
     # -- ring operations ---------------------------------------------------
 

@@ -101,8 +101,8 @@ class RawDraws:
     - an integer below high <= 2^32 by Lemire's method ("Fast Random
       Integer Generation in an Interval", ACM TOMACS 2019) on 32-bit
       halves of the words: the low half first, the high half kept as a
-      spare for the next 32-bit draw; high = 2^32 takes one half as it is,
-      and high = 1 takes nothing;
+      spare for the next 32-bit draw (at high = 2^32 that is one half as
+      it is, never redrawn), and high = 1 takes nothing;
     - an integer below high in (2^32, 2^63] by Lemire's method on whole
       words, the spare left alone;
     - a bit as the top bit of a half, so an odd count leaves a spare, and
@@ -169,9 +169,7 @@ class RawDraws:
             raise ValueError("high must be in 1..2**63, got %d" % high)
         if high == 1:
             return 0
-        if high == 1 << 32:
-            return self._half()
-        width, draw = (32, self._half) if high < 1 << 32 else (64, self._word)
+        width, draw = (32, self._half) if high <= 1 << 32 else (64, self._word)
         # Lemire: the top bits of draw() * high, redrawn while the low bits
         # fall below 2^width mod high, the few products that would bias it
         mask = (1 << width) - 1

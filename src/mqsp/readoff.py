@@ -279,7 +279,8 @@ def readoff(P, Q):
 
     Peels one iterate per step, preferring direction a when both are
     possible (the iterates commute in that case, so either choice rebuilds
-    the same unitary). Raises "not an M-QSP unitary" when no direction
+    the same unitary). Raises "not an M-QSP unitary" when a coefficient of
+    P or Q exceeds 1 + readoff_tolerance() in magnitude or no direction
     peels before the constant level, and "rebuild mismatch" when the
     reconstruction misses the input by more than readoff_tolerance().
 
@@ -292,6 +293,9 @@ def readoff(P, Q):
     boxes need a trim.
     """
     tol = readoff_tolerance()
+    # |P|^2 + |Q|^2 = 1 on the torus caps every coefficient at 1
+    if max(P.max_abs(), Q.max_abs()) > 1.0 + tol:
+        raise ReadoffError("not an M-QSP unitary")
     original = Su2LaurentUnitary(P, Q)
     bits_reversed = []
     phases_reversed = []

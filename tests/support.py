@@ -12,6 +12,8 @@
   extracted on a grid by parity projection, with its determinant relation.
 - `stable_from_contraction` and `generate_stable`: stable polynomials
   det(I - KZ), the fixtures of the two-variable factorization tests.
+- `min_on_bidisk_net`: the smallest |p| on a radial-angular net of the
+  closed bidisk, positive for a factor stable on the net.
 - `read_grid_csv`: reads back what `serialize.write_grid_csv` writes.
 - `spy_on_samples`: records the grid of every sampling of f in the
   factor routes.
@@ -37,6 +39,9 @@ from mqsp.protocol import Su2LaurentUnitary
 # below which the mixed-parity components count as vanished.
 XPICTURE_GRID = 17
 XPICTURE_TOL = 1e-8
+# min_on_bidisk_net: the net's radii, and its angles per radius
+NET_RADII = (0.2, 0.4, 0.6, 0.8, 1.0)
+NET_ANGLES = 64
 
 X_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): 0.5})
 Y_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): -0.5})
@@ -247,6 +252,19 @@ def generate_stable(deg_a, deg_b, seed):
     if size:
         K *= 0.8 / np.linalg.norm(K, 2)
     return stable_from_contraction(K, ("a",) * deg_a + ("b",) * deg_b)
+
+
+def _bidisk_net():
+    angles = np.exp(2j * np.pi * np.arange(NET_ANGLES) / NET_ANGLES)
+    return np.concatenate([r * angles for r in NET_RADII])
+
+
+def min_on_bidisk_net(p):
+    """min |p| on the net in both variables; along an axis where p has
+    degree 0 (p constant along it) one net point gives the same minimum."""
+    net = _bidisk_net()
+    za, zb = (net if d else net[:1] for d in p.degrees())
+    return float(np.abs(p.eval_grid(za, zb)).min())
 
 
 # -- sampling spy -----------------------------------------------------------------

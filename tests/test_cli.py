@@ -431,6 +431,59 @@ def test_complete_bad_inputs_exit_two(tmp_path, capsys):
     assert run(capsys, ["complete", complex_p, "--vars", "2", "--deg", "1,1"])[0] == 2
 
 
+def _records(coeffs):
+    return serialize.poly_to_records(laurent.LaurentPoly2(coeffs))
+
+
+HUGE = 1.5e308
+OVERFLOWING = {
+    # det_residual's refusal of sums that overflow
+    "build": (
+        ["build"],
+        {
+            "p": _records({(0, 0): HUGE, (1, 1): HUGE}),
+            "q": _records({(0, 0): HUGE}),
+            "n": 2,
+            "weight": 1,
+        },
+        2,
+        "invalid input: non-finite coefficient",
+    ),
+    # P = HUGE (a + 1/a), Q = HUGE (a - 1/a): refused before any peel
+    "readoff": (
+        ["readoff"],
+        {
+            "p": _records({(1, 0): HUGE, (-1, 0): HUGE}),
+            "q": _records({(1, 0): HUGE, (-1, 0): -HUGE}),
+        },
+        1,
+        "read-off failed: not an M-QSP unitary",
+    ),
+    # p = HUGE (a - 1/a), whose Hermitian test overflows
+    "complete": (
+        ["complete", "--vars", "1", "--deg", "1"],
+        {"p": _records({(1, 0): HUGE, (-1, 0): -HUGE})},
+        2,
+        "invalid input: inputs must be real on the unit torus",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_coefficients_print_one_stderr_line(tmp_path, name):
+    # a subprocess, since pytest records warnings raised in-process where a
+    # shell would print them on stderr
+    command, obj, code, message = OVERFLOWING[name]
+    path = write_json(tmp_path / "in.json", obj)
+    src = os.path.dirname(os.path.dirname(mqsp.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    done = subprocess.run(
+        [sys.executable, "-m", "mqsp.cli", command[0], path] + command[1:],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", message + "\n")
+
+
 # -- scan -------------------------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from mqsp.factor2d import (
 )
 from mqsp.protocol import ProtocolSpec, assemble_completion, build_unitary, verify_structure
 from mqsp.readoff import readoff
-from support import spy_on_samples
+from support import min_on_bidisk_net, spy_on_samples
 
 
 def chebyshev_t_laurent(n):
@@ -322,30 +322,17 @@ def test_two_variable_route_with_one_axis_is_the_one_variable_route():
 
 def test_gamma_route_sizes_its_work_per_axis(monkeypatch):
     # a single-oracle target takes the Gamma route in one variable and in
-    # two; every grid it samples f on has one point along b, and the
-    # closed-bidisk net waits until min_on_net is read
+    # two; every grid it samples f on has one point along b
     phases = tuple(np.random.default_rng(31).uniform(-math.pi, math.pi, size=9))
     u = build_unitary(ProtocolSpec((1,) * 8, phases))
     pt = LaurentPoly1({j: c for (j, _), c in u.P.hermitian_part().items()})
     qt = LaurentPoly1({j: c for (j, _), c in u.Q.hermitian_part().items()})
-    shapes, nets = spy_on_samples(monkeypatch), []
-    net_min = factor2d._min_on_bidisk_net
-
-    def net_spy(p):
-        nets.append(p)
-        return net_min(p)
-
-    monkeypatch.setattr(factor2d, "_min_on_bidisk_net", net_spy)
+    shapes = spy_on_samples(monkeypatch)
     one = complete_unitary_1d(pt, qt, 8)
     two = complete_unitary_2d(pt, qt, 8, 8)
     assert one.factorization.p == two.factorization.p
     assert shapes and all(nb == 1 for _, nb in shapes), shapes
-    assert nets == []
-    net = factor2d._bidisk_net()
-    assert net.size == 320
-    p = two.factorization.p
-    assert two.factorization.min_on_net == np.abs(p.eval_grid(net, net)).min() > 0.0
-    assert len(nets) == 1
+    assert min_on_bidisk_net(two.factorization.p) > 0.0
 
 
 def test_completion_parity_mismatch():

@@ -34,6 +34,7 @@ from support import (
     GAMMA_SINGLE_ORACLE_DIGESTS,
     GAMMA_TWO_AXIS_DIGESTS,
     generate_stable,
+    min_on_bidisk_net,
     spy_on_samples,
     stable_from_contraction,
 )
@@ -372,17 +373,18 @@ def _two_axis_fs():
         yield _abs_square(generate_stable(*degrees, seed=seed))
 
 
-def _gamma_digest(f):
-    """support.GAMMA_*_DIGESTS' digest of gamma_factor(f)."""
+def _gamma_outcome(f):
+    """(support.GAMMA_*_DIGESTS' digest of gamma_factor(f), its factor or
+    None where it raises)."""
     try:
         fac = gamma_factor(f)
     except FactorizationError as error:
-        record = str(error).encode()
+        fac, record = None, str(error).encode()
     else:
         fields = [(j, k, c.real.hex(), c.imag.hex()) for (j, k), c in fac.p.items()]
         fields += [fac.residual.hex(), fac.root_class, fac.convergence_residual.hex()]
         record = repr(fields).encode()
-    return hashlib.sha256(record).hexdigest()[:16]
+    return hashlib.sha256(record).hexdigest()[:16], fac
 
 
 @pytest.mark.parametrize(
@@ -393,11 +395,14 @@ def _gamma_digest(f):
 def test_gamma_factor_outputs_are_pinned_bit_for_bit(fs, digests):
     # factor, residual, root class and convergence residual by hex, as
     # the Gamma route gave them before f's half spectrum was made once per
-    # call (the reference and the numpy build it holds for are in support)
-    got = [_gamma_digest(f) for f in fs()]
+    # call (the reference and the numpy build it holds for are in support);
+    # each factor has no zero on the closed-bidisk net
+    got = [_gamma_outcome(f) for f in fs()]
     assert len(got) == len(digests)
-    for index, (f, have, want) in enumerate(zip(fs(), got, digests)):
+    for index, (f, (have, fac), want) in enumerate(zip(fs(), got, digests)):
         assert have == want, (index, f.degrees())
+        if fac is not None:
+            assert min_on_bidisk_net(fac.p) > 0.0, (index, f.degrees())
 
 
 def test_one_axis_route_makes_f_half_spectrum_once_per_call(monkeypatch):
@@ -538,7 +543,7 @@ def test_extract_constant():
     gamma = build_gamma(table, 0, 0)
     fac = extract_stable_factor(gamma, f, 0, 0)
     assert fac.p.distance(LaurentPoly2({(0, 0): 2.0})) < 1e-12
-    assert fac.min_on_net > 0.0
+    assert min_on_bidisk_net(fac.p) > 0.0
 
 
 def test_extract_geometric_pinned_phase():
@@ -551,7 +556,7 @@ def test_extract_geometric_pinned_phase():
     fac = extract_stable_factor(gamma, f, n, m)
     assert fac.p.distance(GEOMETRIC) < 1e-9
     assert fac.residual < 1e-12
-    assert fac.min_on_net > 0.4
+    assert min_on_bidisk_net(fac.p) > 0.4
 
 
 def test_extract_matches_generator():
@@ -563,7 +568,7 @@ def test_extract_matches_generator():
         fac = extract_stable_factor(gamma, f, n, m)
         assert fac.p.distance(p) < 1e-6
         assert fac.residual < 1e-6 * f.max_abs()
-        assert fac.min_on_net > 0.0
+        assert min_on_bidisk_net(fac.p) > 0.0
 
 
 def test_extract_without_polish_on_near_unit_contractions():
@@ -682,7 +687,7 @@ def test_generate_stable_properties():
     # ||K|| = 0.8 keeps |det(I - KZ)| >= 0.2^(deg_a + deg_b) on the closed bidisk
     for deg_a, deg_b, seed in ((2, 2, 17), (4, 4, 3), (1, 0, 5), (0, 3, 9)):
         p = generate_stable(deg_a, deg_b, seed)
-        assert factor2d._min_on_bidisk_net(p) >= 0.2 ** (deg_a + deg_b)
+        assert min_on_bidisk_net(p) >= 0.2 ** (deg_a + deg_b)
 
 
 def test_generate_stable_degree_cap():
@@ -796,7 +801,7 @@ def test_rank_one_too_many_marks_a_factor_the_completion_cannot_use():
     assert not report.satisfied
     fac = extract_stable_factor(gamma, f, n, m)
     assert 1e-8 < fac.residual < 1e-7
-    assert fac.min_on_net > 0.0
+    assert min_on_bidisk_net(fac.p) > 0.0
     assert assemble_completion(p_tilde, q_tilde, fac.p, 4, 3).det_residual() > DET_RESIDUAL_TOL
     with pytest.raises(FactorizationError, match="rank condition not satisfied"):
         complete_unitary_2d(p_tilde, q_tilde, 4, 3)

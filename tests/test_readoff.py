@@ -365,10 +365,13 @@ def test_readoff_roundtrip_many():
 
 
 def reference_readoff(P, Q):
-    """readoff as a loop of public single steps: check_leading_slices picks
-    the direction (a first) among those of positive degree, peel_once
-    peels, then readoff's base case and rebuild check follow."""
+    """readoff as a loop of public single steps, after readoff's bound on
+    the coefficients: check_leading_slices picks the direction (a first)
+    among those of positive degree, peel_once peels, then readoff's base
+    case and rebuild check follow."""
     tol = readoff_tolerance()
+    if max(P.max_abs(), Q.max_abs()) > 1.0 + tol:
+        raise ReadoffError("not an M-QSP unitary")
     original = u = Su2LaurentUnitary(P, Q)
     max_steps = sum(P.degrees()) + sum(Q.degrees())
     peels = []  # (direction, phase), one per step
@@ -478,13 +481,13 @@ def edge_cases():
         "dust trims the other axis": (noisy_protocol(1.5e-14), "ok"),
         # twice that noise survives the prune and blocks the base case
         "noise kept": (noisy_protocol(3e-14), ("ReadoffError", "not an M-QSP unitary")),
-        # the peel overflows, which LaurentPoly2 refuses
+        # coefficients above 1, whose peel would overflow, are refused first
         "overflow": (
             (
                 LaurentPoly2({(1, 0): 1.7e308, (-1, 0): 1.7e308}),
                 LaurentPoly2({(1, 0): 1.7e308, (-1, 0): -1.7e308}),
             ),
-            ("ValueError", "non-finite coefficient"),
+            ("ReadoffError", "not an M-QSP unitary"),
         ),
     }
     # the phase-pi/2 draws of test_scan_stack_prunes_as_laurent_does
@@ -505,7 +508,6 @@ def edge_cases():
 EDGE_CASES = edge_cases()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_readoff_edge_paths(monkeypatch, name):
     monkeypatch.delenv("MQSP_TOLERANCE", raising=False)

@@ -10,10 +10,6 @@ LIBRARY = os.path.join(ROOT, "src", "mqsp")
 # where a mention makes a caller; bench/spans.py names its targets as strings
 CALLER_DIRS = (LIBRARY, os.path.join(ROOT, "scripts"), os.path.join(ROOT, "bench"))
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# library names kept without a caller, with the reason
-KEPT = {
-    "factor2d.Factorization2D.min_on_net": "a report value for the stage trace (ROADMAP item 3)",
-}
 
 
 def _parse_dir(directory):
@@ -114,6 +110,4 @@ def test_every_library_name_has_a_caller_outside_tests():
                 if not (path == where and first <= line <= last):
                     called.add(qualified)
     uncalled = sorted({d[0] for d in definitions} - called)
-    assert uncalled == sorted(KEPT), (
-        "only tests call these; move them to tests/support.py or keep them in KEPT: %s" % uncalled
-    )
+    assert uncalled == [], "only tests call these; move them to tests/support.py: %s" % uncalled

@@ -21,8 +21,11 @@ single pass gives 78, 58 and 10. A claim that a change leaves the CLI
 byte-identical quotes the `--seconds 30` list.
 
 After the call lines, stderr gets one count per (command, --vars, exit
-code), as `complete --vars 1 exit 0: 371`, so the exit codes of two trees
-compare without reading the lines.
+code), as `complete --vars 1 exit 0: 371`, then one per (command, --vars,
+exit code, stderr message), the message JSON-quoted without its final
+newline, as `complete --vars 2 exit 1 "completion failed: no convergence": 5`,
+so the exit codes and messages of two trees compare without reading the
+lines.
 
 Files are written to a temporary directory that is also the working
 directory, with relative paths, so no output depends on where it lies.
@@ -76,6 +79,7 @@ class Recorder:
     def __init__(self, main):
         self.main = main
         self.counts = collections.Counter()
+        self.messages = collections.Counter()
 
     def __call__(self, argv):
         out, err = io.StringIO(), io.StringIO()
@@ -90,6 +94,7 @@ class Recorder:
         print(json.dumps([argv, code, sha, err.getvalue()]), flush=True)
         nvars = argv[argv.index("--vars") + 1] if "--vars" in argv else "-"
         self.counts[argv[0], nvars, code] += 1
+        self.messages[argv[0], nvars, code, err.getvalue().rstrip("\n")] += 1
         return Call(code, out.getvalue(), err.getvalue(), 0.0)
 
 
@@ -123,6 +128,8 @@ def main(argv=None):
             os.chdir(start)
     for (command, nvars, code), count in sorted(program.counts.items()):
         print("%s --vars %s exit %d: %d" % (command, nvars, code, count), file=sys.stderr)
+    for (command, nvars, code, message), count in sorted(program.messages.items()):
+        print("%s --vars %s exit %d %s: %d" % (command, nvars, code, json.dumps(message), count), file=sys.stderr)
     return 1 if wrong else 0
 
 

@@ -9,9 +9,11 @@ submatrix of Gamma and extracts the stable factor from a linear solve. It
 sizes its work per axis, so f in one variable costs one-variable work (f's
 half spectrum made once, then one irfft/rfft pair per grid) and meets a
 vacuous rank condition, and it doubles its Fourier grid only while the
-residuals can still reach a tolerance relative to the table's scale.
-fejer_riesz, Wilson's Newton iteration, factors a nonnegative f on axis a,
-zeros on the circle included.
+residuals can still reach a tolerance relative to the table's scale; on
+two axes it first looks once for a witness that f touches zero on the
+torus, where no stable factor exists. fejer_riesz, Wilson's Newton
+iteration, factors a nonnegative f on axis a, zeros on the circle
+included.
 
 spectral_factor is the one place that picks the route: gamma_factor, and
 fejer_riesz when that raises and f lies on axis a; an f on axis b alone is
@@ -52,8 +54,13 @@ RANK_REL_TOL = 1e-8
 VERIFY_GRID = 128
 VERIFY_REL_TOL = 1e-6
 # most Newton steps of fejer_riesz: strictly positive f converges
-# quadratically in 6-16 steps, double zeros on the circle linearly in ~30
+# quadratically in 6-16 steps, double zeros on the circle linearly in ~30;
+# also of the Gamma route's search for a zero of f on the torus
 NEWTON_STEPS = 64
+# f's sign-check floor, relative to max(1, max f): fejer_riesz's negativity
+# floor and root class, and the value at which the Gamma route's search
+# takes a point as a zero of f on the torus
+SIGN_FLOOR_REL = 1e-12
 # smallest circle grid on which fejer_riesz checks f's sign and its factor
 CHECK_GRID = 1024
 
@@ -131,6 +138,42 @@ def _axis_table(f_half, js, na):
     return _dft_entries(np.fft.rfft(np.divide(1.0, recip, out=recip)), js, na)
 
 
+def _torus_zero(f, point, cells, floor):
+    """The point (theta_a, theta_b) where Newton's method on grad f = 0,
+    from `point`, meets f <= floor: a witness that f touches zero on the
+    torus. None when it stops short of one, which proves nothing.
+
+    Exact first and second derivatives come from f's coefficients, and
+    each step is scaled down to at most `cells` = (cell_a, cell_b) radians
+    per axis, one grid cell. The search stops at a witness, after
+    NEWTON_STEPS steps, when the 2 x 2 system is singular, or when a step,
+    measured in cells before that cap, is no shorter than the one before
+    (as at a positive minimum once rounding sets the step)."""
+    terms = f.items()
+    exps = np.array([e for e, _ in terms], dtype=float).T
+    coeffs = np.array([c for _, c in terms])
+    theta = np.array(point, dtype=float)
+    last = math.inf
+    with np.errstate(all="ignore"):
+        for steps_left in range(NEWTON_STEPS, -1, -1):
+            values = coeffs * np.exp(1j * (theta @ exps))
+            if values.real.sum() <= floor:
+                return theta
+            if not steps_left:
+                break
+            # grad f = -exps @ Im(values), its Hessian -(exps Re(values)) exps^T
+            try:
+                step = -np.linalg.solve((exps * values.real) @ exps.T, exps @ values.imag)
+            except np.linalg.LinAlgError:
+                break
+            reach = float(np.max(np.abs(step) / cells))
+            if not reach < last:
+                break
+            theta += step / max(1.0, reach)
+            last = reach
+    return None
+
+
 def fourier_of_reciprocal(f, window):
     """Fourier coefficients of 1/f over `window` = (wa, wb).
 
@@ -148,6 +191,14 @@ def fourier_of_reciprocal(f, window):
     the tolerance cannot be reached within them (_may_converge): the
     fastest decay of the aliases that the residual and the table's scale
     allow, squared at each doubling left, still ends at or above it.
+    "no convergence" thus means that no zero of f was found either: with
+    more than one sample on both axes, the first residual that misses the
+    tolerance starts one search for a zero of f on the torus, before
+    _may_converge is asked (_torus_zero, from the smallest sample of the
+    grid just sampled, with the floor SIGN_FLOOR_REL * max(1, max f) over
+    those samples). A witness raises "f not strictly positive", since such
+    an f has no stable factor and 1/f no Fourier series; a miss leaves the
+    grids and the table as they were. One-axis grids never search.
 
     f is sampled as real numbers. With one sample along b, f's
     half_spectrum is made once per call, and a grid costs one irfft and
@@ -167,7 +218,8 @@ def fourier_of_reciprocal(f, window):
     (deg_b + 1) complex). Time per grid is O(na nb log(na nb)) on the FFT
     paths; direct sums, O(nb) per harmonic and row, are taken only for at
     most log2(nb) harmonics. A sample of f at or below zero raises "f not
-    strictly positive".
+    strictly positive"; the positivity test of each block takes its argmin,
+    which also keeps the grid's smallest sample for the search.
     """
     if not f.is_hermitian():
         raise ValueError("f must be Hermitian (real on the unit torus)")
@@ -181,6 +233,8 @@ def fourier_of_reciprocal(f, window):
     ks = np.arange(-wb, wb + 1)
     if nb == 1:
         f_half = f.half_spectrum()
+    # f on one axis meets its zeros on the circle in fejer_riesz
+    search = na > 1 and nb > 1
     previous = None
     # convergence takes two grids within the bounds, so the first is sampled
     # only if its successor fits; a 1 x 1 grid is its own (sampled twice)
@@ -192,9 +246,14 @@ def fourier_of_reciprocal(f, window):
             # direct sums over k = 0..wb when they pay, else one rfft per block
             rows = cos_sin_rows(wb + 1, nb) if harmonic_sums_pay(wb + 1, nb, FOURIER_BLOCK_CELLS) else None
             strip = np.empty((na, ks.size), dtype=complex)
+            lowest, highest = (math.inf, 0), 0.0
             for start, values in f.real_grid_blocks((na, nb), FOURIER_BLOCK_CELLS):
-                if values.min() <= 0.0:
+                at = int(values.argmin())
+                if values.flat[at] <= 0.0:
                     raise FactorizationError("f not strictly positive")
+                if search:
+                    lowest = min(lowest, (values.flat[at], start * nb + at))
+                    highest = max(highest, values.max())
                 recip = np.divide(1.0, values, out=values)
                 half = np.fft.rfft(recip, axis=1) if rows is None else harmonic_analysis(recip, rows)
                 strip[start : start + len(values)] = _dft_entries(half, ks, nb)
@@ -210,6 +269,13 @@ def fourier_of_reciprocal(f, window):
                     grid_size=(na, nb),
                     convergence_residual=residual,
                 )
+            if search:
+                # one witness search, from the smallest sample of this grid
+                search = False
+                cells = 2 * math.pi / np.array([na, nb])
+                point = cells * np.array(divmod(lowest[1], nb))
+                if _torus_zero(f, point, cells, SIGN_FLOOR_REL * max(1.0, highest)) is not None:
+                    raise FactorizationError("f not strictly positive")
             if not _may_converge(residual, scale, (na, nb), (step_a, step_b)):
                 break
         previous = table
@@ -396,7 +462,7 @@ def fejer_riesz(f):
     # the CHECK_GRID points in it
     grid = _pow2_grid(CHECK_GRID, f.degrees()[0])
     ((_, values),) = f.real_grid_blocks((grid, 1), grid)
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+    floor = SIGN_FLOOR_REL * max(1.0, float(np.max(np.abs(values))))
     lowest = float(np.min(values))
     if lowest < -floor:
         raise FactorizationError("not nonnegative on circle")
@@ -493,19 +559,26 @@ def complete_unitary_2d(p_tilde, q_tilde, n, m):
     """Extend real-on-torus targets to a protocol unitary of length n and
     weight m.
 
-    The targets must pass check_targets. spectral_factor factors
-    f = 1 - Ptilde^2 - Qtilde^2: the stable factor when f is strictly
-    positive, else, for f on one axis, the Newton factor. Shifted by
-    a^{-m} b^{-(n-m)}, the factor splits into a Hermitian part R and
-    anti-Hermitian part iS with R^2 + S^2 = f, so the matrix
-    [[Ptilde + iR, Qtilde + iS], [...]] is exactly unitary up to the
-    factorization residual (assemble_completion). The protocol is read off
-    it; a read-off failure leaves spec None rather than raising, since a
-    valid completion need not be protocol-realizable.
+    The targets must pass check_targets, and f = 1 - Ptilde^2 - Qtilde^2
+    must not overflow (ValueError naming f). spectral_factor factors f:
+    the stable factor when f is strictly positive, else, for f on one
+    axis, the Newton factor. Shifted by a^{-m} b^{-(n-m)}, the factor
+    splits into a Hermitian part R and anti-Hermitian part iS with
+    R^2 + S^2 = f, so the matrix [[Ptilde + iR, Qtilde + iS], [...]] is
+    exactly unitary up to the factorization residual
+    (assemble_completion). The protocol is read off it; a read-off failure
+    leaves spec None rather than raising, since a valid completion need
+    not be protocol-realizable.
     """
     n, m = int(n), int(m)
     check_targets(p_tilde, q_tilde, n, m)
-    f = LaurentPoly2.one() - p_tilde * p_tilde - q_tilde * q_tilde
+    try:
+        f = LaurentPoly2.one() - p_tilde * p_tilde - q_tilde * q_tilde
+    except ValueError as error:
+        # the targets are finite, so a non-finite coefficient of f overflowed
+        if not str(error).startswith("non-finite"):
+            raise
+        raise ValueError("f = 1 - Ptilde^2 - Qtilde^2 overflows") from None
     factorization = spectral_factor(f)
     unitary = assemble_completion(p_tilde, q_tilde, factorization.p, n, m)
     try:

@@ -19,6 +19,8 @@
   factor routes.
 - `GAMMA_SINGLE_ORACLE_DIGESTS` and `GAMMA_TWO_AXIS_DIGESTS`: per-target
   digests of `gamma_factor`'s outputs, the reference its tests pin.
+- `TORUS_ZERO`: a two-variable protocol whose completion target's f
+  touches zero on the torus.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from mqsp import factor2d
 from mqsp.errors import VerificationError
 from mqsp.laurent import LaurentPoly2
-from mqsp.protocol import Su2LaurentUnitary
+from mqsp.protocol import ProtocolSpec, Su2LaurentUnitary
 
 # x-picture cross-check: interior samples per axis, and the relative size
 # below which the mixed-parity components count as vanished.
@@ -47,6 +49,12 @@ X_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): 0.5})
 Y_A = LaurentPoly2({(1, 0): 0.5, (-1, 0): -0.5})
 X_B = LaurentPoly2({(0, 1): 0.5, (0, -1): 0.5})
 Y_B = LaurentPoly2({(0, 1): 0.5, (0, -1): -0.5})
+
+# random bits and phases of length 2 (the 14th draw of random_spec(rng, 2),
+# rng = numpy.random.default_rng(4)): f = 1 - Ptilde^2 - Qtilde^2 of its
+# real parts is R^2 + S^2 of its imaginary parts on the torus, and R and S
+# vanish together there, though f's smallest sample on 256^2 is 8.3e-5
+TORUS_ZERO = ProtocolSpec((0, 1), (0.23355134620380547, 2.012301957426623, -1.4078214479675584))
 
 
 def compose(u, v):

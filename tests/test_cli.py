@@ -14,7 +14,7 @@ from mqsp import families, laurent, serialize
 from mqsp.cli import build_parser, main
 from mqsp.protocol import ProtocolSpec, build_unitary, verify_structure
 from mqsp.readoff import ScanSummary, check_leading_slices, readoff_tolerance
-from support import read_grid_csv, trivial_closed_form, xyz_closed_form
+from support import TORUS_ZERO, read_grid_csv, trivial_closed_form, xyz_closed_form
 
 TRIVIAL1 = {"s": [0, 1], "phases": [0.0, 0.0, 0.0]}
 IDENTITY = {"s": [], "phases": [0.0]}
@@ -322,6 +322,14 @@ def test_complete_2d_diagonal_targets_exit_one(tmp_path, capsys):
     assert "not strictly positive" in err
 
 
+def test_complete_2d_torus_zero_exit_one(tmp_path, capsys):
+    # protocol targets whose f = R^2 + S^2 touches zero on the torus: the
+    # Gamma route's witness names it after two grids
+    path = write_json(tmp_path / "t.json", targets_of(TORUS_ZERO))
+    code, out, err = run(capsys, ["complete", path, "--vars", "2", "--deg", "2,1"])
+    assert (code, out, err) == (1, "", "completion failed: f not strictly positive\n")
+
+
 def test_complete_2d_rank_failure_exit_one(tmp_path, capsys):
     path = write_json(tmp_path / "t.json", targets_of(ProtocolSpec((0, 1), (2.45, -1.71, 0.77))))
     code, _, err = run(capsys, ["complete", path, "--vars", "2", "--deg", "2,1"])
@@ -465,6 +473,13 @@ OVERFLOWING = {
         {"p": _records({(1, 0): HUGE, (-1, 0): -HUGE})},
         2,
         "invalid input: inputs must be real on the unit torus",
+    ),
+    # p = HUGE (a + 1/a) is real and passes check_targets; f = 1 - p^2 overflows
+    "complete real": (
+        ["complete", "--vars", "1", "--deg", "1"],
+        {"p": _records({(1, 0): HUGE, (-1, 0): HUGE})},
+        2,
+        "invalid input: f = 1 - Ptilde^2 - Qtilde^2 overflows",
     ),
 }
 
@@ -874,8 +889,14 @@ def test_cli_replay_script_one_line_per_call_and_repeatable(workload, calls):
         nvars = argv[argv.index("--vars") + 1] if "--vars" in argv else "-"
         key = "%s --vars %s exit %d" % (argv[0], nvars, code)
         tally[key] = tally.get(key, 0) + 1
+        # and one count per stderr message, JSON-quoted without its newline
+        key += " " + json.dumps(err.rstrip("\n"))
+        tally[key] = tally.get(key, 0) + 1
     counts = dict(line.rsplit(": ", 1) for line in runs[0].stderr.splitlines())
     assert {key: int(count) for key, count in counts.items()} == tally
+    if workload == "roundtrip":
+        # read-off fails from n ~ 24 on, under one message
+        assert tally['readoff --vars - exit 1 "read-off failed: not an M-QSP unitary"'] > 0
     assert runs[0].stderr == runs[1].stderr
 
 

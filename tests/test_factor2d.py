@@ -33,6 +33,7 @@ from mqsp.protocol import (
 from support import (
     GAMMA_SINGLE_ORACLE_DIGESTS,
     GAMMA_TWO_AXIS_DIGESTS,
+    TORUS_ZERO,
     generate_stable,
     min_on_bidisk_net,
     spy_on_samples,
@@ -251,6 +252,99 @@ def test_fourier_gives_up_before_the_largest_grids(rho, largest, monkeypatch):
     with pytest.raises(FactorizationError, match="^no convergence$"):
         fourier_of_reciprocal(_diagonal(rho), (1, 1))
     assert max(calls) == (4096, 4096)
+
+
+def _spy_on_search(monkeypatch, miss=False):
+    """Wrap factor2d._torus_zero: the returned list gets the witness (or
+    None) of each search; with `miss`, every search misses."""
+    seen, search = [], factor2d._torus_zero
+
+    def spy(f, point, cells, floor):
+        seen.append(None if miss else search(f, point, cells, floor))
+        return seen[-1]
+
+    monkeypatch.setattr(factor2d, "_torus_zero", spy)
+    return seen
+
+
+def test_gamma_factor_stops_at_a_torus_zero_with_its_witness(monkeypatch):
+    # f = R^2 + S^2 vanishes on the torus: the search from the smallest
+    # sample of the 256^2 grid meets it, so no third grid is sampled
+    f, _ = _f_of(TORUS_ZERO.s, TORUS_ZERO.phases)
+    calls = spy_on_samples(monkeypatch)
+    searches = _spy_on_search(monkeypatch)
+    with pytest.raises(FactorizationError, match="^f not strictly positive$"):
+        gamma_factor(f)
+    assert calls == [(128, 128), (256, 256)]
+    ((theta_a, theta_b),) = searches
+    value = f.eval_grid(np.exp(1j * theta_a), np.exp(1j * theta_b))[0, 0].real
+    assert value <= factor2d.SIGN_FLOOR_REL * max(1.0, f.unit_grid((256, 256)).real.max())
+    # |1 + 0.999ab|^2 is strictly positive (min f = 1e-6): the search
+    # misses and the doubling goes on as before
+    del calls[:], searches[:]
+    with pytest.raises(FactorizationError, match="^no convergence$"):
+        fourier_of_reciprocal(_diagonal(0.999), (1, 1))
+    assert searches == [None] and max(calls) == (512, 512)
+
+
+# sweep-style targets (scripts/sweep.py's draw at seed 0: random bits of
+# length 2..4) whose Gamma route samples a third grid, 512^2, and ends as
+# named; no search finds a zero of their f
+THIRD_GRID = {
+    "ok": ((0, 1), (-2.434020124877728, -0.5846642118238572, -3.139703361927961)),
+    "rank condition not satisfied": (
+        (0, 0, 1),
+        (0.8562954499048785, 1.8148676379348148, 0.6703687907383853, -1.9378022314730543),
+    ),
+    "no convergence": (
+        (1, 1, 1, 0),
+        (-0.9908790197452912, 0.9761000669272661, 2.7348761706367606, 1.1611957474222274, -0.8337698796506223),
+    ),
+}
+
+
+def test_torus_zero_search_runs_at_most_once_and_only_on_two_axes(monkeypatch):
+    calls = spy_on_samples(monkeypatch)
+    searches = _spy_on_search(monkeypatch)
+    # one-axis grids never search, though residuals miss on many of them
+    longest = 0
+    for f in _single_oracle_fs():
+        del calls[:]
+        fourier_of_reciprocal(f, f.degrees())
+        longest = max(longest, len(calls))
+    assert longest >= 4 and searches == []
+    # nor does a first grid pair that converges
+    for f in _two_axis_fs():
+        del calls[:]
+        fourier_of_reciprocal(f, f.degrees())
+        assert len(calls) == 2
+    assert searches == []
+    # a third grid or more: one search per call, at the first residual
+    for outcome, (s, phases) in THIRD_GRID.items():
+        f, window = _f_of(s, phases)
+        del calls[:], searches[:]
+        try:
+            fourier_of_reciprocal(f, window)
+        except FactorizationError as error:
+            assert str(error) == outcome
+        assert calls[2] == (512, 512) and searches == [None], outcome
+
+
+def test_a_missed_search_leaves_every_output_as_it_was(monkeypatch):
+    # the pinned two-axis corpus and THIRD_GRID's targets give gamma_factor
+    # outputs bit for bit equal with every search forced to miss
+    fs = list(_two_axis_fs()) + [_f_of(s, phases)[0] for s, phases in THIRD_GRID.values()]
+    outcomes = [_gamma_outcome(f)[0] for f in fs]
+    assert outcomes[:5] == list(GAMMA_TWO_AXIS_DIGESTS)
+    for outcome, f in zip(THIRD_GRID, fs[5:]):
+        if outcome == "ok":
+            assert gamma_factor(f).convergence_residual < factor2d.FOURIER_TOL
+        else:
+            with pytest.raises(FactorizationError, match="^%s$" % outcome):
+                gamma_factor(f)
+    searches = _spy_on_search(monkeypatch, miss=True)
+    assert [_gamma_outcome(f)[0] for f in fs] == outcomes
+    assert searches == [None] * 3
 
 
 def _reciprocal_fft2(f, na, nb):

@@ -52,7 +52,7 @@ def _load_json(path):
     try:
         with open(path) as handle:
             return json.load(handle)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # the last: nesting too deep
         raise _Exit(EXIT_USAGE, "cannot read %s: %s" % (path, exc))
 
 

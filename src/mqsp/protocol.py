@@ -7,9 +7,9 @@ conj_reciprocal; the bottom row is derived, never stored. This module
 builds that representation, evaluates the same circuit numerically as an
 independent route, checks the structural conditions (degree bound, parity
 under joint inversion, negation parity, determinant identity) and
-assembles the completed unitary from a spectral factor. It also draws
-random protocols: random_spec through a Generator's calls, and RawDraws,
-for the scan, the same draws decoded from the generator's raw PCG64 words.
+assembles the completed unitary from a spectral factor. random_spec
+draws a random protocol from one Generator (the scan, in readoff, draws
+its trials from three streams of its own).
 """
 
 from __future__ import annotations
@@ -74,130 +74,13 @@ class ProtocolSpec:
 def random_spec(rng, n, weight=None):
     """Uniform random protocol: bits i.i.d. (or fixed Hamming weight) and
     phases uniform on (-pi, pi], drawn as rng.integers(0, 2, size=n), then
-    rng.uniform(-pi, pi, size=n + 1); RawDraws decodes the same draws from
-    the raw words."""
+    rng.uniform(-pi, pi, size=n + 1)."""
     if weight is None:
         s = rng.integers(0, 2, size=n).tolist()
     else:
         s = [1] * weight + [0] * (n - weight)
         rng.shuffle(s)
     return ProtocolSpec(s, rng.uniform(-math.pi, math.pi, size=n + 1).tolist())
-
-
-# Words RawDraws reads from the bit generator at a time (more when one draw
-# needs more): a scan of 100 trials of n <= 6 takes ~600
-RAW_CHUNK = 256
-
-
-class RawDraws:
-    """The draws of a PCG64 Generator, decoded from its raw 64-bit words in
-    stream order and bit for bit: integers(high), bits(size) and
-    phases(size) give what rng.integers(0, high),
-    rng.integers(0, 2, size=size).tolist() and
-    rng.uniform(-pi, pi, size=size).tolist() would, with no Generator call
-    per draw.
-
-    numpy's Generator on PCG64 draws them so:
-    - an integer below high <= 2^32 by Lemire's method ("Fast Random
-      Integer Generation in an Interval", ACM TOMACS 2019) on 32-bit
-      halves of the words: the low half first, the high half kept as a
-      spare for the next 32-bit draw (at high = 2^32 that is one half as
-      it is, never redrawn), and high = 1 takes nothing;
-    - an integer below high in (2^32, 2^63] by Lemire's method on whole
-      words, the spare left alone;
-    - a bit as the top bit of a half, so an odd count leaves a spare, and
-      a draw of size 0 takes nothing;
-    - a phase as -pi + 2 pi ((w >> 11) 2^-53) of a whole word w, the spare
-      left alone.
-
-    Words are read RAW_CHUNK or more at a time with random_raw, ahead of
-    the draws, and decoded per chunk; the Generator's own spare, if it
-    holds one, comes first. The decoder takes over the stream: the
-    Generator must not draw again.
-    """
-
-    def __init__(self, rng):
-        state = rng.bit_generator.state
-        if state["bit_generator"] != "PCG64":
-            raise ValueError("RawDraws decodes PCG64 words only")
-        self._random_raw = rng.bit_generator.random_raw
-        self._spare = state["uinteger"] if state["has_uint32"] else None
-        # the words read ahead, taken up to index _next, each also as the
-        # top bits of its 32-bit halves (low, high) and as a phase
-        self._words = np.zeros(0, dtype=np.uint64)
-        self._tops, self._phases, self._next = [], [], 0
-
-    def _take(self, count):
-        """Index of the first of the next `count` words, read first if
-        fewer are left."""
-        start = self._next
-        if start + count > len(self._words):
-            raw = self._random_raw(max(RAW_CHUNK, count - len(self._words) + start))
-            self._words = np.concatenate((self._words[start:], raw))
-            # little-endian words as 32-bit halves: low, high per word
-            halves = raw.astype("<u8", copy=False).view("<u4")
-            self._tops = self._tops[2 * start :] + (halves >> 31).tolist()
-            # as numpy's uniform: (w >> 11) 2^-53 is exact, then one rounding
-            # for the product and one for the sum
-            phases = np.multiply(raw >> 11, 2.0**-53)
-            phases *= 2.0 * math.pi
-            phases += -math.pi
-            self._phases = self._phases[start:] + phases.tolist()
-            start = 0
-        self._next = start + count
-        return start
-
-    def _half(self):
-        """The next 32-bit half: the spare, else the low half of the next
-        word, whose high half becomes the spare."""
-        half = self._spare
-        if half is None:
-            word = self._word()
-            half, self._spare = word & 0xFFFFFFFF, word >> 32
-        else:
-            self._spare = None
-        return half
-
-    def _word(self):
-        """The next whole word; the spare stays."""
-        start = self._take(1)
-        return int(self._words[start])
-
-    def integers(self, high):
-        """rng.integers(0, high) for 1 <= high <= 2^63, as an int."""
-        if not 1 <= high <= 1 << 63:
-            raise ValueError("high must be in 1..2**63, got %d" % high)
-        if high == 1:
-            return 0
-        width, draw = (32, self._half) if high <= 1 << 32 else (64, self._word)
-        # Lemire: the top bits of draw() * high, redrawn while the low bits
-        # fall below 2^width mod high, the few products that would bias it
-        mask = (1 << width) - 1
-        product = draw() * high
-        if product & mask < high:
-            threshold = (1 << width) % high
-            while product & mask < threshold:
-                product = draw() * high
-        return product >> width
-
-    def bits(self, size):
-        """rng.integers(0, 2, size=size).tolist()."""
-        out = []
-        if size and self._spare is not None:
-            out.append(self._spare >> 31)
-            self._spare, size = None, size - 1
-        if size:
-            words = (size + 1) // 2
-            start = self._take(words)
-            out += self._tops[2 * start : 2 * start + size]
-            if size % 2:
-                self._spare = int(self._words[start + words - 1] >> 32)
-        return out
-
-    def phases(self, size):
-        """rng.uniform(-pi, pi, size=size).tolist()."""
-        start = self._take(size)
-        return self._phases[start : start + size]
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ terms and lowers the degree in that direction by one. The proportionality
 itself is the load-bearing property (it is what makes read-off possible at
 all), so this module also exposes a direct checker and a randomized scan
 for it. Up to n = 40 a counterexample from the scan would be a genuine
-finding; past n ~ 45 it is rounding: the unitary passes verify_structure,
-but its leading slice is 1e-6 or less of its largest coefficient, and the
-slice test, relative to that slice, reads the build's rounding as a
-mismatch above tol (ROADMAP item 1 has the same precision loss).
+finding; past that it is rounding (the smallest seen has n = 42): the
+unitary passes verify_structure, but its leading slice is 1e-6 or less
+of its largest coefficient, and the slice test, relative to that slice,
+reads the build's rounding as a mismatch above tol (ROADMAP item 1 has
+the same precision loss).
 
 `readoff` aligns P and Q once and then works on their coefficient boxes as
 one stacked box: per step a slice test (_top_test, the module's one pair
@@ -19,10 +20,10 @@ peel (each direction only at positive degree), the peel and its prune
 (_pruned: one laurent.kept call when the reduced boxes need no trim, else
 LaurentPoly2 and aligned() themselves). `peel_once` is the single public
 step: the same private step on aligned LaurentPoly2 input, equal to one
-step of `readoff`. The scan decodes its trials from the raw PCG64 words
-of its generator (protocol.RawDraws, the same stream as random_spec's
-Generator calls) and tests many trials at once with _stack_test, whose
-verdicts equal _top_test's pair by pair.
+step of `readoff`. The scan draws its trials a chunk at a time from three
+streams spawned from its seed (lengths, bits, phases) and tests many
+trials at once with _stack_test, whose verdicts equal _top_test's pair by
+pair.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from mqsp.errors import ReadoffError, VerificationError
 from mqsp.laurent import LaurentPoly2, aligned, check_box, kept
 from mqsp.protocol import (
     ProtocolSpec,
-    RawDraws,
     Su2LaurentUnitary,
     build_stack,
     build_unitary,
@@ -359,11 +359,9 @@ def scan_leading_slices(n_max, trials, seed):
     uniform; check the leading-slice proportionality on each.
 
     The summary equals that of check_leading_slices(build_unitary(spec))
-    over random_spec's draws, trial by trial, on default_rng(seed): n as
-    rng.integers(0, n_max + 1), then random_spec(rng, n). The draws are
-    decoded from the generator's raw words by protocol.RawDraws, bit for
-    bit, with no Generator call per trial. _scan_trials gives each stack
-    of trials its per-trial verdicts; passes and the worst mismatch
+    over the trials of _scan_trials, drawn from three streams spawned from
+    SeedSequence(seed), one by one in draw order. _scan_trials gives each
+    stack of trials its per-trial verdicts; passes and the worst mismatch
     are taken per stack, and a ProtocolSpec is made only for each
     counterexample, in draw order.
     """
@@ -371,8 +369,7 @@ def scan_leading_slices(n_max, trials, seed):
     passes = 0
     worst = 0.0
     bad = []
-    draws = RawDraws(np.random.default_rng(seed))
-    for stack, (holds, mismatch) in _scan_trials(draws, int(n_max), int(trials), tol):
+    for stack, (holds, mismatch) in _scan_trials(int(n_max), int(trials), int(seed), tol):
         passes += int(np.count_nonzero(holds))
         # exact, as the per-trial max(worst, mismatch): neither rounds
         worst = max(worst, float(mismatch[holds].max(initial=0.0)))
@@ -387,30 +384,53 @@ def scan_leading_slices(n_max, trials, seed):
     )
 
 
-def _scan_trials(draws, n_max, trials, tol):
+def _scan_trials(n_max, trials, seed, tol):
     """Yield stacks of consecutive trials in draw order, each as its list
     of draws (s, phases) with _scan_stack's verdicts for it.
 
-    Trials are decoded by `draws` (a RawDraws) as random_spec draws them,
-    and each one's own exponent box is checked against MAX_CELLS as it is
-    drawn; a length whose smallest box, 1 x (2n + 1), already exceeds it
-    is refused before its bits and phases are decoded. Consecutive trials
-    are then tested as one stack while build_stack's lattice box for it
-    holds at most SCAN_STACK_CELLS cells per box (a trial above that alone
-    is a stack of one), so memory does not grow with the number of trials.
+    Trial t's n is the t-th integers(0, n_max + 1) of the first of three
+    streams spawned from SeedSequence(seed), its bits the next n
+    integers(0, 2) of the second, and its phases the next n + 1
+    uniform(-pi, pi) of the third, computed from that stream's raw words w
+    as numpy's uniform does, -pi + 2 pi ((w >> 11) 2^-53), bit for bit.
+    Trials are drawn max(1, SCAN_STACK_CELLS // (n_max + 1)) at a time,
+    one call per stream per chunk; numpy's draws run on across calls, so
+    the trials do not depend on the chunk size.
+
+    A chunk of more than one trial holds at most SCAN_STACK_CELLS phases,
+    so a length whose smallest box, 1 x (2n + 1), exceeds MAX_CELLS is
+    refused before anything is drawn for it. Each trial's own exponent
+    box is then checked in draw order, and consecutive trials are tested
+    as one stack while build_stack's lattice box for it holds at most
+    SCAN_STACK_CELLS cells per box (a trial above that alone is a stack of
+    one), so memory does not grow with the number of trials.
     """
+    lengths_rng, bits_rng, phases_rng = map(
+        np.random.default_rng, np.random.SeedSequence(seed).spawn(3)
+    )
+    chunk = max(1, SCAN_STACK_CELLS // (n_max + 1))
     stack, rows, cols = [], 0, 0
-    for _ in range(trials):
-        n = draws.integers(n_max + 1)
-        check_box(1, 2 * n + 1)  # every weight's box holds at least this many
-        s, phases = draws.bits(n), draws.phases(n + 1)
-        m = sum(s)
-        check_box(2 * m + 1, 2 * (n - m) + 1)
-        rows, cols = max(rows, m + 1), max(cols, n - m + 1)
-        if stack and (len(stack) + 1) * rows * cols > SCAN_STACK_CELLS:
-            yield stack, _scan_stack(stack, tol)
-            stack, rows, cols = [], m + 1, n - m + 1
-        stack.append((s, phases))
+    for start in range(0, trials, chunk):
+        lengths = lengths_rng.integers(0, n_max + 1, size=min(chunk, trials - start)).tolist()
+        for n in lengths:
+            check_box(1, 2 * n + 1)
+        total = sum(lengths)
+        bits = bits_rng.integers(0, 2, size=total).tolist()
+        # uniform's own array path would map in more of numpy on first use
+        phases = (phases_rng.bit_generator.random_raw(total + len(lengths)) >> 11) * 2.0**-53
+        phases *= 2.0 * math.pi
+        phases += -math.pi
+        phases, at = phases.tolist(), 0
+        for t, n in enumerate(lengths):
+            s = bits[at : at + n]
+            m = sum(s)
+            check_box(2 * m + 1, 2 * (n - m) + 1)
+            rows, cols = max(rows, m + 1), max(cols, n - m + 1)
+            if stack and (len(stack) + 1) * rows * cols > SCAN_STACK_CELLS:
+                yield stack, _scan_stack(stack, tol)
+                stack, rows, cols = [], m + 1, n - m + 1
+            stack.append((s, phases[at + t : at + t + n + 1]))
+            at += n
     if stack:
         yield stack, _scan_stack(stack, tol)
 

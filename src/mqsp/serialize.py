@@ -155,10 +155,11 @@ def poly_from_records(records):
 
 def poly1_from_records(records):
     """Single-variable (oracle A) read of the shared record format; the
-    exponent k of b must be zero throughout."""
+    exponent k of b must be zero in every record, zero coefficients
+    included (the first other k is named)."""
     p = poly_from_records(records)
-    if p.degrees()[1]:
-        k = next(k for (_, k), _ in p.items() if k)
+    k = next((rec["k"] for rec in records if rec["k"]), 0)
+    if k:
         raise ValueError("record with k=%d: single-variable polynomial" % k)
     return LaurentPoly1.from_poly2(p)
 

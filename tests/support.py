@@ -15,6 +15,9 @@
 - `min_on_bidisk_net`: the smallest |p| on a radial-angular net of the
   closed bidisk, positive for a factor stable on the net.
 - `read_grid_csv`: reads back what `serialize.write_grid_csv` writes.
+- `scan_streams`, `scan_specs` and `scan_refused_box`: the scan's three
+  seeded streams, its trials drawn from them one at a time, and the first
+  of those trials whose exponent box exceeds MAX_CELLS.
 - `spy_on_samples`: records the grid of every sampling of f in the
   factor routes.
 - `GAMMA_SINGLE_ORACLE_DIGESTS` and `GAMMA_TWO_AXIS_DIGESTS`: per-target
@@ -28,11 +31,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from mqsp import factor2d
+from mqsp import factor2d, laurent
 from mqsp.errors import VerificationError
 from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import ProtocolSpec, Su2LaurentUnitary
@@ -347,3 +350,34 @@ def read_grid_csv(path):
     thetas_b = np.array([float(row[0]) for row in rows[1:]])
     body = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
     return thetas_a, thetas_b, body.T
+
+
+# -- scan streams -----------------------------------------------------------------
+
+
+def scan_streams(seed):
+    """The scan's three Generators, spawned from SeedSequence(seed): the
+    lengths, the bits and the phases of its trials."""
+    return tuple(map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3)))
+
+
+def scan_specs(n_max, seed):
+    """The scan's trials in draw order, drawn one at a time and without
+    end: n as the next integers(0, n_max + 1) of the lengths stream, then
+    the next n integers(0, 2) of the bits stream and n + 1 uniform(-pi, pi)
+    of the phases stream, as a ProtocolSpec."""
+    lengths, bits, phases = scan_streams(seed)
+    while True:
+        n = int(lengths.integers(0, n_max + 1))
+        s = bits.integers(0, 2, size=n).tolist()
+        yield ProtocolSpec(s, phases.uniform(-math.pi, math.pi, size=n + 1).tolist())
+
+
+def scan_refused_box(n_max, trials, seed):
+    """(rows, cols) of the exponent box (2m + 1) x (2(n - m) + 1) of the
+    first of the scan's trials whose box exceeds MAX_CELLS, or None."""
+    for spec in islice(scan_specs(n_max, seed), trials):
+        rows, cols = 2 * spec.weight + 1, 2 * (spec.n - spec.weight) + 1
+        if rows * cols > laurent.MAX_CELLS:
+            return rows, cols
+    return None

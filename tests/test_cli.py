@@ -14,7 +14,14 @@ from mqsp import families, laurent, serialize
 from mqsp.cli import build_parser, main
 from mqsp.protocol import ProtocolSpec, build_unitary, verify_structure
 from mqsp.readoff import ScanSummary, check_leading_slices, readoff_tolerance
-from support import TORUS_ZERO, read_grid_csv, trivial_closed_form, xyz_closed_form
+from support import (
+    TORUS_ZERO,
+    read_grid_csv,
+    scan_refused_box,
+    scan_streams,
+    trivial_closed_form,
+    xyz_closed_form,
+)
 
 TRIVIAL1 = {"s": [0, 1], "phases": [0.0, 0.0, 0.0]}
 IDENTITY = {"s": [], "phases": [0.0]}
@@ -83,6 +90,21 @@ def test_build_unparsable_file_exit_two(tmp_path, capsys):
     path.write_text("{not json")
     assert run(capsys, ["build", str(path)])[0] == 2
     assert run(capsys, ["build", str(tmp_path / "missing.json")])[0] == 2
+
+
+def test_json_nested_too_deeply_exits_two(tmp_path, capsys):
+    # the decoder stops at the recursion limit: one stderr line, no traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    for argv in (
+        ["build", str(path)],
+        ["readoff", str(path)],
+        ["complete", str(path), "--vars", "1", "--deg", "1"],
+        ["plot", str(path), "--out", str(tmp_path / "g.csv")],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("cannot read %s: " % path) and err.count("\n") == 1, argv
 
 
 def test_protocol_box_over_max_cells_exits_two(tmp_path, capsys, monkeypatch):
@@ -270,6 +292,18 @@ def test_complete_1d_chebyshev(tmp_path, capsys):
     assert obj["residual"] < 1e-10
     assert obj["protocol"]["s"] == [1, 1]
     assert max(abs(p) for p in obj["protocol"]["phases"]) < 1e-9
+
+
+@pytest.mark.parametrize("re_part", [0.0, 1e-20])
+def test_complete_1d_refuses_a_record_with_k_however_small(tmp_path, capsys, re_part):
+    # beside a real target, a zero or negligible record with k != 0 is
+    # refused as a larger one is
+    chebyshev = [{"j": 2, "k": 0, "re": 0.5, "im": 0.0}, {"j": -2, "k": 0, "re": 0.5, "im": 0.0}]
+    off_axis = {"j": 0, "k": 7, "re": re_part, "im": 0.0}
+    path = write_json(tmp_path / "t.json", {"p": chebyshev + [off_axis]})
+    code, out, err = run(capsys, ["complete", path, "--vars", "1", "--deg", "2"])
+    assert (code, out) == (2, "")
+    assert err == "invalid input: record with k=7: single-variable polynomial\n"
 
 
 def test_complete_valid_but_not_peelable_exit_three(tmp_path, capsys, monkeypatch):
@@ -547,23 +581,27 @@ def test_scan_refuses_n_max_past_int64_by_name(tmp_path, capsys, monkeypatch):
             argv = ["scan", "--n-max", str(n_max), "--trials", "1", "--dump", dump]
             code, out, err = run(capsys, argv)
             assert (code, out, err) == (2, "", "--n-max must be at most 9223372036854775807\n")
+    n = int(scan_streams(0)[0].integers(0, 2**63))
     code, out, err = run(capsys, ["scan", "--n-max", str(2**63 - 1), "--trials", "1"])
     assert (code, out) == (2, "")
-    assert err == (
-        "invalid input: exponent box of 1 x 11749869230777074271 coefficients exceeds MAX_CELLS\n"
+    assert err == "invalid input: exponent box of 1 x %d coefficients exceeds MAX_CELLS\n" % (
+        2 * n + 1
     )
 
 
 def test_scan_refuses_a_huge_box_by_its_own_size(capsys):
+    box = scan_refused_box(6000, 3, 1)
     code, out, err = run(capsys, ["scan", "--n-max", "6000", "--trials", "3", "--seed", "1"])
     assert (code, out) == (2, "")
-    assert err == "invalid input: exponent box of 2871 x 2809 coefficients exceeds MAX_CELLS\n"
+    assert err == "invalid input: exponent box of %d x %d coefficients exceeds MAX_CELLS\n" % box
 
 
 def test_scan_refuses_a_huge_length_before_drawing_it():
-    # seed 0 draws n = 85,062,423 first, whose bits and phases alone take
-    # gigabytes: the run is capped at 1 GiB of address space, under which
-    # only a refusal made before the draws exits cleanly
+    # seed 0's first length is tens of millions, whose bits and phases alone
+    # take gigabytes: the run is capped at 1 GiB of address space, under
+    # which only a refusal made before the draws exits cleanly
+    n = int(scan_streams(0)[0].integers(0, 100_000_000 + 1))
+    assert n > 10_000_000 and 2 * n + 1 > laurent.MAX_CELLS
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -577,7 +615,7 @@ def test_scan_refuses_a_huge_length_before_drawing_it():
     )
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
     assert done.stderr == (
-        "invalid input: exponent box of 1 x 170124847 coefficients exceeds MAX_CELLS\n"
+        "invalid input: exponent box of 1 x %d coefficients exceeds MAX_CELLS\n" % (2 * n + 1)
     )
 
 
@@ -622,13 +660,13 @@ def test_scan_exit_four_on_a_rounding_counterexample(tmp_path, capsys, monkeypat
     code, out, _ = run(capsys, argv + ["--n-max", "40"])
     assert code == 0 and json.loads(out)["passes"] == 200
     dump = tmp_path / "ce.json"
-    code, out, _ = run(capsys, argv + ["--n-max", "50", "--dump", str(dump)])
+    code, out, _ = run(capsys, argv + ["--n-max", "60", "--dump", str(dump)])
     obj = json.loads(out)
     assert code == 4
-    assert (obj["passes"], obj["counterexamples"], obj["dumpPath"]) == (199, 1, str(dump))
+    assert (obj["passes"], obj["counterexamples"], obj["dumpPath"]) == (197, 3, str(dump))
     dumped = json.loads(dump.read_text())
     spec = serialize.spec_from_obj(dumped)
-    assert len(spec.s) == 48 and sum(spec.s) == 20
+    assert len(spec.s) == 59 and sum(spec.s) == 34
     u = build_unitary(spec)
     assert (dumped["p"], dumped["q"]) == tuple(map(serialize.poly_to_records, (u.P, u.Q)))
     # rounding, not a failure of the property: the unitary passes the

@@ -3,7 +3,6 @@
 import cmath
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -12,9 +11,7 @@ from mqsp import laurent, serialize
 from mqsp.errors import VerificationError
 from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import (
-    RAW_CHUNK,
     ProtocolSpec,
-    RawDraws,
     Su2LaurentUnitary,
     assemble_completion,
     build_stack,
@@ -291,59 +288,6 @@ def test_random_spec_of_length_zero_leaves_the_stream(seed):
     phases = fresh.uniform(-math.pi, math.pi, size=1).tolist()
     assert spec.s == () and spec.phases == tuple(map(principal_phase, phases))
     assert rng.bit_generator.state == fresh.bit_generator.state
-
-
-# every path of numpy's bounded integers: nothing drawn (1), Lemire on a
-# 32-bit half (up to 2^32 - 1), one raw half (2^32), Lemire on whole words
-RAW_HIGHS = [1, 2, 7, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**31, 2**40 + 3,
-             2**62 + 12345, 2**63 - 1, 2**63]
-
-
-@pytest.mark.parametrize("n_max", [6, 40])
-def test_raw_draws_equal_numpy_bit_for_bit(n_max):
-    # length, bits and phases interleaved as a scan draws them, with
-    # integers of every path in between; odd bit counts carry a spare half
-    # into the next draw of a 32-bit half, and whole words pass it by
-    spares = 0
-    for seed in range(200):
-        rng, draws = np.random.default_rng(seed), RawDraws(np.random.default_rng(seed))
-        for high in RAW_HIGHS * 2:
-            assert draws.integers(high) == int(rng.integers(0, high))
-            n = int(rng.integers(0, n_max + 1))
-            assert draws.integers(n_max + 1) == n
-            assert draws.bits(n) == rng.integers(0, 2, size=n).tolist()
-            spares += rng.bit_generator.state["has_uint32"]
-            phases = rng.uniform(-math.pi, math.pi, size=n + 1).tolist()
-            assert [x.hex() for x in draws.phases(n + 1)] == [x.hex() for x in phases]
-    assert spares > 1000
-
-
-def test_raw_draws_read_across_chunks_and_pick_up_the_spare():
-    # a Generator holding a spare half hands it over; draws longer than a
-    # chunk, and ones that straddle two, decode as numpy's
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        rng.integers(0, 2, size=3)
-        assert rng.bit_generator.state["has_uint32"]
-        twin = np.random.Generator(np.random.PCG64())
-        twin.bit_generator.state = rng.bit_generator.state
-        draws = RawDraws(twin)
-        for size in (1, RAW_CHUNK - 1, 3 * RAW_CHUNK + 1, 2, RAW_CHUNK, 5):
-            assert draws.bits(size) == rng.integers(0, 2, size=size).tolist()
-            expected = rng.uniform(-math.pi, math.pi, size=size).tolist()
-            assert [x.hex() for x in draws.phases(size)] == [x.hex() for x in expected]
-            assert draws.integers(size) == int(rng.integers(0, size))
-
-
-def test_raw_draws_refuse_other_generators_and_ranges():
-    with pytest.raises(ValueError, match="PCG64 words only"):
-        RawDraws(np.random.Generator(np.random.MT19937(0)))
-    draws = RawDraws(np.random.default_rng(0))
-    for high in (0, -3, 2**63 + 1):
-        with pytest.raises(ValueError, match=re.escape("high must be in 1..2**63")):
-            draws.integers(high)
-    assert draws.bits(0) == [] and draws.phases(0) == []
-    assert draws.integers(2**63 - 1) == int(np.random.default_rng(0).integers(0, 2**63 - 1))
 
 
 def test_build_mirrors_under_swapped_oracles():

@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import astuple
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from mqsp.readoff import (
     readoff_tolerance,
     scan_leading_slices,
 )
+from support import scan_refused_box, scan_specs, scan_streams
 
 
 def test_tolerance_env_override(monkeypatch):
@@ -676,12 +678,10 @@ def test_scan_vacuous_at_zero_length():
 
 
 def reference_scan(n_max, trials, seed):
-    """The scan as a loop over single trials, in draw order."""
-    rng = np.random.default_rng(seed)
+    """The scan as a loop over single trials, in draw order, each drawn on
+    its own from the three streams (scan_specs)."""
     passes, worst, bad = 0, 0.0, []
-    for _ in range(trials):
-        n = int(rng.integers(0, n_max + 1))
-        spec = random_spec(rng, n)
+    for spec in islice(scan_specs(n_max, seed), trials):
         report = check_leading_slices(build_unitary(spec))
         if report.holds_a or report.holds_b:
             passes += 1
@@ -728,20 +728,59 @@ def test_scan_equals_per_trial_loop(monkeypatch, n_max, tolerance):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 424242])
-def test_scan_makes_no_generator_draw(monkeypatch, seed):
-    # the scan decodes its trials from raw words: Generator's methods cannot
-    # be patched (an immutable type), so default_rng gives a subclass whose
-    # integers and uniform raise
-    class Refusing(np.random.Generator):
+def test_scan_draws_each_stream_once_at_bench_size(monkeypatch, seed):
+    # 100 trials of n <= 6 are one chunk: one integers call for the lengths,
+    # one for the bits, and one random_raw call for the phases. Generator's
+    # methods cannot be patched (an immutable type), so default_rng gives
+    # subclasses that record their calls
+    calls = []
+
+    class Recording(np.random.Generator):
         def integers(self, *args, **kwargs):
-            raise AssertionError("Generator.integers")
+            calls.append(("integers", id(self), kwargs.get("size")))
+            return super().integers(*args, **kwargs)
 
         def uniform(self, *args, **kwargs):
-            raise AssertionError("Generator.uniform")
+            calls.append(("uniform", id(self), kwargs.get("size")))
+            return super().uniform(*args, **kwargs)
 
-    expected = scan_leading_slices(6, 100, seed)
-    monkeypatch.setattr(np.random, "default_rng", lambda s: Refusing(np.random.PCG64(s)))
+    class RecordingPCG64(np.random.PCG64):
+        def random_raw(self, size=None, output=True):
+            calls.append(("random_raw", id(self), size))
+            return super().random_raw(size, output)
+
+    expected = reference_scan(6, 100, seed)
+    monkeypatch.setattr(np.random, "default_rng", lambda s: Recording(RecordingPCG64(s)))
     assert scan_leading_slices(6, 100, seed) == expected
+    assert [kind for kind, _, _ in calls] == ["integers", "integers", "random_raw"]
+    assert len({stream for _, stream, _ in calls}) == 3
+    sizes = [size for _, _, size in calls]
+    assert sizes[0] == 100 and sizes[2] == sizes[1] + 100
+
+
+@pytest.mark.parametrize("seed", [0, 1, 424242])
+def test_draws_split_across_calls_equal_one_call(seed):
+    # what the scan's chunks rest on: numpy's draws run on across calls, so
+    # a draw split at 1, chunk - 1 and chunk + 1 equals one call, for the
+    # lengths, the bits and the phases (as uniform and as raw words)
+    chunk = readoff_module.SCAN_STACK_CELLS // (6 + 1)
+    splits = (1, chunk - 1, chunk + 1)
+    draws = [
+        (0, lambda rng, size: rng.integers(0, 6 + 1, size=size).tolist()),
+        (1, lambda rng, size: rng.integers(0, 2, size=size).tolist()),
+        (2, lambda rng, size: rng.uniform(-math.pi, math.pi, size=size).tolist()),
+        (2, lambda rng, size: rng.bit_generator.random_raw(size).tolist()),
+    ]
+    for stream, draw in draws:
+        whole, parts = scan_streams(seed)[stream], scan_streams(seed)[stream]
+        split = [x for size in splits for x in draw(parts, size)]
+        assert draw(whole, sum(splits)) == split
+    # the scan's phases, read off raw words, are uniform's bit for bit
+    uniform, raw = scan_streams(seed)[2], scan_streams(seed)[2]
+    size = sum(splits)
+    phases = (raw.bit_generator.random_raw(size) >> 11) * 2.0**-53 * (2.0 * math.pi) - math.pi
+    want = uniform.uniform(-math.pi, math.pi, size=size).tolist()
+    assert [x.hex() for x in phases.tolist()] == [x.hex() for x in want]
 
 
 def test_scan_stack_prunes_as_laurent_does():
@@ -767,24 +806,24 @@ def test_scan_stack_prunes_as_laurent_does():
 
 def test_scan_counterexamples_at_tiny_tolerance_in_draw_order(monkeypatch):
     monkeypatch.setenv("MQSP_TOLERANCE", "1e-300")
+    expected = reference_scan(6, 100, 1)
+    # most trials fail at this tolerance, and some pass (n = 0, or Q = 0)
+    assert 50 < len(expected.counterexamples) < 100
     summary = scan_leading_slices(6, 100, 1)
-    assert len(summary.counterexamples) == 78
-    assert summary == reference_scan(6, 100, 1)
+    assert summary == expected
     for spec in summary.counterexamples:
         rep = check_leading_slices(build_unitary(spec))
         assert not (rep.holds_a or rep.holds_b)
 
 
-@pytest.mark.parametrize(
-    "seed, worst",
-    [(1, "0x1.4c10c39eb4085p-52"), (2, "0x1.70d5e32087a3fp-52"), (424242, "0x1.2f447ac604e85p-52")],
-)
-def test_scan_pinned_at_bench_size(monkeypatch, seed, worst):
-    # recorded from the per-trial scan before trials were stacked
+@pytest.mark.parametrize("seed", [1, 2, 424242])
+def test_scan_pinned_at_bench_size(monkeypatch, seed):
     monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
+    expected = reference_scan(6, 100, seed)
     summary = scan_leading_slices(6, 100, seed)
     assert summary.passes == 100 and not summary.counterexamples
-    assert summary.worst_mismatch.hex() == worst
+    assert summary == expected
+    assert summary.worst_mismatch.hex() == expected.worst_mismatch.hex()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -803,11 +842,10 @@ def test_scan_refuses_a_huge_box_without_allocating_it():
     # it before tracing, so the bound measures the scan alone and reads the
     # same peak whether the test runs alone or after others
     np.random.default_rng()
+    message = "exponent box of %d x %d coefficients exceeds MAX_CELLS" % scan_refused_box(6000, 3, 1)
     tracemalloc.start()
     try:
-        with pytest.raises(
-            ValueError, match="exponent box of 2871 x 2809 coefficients exceeds MAX_CELLS"
-        ):
+        with pytest.raises(ValueError, match=message):
             scan_leading_slices(6000, 3, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -228,6 +228,20 @@ def test_poly1_shares_poly_from_records_box(monkeypatch):
         serialize.poly1_from_records(records + [{"j": 0, "k": -2, "re": 1.0, "im": 0.0}])
 
 
+@pytest.mark.parametrize("re_part", [0.0, 1e-20, 1e-3])
+def test_poly1_refuses_every_record_with_k(re_part):
+    # k is tested on the records, before the prune: a zero or negligible
+    # record off the axis is refused as a larger one is
+    records = [
+        {"j": 1, "k": 0, "re": 1.0, "im": 0.0},
+        {"j": 0, "k": 5, "re": re_part, "im": 0.0},
+        {"j": 2, "k": -1, "re": 0.0, "im": 0.0},
+    ]
+    with pytest.raises(ValueError, match=re.escape("record with k=5: single-variable polynomial")):
+        serialize.poly1_from_records(records)
+    assert serialize.poly1_from_records(records[:1]) == LaurentPoly1({1: 1.0})
+
+
 # -- protocol objects -------------------------------------------------------------
 
 

@@ -37,11 +37,9 @@ from __future__ import annotations
 
 import os
 
-# the benchmark's settings: single-threaded BLAS and the default read-off
-# tolerance, before numpy or mqsp is loaded
+# the benchmark's single-threaded BLAS, before numpy or mqsp is loaded
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ.pop("MQSP_TOLERANCE", None)
 
 import argparse  # noqa: E402
 import collections  # noqa: E402

@@ -53,11 +53,9 @@ from __future__ import annotations
 
 import os
 
-# single-threaded BLAS and the default read-off tolerance, as the benchmark
-# runs, before numpy or mqsp is loaded
+# single-threaded BLAS, as the benchmark runs, before numpy or mqsp is loaded
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ.pop("MQSP_TOLERANCE", None)
 
 import argparse  # noqa: E402
 import collections  # noqa: E402
@@ -156,11 +154,11 @@ class Sweep:
         """Tally how closely a printed protocol rebuilds `unitary`."""
         from mqsp import serialize
         from mqsp.protocol import build_unitary
-        from mqsp.readoff import readoff_tolerance
+        from mqsp.readoff import READOFF_TOL
 
         rebuilt = build_unitary(serialize.spec_from_obj(protocol)).distance(unitary)
         line["worstRebuild"] = _worst(line["worstRebuild"], rebuilt)
-        return rebuilt <= readoff_tolerance()
+        return rebuilt <= READOFF_TOL
 
     def roundtrip(self, head, spec):
         """One protocol: `mqsp build`, then `mqsp readoff` on the printed

@@ -9,10 +9,6 @@ null, for one variable as for two); 4 the scan found a
 counterexample (dump path printed). They are decided in `main` alone:
 handlers raise, and `main` turns a handler's `_Exit` or any ValueError
 (exit 2, "invalid input: ...") into the exit code and one stderr line.
-
-The environment variable MQSP_TOLERANCE overrides the read-off tolerance
-(default 1e-8); a value that is not a finite positive number is unusable
-input for the commands that read it (readoff, complete, scan).
 """
 
 from __future__ import annotations
@@ -22,6 +18,7 @@ import errno
 import functools
 import json
 import os
+import stat
 import sys
 
 from mqsp import families, serialize
@@ -30,7 +27,7 @@ from mqsp.factor1d import complete_unitary_1d
 from mqsp.factor2d import complete_unitary_2d
 from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import Su2LaurentUnitary, build_unitary, verify_structure
-from mqsp.readoff import readoff, readoff_tolerance, scan_leading_slices
+from mqsp.readoff import readoff, scan_leading_slices
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -78,15 +75,18 @@ def _emit(obj):
 def _check_writable(path):
     """Exit 2 unless `path` can be opened for writing; creates nothing."""
     parent = os.path.dirname(path) or "."
+    try:  # ENOTDIR for a parent that is, or lies under, a file, as open() says
+        code = 0 if stat.S_ISDIR(os.stat(parent).st_mode) else errno.ENOTDIR
+    except OSError as exc:
+        code = exc.errno
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not path or not os.path.isdir(parent):
+    elif not path:
         code = errno.ENOENT
-    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+    elif not code and not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code = errno.EACCES
-    else:
-        return
-    raise _Exit(EXIT_USAGE, "cannot write %s: %s" % (path, os.strerror(code)))
+    if code:
+        raise _Exit(EXIT_USAGE, "cannot write %s: %s" % (path, os.strerror(code)))
 
 
 def _report_obj(report):
@@ -275,7 +275,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="mqsp",
         description="Multivariable quantum signal processing toolkit.",
-        epilog="Set MQSP_TOLERANCE to a finite positive number to override the read-off tolerance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -319,8 +318,6 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command in ("readoff", "complete", "scan"):
-            readoff_tolerance()
         return args.handler(args)
     except _Exit as exc:
         code, message = exc.args

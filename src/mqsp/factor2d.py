@@ -470,7 +470,11 @@ def fejer_riesz(f):
 
     box, _, (lo, _) = aligned(f, f)
     d = lo + len(box) - 1  # the top exponent
-    full = np.array([f.coeff(k, 0) for k in range(-d, d + 1)])
+    # f's coefficients at exponents -d..d, zero-padded below; any below -d
+    # (Hermitian within PARITY_REL only) are dropped
+    full = np.zeros(2 * d + 1, dtype=complex)
+    start = max(lo, -d)
+    full[start + d :] = box[start - lo :, 0]
     f_top = full[d:]
 
     def misfit(coeffs):

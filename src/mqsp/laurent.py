@@ -174,13 +174,6 @@ class LaurentPoly2:
             for i, l, c in zip(rows.tolist(), cols.tolist(), values)
         ]
 
-    def coeff(self, j, k):
-        i, l = j - self._lo[0], k - self._lo[1]
-        rows, cols = self._box.shape
-        if 0 <= i < rows and 0 <= l < cols:
-            return complex(self._box[i, l])
-        return 0.0 + 0.0j
-
     def is_zero(self):
         return self._box.size == 0
 

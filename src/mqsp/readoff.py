@@ -6,12 +6,12 @@ right-multiplying by Z(-phi) W^{-1} with phi = phi_X/2 cancels the leading
 terms and lowers the degree in that direction by one. The proportionality
 itself is the load-bearing property (it is what makes read-off possible at
 all), so this module also exposes a direct checker and a randomized scan
-for it. Up to n = 40 a counterexample from the scan would be a genuine
-finding; past that it is rounding (the smallest seen has n = 42): the
-unitary passes verify_structure, but its leading slice is 1e-6 or less
-of its largest coefficient, and the slice test, relative to that slice,
-reads the build's rounding as a mismatch above tol (ROADMAP item 1 has
-the same precision loss).
+for it. The scan draws protocols, so every counterexample it reports is
+rounding or a library defect, whatever n. Those seen are rounding (the
+smallest has n = 42): the unitary passes verify_structure, but its
+leading slice is 1e-6 or less of its largest coefficient, and the slice
+test, relative to that slice, reads the build's rounding as a mismatch
+above tol (ROADMAP item 1 has the same precision loss).
 
 `readoff` aligns P and Q once and then works on their coefficient boxes as
 one stacked box: per step a slice test (_top_test, the module's one pair
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,9 @@ from mqsp.protocol import (
     principal_phase,
 )
 
-DEFAULT_TOLERANCE = 1e-8
+# Read-off's exactness gate on slice mismatch, base-case residue and rebuild
+# distance; read at call time, never frozen in a default argument.
+READOFF_TOL = 1e-8
 
 # Most cells one stack of scan_leading_slices holds per coefficient box
 # (trials times the padded lattice box of build_stack): 2^14 complex cells
@@ -53,25 +54,6 @@ DEFAULT_TOLERANCE = 1e-8
 # adds S, which its take gathers from, the int64 shift index (two per cell)
 # and one step's int64 index rows (one per cell): ~1.1 MB a stack with P, Q.
 SCAN_STACK_CELLS = 1 << 14
-
-
-def readoff_tolerance():
-    """Read-off tolerance; the MQSP_TOLERANCE env var overrides the default.
-
-    Raises ValueError unless the override is a finite positive number: nan
-    would pass every comparison against it, and zero or less rejects every
-    input.
-    """
-    raw = os.environ.get("MQSP_TOLERANCE")
-    if not raw:
-        return DEFAULT_TOLERANCE
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 < tol < math.inf:
-        raise ValueError("MQSP_TOLERANCE must be a finite positive number, got %r" % raw)
-    return tol
 
 
 def _top_test(p, q, axis, tol):
@@ -143,18 +125,16 @@ class SliceReport:
 
 
 def check_leading_slices(u):
-    """Proportionality report for both directions, within
-    readoff_tolerance().
+    """Proportionality report for both directions, within READOFF_TOL.
 
     Q identically zero under a constant P (P = 0 included) is the base
     case: both directions hold with phase 0 by convention (there is nothing
     to constrain). Under a non-constant P, Q = 0 gives zero leading slices.
     """
-    tol = readoff_tolerance()
     if u.Q.is_zero() and not any(u.P.degrees()):
         return SliceReport(True, True, 0.0, 0.0, 0.0, 0.0, None, None)
     p, q, _ = aligned(u.P, u.Q)
-    along_a, along_b = (_top_test(p, q, axis, tol) for axis in (0, 1))
+    along_a, along_b = (_top_test(p, q, axis, READOFF_TOL) for axis in (0, 1))
     return SliceReport(*(x for pair in zip(along_a, along_b) for x in pair))
 
 
@@ -169,21 +149,19 @@ def peel_once(u, direction):
     later phases absorb, so rebuilds agree either way. `reduced` has degree
     one lower in `direction`; P and Q are pruned as every LaurentPoly2 is.
 
-    Raises ValueError for a direction other than "a" or "b", for an
-    invalid MQSP_TOLERANCE and, as LaurentPoly2 does, for a reduced
-    coefficient that overflows; ReadoffError "cannot peel: no positive
-    degree in direction ..." when P and Q have no positive exponent there,
-    or "cannot peel: leading slices not proportional" when the slices
-    differ by more than readoff_tolerance().
+    Raises ValueError for a direction other than "a" or "b" and, as
+    LaurentPoly2 does, for a reduced coefficient that overflows;
+    ReadoffError "cannot peel: no positive degree in direction ..." when P
+    and Q have no positive exponent there, or "cannot peel: leading slices
+    not proportional" when the slices differ by more than READOFF_TOL.
     """
-    tol = readoff_tolerance()
     if direction not in ("a", "b"):
         raise ValueError("direction must be 'a' or 'b'")
     axis = "ab".index(direction)
     p, q, lo = aligned(u.P, u.Q)
     if lo[axis] + p.shape[axis] - 1 < 1:
         raise ReadoffError("cannot peel: no positive degree in direction %r" % direction)
-    ok, phase, _, _ = _top_test(p, q, axis, tol)
+    ok, phase, _, _ = _top_test(p, q, axis, READOFF_TOL)
     if not ok:
         raise ReadoffError("cannot peel: leading slices not proportional")
     phi, box, lo = _peel(p, q, lo, axis, phase)
@@ -280,9 +258,9 @@ def readoff(P, Q):
     Peels one iterate per step, preferring direction a when both are
     possible (the iterates commute in that case, so either choice rebuilds
     the same unitary). Raises "not an M-QSP unitary" when a coefficient of
-    P or Q exceeds 1 + readoff_tolerance() in magnitude or no direction
-    peels before the constant level, and "rebuild mismatch" when the
-    reconstruction misses the input by more than readoff_tolerance().
+    P or Q exceeds 1 + READOFF_TOL in magnitude or no direction peels
+    before the constant level, and "rebuild mismatch" when the
+    reconstruction misses the input by more than READOFF_TOL.
 
     P and Q are aligned once; every step then works on their coefficient
     boxes as one stack: a slice test of the top slice pair along a, then
@@ -292,7 +270,7 @@ def readoff(P, Q):
     so LaurentPoly2 objects are made only for the steps whose reduced
     boxes need a trim.
     """
-    tol = readoff_tolerance()
+    tol = READOFF_TOL
     # |P|^2 + |Q|^2 = 1 on the torus caps every coefficient at 1
     if max(P.max_abs(), Q.max_abs()) > 1.0 + tol:
         raise ReadoffError("not an M-QSP unitary")
@@ -365,11 +343,10 @@ def scan_leading_slices(n_max, trials, seed):
     are taken per stack, and a ProtocolSpec is made only for each
     counterexample, in draw order.
     """
-    tol = readoff_tolerance()  # an invalid MQSP_TOLERANCE fails before any trial
     passes = 0
     worst = 0.0
     bad = []
-    for stack, (holds, mismatch) in _scan_trials(int(n_max), int(trials), int(seed), tol):
+    for stack, (holds, mismatch) in _scan_trials(int(n_max), int(trials), int(seed), READOFF_TOL):
         passes += int(np.count_nonzero(holds))
         # exact, as the per-trial max(worst, mismatch): neither rounds
         worst = max(worst, float(mismatch[holds].max(initial=0.0)))

@@ -5,6 +5,7 @@
 - `chebyshev_t`, `chebyshev_u` and the closed forms `trivial_closed_form`
   and `xyz_closed_form`: the named families' unitaries built from
   Chebyshev recurrences, independently of `build_unitary`.
+- `coeff_at`: one coefficient of a polynomial, 0 off its terms.
 - `compose`: the product of two protocol unitaries, kept in the
   [[P, Q], [-Q~, P~]] form.
 - `x_picture_cross_check`: the paper's x-picture component form
@@ -58,6 +59,11 @@ Y_B = LaurentPoly2({(0, 1): 0.5, (0, -1): -0.5})
 # real parts is R^2 + S^2 of its imaginary parts on the torus, and R and S
 # vanish together there, though f's smallest sample on 256^2 is 8.3e-5
 TORUS_ZERO = ProtocolSpec((0, 1), (0.23355134620380547, 2.012301957426623, -1.4078214479675584))
+
+
+def coeff_at(p, j, k):
+    """The coefficient of a^j b^k in p, 0 off its nonzero terms."""
+    return dict(p.items()).get((j, k), 0j)
 
 
 def compose(u, v):

@@ -13,7 +13,7 @@ import mqsp
 from mqsp import families, laurent, serialize
 from mqsp.cli import build_parser, main
 from mqsp.protocol import ProtocolSpec, build_unitary, verify_structure
-from mqsp.readoff import ScanSummary, check_leading_slices, readoff_tolerance
+from mqsp.readoff import ScanSummary, check_leading_slices
 from support import (
     TORUS_ZERO,
     read_grid_csv,
@@ -245,35 +245,27 @@ def test_readoff_missing_keys_exit_two(tmp_path, capsys):
 
 
 def test_readoff_env_tolerance_override(tmp_path, capsys, monkeypatch):
-    # generic phases leave rounding residue ~1e-16, detectable at tol 1e-30
+    # the environment no longer moves the tolerance; readoff.READOFF_TOL
+    # does: generic phases leave rounding residue ~1e-16, detectable at 1e-30
     proto = write_json(tmp_path / "p.json", {"s": [1, 0], "phases": [0.3, -1.1, 0.7]})
     _, out, _ = run(capsys, ["build", proto])
     path = write_json(tmp_path / "u.json", json.loads(out))
     monkeypatch.setenv("MQSP_TOLERANCE", "1e-30")
-    assert run(capsys, ["readoff", path])[0] == 1
-    monkeypatch.delenv("MQSP_TOLERANCE")
     assert run(capsys, ["readoff", path])[0] == 0
+    monkeypatch.setattr("mqsp.readoff.READOFF_TOL", 1e-30)
+    assert run(capsys, ["readoff", path])[0] == 1
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-8"])
-def test_invalid_env_tolerance_exit_two(tmp_path, capsys, monkeypatch, value):
+def test_readoff_ignores_a_nan_env_tolerance(tmp_path, capsys, monkeypatch):
     proto = write_json(tmp_path / "p.json", {"s": [1, 0], "phases": [0.3, -1.1, 0.7]})
     unitary = json.loads(run(capsys, ["build", proto])[1])
-    # a corrupted unitary, which an unchecked nan tolerance would accept
+    # a corrupted unitary, which a nan tolerance would accept
     unitary["p"][0]["re"] += 0.3
     path = write_json(tmp_path / "u.json", unitary)
-    target = write_json(tmp_path / "t.json", {"p": []})
-    monkeypatch.setenv("MQSP_TOLERANCE", value)
-    with pytest.raises(ValueError, match="MQSP_TOLERANCE"):
-        readoff_tolerance()
-    for argv in (
-        ["readoff", path],
-        ["complete", target, "--vars", "1", "--deg", "2"],
-        ["scan", "--trials", "5"],
-    ):
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert "MQSP_TOLERANCE" in err
+    monkeypatch.setenv("MQSP_TOLERANCE", "nan")
+    code, out, err = run(capsys, ["readoff", path])
+    assert (code, out) == (1, "")
+    assert err.startswith("read-off failed: ")
 
 
 # -- complete ---------------------------------------------------------------------
@@ -309,7 +301,7 @@ def test_complete_1d_refuses_a_record_with_k_however_small(tmp_path, capsys, re_
 def test_complete_valid_but_not_peelable_exit_three(tmp_path, capsys, monkeypatch):
     # both completions factor, but no read-off passes at tolerance 1e-30;
     # either prints its unitary with protocol null
-    monkeypatch.setenv("MQSP_TOLERANCE", "1e-30")
+    monkeypatch.setattr("mqsp.readoff.READOFF_TOL", 1e-30)
     path = write_json(tmp_path / "t.json", targets_of(ProtocolSpec((1, 1), (0.1, 2.8, -2.2))))
     code, out, err = run(capsys, ["complete", path, "--vars", "1", "--deg", "2"])
     assert (code, err) == (3, "")
@@ -654,8 +646,7 @@ def test_scan_counterexample_dump(tmp_path, capsys, monkeypatch):
     assert (dumped["p"], dumped["q"]) == tuple(map(serialize.poly_to_records, (u.P, u.Q)))
 
 
-def test_scan_exit_four_on_a_rounding_counterexample(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
+def test_scan_exit_four_on_a_rounding_counterexample(tmp_path, capsys):
     argv = ["scan", "--trials", "200", "--seed", "0"]
     code, out, _ = run(capsys, argv + ["--n-max", "40"])
     assert code == 0 and json.loads(out)["passes"] == 200
@@ -695,6 +686,24 @@ def test_scan_unwritable_dump_exit_two_before_scanning(tmp_path, capsys, monkeyp
     dump = tmp_path / "ce.json"
     assert run(capsys, ["scan", "--trials", "5", "--dump", str(dump)])[0] == 0
     assert not dump.exists()
+
+
+def test_output_path_under_a_file_reads_not_a_directory(tmp_path, capsys):
+    # what open() would say: ENOTDIR below a regular file, however deep,
+    # and ENOENT below a missing directory; for --dump as for --out
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for stem, reason in (
+        (afile / "x", "Not a directory"),
+        (afile / "sub" / "x", "Not a directory"),
+        (tmp_path / "no-such-dir" / "x", "No such file or directory"),
+    ):
+        for argv in (
+            ["scan", "--trials", "1", "--dump", "%s.json" % stem],
+            ["plot", "--named", "trivial:1", "--out", "%s.csv" % stem],
+        ):
+            assert run(capsys, argv) == (2, "", "cannot write %s: %s\n" % (argv[-1], reason))
+    assert afile.read_text() == ""
 
 
 # -- plot -------------------------------------------------------------------------
@@ -842,7 +851,9 @@ def test_no_command_exit_two(capsys):
 
 def test_help_exit_zero(capsys):
     assert main(["--help"]) == 0
-    assert "MQSP_TOLERANCE" in capsys.readouterr().out
+    # no setting outside the command line
+    out = capsys.readouterr().out
+    assert "MQSP_" not in out and "environment" not in out.lower()
 
 
 def test_sweep_script_quick_lines_and_checks():

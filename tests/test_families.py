@@ -22,7 +22,7 @@ from mqsp.families import (
 )
 from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import build_unitary, verify_structure
-from support import chebyshev_t, chebyshev_u, trivial_closed_form, xyz_closed_form
+from support import chebyshev_t, chebyshev_u, coeff_at, trivial_closed_form, xyz_closed_form
 
 ROOT2_OVER_4 = math.sqrt(2.0) / 4.0
 
@@ -103,14 +103,14 @@ def test_xyz_n1_pinned_coefficients():
     )
     closed = xyz_closed_form(1)
     p, q = closed.P, closed.Q
-    assert abs(p.coeff(1, 1) - 1j * ROOT2_OVER_4) < 1e-14
-    assert abs(p.coeff(1, -1) - ROOT2_OVER_4) < 1e-14
-    assert abs(p.coeff(-1, 1) - ROOT2_OVER_4) < 1e-14
-    assert abs(p.coeff(-1, -1) - 1j * ROOT2_OVER_4) < 1e-14
-    assert abs(q.coeff(1, 1) - ROOT2_OVER_4) < 1e-14
-    assert abs(q.coeff(1, -1) - 1j * ROOT2_OVER_4) < 1e-14
-    assert abs(q.coeff(-1, 1) + 1j * ROOT2_OVER_4) < 1e-14
-    assert abs(q.coeff(-1, -1) + ROOT2_OVER_4) < 1e-14
+    assert abs(coeff_at(p, 1, 1) - 1j * ROOT2_OVER_4) < 1e-14
+    assert abs(coeff_at(p, 1, -1) - ROOT2_OVER_4) < 1e-14
+    assert abs(coeff_at(p, -1, 1) - ROOT2_OVER_4) < 1e-14
+    assert abs(coeff_at(p, -1, -1) - 1j * ROOT2_OVER_4) < 1e-14
+    assert abs(coeff_at(q, 1, 1) - ROOT2_OVER_4) < 1e-14
+    assert abs(coeff_at(q, 1, -1) - 1j * ROOT2_OVER_4) < 1e-14
+    assert abs(coeff_at(q, -1, 1) + 1j * ROOT2_OVER_4) < 1e-14
+    assert abs(coeff_at(q, -1, -1) + ROOT2_OVER_4) < 1e-14
 
 
 def test_xyz_build_matches_closed_form():

@@ -28,17 +28,16 @@ from mqsp.readoff import (
     check_leading_slices,
     peel_once,
     readoff,
-    readoff_tolerance,
     scan_leading_slices,
 )
-from support import scan_refused_box, scan_specs, scan_streams
+from support import coeff_at, scan_refused_box, scan_specs, scan_streams
 
 
 def test_tolerance_env_override(monkeypatch):
-    monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
-    assert readoff_tolerance() == 1e-8
+    # MQSP_TOLERANCE no longer overrides the tolerance: it is READOFF_TOL,
+    # which only a patch of the module moves
     monkeypatch.setenv("MQSP_TOLERANCE", "1e-6")
-    assert readoff_tolerance() == 1e-6
+    assert readoff_module.READOFF_TOL == 1e-8
 
 
 # -- slice proportionality -------------------------------------------------------
@@ -227,14 +226,13 @@ def test_slice_test_and_peel_follow_env_tolerance(monkeypatch):
     q[key] *= 1 + 1e-6
     bent = Su2LaurentUnitary(u.P, LaurentPoly2(q))
 
-    monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
     rep = check_leading_slices(bent)
     assert not rep.holds_a
     assert 1e-7 < rep.mismatch_a < 1e-5
     with pytest.raises(ReadoffError, match="leading slices not proportional"):
         peel_once(bent, "a")
 
-    monkeypatch.setenv("MQSP_TOLERANCE", "1e-4")
+    monkeypatch.setattr(readoff_module, "READOFF_TOL", 1e-4)
     assert check_leading_slices(bent).holds_a
     _, reduced = peel_once(bent, "a")
     assert reduced.P.degrees()[0] == u.P.degrees()[0] - 1
@@ -371,7 +369,7 @@ def reference_readoff(P, Q):
     the coefficients: check_leading_slices picks the direction (a first)
     among those of positive degree, peel_once peels, then readoff's base
     case and rebuild check follow."""
-    tol = readoff_tolerance()
+    tol = readoff_module.READOFF_TOL
     if max(P.max_abs(), Q.max_abs()) > 1.0 + tol:
         raise ReadoffError("not an M-QSP unitary")
     original = u = Su2LaurentUnitary(P, Q)
@@ -389,7 +387,7 @@ def reference_readoff(P, Q):
             break
         phase, u = peel_once(u, avail[0])
         peels.append((avail[0], phase))
-    c = u.P.coeff(0, 0)
+    c = coeff_at(u.P, 0, 0)
     nonconstant = (u.P - LaurentPoly2({(0, 0): c})).max_abs()
     if u.Q.max_abs() > tol or nonconstant > tol or abs(abs(c) - 1.0) > tol:
         raise ReadoffError("not an M-QSP unitary")
@@ -437,10 +435,8 @@ def readoff_inputs():
 
 @pytest.mark.parametrize("tolerance", [None, "1e-300"])
 def test_readoff_equals_loop_of_public_steps(monkeypatch, tolerance):
-    if tolerance is None:
-        monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
-    else:
-        monkeypatch.setenv("MQSP_TOLERANCE", tolerance)
+    if tolerance is not None:
+        monkeypatch.setattr(readoff_module, "READOFF_TOL", float(tolerance))
     exits = set()
     for name, P, Q in readoff_inputs():
         expected = outcome(reference_readoff, P, Q)
@@ -511,8 +507,7 @@ EDGE_CASES = edge_cases()
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
-def test_readoff_edge_paths(monkeypatch, name):
-    monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
+def test_readoff_edge_paths(name):
     (P, Q), expected = EDGE_CASES[name]
     got = outcome(readoff, P, Q)
     assert got == outcome(reference_readoff, P, Q)
@@ -588,7 +583,7 @@ def test_readoff_commutes_with_the_ab_mirror():
     # (1 - s, phases): read-off on the transposed P and Q must fail with the
     # same message, or recover the mirrored bits and the transposed rebuild
     rng = np.random.default_rng(5)
-    tol = readoff_tolerance()
+    tol = readoff_module.READOFF_TOL
     succeeded = 0
     for _ in range(80):
         u = build_unitary(random_spec(rng, int(rng.integers(8, 33))))
@@ -637,7 +632,7 @@ def reference_peel(u, direction):
 def test_peel_equals_reference_arithmetic_bit_for_bit(monkeypatch):
     # lopsided boxes (rows below exponent lo + 1 take S alone), signed zeros
     # and exact cancellations; a loose tolerance lets most pairs peel
-    monkeypatch.setenv("MQSP_TOLERANCE", "10")
+    monkeypatch.setattr(readoff_module, "READOFF_TOL", 10.0)
     rng = np.random.default_rng(12)
     values = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
     peeled = 0
@@ -694,10 +689,8 @@ def reference_scan(n_max, trials, seed):
 @pytest.mark.parametrize("tolerance", [None, "1e-300"])
 @pytest.mark.parametrize("n_max", [0, 1, 2, 6, 9, 40])
 def test_scan_equals_per_trial_loop(monkeypatch, n_max, tolerance):
-    if tolerance is None:
-        monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
-    else:
-        monkeypatch.setenv("MQSP_TOLERANCE", tolerance)
+    if tolerance is not None:
+        monkeypatch.setattr(readoff_module, "READOFF_TOL", float(tolerance))
     sizes = []
     scan_stack = readoff_module._scan_stack
 
@@ -805,7 +798,7 @@ def test_scan_stack_prunes_as_laurent_does():
 
 
 def test_scan_counterexamples_at_tiny_tolerance_in_draw_order(monkeypatch):
-    monkeypatch.setenv("MQSP_TOLERANCE", "1e-300")
+    monkeypatch.setattr(readoff_module, "READOFF_TOL", 1e-300)
     expected = reference_scan(6, 100, 1)
     # most trials fail at this tolerance, and some pass (n = 0, or Q = 0)
     assert 50 < len(expected.counterexamples) < 100
@@ -817,8 +810,7 @@ def test_scan_counterexamples_at_tiny_tolerance_in_draw_order(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 424242])
-def test_scan_pinned_at_bench_size(monkeypatch, seed):
-    monkeypatch.delenv("MQSP_TOLERANCE", raising=False)
+def test_scan_pinned_at_bench_size(seed):
     expected = reference_scan(6, 100, seed)
     summary = scan_leading_slices(6, 100, seed)
     assert summary.passes == 100 and not summary.counterexamples

@@ -94,8 +94,7 @@ def test_every_library_name_has_a_caller_outside_tests():
 
     The check goes by name, so a mention of the same word anywhere counts:
     it would not have flagged LaurentPoly2.constant, whose word is in
-    factor2d's "verification failed: constant coefficient ..." message, nor
-    FourierTable.coeff, since fejer_riesz calls LaurentPoly2.coeff."""
+    factor2d's "verification failed: constant coefficient ..." message."""
     trees = {}
     for directory in CALLER_DIRS:
         trees.update(_parse_dir(directory))

@@ -6,12 +6,7 @@ variables, the specs of two named protocol families, and a six-query
 discrimination demo.
 """
 
-from mqsp.errors import (
-    FactorizationError,
-    MqspError,
-    ReadoffError,
-    VerificationError,
-)
+from mqsp.errors import FactorizationError, MqspError, ReadoffError
 from mqsp.laurent import LaurentPoly1, LaurentPoly2
 
 __all__ = [
@@ -20,7 +15,6 @@ __all__ = [
     "LaurentPoly2",
     "MqspError",
     "ReadoffError",
-    "VerificationError",
 ]
 
 __version__ = "0.1.0"

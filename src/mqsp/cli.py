@@ -22,7 +22,7 @@ import stat
 import sys
 
 from mqsp import families, serialize
-from mqsp.errors import FactorizationError, MqspError
+from mqsp.errors import FactorizationError, ReadoffError
 from mqsp.factor1d import complete_unitary_1d
 from mqsp.factor2d import complete_unitary_2d
 from mqsp.laurent import LaurentPoly2
@@ -143,7 +143,7 @@ def _cmd_readoff(args):
     q = serialize.poly_from_records(obj["q"])
     try:
         result = readoff(p, q)
-    except MqspError as exc:
+    except ReadoffError as exc:
         raise _Exit(EXIT_FAIL, "read-off failed: %s" % exc)
     out = serialize.spec_to_obj(result.spec)
     out["residual"] = float(result.residual)

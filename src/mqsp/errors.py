@@ -2,10 +2,11 @@
 
 Messages double as interface contracts (the CLI and tests match on them),
 so raise with the exact strings documented on each operation. The class
-split exists for exit-code routing: verification-style failures map to
-exit 1. A completion that checks out but cannot be peeled maps to exit 3:
-complete_unitary_2d (one variable is its case m = n) catches the
-ReadoffError or VerificationError of its read-off and returns spec None.
+split exists for exit-code routing, one route per class: ReadoffError
+gives `mqsp readoff` exit 1 and `mqsp complete` exit 3, since
+complete_unitary_2d (one variable is its case m = n) catches it and
+returns spec None; FactorizationError gives `mqsp complete` exit 1; and
+ValueError, unusable input, gives exit 2.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ class MqspError(Exception):
     """Base class for all library-level failures."""
 
 
-class VerificationError(MqspError):
-    """A structural or numerical check failed: in the library, readoff's
-    "rebuild mismatch"."""
-
-
 class FactorizationError(MqspError):
     """Spectral factorization could not proceed: nonnegativity, positivity,
     Fourier convergence, factor verification, or rank trouble."""
@@ -27,4 +23,5 @@ class FactorizationError(MqspError):
 
 class ReadoffError(MqspError):
     """Phase read-off failed: missing/zero leading slice, slices not
-    proportional, or the input is not a protocol unitary at all."""
+    proportional, the input is not a protocol unitary at all, or its
+    rebuild misses it ("rebuild mismatch")."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from mqsp.errors import FactorizationError, ReadoffError, VerificationError
+from mqsp.errors import FactorizationError, ReadoffError
 from mqsp.laurent import (
     LaurentPoly1,
     LaurentPoly2,
@@ -456,7 +456,7 @@ def fejer_riesz(f):
     if not f.is_hermitian():
         raise ValueError("f must be Hermitian (real on the unit circle)")
     if f.is_zero():
-        return Factorization2D(LaurentPoly1.zero(), 0.0)
+        return Factorization2D(LaurentPoly1.zero(), 0.0, "outer")
 
     # the FFT grid must exceed the exponent spread 2 * deg; doubling keeps
     # the CHECK_GRID points in it
@@ -587,6 +587,6 @@ def complete_unitary_2d(p_tilde, q_tilde, n, m):
     unitary = assemble_completion(p_tilde, q_tilde, factorization.p, n, m)
     try:
         spec = readoff(unitary.P, unitary.Q).spec
-    except (ReadoffError, VerificationError):
+    except ReadoffError:
         spec = None
     return CompletionResult(unitary, spec, factorization)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mqsp.errors import ReadoffError, VerificationError
+from mqsp.errors import ReadoffError
 from mqsp.laurent import LaurentPoly2, aligned, check_box, kept
 from mqsp.protocol import (
     ProtocolSpec,
@@ -134,7 +134,8 @@ def check_leading_slices(u):
     if u.Q.is_zero() and not any(u.P.degrees()):
         return SliceReport(True, True, 0.0, 0.0, 0.0, 0.0, None, None)
     p, q, _ = aligned(u.P, u.Q)
-    along_a, along_b = (_top_test(p, q, axis, READOFF_TOL) for axis in (0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        along_a, along_b = (_top_test(p, q, axis, READOFF_TOL) for axis in (0, 1))
     return SliceReport(*(x for pair in zip(along_a, along_b) for x in pair))
 
 
@@ -161,10 +162,11 @@ def peel_once(u, direction):
     p, q, lo = aligned(u.P, u.Q)
     if lo[axis] + p.shape[axis] - 1 < 1:
         raise ReadoffError("cannot peel: no positive degree in direction %r" % direction)
-    ok, phase, _, _ = _top_test(p, q, axis, READOFF_TOL)
-    if not ok:
-        raise ReadoffError("cannot peel: leading slices not proportional")
-    phi, box, lo = _peel(p, q, lo, axis, phase)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok, phase, _, _ = _top_test(p, q, axis, READOFF_TOL)
+        if not ok:
+            raise ReadoffError("cannot peel: leading slices not proportional")
+        phi, box, lo = _peel(p, q, lo, axis, phase)
     return phi, Su2LaurentUnitary(*(LaurentPoly2.from_array(layer, *lo) for layer in box))
 
 
@@ -310,7 +312,7 @@ def readoff(P, Q):
     )
     residual = build_unitary(spec).distance(original)
     if residual > tol:
-        raise VerificationError("rebuild mismatch")
+        raise ReadoffError("rebuild mismatch")
     return ReadoffResult(spec=spec, residual=residual)
 
 
@@ -368,11 +370,10 @@ def _scan_trials(n_max, trials, seed, tol):
     Trial t's n is the t-th integers(0, n_max + 1) of the first of three
     streams spawned from SeedSequence(seed), its bits the next n
     integers(0, 2) of the second, and its phases the next n + 1
-    uniform(-pi, pi) of the third, computed from that stream's raw words w
-    as numpy's uniform does, -pi + 2 pi ((w >> 11) 2^-53), bit for bit.
-    Trials are drawn max(1, SCAN_STACK_CELLS // (n_max + 1)) at a time,
-    one call per stream per chunk; numpy's draws run on across calls, so
-    the trials do not depend on the chunk size.
+    uniform(-pi, pi) draws of the third. Trials are drawn
+    max(1, SCAN_STACK_CELLS // (n_max + 1)) at a time, one call per
+    stream per chunk; numpy's draws run on across calls, so the trials do
+    not depend on the chunk size.
 
     A chunk of more than one trial holds at most SCAN_STACK_CELLS phases,
     so a length whose smallest box, 1 x (2n + 1), exceeds MAX_CELLS is
@@ -393,11 +394,8 @@ def _scan_trials(n_max, trials, seed, tol):
             check_box(1, 2 * n + 1)
         total = sum(lengths)
         bits = bits_rng.integers(0, 2, size=total).tolist()
-        # uniform's own array path would map in more of numpy on first use
-        phases = (phases_rng.bit_generator.random_raw(total + len(lengths)) >> 11) * 2.0**-53
-        phases *= 2.0 * math.pi
-        phases += -math.pi
-        phases, at = phases.tolist(), 0
+        phases = phases_rng.uniform(-math.pi, math.pi, size=total + len(lengths)).tolist()
+        at = 0
         for t, n in enumerate(lengths):
             s = bits[at : at + n]
             m = sum(s)

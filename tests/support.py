@@ -37,7 +37,6 @@ from itertools import combinations, islice
 import numpy as np
 
 from mqsp import factor2d, laurent
-from mqsp.errors import VerificationError
 from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import ProtocolSpec, Su2LaurentUnitary
 
@@ -156,7 +155,7 @@ def x_picture_cross_check(u):
     """Extract x-picture components by parity projection and verify the
     pointwise determinant relation.
 
-    Raises VerificationError("decomposition residual exceeded") when the
+    Raises AssertionError("decomposition residual exceeded") when the
     mixed-parity components (odd/even and even/odd parts of P, even/even
     and odd/odd parts of Q) do not vanish to XPICTURE_TOL (relative).
     """
@@ -190,7 +189,7 @@ def x_picture_cross_check(u):
         float(np.max(np.abs(q_oo))),
     )
     if decomp > XPICTURE_TOL * scale:
-        raise VerificationError("decomposition residual exceeded")
+        raise AssertionError("decomposition residual exceeded")
 
     sa = np.sin(thetas)[:, None]
     sb = np.sin(thetas)[None, :]

@@ -363,11 +363,12 @@ def test_complete_2d_rank_failure_exit_one(tmp_path, capsys):
     assert "rank condition not satisfied" in err
 
 
-@pytest.mark.parametrize("p_tilde, n", [({1: 0.5, -1: 0.5}, 1), ({0: 1.0}, 0)])
+@pytest.mark.parametrize("p_tilde, n", [({1: 0.5, -1: 0.5}, 1), ({0: 1.0}, 0), ({0: 1.0}, 2)])
 def test_complete_newton_route_answers_alike_in_one_and_two_variables(tmp_path, capsys, p_tilde, n):
     # Ptilde = cos t leaves f = sin^2 t, zeros on the circle, and Ptilde = 1
     # leaves f = 0: the Gamma route refuses both, and since f lies on axis a
-    # --vars 2 falls back to the Newton factor as --vars 1 does
+    # --vars 2 falls back to the Newton factor as --vars 1 does. Both f
+    # touch zero, so the root class is "outer"
     records = [{"j": j, "k": 0, "re": c, "im": 0.0} for j, c in p_tilde.items()]
     path = write_json(tmp_path / "t.json", {"p": records})
     answers = []
@@ -379,7 +380,7 @@ def test_complete_newton_route_answers_alike_in_one_and_two_variables(tmp_path, 
     for key in ("p", "residual", "unitary", "protocol"):
         assert one[key] == two[key], key
     assert (two["singularValues"], two["satisfied"], two["convergenceResidual"]) == (None, True, None)
-    assert "rootClass" in one and "rootClass" not in two
+    assert one["rootClass"] == "outer" and "rootClass" not in two
 
 
 def _swapped(records):

@@ -86,6 +86,8 @@ def test_factor_rejects_negative():
 def test_factor_zero_polynomial():
     fac = fejer_riesz(LaurentPoly1.zero())
     assert fac.p.is_zero() and fac.residual == 0.0
+    # every sample of f = 0 is at most the sign check's floor
+    assert fac.root_class == "outer"
 
 
 @pytest.mark.parametrize("c, root_class", [(1.0, "stable"), (2.0, "stable"), (0.3, "stable"), (1e-300, "outer")])

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mqsp import laurent, serialize
-from mqsp.errors import VerificationError
 from mqsp.laurent import LaurentPoly2
 from mqsp.protocol import (
     ProtocolSpec,
@@ -400,5 +399,5 @@ def test_x_picture_rejects_non_protocol_input():
     bad = Su2LaurentUnitary(
         LaurentPoly2({(1, 0): 0.7, (0, 1): 0.7}), LaurentPoly2.zero()
     )
-    with pytest.raises(VerificationError, match="decomposition residual exceeded"):
+    with pytest.raises(AssertionError, match="decomposition residual exceeded"):
         x_picture_cross_check(bad)

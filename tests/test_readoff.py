@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mqsp import laurent, readoff as readoff_module
-from mqsp.errors import ReadoffError, VerificationError
+from mqsp.errors import ReadoffError
 from mqsp.factor1d import complete_unitary_1d
 from mqsp.laurent import LaurentPoly1, LaurentPoly2, aligned
 from mqsp.protocol import (
@@ -216,6 +216,32 @@ def test_peel_non_proportional_fails():
         peel_once(u, "a")
 
 
+def near_float_max():
+    """P = c (a^2 + 1 + a^-2), Q = c (a^2 - 1 - a^-2) at c = 1.5e308: finite
+    coefficients whose peel and slice differences overflow."""
+    c = 1.5e308
+    return Su2LaurentUnitary(
+        LaurentPoly2({(2, 0): c, (0, 0): c, (-2, 0): c}),
+        LaurentPoly2({(2, 0): c, (0, 0): -c, (-2, 0): -c}),
+    )
+
+
+def test_peel_refuses_an_overflowing_peel_without_warning():
+    # the top a-slices agree with phase 0, and the reduced P's coefficient
+    # at a^1 is c + c, which overflows: refused by name, with no
+    # RuntimeWarning (an error under pytest's filter)
+    with pytest.raises(ValueError, match="^non-finite coefficient$"):
+        peel_once(near_float_max(), "a")
+
+
+def test_slices_near_float_max_report_inf_without_warning():
+    # the one b-slice is all of P and of Q; their difference c - (-c)
+    # overflows, so direction b fails with mismatch inf
+    rep = check_leading_slices(near_float_max())
+    assert rep.holds_a and (rep.phase_a, rep.mismatch_a) == (0.0, 0.0)
+    assert not rep.holds_b and rep.mismatch_b == math.inf and rep.reason_b is None
+
+
 def test_slice_test_and_peel_follow_env_tolerance(monkeypatch):
     # scale the largest top-a coefficient of Q by 1 + 1e-6: the phase is
     # read from that coefficient, so the a-slice mismatch is ~1e-6
@@ -397,7 +423,7 @@ def reference_readoff(P, Q):
     )
     residual = build_unitary(spec).distance(original)
     if residual > tol:
-        raise VerificationError("rebuild mismatch")
+        raise ReadoffError("rebuild mismatch")
     return ReadoffResult(spec, residual)
 
 
@@ -406,7 +432,7 @@ def outcome(fn, *args):
     and message."""
     try:
         return repr(fn(*args))
-    except (ReadoffError, VerificationError, ValueError) as exc:
+    except (ReadoffError, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -442,7 +468,7 @@ def test_readoff_equals_loop_of_public_steps(monkeypatch, tolerance):
         expected = outcome(reference_readoff, P, Q)
         assert outcome(readoff, P, Q) == expected, name
         exits.add(expected[0] if isinstance(expected, tuple) else "ok")
-    # at 1e-300 only n = 0 reads off; VerificationError is in the edge paths
+    # at 1e-300 only n = 0 reads off; "rebuild mismatch" is in the edge paths
     assert exits == {"ok", "ReadoffError"}
 
 
@@ -467,7 +493,7 @@ def edge_cases():
         # holds but the rebuild misses the input
         "Q zero after the last peel": (
             (LaurentPoly2({(1, 0): 0.5, (-1, 0): 1.0}), LaurentPoly2({(1, 0): 0.5})),
-            ("VerificationError", "rebuild mismatch"),
+            ("ReadoffError", "rebuild mismatch"),
         ),
         # the same times b: Q = 0 while P = b has degree left
         "Q zero part-way": (
@@ -574,7 +600,7 @@ def test_pruned_stack_is_aligned_from_array_bit_for_bit(monkeypatch):
 def spec_or_message(P, Q):
     try:
         return readoff(P, Q).spec
-    except (ReadoffError, VerificationError) as exc:
+    except ReadoffError as exc:
         return str(exc)
 
 
@@ -723,9 +749,9 @@ def test_scan_equals_per_trial_loop(monkeypatch, n_max, tolerance):
 @pytest.mark.parametrize("seed", [1, 2, 424242])
 def test_scan_draws_each_stream_once_at_bench_size(monkeypatch, seed):
     # 100 trials of n <= 6 are one chunk: one integers call for the lengths,
-    # one for the bits, and one random_raw call for the phases. Generator's
-    # methods cannot be patched (an immutable type), so default_rng gives
-    # subclasses that record their calls
+    # one for the bits, and one uniform call for the phases, with no raw
+    # words drawn besides. Generator's methods cannot be patched (an
+    # immutable type), so default_rng gives subclasses that record their calls
     calls = []
 
     class Recording(np.random.Generator):
@@ -745,7 +771,7 @@ def test_scan_draws_each_stream_once_at_bench_size(monkeypatch, seed):
     expected = reference_scan(6, 100, seed)
     monkeypatch.setattr(np.random, "default_rng", lambda s: Recording(RecordingPCG64(s)))
     assert scan_leading_slices(6, 100, seed) == expected
-    assert [kind for kind, _, _ in calls] == ["integers", "integers", "random_raw"]
+    assert [kind for kind, _, _ in calls] == ["integers", "integers", "uniform"]
     assert len({stream for _, stream, _ in calls}) == 3
     sizes = [size for _, _, size in calls]
     assert sizes[0] == 100 and sizes[2] == sizes[1] + 100
@@ -768,7 +794,7 @@ def test_draws_split_across_calls_equal_one_call(seed):
         whole, parts = scan_streams(seed)[stream], scan_streams(seed)[stream]
         split = [x for size in splits for x in draw(parts, size)]
         assert draw(whole, sum(splits)) == split
-    # the scan's phases, read off raw words, are uniform's bit for bit
+    # uniform's phases are numpy's formula on raw words, bit for bit
     uniform, raw = scan_streams(seed)[2], scan_streams(seed)[2]
     size = sum(splits)
     phases = (raw.bit_generator.random_raw(size) >> 11) * 2.0**-53 * (2.0 * math.pi) - math.pi

@@ -80,6 +80,25 @@ def kept(boxes):
     return mag > PRUNE_REL * top, top
 
 
+def _prune(boxes):
+    """Prune the caller's fresh coefficient box, or stack of them along a
+    first axis, in place: each box that drops a nonzero (kept) gets +0 in
+    every dropped cell. Returns (keep, top, full): kept's pair, and whether
+    every box keeps a cell on each edge row and column, so needs no trim.
+    Raises ValueError for a non-finite coefficient."""
+    keep, top = kept(boxes)
+    layers = zip(boxes, keep, top.ravel().tolist()) if boxes.ndim > 2 else [(boxes, keep, float(top))]
+    row_step, col_step = (max(size - 1, 1) for size in boxes.shape[-2:])
+    edges = []
+    for box, box_keep, box_top in layers:
+        if not box_top < math.inf:
+            raise ValueError("non-finite coefficient")
+        if np.count_nonzero(box) != np.count_nonzero(box_keep):
+            np.putmask(box, ~box_keep, 0.0)
+        edges += box_keep[::row_step].tolist() + box_keep[:, ::col_step].T.tolist()
+    return keep, top, all(map(any, edges))
+
+
 _EMPTY = np.zeros((0, 0), dtype=complex)
 
 
@@ -119,21 +138,19 @@ class LaurentPoly2:
         return self
 
     def _prune_into(self, box, lo_a, lo_b):
-        """Store `box` (first cell at exponent (lo_a, lo_b)) pruned and trimmed."""
+        """Store the fresh `box` (first cell at (lo_a, lo_b)) pruned in place and trimmed."""
         if box.size == 0:
             return self._set(_EMPTY, 0, 0, 0.0)
-        keep, top = kept(box)
+        keep, top, full = _prune(box)
         top = float(top)
-        if not top < math.inf:
-            raise ValueError("non-finite coefficient")
         if top == 0.0:
             return self._set(_EMPTY, 0, 0, 0.0)
-        rows, cols = np.nonzero(keep)
-        if rows.size != np.count_nonzero(box):
-            box = np.where(keep, box, 0.0)
-        r0, r1 = int(rows[0]), int(rows[-1]) + 1
-        c0, c1 = int(np.minimum.reduce(cols)), int(np.maximum.reduce(cols)) + 1
-        return self._set(box[r0:r1, c0:c1], lo_a + r0, lo_b + c0, top)
+        if not full:
+            rows, cols = np.nonzero(keep)
+            r0, r1 = int(rows[0]), int(rows[-1]) + 1
+            c0, c1 = int(np.minimum.reduce(cols)), int(np.maximum.reduce(cols)) + 1
+            box, lo_a, lo_b = box[r0:r1, c0:c1], lo_a + r0, lo_b + c0
+        return self._set(box, lo_a, lo_b, top)
 
     @classmethod
     def _from_box(cls, box, lo_a, lo_b):

@@ -17,8 +17,8 @@ above tol (ROADMAP item 1 has the same precision loss).
 one stacked box: per step a slice test (_top_test, the module's one pair
 test) of the top slice pair along a, and along b only when a does not
 peel (each direction only at positive degree), the peel and its prune
-(_pruned: one laurent.kept call when the reduced boxes need no trim, else
-LaurentPoly2 and aligned() themselves). `peel_once` is the single public
+(_pruned: LaurentPoly2's prune rule on the whole stack, then LaurentPoly2
+and aligned() only for a trim). `peel_once` is the single public
 step: the same private step on aligned LaurentPoly2 input, equal to one
 step of `readoff`. The scan draws its trials a chunk at a time from three
 streams spawned from its seed (lengths, bits, phases) and tests many
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mqsp.errors import ReadoffError
-from mqsp.laurent import LaurentPoly2, aligned, check_box, kept
+from mqsp.laurent import LaurentPoly2, _prune, aligned, check_box, kept
 from mqsp.protocol import (
     ProtocolSpec,
     Su2LaurentUnitary,
@@ -212,32 +212,12 @@ def _peel(p, q, lo, axis, phase):
 def _pruned(box, lo):
     """(box, lo) for a (2, rows, cols) stack of P and Q whose first cell is
     at exponent lo: the pair aligned() gives for LaurentPoly2 of each
-    layer, stacked, signed zeros included. Raises ValueError for a
-    non-finite coefficient, as LaurentPoly2 does.
-
-    The fast path: one prune (laurent.kept) of the whole stack, each layer
-    that drops a nonzero coefficient set to +0 in its dropped cells, and,
-    when both layers keep a cell on every edge row and column, the stack
-    returned as it is, since nothing is trimmed and aligned() pads nothing.
-    Every other stack takes LaurentPoly2 and aligned() themselves.
-    """
-    keep, top = kept(box)
-    top_p, top_q = top.ravel().tolist()
-    if not (top_p < math.inf and top_q < math.inf):
-        raise ValueError("non-finite coefficient")
-    if np.count_nonzero(box) != np.count_nonzero(keep):
-        dust = [np.count_nonzero(box[k]) != np.count_nonzero(keep[k]) for k in (0, 1)]
-        if dust[0] and dust[1]:
-            box = np.where(keep, box, 0.0)
-        else:
-            k = dust.index(True)
-            box[k] = np.where(keep[k], box[k], 0.0)
-    # the edge rows and columns: when each layer keeps a cell on every one,
-    # each layer's own box is the whole box, and nothing is trimmed
-    height, width = box.shape[1:]
-    edges = keep[:, :: max(height - 1, 1)].tolist()
-    edges += keep[:, :, :: max(width - 1, 1)].transpose(0, 2, 1).tolist()
-    if all(any(edge) for layer in edges for edge in layer):
+    layer, stacked, signed zeros included. The stack is pruned in place by
+    LaurentPoly2's own rule (laurent._prune, which raises ValueError for a
+    non-finite coefficient); one that needs no trim is returned as it is,
+    since aligned() pads nothing, and every other takes LaurentPoly2 and
+    aligned() themselves."""
+    if _prune(box)[2]:
         return box, tuple(lo)
     p, q, lo = aligned(*(LaurentPoly2._from_box(layer, *lo) for layer in box))
     return np.stack((p, q)), lo
@@ -267,10 +247,10 @@ def readoff(P, Q):
     P and Q are aligned once; every step then works on their coefficient
     boxes as one stack: a slice test of the top slice pair along a, then
     along b only if a does not peel (each at positive degree only), the
-    peel and its prune (_pruned). Each step equals peel_once on the pair
-    as LaurentPoly2 objects, and the base case reads the last boxes too,
-    so LaurentPoly2 objects are made only for the steps whose reduced
-    boxes need a trim.
+    peel and its prune (_pruned, by the rule every LaurentPoly2 is pruned
+    by). Each step equals peel_once on the pair as LaurentPoly2 objects,
+    and the base case reads the last boxes too, so LaurentPoly2 objects
+    are made only for the steps whose reduced boxes need a trim.
     """
     tol = READOFF_TOL
     # |P|^2 + |Q|^2 = 1 on the torus caps every coefficient at 1

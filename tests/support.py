@@ -25,6 +25,10 @@
   digests of `gamma_factor`'s outputs, the reference its tests pin.
 - `TORUS_ZERO`: a two-variable protocol whose completion target's f
   touches zero on the torus.
+- `reference_pruned` and `reference_stack`: the prune rule on one box,
+  written out with np.where and np.nonzero, and pruned boxes stacked as
+  aligned() pads them: the reference for LaurentPoly2's prune and for
+  read-off's prune of a stack.
 """
 
 from __future__ import annotations
@@ -386,3 +390,39 @@ def scan_refused_box(n_max, trials, seed):
         if rows * cols > laurent.MAX_CELLS:
             return rows, cols
     return None
+
+
+# -- the prune rule, one box at a time ----------------------------------------------
+
+
+def reference_pruned(box, lo):
+    """(box, lo) of LaurentPoly2.from_array(box, *lo) for a nonempty finite
+    box, by the one-box rule written out on its own: the cells laurent.kept
+    keeps, np.where to +0 in every other cell when a nonzero is dropped,
+    and the smallest box holding the kept cells, found with np.nonzero;
+    an all-zero box gives the empty box at (0, 0)."""
+    keep, _ = laurent.kept(box)
+    rows, cols = np.nonzero(keep)
+    if not rows.size:
+        return np.zeros((0, 0), dtype=complex), (0, 0)
+    if rows.size != np.count_nonzero(box):
+        box = np.where(keep, box, 0.0)
+    r0, c0 = int(rows.min()), int(cols.min())
+    return box[r0 : int(rows.max()) + 1, c0 : int(cols.max()) + 1], (lo[0] + r0, lo[1] + c0)
+
+
+def reference_stack(pruned):
+    """A list of (box, lo) pairs as one stack on the smallest exponent box
+    holding them all, padded with +0 as aligned() pads, and its lo; empty
+    boxes at (0, 0) when every box is empty."""
+    held = [(box, lo) for box, lo in pruned if box.size]
+    if not held:
+        return np.zeros((len(pruned), 0, 0), dtype=complex), (0, 0)
+    lo_a, lo_b = min(lo[0] for _, lo in held), min(lo[1] for _, lo in held)
+    hi_a = max(lo[0] + box.shape[0] for box, lo in held)
+    hi_b = max(lo[1] + box.shape[1] for box, lo in held)
+    stack = np.zeros((len(pruned), hi_a - lo_a, hi_b - lo_b), dtype=complex)
+    for layer, (box, (a, b)) in zip(stack, pruned):
+        if box.size:
+            layer[a - lo_a : a - lo_a + box.shape[0], b - lo_b : b - lo_b + box.shape[1]] = box
+    return stack, (lo_a, lo_b)

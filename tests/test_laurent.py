@@ -396,6 +396,22 @@ def test_prune_boundary_relative_to_largest():
     assert [e for e, _ in LaurentPoly2.from_array(box, -1, 3).items()] == [(-1, 3), (0, 3)]
 
 
+def test_box_with_every_edge_kept_is_not_searched_for_a_trim(monkeypatch):
+    # a box that keeps a cell on each edge row and column is its own trim,
+    # so the prune finds no index arrays for it; one edge of dust alone
+    # is trimmed away by them
+    searched = []
+    nonzero = np.nonzero
+    monkeypatch.setattr(np, "nonzero", lambda a: searched.append(a.shape) or nonzero(a))
+    box = np.array([[1.0, 0.5 * PRUNE_REL, 0.0], [0.0, 0.0, 1j], [-0.0, 3.0, 0.0]])
+    p = LaurentPoly2.from_array(box, -1, 0)
+    assert not searched
+    q = LaurentPoly2.from_array(box[:, 1:], -1, 0)
+    assert searched == [(3, 2)]
+    assert p == LaurentPoly2({(-1, 0): 1.0, (0, 2): 1j, (1, 1): 3.0})
+    assert q == LaurentPoly2({(0, 1): 1j, (1, 0): 3.0})
+
+
 def test_overflowing_product_raises():
     big = LaurentPoly2({(0, 0): 1e200, (1, 0): 1e200})
     with np.errstate(over="ignore", invalid="ignore"):

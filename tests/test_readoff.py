@@ -30,7 +30,14 @@ from mqsp.readoff import (
     readoff,
     scan_leading_slices,
 )
-from support import coeff_at, scan_refused_box, scan_specs, scan_streams
+from support import (
+    coeff_at,
+    reference_pruned,
+    reference_stack,
+    scan_refused_box,
+    scan_specs,
+    scan_streams,
+)
 
 
 def test_tolerance_env_override(monkeypatch):
@@ -553,10 +560,25 @@ def test_peel_trims_the_axis_not_peeled():
     assert reduced.Q.is_zero() and reduced.P == LaurentPoly2({(0, 1): 1.0})
 
 
+def assert_pruned_as_reference(box, lo):
+    """LaurentPoly2.from_array of each layer of the (2, rows, cols) stack
+    `box`, and _pruned of the stack, equal the one-box reference (stacked
+    as aligned() pads) byte for byte."""
+    want = [reference_pruned(layer, lo) for layer in box]
+    for layer, (want_box, want_lo) in zip(box, want):
+        x, _, x_lo = aligned(*[LaurentPoly2.from_array(layer, *lo)] * 2)
+        assert x_lo == want_lo and x.shape == want_box.shape
+        assert x.tobytes() == want_box.tobytes()
+    want_stack, want_lo = reference_stack(want)
+    got, got_lo = readoff_module._pruned(box.copy(), lo)
+    assert got_lo == want_lo and got.shape == want_stack.shape
+    assert got.tobytes() == want_stack.tobytes()
+
+
 def test_pruned_stack_is_aligned_from_array_bit_for_bit(monkeypatch):
-    # signed zeros, dust below PRUNE_REL and zero layers: each stack must
-    # come out as aligned() of the two LaurentPoly2.from_array layers,
-    # byte for byte
+    # signed zeros, dust below PRUNE_REL, one-row and one-column boxes,
+    # zero layers and empty edges: single boxes and stacks must come out
+    # as the one-box reference has them, byte for byte
     rng = np.random.default_rng(8)
     values = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -0.5, 3e-15, -2e-16])
     for _ in range(400):
@@ -565,11 +587,7 @@ def test_pruned_stack_is_aligned_from_array_bit_for_bit(monkeypatch):
         box.real = values[rng.integers(0, len(values), shape)]
         box.imag = values[rng.integers(0, len(values), shape)]
         lo = (int(rng.integers(-3, 3)), int(rng.integers(-3, 3)))
-        polys = [LaurentPoly2.from_array(layer, *lo) for layer in box]
-        x, y, want_lo = aligned(*polys)
-        got, got_lo = readoff_module._pruned(box.copy(), lo)
-        assert got_lo == want_lo and got.shape == (2,) + x.shape
-        assert got[0].tobytes() == x.tobytes() and got[1].tobytes() == y.tobytes()
+        assert_pruned_as_reference(box, lo)
     # stacks whose layers keep a cell on every edge row and column take the
     # fast path, which makes no LaurentPoly2: their -0.0, +0.0 and dust,
     # in one layer or both, must still come out as the reference has them
@@ -590,11 +608,8 @@ def test_pruned_stack_is_aligned_from_array_bit_for_bit(monkeypatch):
             for l in (0, cols - 1):
                 layer[rng.integers(0, rows), l] = rng.choice([1.0, -0.5j])
         lo = (int(rng.integers(-3, 3)), int(rng.integers(-3, 3)))
-        x, y, want_lo = aligned(*(LaurentPoly2.from_array(layer, *lo) for layer in box))
-        got, got_lo = readoff_module._pruned(box.copy(), lo)
+        assert_pruned_as_reference(box, lo)
         assert not calls
-        assert got_lo == want_lo and got.shape == (2,) + x.shape
-        assert got[0].tobytes() == x.tobytes() and got[1].tobytes() == y.tobytes()
 
 
 def spec_or_message(P, Q):

@@ -10,8 +10,13 @@ single measurement decides deterministically.
 """
 
 import argparse
+import os
+import sys
 
-from mqsp.families import case_one_instances, case_two_samples, discriminate
+# mqsp from this checkout's source tree, as scripts/sweep.py imports it by default
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from mqsp.families import case_one_instances, case_two_samples, discriminate  # noqa: E402
 
 
 def main():

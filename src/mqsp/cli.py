@@ -152,13 +152,16 @@ def _cmd_readoff(args):
 
 
 def _parse_degrees(text, nvars):
-    """(n, m) from --deg; one variable is weight m = n."""
+    """(n, m) from --deg; one variable is weight m = n, so a negative n is
+    refused here, by name, not as a weight the user never gave."""
     parts = text.split(",")
     try:
         values = [int(part) for part in parts]
     except ValueError:
         raise ValueError("--deg expects integers, got %r" % text)
     if nvars == 1 and len(values) == 1:
+        if values[0] < 0:
+            raise ValueError("--deg n must be at least 0, got %d" % values[0])
         return values[0], values[0]
     if nvars == 2 and len(values) == 2:
         return values[0], values[1]

@@ -156,7 +156,7 @@ def build_unitary(spec):
     n, m = spec.n, spec.weight
     check_box(2 * m + 1, 2 * (n - m) + 1)
     box = np.zeros((2, 2 * m + 1, 2 * (n - m) + 1), dtype=complex)
-    box[:, ::2, ::2] = build_stack([spec.s], [spec.phases])[0][:, 0]
+    box[:, ::2, ::2] = build_stack((n,), spec.s, spec.phases)[0][:, 0]
     # the box is fresh, so LaurentPoly2 keeps it pruned without from_array's copy
     lo_a, lo_b = -m, -(n - m)
     return Su2LaurentUnitary(
@@ -164,18 +164,20 @@ def build_unitary(spec):
     )
 
 
-def build_stack(bits, phases):
+def build_stack(lengths, bits, phases):
     """Coefficient boxes of P and Q for a stack of T protocols, on their
     parity lattices, as one array (p, q), and the order of its trials.
 
-    Row t of `bits` is trial t's bit string, of length n_t, and row t of
-    `phases` its phi_0..phi_{n_t}, taken to (-pi, pi] by principal_phase.
-    Trials are stacked longest first, trial order[i] as the i-th (rows of
-    equal length in order). Every a-exponent j of P and Q has the parity of
-    the weight m_t and every b-exponent k that of the co-weight
-    r_t = n_t - m_t, so p and q have shape (T, M + 1, R + 1) for M and R the
-    largest weight and co-weight in the stack, and trial t's a^j b^k sits
-    at [i, (j + m_t)/2, (k + r_t)/2]; cells past [i, m_t, r_t] hold zeros.
+    The stack comes as drawn: `lengths` holds each trial's n_t in draw
+    order, `bits` the trials' bit strings one after another in that order,
+    and `phases` their phi_0..phi_{n_t} likewise, each taken to (-pi, pi]
+    by principal_phase. Trials are stacked longest first, trial order[i]
+    as the i-th (trials of equal length in draw order). Every a-exponent j
+    of P and Q has the parity of the weight m_t and every b-exponent k
+    that of the co-weight r_t = n_t - m_t, so p and q have shape
+    (T, M + 1, R + 1) for M and R the largest weight and co-weight in the
+    stack, and trial t's a^j b^k sits at [i, (j + m_t)/2, (k + r_t)/2];
+    cells past [i, m_t, r_t] hold zeros.
 
     With z the oracle's variable, its iterate is [[x, y], [y, x]] for
     x = (z + 1/z)/2 and y = (z - 1/z)/2, so a step sets P' = (S z + D/z)/2
@@ -184,35 +186,42 @@ def build_stack(bits, phases):
     box) that is P'[i] = S[i - 1] + D[i] and Q'[i] = S[i - 1] - D[i], the
     same two operands in the same order as on the whole box, then one
     multiply per Z-phase. A stack of one steps its 2-D boxes in place; a
-    larger one steps its prefix of trials still stepping, S[i - 1] taken
-    along each trial's own variable by one take through a shift index.
-    Phase factors are cmath.rect of each phase, one scalar at a time
-    (numpy's vectorized cos and sin need not round as libm's do), as for a
-    single protocol, so each box is its trial's own build's, signed zeros
-    included.
+    larger one puts its bits and phase factors into padded rows with one
+    masked scatter each, in draw order, orders the rows longest first with
+    one index, and steps its prefix of trials still stepping, S[i - 1]
+    taken along each trial's own variable by one take through a shift
+    index. Phase factors are cmath.rect of each phase, one scalar at a
+    time (numpy's vectorized cos and sin need not round as libm's do), as
+    for a single protocol, so each box is its trial's own build's, signed
+    zeros included.
     """
-    count = len(bits)
+    count = len(lengths)
     if count == 1:
-        (s,), (row,) = bits, phases
-        boxes = np.zeros((2, 1, s.count(1) + 1, s.count(0) + 1), dtype=complex)
+        m = sum(bits)
+        boxes = np.zeros((2, 1, m + 1, len(bits) - m + 1), dtype=complex)
         p, q = boxes[0, 0], boxes[1, 0]
-        p[0, 0] = cmath.rect(1.0, principal_phase(row[0]))
-        for bit, x in zip(s, row[1:]):
+        p[0, 0] = cmath.rect(1.0, principal_phase(phases[0]))
+        for bit, x in zip(bits, phases[1:]):
             _step(p, q, bit, 0.5 * cmath.rect(1.0, principal_phase(x)))
         return boxes, [0]
-    lengths = [len(s) for s in bits]
-    # a stable sort; numpy's argsort would map in ~0.3 MB of sort code
-    order = sorted(range(count), key=lengths.__getitem__, reverse=True)
-    lengths = np.array([lengths[t] for t in order])
-    steps = int(lengths[0])
-    # from the unpadded rows: trial i's bits at [i, k < n_t], factors at [i, k <= n_t]
-    stepping = np.arange(steps) < lengths[:, None]
+    lengths = np.asarray(lengths)
+    steps = int(lengths.max())
+    # padded rows in draw order: trial t's bits at [t, k < n_t], factors at [t, k <= n_t]
     grid = np.zeros((count, steps), dtype=np.intp)
-    grid[stepping] = [bit for t in order for bit in bits[t]]
+    grid[np.arange(steps) < lengths[:, None]] = bits
+    # principal_phase only where one test finds a phase outside (-pi, pi]:
+    # it returns the others as they are; NaN stays NaN, and +-inf raises
+    x = np.asarray(phases, dtype=float)
+    values = x.tolist()
+    for i in np.flatnonzero((x <= -math.pi) | (x > math.pi)).tolist():
+        values[i] = principal_phase(values[i])
     factors = np.zeros((count, steps + 1), dtype=complex)
-    factors[np.arange(steps + 1) <= lengths[:, None]] = [
-        cmath.rect(1.0, principal_phase(x)) for t in order for x in phases[t]
-    ]
+    factors[np.arange(steps + 1) <= lengths[:, None]] = [cmath.rect(1.0, v) for v in values]
+    # a stable sort; numpy's argsort would map in ~0.3 MB of sort code
+    order = sorted(range(count), key=lengths.tolist().__getitem__, reverse=True)
+    ranked = np.array(order)
+    lengths, grid, factors = lengths[ranked], grid[ranked], factors[ranked]
+    stepping = np.arange(steps) < lengths[:, None]
     weight = grid.sum(axis=1)
     rows, cols = int(weight.max()) + 1, int((lengths - weight).max()) + 1
     cells = rows * cols

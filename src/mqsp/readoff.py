@@ -21,9 +21,9 @@ peel (each direction only at positive degree), the peel and its prune
 and aligned() only for a trim). `peel_once` is the single public
 step: the same private step on aligned LaurentPoly2 input, equal to one
 step of `readoff`. The scan draws its trials a chunk at a time from three
-streams spawned from its seed (lengths, bits, phases) and tests many
-trials at once with _stack_test, whose verdicts equal _top_test's pair by
-pair.
+streams spawned from its seed (lengths, bits, phases), keeps them as
+those flat arrays up to build_stack, and tests many trials at once with
+_stack_test, whose verdicts equal _top_test's pair by pair.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mqsp import laurent
 from mqsp.errors import ReadoffError
 from mqsp.laurent import LaurentPoly2, _prune, aligned, check_box, kept
 from mqsp.protocol import (
@@ -321,18 +322,27 @@ def scan_leading_slices(n_max, trials, seed):
     The summary equals that of check_leading_slices(build_unitary(spec))
     over the trials of _scan_trials, drawn from three streams spawned from
     SeedSequence(seed), one by one in draw order. _scan_trials gives each
-    stack of trials its per-trial verdicts; passes and the worst mismatch
-    are taken per stack, and a ProtocolSpec is made only for each
-    counterexample, in draw order.
+    stack of trials, as its flat draws, its per-trial verdicts; passes and
+    the worst mismatch are taken per stack, and a ProtocolSpec is made only
+    for each counterexample, sliced from the draws, in draw order.
     """
     passes = 0
     worst = 0.0
     bad = []
-    for stack, (holds, mismatch) in _scan_trials(int(n_max), int(trials), int(seed), READOFF_TOL):
+    for (lengths, bits, phases), (holds, mismatch) in _scan_trials(
+        int(n_max), int(trials), int(seed), READOFF_TOL
+    ):
         passes += int(np.count_nonzero(holds))
         # exact, as the per-trial max(worst, mismatch): neither rounds
         worst = max(worst, float(mismatch[holds].max(initial=0.0)))
-        bad += [ProtocolSpec(*stack[t]) for t in np.flatnonzero(~holds).tolist()]
+        failed = np.flatnonzero(~holds).tolist()
+        if failed:
+            # trial t's bits start at firsts[t], its phases at firsts[t] + t
+            firsts = (np.cumsum(lengths) - lengths).tolist()
+            for t in failed:
+                first, n = firsts[t], int(lengths[t])
+                s, row = bits[first : first + n], phases[first + t : first + t + n + 1]
+                bad.append(ProtocolSpec(s.tolist(), row.tolist()))
     return ScanSummary(
         trials=int(trials),
         passes=passes,
@@ -344,8 +354,9 @@ def scan_leading_slices(n_max, trials, seed):
 
 
 def _scan_trials(n_max, trials, seed, tol):
-    """Yield stacks of consecutive trials in draw order, each as its list
-    of draws (s, phases) with _scan_stack's verdicts for it.
+    """Yield stacks of consecutive trials in draw order, each as its draws
+    (lengths, bits, phases), build_stack's input, with _scan_stack's
+    verdicts for it.
 
     Trial t's n is the t-th integers(0, n_max + 1) of the first of three
     streams spawned from SeedSequence(seed), its bits the next n
@@ -353,49 +364,73 @@ def _scan_trials(n_max, trials, seed, tol):
     uniform(-pi, pi) draws of the third. Trials are drawn
     max(1, SCAN_STACK_CELLS // (n_max + 1)) at a time, one call per
     stream per chunk; numpy's draws run on across calls, so the trials do
-    not depend on the chunk size.
+    not depend on the chunk size. A chunk is handled on the arrays it
+    draws, with no loop over its trials.
 
     A chunk of more than one trial holds at most SCAN_STACK_CELLS phases,
     so a length whose smallest box, 1 x (2n + 1), exceeds MAX_CELLS is
     refused before anything is drawn for it. Each trial's own exponent
-    box is then checked in draw order, and consecutive trials are tested
-    as one stack while build_stack's lattice box for it holds at most
-    SCAN_STACK_CELLS cells per box (a trial above that alone is a stack of
-    one), so memory does not grow with the number of trials.
+    box is then checked, and the first in draw order that exceeds
+    MAX_CELLS refused; both tests divide rather than multiply, so no
+    int64 product overflows. Consecutive trials are tested as one stack
+    while build_stack's lattice box for it holds at most SCAN_STACK_CELLS
+    cells per box (a trial above that alone is a stack of one), so memory
+    does not grow with the number of trials; the last stack of a chunk
+    stays open for the trials of the next.
     """
     lengths_rng, bits_rng, phases_rng = map(
         np.random.default_rng, np.random.SeedSequence(seed).spawn(3)
     )
     chunk = max(1, SCAN_STACK_CELLS // (n_max + 1))
-    stack, rows, cols = [], 0, 0
+    held = ()  # the open stack's draws: lengths, weights, bits, phases
     for start in range(0, trials, chunk):
-        lengths = lengths_rng.integers(0, n_max + 1, size=min(chunk, trials - start)).tolist()
-        for n in lengths:
-            check_box(1, 2 * n + 1)
-        total = sum(lengths)
-        bits = bits_rng.integers(0, 2, size=total).tolist()
-        phases = phases_rng.uniform(-math.pi, math.pi, size=total + len(lengths)).tolist()
-        at = 0
-        for t, n in enumerate(lengths):
-            s = bits[at : at + n]
-            m = sum(s)
-            check_box(2 * m + 1, 2 * (n - m) + 1)
-            rows, cols = max(rows, m + 1), max(cols, n - m + 1)
-            if stack and (len(stack) + 1) * rows * cols > SCAN_STACK_CELLS:
-                yield stack, _scan_stack(stack, tol)
-                stack, rows, cols = [], m + 1, n - m + 1
-            stack.append((s, phases[at + t : at + t + n + 1]))
-            at += n
-    if stack:
-        yield stack, _scan_stack(stack, tol)
+        lengths = lengths_rng.integers(0, n_max + 1, size=min(chunk, trials - start))
+        (over,) = np.nonzero(lengths > (laurent.MAX_CELLS - 1) // 2)
+        if over.size:
+            check_box(1, 2 * int(lengths[over[0]]) + 1)
+        ends = np.cumsum(lengths)
+        bits = bits_rng.integers(0, 2, size=int(ends[-1]))
+        phases = phases_rng.uniform(-math.pi, math.pi, size=bits.size + lengths.size)
+        # every trial's weight from one running count of the chunk's bits
+        ones = np.zeros(bits.size + 1, dtype=bits.dtype)
+        np.cumsum(bits, out=ones[1:])
+        weights = ones[ends] - ones[ends - lengths]
+        rows, cols = 2 * weights + 1, 2 * (lengths - weights) + 1
+        (over,) = np.nonzero(cols > laurent.MAX_CELLS // rows)
+        if over.size:
+            check_box(int(rows[over[0]]), int(cols[over[0]]))
+        draws = lengths, weights, bits, phases
+        if held:
+            draws = tuple(map(np.concatenate, zip(held, draws)))
+        lengths, weights, bits, phases = draws
+        # each trial's lattice box in build_stack
+        rows, cols = weights + 1, lengths - weights + 1
+        # trial t's bits start at firsts[t], its phases at firsts[t] + t
+        firsts = np.zeros(lengths.size + 1, dtype=lengths.dtype)
+        np.cumsum(lengths, out=firsts[1:])
+        t, count, more = 0, lengths.size, start + chunk < trials
+        while t < count:
+            # trial t, then each next trial while the stack's trials times its
+            # largest rows times its largest cols stay within SCAN_STACK_CELLS
+            # (compared by division, so no int64 product overflows)
+            r, c = np.maximum.accumulate(rows[t:]), np.maximum.accumulate(cols[t:])
+            over = c[1:] > SCAN_STACK_CELLS // (np.arange(2, r.size + 1) * r[1:])
+            end = t + 1 + int(over.argmax()) if over.any() else count
+            a, b = firsts[t], firsts[end]
+            if end == count and more:
+                held = lengths[t:], weights[t:], bits[a:], phases[a + t :]
+                break
+            stack = lengths[t:end], bits[a:b], phases[a + t : b + end]
+            yield stack, _scan_stack(stack, tol)
+            t = end
 
 
 def _scan_stack(stack, tol):
-    """The scan's verdict on check_leading_slices for each of a stack of
-    drawn (s, phases) trials: arrays (holds, mismatch), entry t for trial
-    t, with holds_a or holds_b and min(mismatch_a, mismatch_b) of its
-    report (True and 0.0 for Q = 0, the convention of
-    check_leading_slices).
+    """The scan's verdict on check_leading_slices for each trial of a stack
+    of draws (lengths, bits, phases), as build_stack takes them: arrays
+    (holds, mismatch), entry t for trial t, with holds_a or holds_b and
+    min(mismatch_a, mismatch_b) of its report (True and 0.0 for Q = 0, the
+    convention of check_leading_slices).
 
     Each trial's P and Q are pruned by LaurentPoly2's rule (laurent.kept)
     and tested on the joint top slices of their kept entries, straight off
@@ -404,7 +439,7 @@ def _scan_stack(stack, tol):
     gives _top_test's results, both directions in one call on slices
     zero-padded to one width (which leaves ok and mismatch as they are).
     """
-    boxes, order = build_stack(*zip(*stack))
+    boxes, order = build_stack(*stack)
     keep, top = kept(boxes)
     np.putmask(boxes, ~keep, 0.0)
     either = keep[0] | keep[1]

@@ -19,6 +19,9 @@
 - `scan_streams`, `scan_specs` and `scan_refused_box`: the scan's three
   seeded streams, its trials drawn from them one at a time, and the first
   of those trials whose exponent box exceeds MAX_CELLS.
+- `scan_stack_sizes`: the sizes of the scan's stacks by its greedy rule,
+  trial by trial; `flat_draws`: trials as the scan hands them to
+  build_stack, lengths, bits and phases, each one flat array.
 - `spy_on_samples`: records the grid of every sampling of f in the
   factor routes.
 - `GAMMA_SINGLE_ORACLE_DIGESTS` and `GAMMA_TWO_AXIS_DIGESTS`: per-target
@@ -390,6 +393,33 @@ def scan_refused_box(n_max, trials, seed):
         if rows * cols > laurent.MAX_CELLS:
             return rows, cols
     return None
+
+
+def scan_stack_sizes(n_max, trials, seed, budget):
+    """The trial counts of the scan's stacks in draw order, by its rule
+    taken trial by trial: a trial joins the stack while the stack's
+    trials times its largest m + 1 times its largest n - m + 1 stay at
+    most `budget`, and otherwise starts the next stack (so a trial above
+    the budget alone is a stack of one)."""
+    sizes, rows, cols = [], 0, 0
+    for spec in islice(scan_specs(n_max, seed), trials):
+        m, r = spec.weight, spec.n - spec.weight
+        rows, cols = max(rows, m + 1), max(cols, r + 1)
+        if not sizes or (sizes[-1] + 1) * rows * cols > budget:
+            sizes.append(0)
+            rows, cols = m + 1, r + 1
+        sizes[-1] += 1
+    return sizes
+
+
+def flat_draws(rows):
+    """(lengths, bits, phases) for trials given as (s, phases) rows, as the
+    scan draws them: int64 lengths in row order, and the bits and the
+    phases of every row one after another, as an int64 and a float array."""
+    lengths = np.array([len(s) for s, _ in rows], dtype=np.int64)
+    bits = np.array([b for s, _ in rows for b in s], dtype=np.int64)
+    phases = np.array([x for _, row in rows for x in row], dtype=float)
+    return lengths, bits, phases
 
 
 # -- the prune rule, one box at a time ----------------------------------------------

@@ -454,7 +454,10 @@ def test_complete_1d_targets_near_the_circle_exit_zero_with_protocol(tmp_path, c
 def test_complete_bad_inputs_exit_two(tmp_path, capsys):
     good = write_json(tmp_path / "t.json", {"p": []})
     assert run(capsys, ["complete", good, "--vars", "1", "--deg", "1,2"])[0] == 2
-    assert run(capsys, ["complete", good, "--vars", "1", "--deg", "-1"])[0] == 2
+    # a negative one-variable length is refused by name, not as a weight
+    for deg in ("-1", "-2"):
+        code, out, err = run(capsys, ["complete", good, "--vars", "1", "--deg", deg])
+        assert (code, out, err) == (2, "", "invalid input: --deg n must be at least 0, got %s\n" % deg)
     assert run(capsys, ["complete", good, "--vars", "2", "--deg", "2"])[0] == 2
     assert run(capsys, ["complete", good, "--vars", "2", "--deg", "x,y"])[0] == 2
     missing = write_json(tmp_path / "m.json", {"q": []})

@@ -215,13 +215,15 @@ def test_promise_violations_rejected():
         )
 
 
-def test_discrimination_demo_script_runs():
+def test_discrimination_demo_script_runs(tmp_path):
+    # as README runs it: no PYTHONPATH, so the script finds mqsp in its own
+    # checkout's source tree, from any working directory
     src = os.path.dirname(os.path.dirname(mqsp.__file__))
     script = os.path.join(os.path.dirname(src), "scripts", "discrimination_demo.py")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, script, "--samples", "3"],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.strip().splitlines()

@@ -20,7 +20,7 @@ from mqsp.protocol import (
     random_spec,
     verify_structure,
 )
-from support import X_A, Y_A, Y_B, compose, x_picture_cross_check
+from support import X_A, Y_A, Y_B, compose, flat_draws, x_picture_cross_check
 
 
 # -- spec validation -----------------------------------------------------------
@@ -213,10 +213,11 @@ def test_det_residual_refuses_an_overflow():
 
 @pytest.mark.parametrize("weight", [None, "all a", "all b", "none"])
 def test_build_stack_matches_single_builds(weight):
-    # unpadded rows in draw order: mixed lengths 0..8 and bits, with raw
-    # phases outside (-pi, pi] and phases that leave signed zeros, or five
-    # all-a, all-b or zero-length protocols. Stacked longest first, trial
-    # t = order[i] has its a^j b^k at [i, (j + m_t)/2, (k + r_t)/2]
+    # trials in draw order, flat as the scan draws them: mixed lengths 0..8
+    # and bits, with raw phases outside (-pi, pi] (3pi and -pi, which
+    # principal_phase takes to pi) and phases that leave signed zeros, or
+    # five all-a, all-b or zero-length protocols. Stacked longest first,
+    # trial t = order[i] has its a^j b^k at [i, (j + m_t)/2, (k + r_t)/2]
     rng = np.random.default_rng(17)
     if weight is None:
         lengths = [int(n) for n in rng.integers(0, 9, size=12)] + [0, 8]
@@ -232,17 +233,19 @@ def test_build_stack_matches_single_builds(weight):
             (spec.s, spec.phases)
             for spec in (random_spec(rng, n, n if weight == "all a" else 0) for _ in range(5))
         ]
-    (p, q), order = build_stack([list(s) for s, _ in rows], [list(ph) for _, ph in rows])
+    (p, q), order = build_stack(*flat_draws(rows))
     assert order == sorted(range(len(rows)), key=lambda t: -len(rows[t][0]))
     specs = [ProtocolSpec(*rows[t]) for t in order]
     top_a, top_b = max(sp.weight for sp in specs), max(sp.n - sp.weight for sp in specs)
     assert p.shape == q.shape == (len(specs), top_a + 1, top_b + 1)
     signed_zeros = 0
-    for spec, p_lattice, q_lattice in zip(specs, p, q):
+    for t, spec, p_lattice, q_lattice in zip(order, specs, p, q):
         m, r = spec.weight, spec.n - spec.weight
         u = build_unitary(spec)
-        # the stack of one is the lattice build_unitary scatters onto its box
-        single = build_stack([spec.s], [spec.phases])[0][:, 0]
+        # the stack of one is the lattice build_unitary scatters onto its box,
+        # from the spec's tuples as from the trial's raw draws
+        single = build_stack((spec.n,), spec.s, spec.phases)[0][:, 0]
+        assert build_stack(*flat_draws([rows[t]]))[0][:, 0].tobytes() == single.tobytes()
         for lattice, alone, poly in ((p_lattice, single[0], u.P), (q_lattice, single[1], u.Q)):
             assert lattice[: m + 1, : r + 1].tobytes() == alone.tobytes()
             assert not lattice[m + 1 :].any() and not lattice[:, r + 1 :].any()

@@ -32,10 +32,12 @@ from mqsp.readoff import (
 )
 from support import (
     coeff_at,
+    flat_draws,
     reference_pruned,
     reference_stack,
     scan_refused_box,
     scan_specs,
+    scan_stack_sizes,
     scan_streams,
 )
 
@@ -736,29 +738,24 @@ def test_scan_equals_per_trial_loop(monkeypatch, n_max, tolerance):
     scan_stack = readoff_module._scan_stack
 
     def spy(stack, tol):
-        sizes.append(len(stack))
+        lengths, _, _ = stack
+        sizes.append(len(lengths))
         return scan_stack(stack, tol)
 
     monkeypatch.setattr(readoff_module, "_scan_stack", spy)
-    # (fewest, most) trials per stack but the last: the default budget
-    # holds all 60 up to n_max = 9 (and at least as many trials of the
-    # largest box as it has room for), a one-cell budget is below every box
-    # (stacks of one), and the last holds at least three trials of the
-    # largest box
+    # the stacks are the greedy split, trial by trial: the default budget
+    # holds all 60 up to n_max = 9, a one-cell budget is below every box
+    # (stacks of one), and a budget of three trials of the largest box
+    # draws chunks of 3(n_max + 1) trials, so stacks run on across chunks
     default = readoff_module.SCAN_STACK_CELLS
-    budgets = {
-        default: (min(60, default // (n_max + 1) ** 2), 60),
-        1: (1, 1),
-        3 * (n_max + 1) ** 2: (3, 60),
-    }
     for seed in (0, 1, 5):
         expected = reference_scan(n_max, 60, seed)
-        for budget, (fewest, most) in budgets.items():
+        for budget in (default, 1, 3 * (n_max + 1) ** 2):
             monkeypatch.setattr(readoff_module, "SCAN_STACK_CELLS", budget)
             sizes.clear()
             assert scan_leading_slices(n_max, 60, seed) == expected
+            assert sizes == scan_stack_sizes(n_max, 60, seed, budget)
             assert sum(sizes) == 60
-            assert fewest <= min(sizes[:-1] or [fewest]) and max(sizes) <= most
 
 
 @pytest.mark.parametrize("seed", [1, 2, 424242])
@@ -829,13 +826,67 @@ def test_scan_stack_prunes_as_laurent_does():
         ((), (0.9,)),
         ((0, 1, 0, 1, 1), (0.1, -0.2, 0.3, -0.4, 0.5, -0.6)),
     ]
-    stack = [(list(s), list(phases)) for s, phases in draws]
-    holds, mismatch = readoff_module._scan_stack(stack, 1e-8)
+    holds, mismatch = readoff_module._scan_stack(flat_draws(draws), 1e-8)
     assert len(holds) == len(mismatch) == len(draws)
     for (s, phases), held, x in zip(draws, holds.tolist(), mismatch.tolist()):
         rep = check_leading_slices(build_unitary(ProtocolSpec(s, phases)))
         assert held == (rep.holds_a or rep.holds_b)
         assert x.hex() == min(rep.mismatch_a, rep.mismatch_b).hex()
+
+
+@pytest.mark.parametrize("tolerance", [None, "1e-300"])
+def test_scan_takes_a_drawn_minus_pi_to_pi(monkeypatch, tolerance):
+    # uniform(-pi, pi) returns -pi itself for a raw word of 0, and
+    # principal_phase takes it to pi: a phase stream patched to return -pi
+    # once gives the verdict, mismatch and counterexample of the spec made
+    # from the same draws, bit for bit
+    if tolerance is not None:
+        monkeypatch.setattr(readoff_module, "READOFF_TOL", float(tolerance))
+    n_max, trials, seed = 6, 100, 1
+    lengths, bits, phases = scan_streams(seed)
+    lengths = lengths.integers(0, n_max + 1, size=trials)
+    bits = bits.integers(0, 2, size=int(lengths.sum()))
+    phases = phases.uniform(-math.pi, math.pi, size=bits.size + trials)
+    # phi_0 of the first trial of length 2 or more, where -pi taken as it
+    # is would change the trial's mismatch in its last bits
+    t = int(np.flatnonzero(lengths >= 2)[0])
+    first = int(lengths[:t].sum())
+    at = first + t
+    phases[at] = -math.pi
+    n = int(lengths[t])
+    spec = ProtocolSpec(bits[first : first + n].tolist(), phases[at : at + n + 1].tolist())
+    assert spec.phases[0] == math.pi
+
+    class MinusPi(np.random.Generator):
+        def uniform(self, *args, **kwargs):
+            drawn = super().uniform(*args, **kwargs)
+            drawn[at] = -math.pi
+            return drawn
+
+    verdicts, scan_stack = [], readoff_module._scan_stack
+
+    def spy(stack, tol):
+        verdicts.append(scan_stack(stack, tol))
+        return verdicts[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", lambda s: MinusPi(np.random.PCG64(s)))
+    monkeypatch.setattr(readoff_module, "_scan_stack", spy)
+    summary = scan_leading_slices(n_max, trials, seed)
+    (holds, mismatch), = verdicts
+    rep = check_leading_slices(build_unitary(spec))
+    assert bool(holds[t]) == (rep.holds_a or rep.holds_b)
+    assert mismatch[t].hex() == min(rep.mismatch_a, rep.mismatch_b).hex()
+    # the whole summary is the per-trial loop's on the patched draws
+    specs, firsts = [], np.cumsum(lengths) - lengths
+    for i, (first, n) in enumerate(zip(firsts.tolist(), lengths.tolist())):
+        specs.append(ProtocolSpec(bits[first : first + n].tolist(), phases[first + i : first + i + n + 1].tolist()))
+    reports = [check_leading_slices(build_unitary(sp)) for sp in specs]
+    held = [min(r.mismatch_a, r.mismatch_b) for r in reports if r.holds_a or r.holds_b]
+    assert summary.passes == len(held)
+    assert summary.worst_mismatch.hex() == max(held, default=0.0).hex()
+    bad = tuple(sp for sp, r in zip(specs, reports) if not (r.holds_a or r.holds_b))
+    assert summary.counterexamples == bad
+    assert (spec in bad) == (tolerance is not None)
 
 
 def test_scan_counterexamples_at_tiny_tolerance_in_draw_order(monkeypatch):
